@@ -4,6 +4,7 @@ deterministic artifacts, and sweep parallelism."""
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -150,10 +151,17 @@ def test_solve_rerun_is_byte_identical(solved_dir, tmp_path, capsys):
 
 def test_verify_on_stored_profile(solved_dir, capsys):
     cfg, out = solved_dir
-    assert main(["verify", "--config", cfg, "--out", out,
-                 "--seed", "42"]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", cfg, "--out", out,
+                     "--seed", "42"]) == 0
+    # numerical warnings go into the report, not to stderr
+    assert [str(w.message) for w in caught] == []
     doc = json.load(open(os.path.join(out, "verify.json")))
     assert doc["passed"] is True
+    count = doc["provenance"]["hardy_warnings"]
+    assert isinstance(count, int)
+    assert (doc["provenance"]["hardy_first_warning"] is None) == (count == 0)
     names = [c["name"] for c in doc["checks"]]
     assert "pohozaev_relative_residual" in names
     assert "hardy_margin_min_relative" in names

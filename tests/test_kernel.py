@@ -1,5 +1,6 @@
-"""Ball-side kernel machinery: closed-form oracles at n = 3, weight
-asymptotics, the scaling group, and quadrature cross-checks."""
+"""Ball-side kernel machinery: closed-form oracles at n = 3, a 30-digit
+quadrature oracle for G at n = 3..8, weight asymptotics, the scaling group,
+and quadrature cross-checks."""
 
 import math
 
@@ -53,9 +54,52 @@ def test_G_monotone_and_inverse_roundtrip():
     assert np.all(np.diff(G) < 0)
     for r in (1e-4, 1e-2, 0.3, 0.9):
         g = green_G(r, 5)
-        assert green_G_inverse(g, 5) == pytest.approx(r, rel=1e-10)
+        assert green_G_inverse(g, 5) == pytest.approx(r, rel=1e-12)
     back = green_G_inverse(G, 5)
-    assert np.max(np.abs(back - radii) / radii) < 1e-8
+    assert np.max(np.abs(back - radii) / radii) < 1e-12
+
+
+def _G_oracle(r, n, mp):
+    """G by mpmath quadrature of the density, independent of the binomial
+    sum: in x = log t over [log r, 0] near the origin, and with
+    t = 1 - (1 - r) u, u in [0, 1], near the boundary (1 - r is exact in
+    binary there, and the scaled integrand is O(1))."""
+    if r <= 0.5:
+        x0 = mp.log(mp.mpf(float(r)))
+        return mp.quad(lambda x: (-mp.expm1(2 * x)) ** (n - 2)
+                       * mp.exp((2 - n) * x), [x0, x0 / 2, 0])
+    d = mp.mpf(1.0 - float(r))
+    return d ** (n - 1) * mp.quad(lambda u: (u * (2 - d * u)) ** (n - 2)
+                                  / (1 - d * u) ** (n - 1), [0, 1])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_G_matches_mpmath_oracle(n):
+    mpmath = pytest.importorskip("mpmath")
+    radii = np.array([1e-6, 1e-3, 0.1, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6])
+    with mpmath.workdps(30):
+        exact = np.array([float(_G_oracle(r, n, mpmath)) for r in radii])
+    assert np.max(np.abs(green_G(radii, n) / exact - 1.0)) <= 5e-14
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_G_scalar_and_vector_paths_agree(n):
+    radii = np.concatenate([np.geomspace(1e-6, 1.0 - 1e-6, 200),
+                            np.linspace(0.2, 0.55, 50)])
+    vec = green_G(radii, n)
+    scalar = np.array([green_G(float(r), n) for r in radii])
+    assert np.max(np.abs(scalar / vec - 1.0)) <= 1e-15
+    vec_w = weight_V_p(radii, n, 2.0)
+    scalar_w = np.array([weight_V_p(float(r), n, 2.0) for r in radii])
+    assert np.max(np.abs(scalar_w / vec_w - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_G_inverse_roundtrip_full_range(n):
+    radii = np.concatenate([np.geomspace(1e-8, 0.99, 120),
+                            1.0 - np.geomspace(1e-2, 1e-6, 30)])
+    back = green_G_inverse(green_G(radii, n), n)
+    assert np.max(np.abs(back / radii - 1.0)) <= 1e-12
 
 
 def test_inverse_rejects_nonpositive():
