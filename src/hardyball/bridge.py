@@ -5,6 +5,7 @@ coercivity constant, and an exactness check of the correspondence."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,7 @@ class EuclideanProblem:
     lowdim: LowDimConstants = field(default_factory=LowDimConstants)
 
     _b_spline: CubicSpline = field(default=None, repr=False, compare=False)
+    _b_pieces: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.domain_radius < 1.0):
@@ -134,10 +136,24 @@ class EuclideanProblem:
             t = np.linspace(math.log(1e-8), math.log(self.domain_radius), 400)
             vals = b_weight(np.exp(t), self.params.n, self.params.s)
             self._b_spline = CubicSpline(t, vals)
+            # the same pieces as plain floats: the knots, then per
+            # interval the coefficients of d^3, d^2, d and 1
+            self._b_pieces = (self._b_spline.x.tolist(),
+                              *self._b_spline.c.tolist())
 
     def b(self, r):
         if self.b_spec == "paper":
             self._ensure_b_spline()
+            if isinstance(r, float):
+                # scipy's evaluation of the spline, in plain floats: the
+                # interval by bisection (the end pieces extrapolate), then
+                # c3 + c2 d + c1 d^2 + c0 d^3 summed in scipy's order
+                knots, c0, c1, c2, c3 = self._b_pieces
+                t = math.log(r)
+                i = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
+                d = t - knots[i]
+                d2 = d * d
+                return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
             out = self._b_spline(np.log(np.asarray(r, dtype=float)))
             return float(out) if np.ndim(out) == 0 else out
         if callable(self.b_spec):

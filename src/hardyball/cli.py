@@ -15,7 +15,6 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -130,7 +129,6 @@ def update_manifest(outdir: str, files: list, config_text: str,
         "config_sha256": hashlib.sha256(
             config_text.encode("utf-8")).hexdigest(),
         "seed": int(seed),
-        "written_utc": datetime.now(timezone.utc).isoformat(),
         "files": entries,
     }
     write_text(path, dumps17(manifest) + "\n")

@@ -11,22 +11,31 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from .bridge import EuclideanProblem, _quadratic_form_matrices
 from .constants import ProblemParams, beta_pm, critical_exponent
+from .grids import log_derivative_matrix_apply
 from .kernel import sphere_area
 
 
 class SolverError(RuntimeError):
-    pass
+    def __init__(self, message, shoots=0):
+        super().__init__(message)
+        self.shoots = shoots
 
 
 class BracketNotFound(SolverError):
-    def __init__(self, message, node_counts=None):
-        super().__init__(message)
+    def __init__(self, message, node_counts=None, shoots=0):
+        super().__init__(message, shoots)
         self.node_counts = node_counts or {}
+
+
+def _sign_changes(v: np.ndarray, sup: float) -> int:
+    """Sign changes along v, skipping samples at or below 1e-13 * sup."""
+    return int(np.count_nonzero(np.diff(np.sign(v[np.abs(v) > 1e-13 * sup]))))
 
 
 @dataclass
@@ -43,11 +52,8 @@ class ProfileData:
         return CubicSpline(np.log(self.r), self.dv)
 
     def node_count(self) -> int:
-        interior = self.v[:-1]
-        s = np.sign(interior[np.abs(interior) > 1e-13 * np.max(np.abs(self.v))])
-        if len(s) == 0:
-            return 0
-        return int(np.count_nonzero(np.diff(s) != 0))
+        """Interior sign changes; the boundary sample is left out."""
+        return _sign_changes(self.v[:-1], np.max(np.abs(self.v)))
 
 
 @dataclass
@@ -157,10 +163,6 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
         diverged=diverged, meta={"r0": r0, "R": R})
 
 
-def _count_nodes_and_boundary(profile: SolutionProfile):
-    return profile.node_count, profile.boundary_value, profile.diverged
-
-
 def euclidean_energy(profile: SolutionProfile,
                      problem: EuclideanProblem) -> float:
     """Value of the action functional (quadratic part minus the weighted
@@ -205,7 +207,6 @@ def _pde_residual_norm(profile: SolutionProfile,
     q = critical_exponent(n, s)
     d = profile.data
     t = np.log(d.r)
-    from .grids import log_derivative_matrix_apply
     vt = log_derivative_matrix_apply(t, d.v)
     vtt = log_derivative_matrix_apply(t, vt)
     r = d.r
@@ -224,67 +225,97 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
                              scan_points: int = 61,
                              boundary_tol: float = 1e-8,
                              r0: float = None,
-                             rtol: float = 1e-11) -> SolutionProfile:
+                             rtol: float = 1e-11,
+                             K_start: float = None) -> SolutionProfile:
     """Find K > 0 with v(R) = 0 and exactly node_target interior sign
-    changes, by monotone bracketing of the node count in K."""
+    changes.
+
+    The node count, boundary sample included, rises with K and jumps
+    exactly when a zero crosses R.  A transition through node_target is
+    bracketed cold by a scan_points scan of K_range, or warm by steps
+    outward from K_start of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... that stop at
+    the ends of K_range.  The bracket is bisected until its ends read
+    node_target and node_target + 1, so v(R) changes sign across it, and
+    Brent's method [Brent 1973] finds the root of v(R)/sup|v| in log K."""
     lo, hi = K_range
-    Ks = np.geomspace(lo, hi, scan_points)
-    counts = {}
+    seen = {}  # log K -> (K, node count, v(R) / sup|v|)
 
-    def nodes_at(K):
-        # sign changes including the boundary sample: the count jumps
-        # exactly when a zero crosses the outer boundary, which is the
-        # shooting condition
-        prof = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol)
-        v = prof.data.v
-        s = np.sign(v[np.abs(v) > 1e-13 * np.max(np.abs(v))])
-        nc = int(np.count_nonzero(np.diff(s) != 0)) if len(s) else 0
-        counts[K] = nc
-        return nc, prof
+    def shoot_at(x, K=None):
+        K = math.exp(x) if K is None else K
+        v = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol).data.v
+        sup = np.max(np.abs(v))
+        # a boundary sample the node count skips reads as a root
+        vR = v[-1] / sup if abs(v[-1]) > 1e-13 * sup else 0.0
+        seen[x] = (K, _sign_changes(v, sup), vR)
+        return seen[x][1]
 
-    K_lo = K_hi = None
-    prev_K, prev_nc = None, None
-    for K in Ks:
-        nc, _ = nodes_at(K)
-        if prev_K is not None and prev_nc <= node_target and nc > node_target:
-            K_lo, K_hi = prev_K, K
-            break
-        prev_K, prev_nc = K, nc
-    if K_lo is None:
-        raise BracketNotFound(
-            f"no node-count transition through {node_target} on the scan "
-            f"range", node_counts=counts)
+    def no_bracket(message):
+        return BracketNotFound(
+            message, node_counts={K: nc for K, nc, _ in seen.values()},
+            shoots=len(seen))
 
-    # bisect on the transition; at the jump the new zero sits at the boundary
-    for _ in range(200):
-        mid = math.sqrt(K_lo * K_hi)
-        if not (K_lo < mid < K_hi):
-            break
-        nc, _ = nodes_at(mid)
-        if nc > node_target:
-            K_hi = mid
+    def scan():
+        prev = None
+        for K in np.geomspace(lo, hi, scan_points):
+            x = math.log(K)
+            nc = shoot_at(x, float(K))
+            if prev is not None and seen[prev][1] <= node_target < nc:
+                return prev, x
+            prev = x
+        raise no_bracket(f"no node-count transition through {node_target} "
+                         f"on the scan range")
+
+    def walk(x):
+        up = shoot_at(x, K_start) <= node_target
+        step = math.log(10.0) / 6.0
+        while True:
+            nxt = x + step if up else x - step
+            if not math.log(lo) <= nxt <= math.log(hi):
+                raise no_bracket(f"no node-count transition through "
+                                 f"{node_target} outward from K = "
+                                 f"{K_start:.6g} within the range")
+            if (shoot_at(nxt) > node_target) == up:
+                return (x, nxt) if up else (nxt, x)
+            x, step = nxt, 2.0 * step
+
+    if K_start is None:
+        x_lo, x_hi = scan()
+    elif lo <= K_start <= hi:
+        x_lo, x_hi = walk(math.log(K_start))
+    else:
+        raise no_bracket(f"K = {K_start:.6g} lies outside the range")
+    while not (seen[x_lo][1] == node_target
+               and seen[x_hi][1] == node_target + 1):
+        mid = 0.5 * (x_lo + x_hi)
+        if not x_lo < mid < x_hi:
+            raise no_bracket(f"the node count jumps past {node_target} + 1 "
+                             f"at K = {seen[x_hi][0]:.6g}")
+        if shoot_at(mid) > node_target:
+            x_hi = mid
         else:
-            K_lo = mid
-        if (K_hi - K_lo) < 1e-15 * K_hi:
-            break
+            x_lo = mid
 
-    best = shoot(params, problem, K_lo, p, r0=r0, num=3000, rtol=rtol)
+    def boundary(x):
+        if x not in seen:
+            shoot_at(x)
+        return seen[x][2]
+
+    K_root = math.exp(brentq(boundary, x_lo, x_hi, xtol=1e-12))
+    best = shoot(params, problem, K_root, p, r0=r0, num=3000, rtol=rtol)
+    shoots = len(seen) + 1
     sup = np.max(np.abs(best.data.v))
     if abs(best.boundary_value) > boundary_tol * sup:
-        alt = shoot(params, problem, K_hi, p, r0=r0, num=3000, rtol=rtol)
-        if abs(alt.boundary_value) < abs(best.boundary_value) and \
-                alt.node_count == node_target:
-            best = alt
-        sup = np.max(np.abs(best.data.v))
-        if abs(best.boundary_value) > boundary_tol * sup:
-            raise SolverError(
-                f"boundary value {best.boundary_value:.3e} above tolerance "
-                f"{boundary_tol:g} * sup {sup:.3e}")
+        raise SolverError(
+            f"boundary value {best.boundary_value:.3e} above tolerance "
+            f"{boundary_tol:g} * sup {sup:.3e}", shoots=shoots)
+    if best.node_count != node_target:
+        raise SolverError(f"root at K = {K_root:.6g} has {best.node_count} "
+                          f"nodes, not {node_target}", shoots=shoots)
     best.energy = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
-    best.node_count = node_target
     best.residual_norm = _pde_residual_norm(best, problem)
-    best.meta.update({"K_shoot": K_lo, "boundary_tol": boundary_tol})
+    best.meta.update({"K_shoot": K_root, "boundary_tol": boundary_tol,
+                      "shoots": shoots})
     return best
 
 
@@ -337,12 +368,13 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     u = project(u)
     e = energy(u)
     step = 1.0
-    stalled = False
+    stalled = converged = False
     flat_runs = 0
     for it in range(max_iter):
         g, raw = grad(u)
         gn = math.sqrt(abs(float(raw @ g))) * omega  # energy norm of I'
         if gn < gtol * max(1.0, abs(e)):
+            converged = True
             break
         trial_step = step * 2.0
         while True:
@@ -364,14 +396,14 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
             flat_runs = 0
         u, e, step = cand, e_cand, trial_step
     v = np.concatenate([u, [0.0]])
-    from .grids import log_derivative_matrix_apply
     dv = log_derivative_matrix_apply(t, v) / r
     data = ProfileData(r=r, v=v, dv=dv)
     prof = SolutionProfile(
         data=data, params=params, p_defect=p, K0=0.0,
         node_count=data.node_count(), energy=e,
         residual_norm=math.nan, boundary_value=0.0,
-        meta={"iterations": it, "stalled": stalled, "grad_norm": gn})
+        meta={"iterations": it, "stalled": stalled, "converged": converged,
+              "grad_norm": gn})
     prof.K0 = fit_K0(prof)
     return prof
 
@@ -383,31 +415,30 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
     """Warm-started solves along the decreasing defect schedule; records the
     Cauchy increments and the weighted sup norms used by the blow-up lab."""
     out = []
-    k_range = K_range
+    K_prev = None
     prev = None
     for idx, p in enumerate(schedule.p_values):
         try:
             try:
                 prof = solve_dirichlet_shooting(params, problem, p,
                                                 node_target=node_target,
-                                                K_range=k_range)
-            except SolverError:
-                if k_range == K_range:
+                                                K_range=K_range,
+                                                K_start=K_prev)
+            except SolverError as exc:
+                if K_prev is None:
                     raise
-                # warm bracket missed: fall back to the full scan range
+                # warm bracket missed: fall back to the cold scan
                 prof = solve_dirichlet_shooting(params, problem, p,
                                                 node_target=node_target,
                                                 K_range=K_range)
+                prof.meta["shoots"] += exc.shoots
         except SolverError as exc:
             for sp in out:
                 sp.meta["truncated_at"] = idx
                 sp.meta["failure"] = str(exc)
             return out
         if schedule.warm_start:
-            # the matched amplitude moves by orders of magnitude per step,
-            # so the warm bracket must stay generous
-            K = prof.meta["K_shoot"]
-            k_range = (K / 1e4, K * 1e4)
+            K_prev = prof.meta["K_shoot"]
         n = params.n
         q = critical_exponent(n, params.s)
         w = prof.data.r ** ((n - 2.0) / 2.0) * \
@@ -512,7 +543,6 @@ def solve_limit_equation(n: int, s: float, gamma: float, b0: float,
     psi = np.concatenate([psi_half[::-1][:-1], psi_half])
     r = np.exp(t)
     w = r ** (-nu) * psi
-    from .grids import log_derivative_matrix_apply
     dw = log_derivative_matrix_apply(t, w) / r
     data = ProfileData(r=r, v=w, dv=dw)
     # indicial coefficients from the tails: w ~ K_- r^{-bm} at 0 and
@@ -586,7 +616,6 @@ def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     phi1 = np.concatenate([x, [0.0]])
-    from .grids import log_derivative_matrix_apply
     dphi = log_derivative_matrix_apply(tg, phi1) / rg
     eig = ProfileData(r=rg, v=phi1, dv=dphi)
     return ComparisonPair(H_profile=H, eigen_profile=eig,

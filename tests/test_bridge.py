@@ -57,6 +57,22 @@ def test_b_positive_and_flat_at_origin():
     assert abs(slope2) < abs(slope1)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_b_float_path_matches_spline(n):
+    # a Python-float radius evaluates the b table's pieces in plain floats;
+    # it must give the spline's value (only numpy's log may differ by 1 ulp)
+    R = 0.5
+    prob = EuclideanProblem(ProblemParams(n=n, s=1.0, gamma=-2.0, lam=10.0),
+                            domain_radius=R)
+    prob.b(np.array([R]))
+    rng = np.random.default_rng(n)
+    r = np.concatenate([rng.uniform(1e-5 * R, R, 100_000),
+                        np.exp(prob._b_spline.x), [R]])
+    scalar = np.array([prob.b(float(x)) for x in r])
+    assert all(type(prob.b(float(x))) is float for x in r[:3])
+    assert np.max(np.abs(scalar / prob.b(r) - 1.0)) <= 1e-15
+
+
 def test_exact_potential_vs_truncated_h():
     # for n >= 5 the truncated branch equals the exact induced potential
     # only in the r -> 0 limit

@@ -136,6 +136,7 @@ def test_solve_writes_checked_artifacts(solved_dir, capsys):
         assert len(blob) == entry["bytes"]
     doc = json.load(open(os.path.join(out, "profile.json")))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
+    assert doc["meta"]["shoots"] == 68
     capsys.readouterr()
 
 
@@ -189,6 +190,17 @@ def test_constants_and_weights_and_bridge(tmp_path, capsys):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     for name in ("constants.json", "weights.csv", "bridge.csv"):
         assert name in manifest["files"]
+    capsys.readouterr()
+
+
+def test_manifest_bytes_identical_across_reruns(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    blobs = []
+    for tag in ("a", "b"):
+        out = str(tmp_path / tag)
+        assert main(["weights", "--config", cfg, "--out", out]) == 0
+        blobs.append(open(os.path.join(out, "manifest.json"), "rb").read())
+    assert blobs[0] == blobs[1]
     capsys.readouterr()
 
 

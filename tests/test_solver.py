@@ -170,6 +170,14 @@ def test_variational_quadratic_sanity(ref_params, ref_problem):
     assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
+def test_variational_reports_not_converged_at_max_iter(ref_params,
+                                                       ref_problem):
+    prof = solve_variational(ref_params, ref_problem, p=0.2, num=400,
+                             max_iter=3)
+    assert prof.meta["converged"] is False
+    assert prof.meta["stalled"] is False
+
+
 def test_excited_state_has_one_node_and_higher_energy(ref_params,
                                                       ref_problem,
                                                       ground_shoot):
@@ -177,6 +185,49 @@ def test_excited_state_has_one_node_and_higher_energy(ref_params,
                                     node_target=1)
     assert prof.data.node_count() == 1
     assert prof.energy > ground_shoot.energy
+
+
+def test_brent_root_meets_the_shooting_conditions(ground_shoot):
+    prof = ground_shoot
+    sup = np.max(np.abs(prof.data.v))
+    assert abs(prof.boundary_value) <= prof.meta["boundary_tol"] * sup
+    assert prof.data.node_count() == 0
+    # K0 of the same solve by node-count bisection to 1e-15 in K
+    assert prof.K0 == pytest.approx(7116.944437322512, rel=1e-7)
+
+
+def test_cold_solve_shoot_count(ground_shoot):
+    # 49 scan shoots, 18 for Brent's root, one polish
+    assert ground_shoot.meta["shoots"] == 68
+
+
+def test_continuation_shoot_total(continuation):
+    # one cold solve (83 shoots), then warm brackets from the previous K
+    shoots = [prof.meta["shoots"] for prof in continuation]
+    assert shoots == [83, 19, 25, 18, 24, 18, 24]
+    assert sum(shoots) == 211
+
+
+def test_warm_walk_stops_at_K_range(ref_params, ref_problem):
+    # from K = 1 the walk reaches 316 and its next step leaves the range,
+    # though the root (K ~ 7117) lies inside it
+    with pytest.raises(BracketNotFound) as err:
+        solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
+                                 K_range=(1e-4, 8000.0), K_start=1.0)
+    assert max(err.value.node_counts) == pytest.approx(10 ** 2.5)
+    assert err.value.shoots == 5
+
+
+def test_continuation_falls_back_to_cold_scan(ref_params, ref_problem):
+    # the warm walk for p = 0.1 steps from K ~ 7117 to 4849, then below the
+    # range's lower end; the cold scan of the range then finds K ~ 2633
+    seq = continuation_to_critical(ref_params, ref_problem,
+                                   ContinuationSchedule((0.2, 0.1)),
+                                   K_range=(2300.0, 1e6))
+    cold = solve_dirichlet_shooting(ref_params, ref_problem, p=0.1,
+                                    K_range=(2300.0, 1e6))
+    assert seq[1].K0 == cold.K0
+    assert seq[1].meta["shoots"] == cold.meta["shoots"] + 2
 
 
 def test_bracket_not_found_reports_counts():
