@@ -552,6 +552,7 @@ def _sweep_row(task: tuple) -> dict:
         params = make_params(cfg)
         problem = make_problem(cfg, params)
         prof = _solve_one(cfg, params, problem)
+        row["shoots"] = prof.meta.get("shoots", 0)
         bm, _ = beta_pm(params.n, params.gamma)
         window = (prof.data.r[0] * 10.0, prof.data.r[0] * 100.0)
         try:
@@ -564,17 +565,19 @@ def _sweep_row(task: tuple) -> dict:
                     "node_count": prof.node_count, "slope": slope,
                     "slope_target": -bm, "slope_stderr": stderr,
                     "pohozaev_relative": po.relative, "message": ""})
-    except AdmissibilityError as exc:
-        row.update({"status": "inadmissible", "message": str(exc)})
-    except (SolverError, verify_mod.VerificationError) as exc:
-        row.update({"status": "failed", "message": str(exc)})
+    except (AdmissibilityError, SolverError,
+            verify_mod.VerificationError) as exc:
+        inadmissible = isinstance(exc, AdmissibilityError)
+        row.update({"status": "inadmissible" if inadmissible else "failed",
+                    "message": str(exc), "error_class": type(exc).__name__,
+                    "shoots": getattr(exc, "shoots", row.get("shoots", 0))})
     return row
 
 
 _SWEEP_COLUMNS = ["index", "gamma", "s", "lam", "p_defect", "node_target",
                   "status", "energy", "K0", "node_count", "slope",
                   "slope_target", "slope_stderr", "pohozaev_relative",
-                  "message"]
+                  "message", "error_class", "shoots"]
 
 
 def cmd_sweep(cfg: dict, args) -> int:

@@ -32,10 +32,7 @@ class ProblemParams:
             raise AdmissibilityError("s must lie in (0, 2)")
         if not (0.0 <= self.theta < 2.0):
             raise AdmissibilityError("theta must lie in [0, 2)")
-        cap = critical_exponent(self.n, self.s) - 2.0
-        if not (0.0 <= self.p_defect < cap):
-            raise AdmissibilityError(
-                f"subcritical defect must lie in [0, {cap:g})")
+        check_defect(self.n, self.s, self.p_defect)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -67,6 +64,15 @@ def critical_exponent(n: int, s: float) -> float:
     if n < 3 or not (0.0 <= s <= 2.0):
         raise AdmissibilityError("need n >= 3 and s in [0, 2]")
     return 2.0 * (n - s) / (n - 2.0)
+
+
+def check_defect(n: int, s: float, p: float) -> float:
+    """q - 2 - p; raises unless 0 <= p < q - 2, formed as 2(2 - s)/(n - 2)."""
+    cap = 2.0 * (2.0 - s) / (n - 2.0)
+    if not (0.0 <= p < cap):
+        raise AdmissibilityError(
+            f"subcritical defect must lie in [0, {cap:g})")
+    return cap - p
 
 
 def beta_pm(n: int, gamma: float) -> tuple:

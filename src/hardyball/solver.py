@@ -15,8 +15,10 @@ from scipy.optimize import brentq
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
-from .bridge import EuclideanProblem, _quadratic_form_matrices
-from .constants import ProblemParams, beta_pm, critical_exponent
+from .bridge import (EuclideanProblem, _count_eigs_below,
+                     _quadratic_form_matrices)
+from .constants import (ProblemParams, beta_pm, check_defect,
+                        critical_exponent)
 from .grids import log_derivative_matrix_apply
 from .kernel import sphere_area
 
@@ -31,6 +33,10 @@ class BracketNotFound(SolverError):
     def __init__(self, message, node_counts=None, shoots=0):
         super().__init__(message, shoots)
         self.node_counts = node_counts or {}
+
+
+class NotCoercive(SolverError):
+    """The quadratic form is not coercive, so no positive solution exists."""
 
 
 def _sign_changes(v: np.ndarray, sup: float) -> int:
@@ -222,7 +228,6 @@ def _pde_residual_norm(profile: SolutionProfile,
 def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
                              p: float, node_target: int = 0,
                              K_range: tuple = (1e-4, 1e6),
-                             scan_points: int = 61,
                              boundary_tol: float = 1e-8,
                              r0: float = None,
                              rtol: float = 1e-11,
@@ -230,23 +235,34 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     """Find K > 0 with v(R) = 0 and exactly node_target interior sign
     changes.
 
-    The node count, boundary sample included, rises with K and jumps
-    exactly when a zero crosses R.  A transition through node_target is
-    bracketed cold by a scan_points scan of K_range, or warm by steps
-    outward from K_start of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... that stop at
-    the ends of K_range.  The bracket is bisected until its ends read
-    node_target and node_target + 1, so v(R) changes sign across it, and
-    Brent's method [Brent 1973] finds the root of v(R)/sup|v| in log K."""
-    lo, hi = K_range
+    A ground state needs a coercive form [Brezis-Nirenberg 1983]: with
+    node_target = 0, a pencil eigenvalue below -1e-3 raises NotCoercive.
+    The node count, boundary sample included, rises with K and jumps when a
+    zero crosses R.  Steps of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... walk out
+    from K_start, or from the K at which b v^{q-2-p} r^{2-s} balances
+    (n-2)^2/4 - gamma at r = R/2, both clamped into K_range, until the count
+    crosses node_target.  The bracket is bisected until its ends read
+    node_target and node_target + 1; Brent's method [Brent 1973] then finds
+    the root of v(R)/sup|v| in log K, stopping at the first shoot below a
+    tenth of boundary_tol (the integrator's noise floor)."""
+    n, s = params.n, params.s
+    expo = check_defect(n, s, p)
+    if node_target == 0:
+        A, M = _quadratic_form_matrices(problem, 1e-6, 2000)
+        if _count_eigs_below(-1e-3, A.diagonal(0), A.diagonal(1),
+                             M.diagonal(0), M.diagonal(1)) >= 1:
+            raise NotCoercive("the quadratic form is not coercive "
+                              "(Lambda0 < -1e-3): no positive solution")
+    x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
     seen = {}  # log K -> (K, node count, v(R) / sup|v|)
 
-    def shoot_at(x, K=None):
-        K = math.exp(x) if K is None else K
+    def shoot_at(x):
+        K = math.exp(x)
         v = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol).data.v
         sup = np.max(np.abs(v))
-        # a boundary sample the node count skips reads as a root
-        vR = v[-1] / sup if abs(v[-1]) > 1e-13 * sup else 0.0
-        seen[x] = (K, _sign_changes(v, sup), vR)
+        vR = v[-1] / sup  # reads 0 below the noise floor: brentq stops
+        seen[x] = (K, _sign_changes(v, sup),
+                   0.0 if abs(vR) <= max(1e-13, 0.1 * boundary_tol) else vR)
         return seen[x][1]
 
     def no_bracket(message):
@@ -254,46 +270,31 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
             message, node_counts={K: nc for K, nc, _ in seen.values()},
             shoots=len(seen))
 
-    def scan():
-        prev = None
-        for K in np.geomspace(lo, hi, scan_points):
-            x = math.log(K)
-            nc = shoot_at(x, float(K))
-            if prev is not None and seen[prev][1] <= node_target < nc:
-                return prev, x
-            prev = x
-        raise no_bracket(f"no node-count transition through {node_target} "
-                         f"on the scan range")
-
-    def walk(x):
-        up = shoot_at(x, K_start) <= node_target
-        step = math.log(10.0) / 6.0
-        while True:
-            nxt = x + step if up else x - step
-            if not math.log(lo) <= nxt <= math.log(hi):
-                raise no_bracket(f"no node-count transition through "
-                                 f"{node_target} outward from K = "
-                                 f"{K_start:.6g} within the range")
-            if (shoot_at(nxt) > node_target) == up:
-                return (x, nxt) if up else (nxt, x)
-            x, step = nxt, 2.0 * step
-
     if K_start is None:
-        x_lo, x_hi = scan()
-    elif lo <= K_start <= hi:
-        x_lo, x_hi = walk(math.log(K_start))
-    else:
-        raise no_bracket(f"K = {K_start:.6g} lies outside the range")
+        r = 0.5 * problem.domain_radius
+        b0 = float(problem.b(r0 or 1e-5 * problem.domain_radius))
+        amp = ((n - 2.0) ** 2 / 4.0 - params.gamma) / (b0 * r ** (2.0 - s))
+        K_start = amp ** (1.0 / expo) * r ** beta_pm(n, params.gamma)[0]
+    x = min(max(math.log(K_start), x_min), x_max)
+    up = shoot_at(x) <= node_target
+    step = (1.0 if up else -1.0) * math.log(10.0) / 6.0
+    while True:
+        nxt = min(max(x + step, x_min), x_max)
+        if nxt == x:
+            raise no_bracket(f"no node-count transition through {node_target}"
+                             f" from K = {K_start:.6g} within the range")
+        if (shoot_at(nxt) > node_target) == up:
+            break
+        x, step = nxt, 2.0 * step
+    x_lo, x_hi = sorted((x, nxt))
     while not (seen[x_lo][1] == node_target
                and seen[x_hi][1] == node_target + 1):
         mid = 0.5 * (x_lo + x_hi)
         if not x_lo < mid < x_hi:
             raise no_bracket(f"the node count jumps past {node_target} + 1 "
                              f"at K = {seen[x_hi][0]:.6g}")
-        if shoot_at(mid) > node_target:
-            x_hi = mid
-        else:
-            x_lo = mid
+        x_lo, x_hi = ((x_lo, mid) if shoot_at(mid) > node_target
+                      else (mid, x_hi))
 
     def boundary(x):
         if x not in seen:
@@ -419,19 +420,9 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
     prev = None
     for idx, p in enumerate(schedule.p_values):
         try:
-            try:
-                prof = solve_dirichlet_shooting(params, problem, p,
-                                                node_target=node_target,
-                                                K_range=K_range,
-                                                K_start=K_prev)
-            except SolverError as exc:
-                if K_prev is None:
-                    raise
-                # warm bracket missed: fall back to the cold scan
-                prof = solve_dirichlet_shooting(params, problem, p,
-                                                node_target=node_target,
-                                                K_range=K_range)
-                prof.meta["shoots"] += exc.shoots
+            prof = solve_dirichlet_shooting(params, problem, p,
+                                            node_target=node_target,
+                                            K_range=K_range, K_start=K_prev)
         except SolverError as exc:
             for sp in out:
                 sp.meta["truncated_at"] = idx

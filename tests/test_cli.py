@@ -1,6 +1,7 @@
 """End-to-end command tests: configuration validation, exit codes,
 deterministic artifacts, and sweep parallelism."""
 
+import csv
 import hashlib
 import json
 import os
@@ -115,6 +116,14 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_not_coercive(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "nc.json", {
+        "params": dict(REF_PARAMS, gamma=2.2, p_defect=0.03)})
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "not coercive" in capsys.readouterr().err
+
+
 # ----------------------------------------------------- solve/verify cycle
 
 @pytest.fixture(scope="module")
@@ -136,7 +145,7 @@ def test_solve_writes_checked_artifacts(solved_dir, capsys):
         assert len(blob) == entry["bytes"]
     doc = json.load(open(os.path.join(out, "profile.json")))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
-    assert doc["meta"]["shoots"] == 68
+    assert doc["meta"]["shoots"] == 10
     capsys.readouterr()
 
 
@@ -241,7 +250,7 @@ def test_sweep_grid_and_determinism(tmp_path, capsys, workers):
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"rtol": 1e-9},
-        "sweep": {"gamma": [-2.0, -3.0], "p_defect": [0.2, 0.3]},
+        "sweep": {"gamma": [-2.0, -3.0, 2.2], "p_defect": [0.2, 0.3]},
     })
     outs = []
     for tag in ("a", "b"):
@@ -250,10 +259,17 @@ def test_sweep_grid_and_determinism(tmp_path, capsys, workers):
                      "--workers", workers]) == 0
         outs.append(out)
     rows = open(os.path.join(outs[0], "sweep.csv")).read().splitlines()
-    assert len(rows) == 5                       # header + 2x2 grid
+    assert len(rows) == 7                       # header + 3x2 grid
     assert rows[0].split(",")[0] == "index"
     statuses = [line.split(",")[6] for line in rows[1:]]
-    assert statuses == ["ok"] * 4
+    assert statuses == ["ok"] * 4 + ["failed"] * 2
+    # why each row failed and how many shoots it made
+    with open(os.path.join(outs[0], "sweep.csv"), encoding="utf-8") as fh:
+        table = list(csv.DictReader(fh))
+    assert [row["error_class"] for row in table] == [""] * 4 + \
+        ["NotCoercive"] * 2
+    assert all(int(row["shoots"]) > 0 for row in table[:4])
+    assert [row["shoots"] for row in table[4:]] == ["0", "0"]
     # rerun in a fresh directory is byte-identical
     assert open(os.path.join(outs[0], "sweep.csv"), "rb").read() == \
         open(os.path.join(outs[1], "sweep.csv"), "rb").read()

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from hardyball.bridge import EuclideanProblem, b_origin
-from hardyball.constants import ProblemParams, beta_pm, critical_exponent
+from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
+                                 critical_exponent)
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
-                              bubble_closed_form, bubble_nehari_gap,
-                              comparison_pair, continuation_to_critical,
+                              NotCoercive, bubble_closed_form,
+                              bubble_nehari_gap, comparison_pair,
+                              continuation_to_critical,
                               dirichlet_norm_sq, frobenius_init, shoot,
                               solve_dirichlet_shooting, solve_limit_equation,
                               solve_variational)
@@ -197,37 +199,73 @@ def test_brent_root_meets_the_shooting_conditions(ground_shoot):
 
 
 def test_cold_solve_shoot_count(ground_shoot):
-    # 49 scan shoots, 18 for Brent's root, one polish
-    assert ground_shoot.meta["shoots"] == 68
+    # the scaling estimate (K ~ 1901) and three steps outward (the third
+    # crosses), five for Brent's root, one polish
+    assert ground_shoot.meta["shoots"] == 10
 
 
 def test_continuation_shoot_total(continuation):
-    # one cold solve (83 shoots), then warm brackets from the previous K
+    # one cold solve, then walks outward from the previous K
     shoots = [prof.meta["shoots"] for prof in continuation]
-    assert shoots == [83, 19, 25, 18, 24, 18, 24]
-    assert sum(shoots) == 211
+    assert shoots == [10, 12, 9, 7, 7, 7, 7]
+    assert sum(shoots) == 59
 
 
-def test_warm_walk_stops_at_K_range(ref_params, ref_problem):
-    # from K = 1 the walk reaches 316 and its next step leaves the range,
-    # though the root (K ~ 7117) lies inside it
+def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
+                                        ground_shoot):
+    # from K = 1 the walk reaches 316; its next step (to 10^{31/6}) is
+    # clamped onto the range end, which lies above the root (K ~ 7117)
+    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
+                                    K_range=(1e-4, 8000.0), K_start=1.0)
+    assert prof.K0 == pytest.approx(ground_shoot.K0, rel=1e-7)
+    # a range that ends below the root still has no bracket
     with pytest.raises(BracketNotFound) as err:
         solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
-                                 K_range=(1e-4, 8000.0), K_start=1.0)
-    assert max(err.value.node_counts) == pytest.approx(10 ** 2.5)
-    assert err.value.shoots == 5
+                                 K_range=(1e-4, 5000.0), K_start=1.0)
+    assert max(err.value.node_counts) == pytest.approx(5000.0)
+    assert set(err.value.node_counts.values()) == {0}
+    assert err.value.shoots == 6
 
 
-def test_continuation_falls_back_to_cold_scan(ref_params, ref_problem):
-    # the warm walk for p = 0.1 steps from K ~ 7117 to 4849, then below the
-    # range's lower end; the cold scan of the range then finds K ~ 2633
+@pytest.mark.parametrize("K_start", [7.0, 7.0e6])
+def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
+                                                     ground_shoot, K_start):
+    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
+                                    K_range=(1e-4, 1e8), K_start=K_start)
+    assert prof.K0 == pytest.approx(ground_shoot.K0, rel=1e-7)
+    assert prof.node_count == 0
+
+
+def test_continuation_walk_clamps_onto_the_range_end(ref_params,
+                                                     ref_problem):
+    # the walk for p = 0.1 steps from K ~ 7117 to 4849, then is clamped
+    # onto the range's lower end 2300, below the root (K ~ 2633); the cold
+    # solve walks up from the clamped estimate to the same root
     seq = continuation_to_critical(ref_params, ref_problem,
                                    ContinuationSchedule((0.2, 0.1)),
                                    K_range=(2300.0, 1e6))
     cold = solve_dirichlet_shooting(ref_params, ref_problem, p=0.1,
                                     K_range=(2300.0, 1e6))
-    assert seq[1].K0 == cold.K0
-    assert seq[1].meta["shoots"] == cold.meta["shoots"] + 2
+    assert len(seq) == 2
+    assert seq[1].K0 == pytest.approx(cold.K0, rel=1e-7)
+
+
+def test_not_coercive_raises_before_shooting():
+    # at gamma = 2.2 the principal eigenvalue of the form is about -0.18
+    params = ProblemParams(n=5, s=1.0, gamma=2.2, lam=10.0)
+    with pytest.raises(NotCoercive) as err:
+        solve_dirichlet_shooting(params, EuclideanProblem(params), p=0.03)
+    assert err.value.shoots == 0
+
+
+@pytest.mark.parametrize("n, s, p", [(7, 1.5, 0.2), (5, 1.9, 0.2),
+                                     (5, 1.0, -0.01)])
+def test_defect_checked_at_solver_entry(n, s, p):
+    # p = q - 2 exactly at n = 7, s = 1.5 (linear equation), p > q - 2 at
+    # n = 5, s = 1.9, and a negative p are all refused before any shoot
+    params = ProblemParams(n=n, s=s, gamma=-2.0, lam=10.0)
+    with pytest.raises(AdmissibilityError):
+        solve_dirichlet_shooting(params, EuclideanProblem(params), p=p)
 
 
 def test_bracket_not_found_reports_counts():
@@ -235,7 +273,7 @@ def test_bracket_not_found_reports_counts():
     prob = EuclideanProblem(params)
     with pytest.raises(BracketNotFound) as err:
         solve_dirichlet_shooting(params, prob, p=0.2, node_target=50,
-                                 K_range=(1e-2, 1e0), scan_points=7)
+                                 K_range=(1e-2, 1e0))
     assert err.value.node_counts
 
 
