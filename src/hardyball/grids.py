@@ -80,7 +80,6 @@ class RadialFunction:
 
     grid: RadialGrid
     values: np.ndarray
-    interpolation_order: int = 3
 
     _spline: CubicSpline = field(default=None, repr=False, compare=False)
 
@@ -91,8 +90,6 @@ class RadialFunction:
             raise GridError("values and grid nodes must have equal length")
         if not np.all(np.isfinite(values)):
             raise GridError("non-finite sample values")
-        if self.interpolation_order < 1:
-            raise GridError("interpolation_order must be >= 1")
 
     def spline(self) -> CubicSpline:
         if self._spline is None:
@@ -122,7 +119,7 @@ class RadialFunction:
         return dt / self.grid.nodes
 
     def with_values(self, values) -> "RadialFunction":
-        return RadialFunction(self.grid, values, self.interpolation_order)
+        return RadialFunction(self.grid, values)
 
     def node_count(self) -> int:
         """Number of strict sign changes of the samples."""

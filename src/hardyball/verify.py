@@ -12,8 +12,8 @@ from scipy.interpolate import CubicSpline
 
 from .bridge import EuclideanProblem
 from .constants import critical_exponent
-from .grids import RadialFunction
-from .kernel import (green_G, hyperbolic_dirichlet_energy,
+from .grids import RadialFunction, RadialGrid
+from .kernel import (green_G, green_G_inverse, hyperbolic_dirichlet_energy,
                      hyperbolic_integral, sphere_area, weight_V_p)
 from .solver import SolutionProfile, frobenius_init
 
@@ -25,18 +25,14 @@ class VerificationError(RuntimeError):
 @dataclass
 class PohozaevBreakdown:
     """Term-by-term balance of the annulus identity; for a converged
-    solution the total vanishes at the discretization order.
-
-    The two offset terms belong to the off-center version of the identity
-    and vanish identically for radial profiles (exact angular reduction);
-    they are kept so the bookkeeping covers the general statement."""
+    solution the total vanishes at the discretization order.  (The
+    base-point offset terms of the off-center identity vanish identically
+    for radial profiles, so they are not carried.)"""
 
     h_term: float
     grad_h_term: float
     p_defect_term: float
     grad_b_term: float
-    gamma_offset_term: float
-    s_offset_term: float
     flux_outer: float
     flux_inner: float
     total: float
@@ -44,8 +40,7 @@ class PohozaevBreakdown:
 
     def volume_total(self) -> float:
         return (self.h_term + self.grad_h_term + self.p_defect_term
-                + self.grad_b_term + self.gamma_offset_term
-                + self.s_offset_term)
+                + self.grad_b_term)
 
 
 @dataclass
@@ -104,7 +99,7 @@ def _flux_magnitude(rho: float, u: float, du: float,
 
 
 def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
-                      annulus: tuple, y0: float = 0.0,
+                      annulus: tuple,
                       use_jet: bool = None) -> PohozaevBreakdown:
     """Evaluate every term of the annulus momentum identity for a radial
     profile and return the breakdown.
@@ -112,10 +107,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     The annulus endpoints are snapped to the nearest grid nodes so that
     every term is built from exact samples (the identity holds on any
     annulus); the relative residual is normalized by the largest
-    cancellation-free term magnitude.  y0 is the magnitude of the
-    identity's base-point offset; for radial data every offset
-    contribution integrates to zero over the spheres, which is exactly
-    what the two offset fields report.  Near the singular end the inner
+    cancellation-free term magnitude.  Near the singular end the inner
     flux can optionally be taken from the leading jet instead of the
     sampled derivative."""
     a, b_out = annulus
@@ -156,10 +148,6 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
         b_vals * np.abs(u) ** pf / r ** s)
     grad_b_term = -(1.0 / pf) * vol(bs_vals * r * np.abs(u) ** pf / r ** s)
 
-    # base-point offsets: zero after exact angular integration of (x, y0)
-    gamma_offset_term = 0.0 * y0
-    s_offset_term = 0.0 * y0
-
     if use_jet is None:
         use_jet = a < 10.0 * d.r[0]
     if use_jet:
@@ -169,8 +157,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     flux_inner = _flux(a, u_a, du_a, problem, pf)
     flux_outer = _flux(b_out, float(u[-1]), float(du[-1]), problem, pf)
 
-    volume = (h_term + grad_h_term + p_defect_term + grad_b_term
-              + gamma_offset_term + s_offset_term)
+    volume = h_term + grad_h_term + p_defect_term + grad_b_term
     boundary = flux_outer - flux_inner
     total = volume - boundary
     scale = max(abs(h_term), abs(grad_h_term), abs(p_defect_term),
@@ -182,38 +169,65 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     return PohozaevBreakdown(
         h_term=h_term, grad_h_term=grad_h_term,
         p_defect_term=p_defect_term, grad_b_term=grad_b_term,
-        gamma_offset_term=gamma_offset_term, s_offset_term=s_offset_term,
-        flux_outer=flux_outer,
-        flux_inner=flux_inner, total=total, relative=abs(total) / scale)
+        flux_outer=flux_outer, flux_inner=flux_inner, total=total,
+        relative=abs(total) / scale)
 
 
-def hardy_check(u: RadialFunction, n: int, method: str = "adaptive") -> float:
-    """Margin of the hyperbolic Hardy inequality: gradient energy minus
-    the sharp multiple of the singular mass; non-negative up to
-    quadrature error for every admissible profile."""
+def hardy_constant(n: int) -> float:
+    """Sharp constant (n-2)^2/4 of the hyperbolic Hardy inequality."""
+    return (n - 2.0) ** 2 / 4.0
+
+
+def hardy_check(u: RadialFunction, n: int) -> float:
+    """Relative margin of the hyperbolic Hardy inequality: gradient energy
+    minus the sharp multiple of the singular mass, over the gradient
+    energy; non-negative up to quadrature error for every admissible
+    profile (0 for the zero profile)."""
     if np.max(np.abs(u.values)) == 0.0:
         return 0.0
-    rhs = hyperbolic_dirichlet_energy(u, n, method=method)
-    lhs = (n - 2.0) ** 2 / 4.0 * hyperbolic_integral(
-        lambda r: weight_V_p(r, n, 2.0), u, 2.0, n, method=method)
-    return rhs - lhs
+    energy = hyperbolic_dirichlet_energy(u, n)
+    mass = hyperbolic_integral(lambda r: weight_V_p(r, n, 2.0), u, 2.0, n)
+    return (energy - hardy_constant(n) * mass) / energy
+
+
+def hardy_sharpness_error(n: int) -> float:
+    """Largest |margin (1 + w^2/4) - 1| of hardy_check over the
+    near-extremal profiles u = G^{1/2} exp(-(ln(G/G_c)/w)^2), w = 2, 4, 6.
+
+    The ground-state substitution u = G^{1/2} phi(ln G) makes
+    G |grad_B ln G|^2 dvol uniform in ln G, so the exact relative margin
+    is 1/(1 + w^2/4) for every n: it falls to 0.1 at w = 6, where a
+    constant 5 % too large reads 0.055.  The 600-node log grid runs
+    inward from r = 0.99 until ln G has risen by 58 (its rise over
+    [1e-6, 0.99] at n = 5), with ln G_c at the midpoint, so for every n
+    each profile has decayed to 1.5e-5 of its peak or less at both ends."""
+    R = 0.99
+    r0 = green_G_inverse(green_G(R, n) * math.exp(58.0), n)
+    grid = RadialGrid.geometric(r0, R, 600)
+    log_g = np.log(green_G(grid.nodes, n))
+    s = log_g - 0.5 * (log_g[0] + log_g[-1])
+    worst = 0.0
+    for w in (2.0, 4.0, 6.0):
+        u = RadialFunction(grid, np.exp(0.5 * s - (s / w) ** 2))
+        margin = hardy_check(u, n)
+        worst = max(worst, abs(margin * (1.0 + w * w / 4.0) - 1.0))
+    return worst
 
 
 def hardy_sobolev_check(u: RadialFunction, n: int, s: float,
-                        gamma: float, method: str = "adaptive") -> float:
+                        gamma: float) -> float:
     """Sample quotient of the hyperbolic Hardy-Sobolev inequality:
     (gradient energy - gamma * singular mass) over the critical norm.
     Positivity across a family witnesses a positive constant."""
-    if gamma >= (n - 2.0) ** 2 / 4.0:
+    if gamma >= hardy_constant(n):
         raise VerificationError("gamma above the Hardy threshold")
     q = critical_exponent(n, s)
-    denom = hyperbolic_integral(lambda r: weight_V_p(r, n, q), u, q, n,
-                                method=method)
+    denom = hyperbolic_integral(lambda r: weight_V_p(r, n, q), u, q, n)
     if denom <= 0.0:
         raise VerificationError("degenerate profile: zero critical norm")
-    num = (hyperbolic_dirichlet_energy(u, n, method=method)
+    num = (hyperbolic_dirichlet_energy(u, n)
            - gamma * hyperbolic_integral(
-               lambda r: weight_V_p(r, n, 2.0), u, 2.0, n, method=method))
+               lambda r: weight_V_p(r, n, 2.0), u, 2.0, n))
     return num / denom ** (2.0 / q)
 
 

@@ -169,12 +169,12 @@ def test_verify_on_stored_profile(solved_dir, capsys):
     assert [str(w.message) for w in caught] == []
     doc = json.load(open(os.path.join(out, "verify.json")))
     assert doc["passed"] is True
-    count = doc["provenance"]["hardy_warnings"]
-    assert isinstance(count, int)
-    assert (doc["provenance"]["hardy_first_warning"] is None) == (count == 0)
+    assert doc["provenance"]["hardy_warnings"] == 0
+    assert doc["provenance"]["hardy_first_warning"] is None
     names = [c["name"] for c in doc["checks"]]
     assert "pohozaev_relative_residual" in names
     assert "hardy_margin_min_relative" in names
+    assert "hardy_sharpness_relative_error" in names
     with open(os.path.join(out, "verify.csv")) as fh:
         assert fh.readline().strip() == "name,value,tolerance,passed"
     capsys.readouterr()

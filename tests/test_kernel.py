@@ -1,14 +1,16 @@
 """Ball-side kernel machinery: closed-form oracles at n = 3, a 30-digit
 quadrature oracle for G at n = 3..8, weight asymptotics, the scaling group,
-and quadrature cross-checks."""
+and quadrature cross-checks against an adaptive oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline
 
-from hardyball.grids import RadialFunction, RadialGrid
+from hardyball.grids import (RadialFunction, RadialGrid,
+                             log_derivative_matrix_apply)
 from hardyball.kernel import (DomainError, green_density, green_G,
                               green_G_inverse, hyperbolic_dirichlet_energy,
                               hyperbolic_integral, hyperbolic_scaling,
@@ -156,13 +158,13 @@ def test_scaling_invariance_gradient_and_weight(dense_grid, lam):
     q = 2.0 * (n - s) / (n - 2.0)
     u = _bump(dense_grid, 0.02, 0.5)
     ul = hyperbolic_scaling(u, lam, n)
-    e0 = hyperbolic_dirichlet_energy(u, n, method="nodal")
-    e1 = hyperbolic_dirichlet_energy(ul, n, method="nodal")
+    e0 = hyperbolic_dirichlet_energy(u, n)
+    e1 = hyperbolic_dirichlet_energy(ul, n)
     assert abs(e1 - e0) / e0 < 1e-6
     for p in (2.0, q):
         w = lambda r: weight_V_p(r, n, p)
-        i0 = hyperbolic_integral(w, u, p, n, method="nodal")
-        i1 = hyperbolic_integral(w, ul, p, n, method="nodal")
+        i0 = hyperbolic_integral(w, u, p, n)
+        i1 = hyperbolic_integral(w, ul, p, n)
         assert abs(i1 - i0) / i0 < 1e-6
 
 
@@ -178,8 +180,8 @@ def test_gradient_invariance_fails_off_exponent_two(dense_grid):
     u = _bump(dense_grid, 0.02, 0.5)
     ul = hyperbolic_scaling(u, 2.0, 5)
     q = 8.0 / 3.0
-    e0 = hyperbolic_dirichlet_energy(u, 5, q=q, method="nodal")
-    e1 = hyperbolic_dirichlet_energy(ul, 5, q=q, method="nodal")
+    e0 = hyperbolic_dirichlet_energy(u, 5, q=q)
+    e1 = hyperbolic_dirichlet_energy(ul, 5, q=q)
     assert abs(e1 - e0) / e0 > 1e-3
 
 
@@ -226,9 +228,52 @@ def test_dirichlet_energy_constant_and_linear():
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
-def test_nodal_quadrature_agrees_with_adaptive(dense_grid):
-    u = _bump(dense_grid, 0.03, 0.4)
-    for fn in (lambda m: hyperbolic_dirichlet_energy(u, 5, method=m),
-               lambda m: hyperbolic_integral(
-                   lambda r: weight_V_p(r, 5, 2.0), u, 2.0, 5, method=m)):
-        assert fn("nodal") == pytest.approx(fn("adaptive"), rel=1e-6)
+@pytest.mark.parametrize("q", [2.0, 8.0 / 3.0], ids=["q2", "q8_3"])
+@pytest.mark.parametrize("center,width", [(0.02, 1.5), (math.exp(-2.0), 1.0)],
+                         ids=["wide", "outer"])
+def test_panel_rule_matches_adaptive_oracle(q, center, width):
+    # independent oracle: scipy quad, knot interval by knot interval, on the
+    # same splines (u, and du/dt by the 4th-order differences) times the
+    # exact weight.  The grid reaches r = 0.9 where u has not decayed, and
+    # du/dt changes sign at the peak, so both the cuts near r = 1 and, for
+    # q = 8/3, the cuts at the roots are exercised.
+    n = 5
+    grid = RadialGrid.geometric(1e-6, 0.9, 200)
+    u = _bump(grid, center, width)
+    t = grid.log_nodes
+    spline = CubicSpline(t, u.values)
+    dspline = CubicSpline(t, log_derivative_matrix_apply(t, u.values))
+
+    def volume(x):
+        r = math.exp(x)
+        return r ** n * (2.0 / (1.0 - r * r)) ** n
+
+    def mass(x):
+        return (weight_V_p(math.exp(x), n, q) * abs(float(spline(x))) ** q
+                * volume(x))
+
+    def energy(x):
+        r = math.exp(x)
+        return (0.5 * (1.0 - r * r) / r * abs(float(dspline(x)))) ** q \
+            * volume(x)
+
+    def oracle(f):
+        return sphere_area(n) * math.fsum(
+            quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(t[:-1], t[1:]))
+
+    got = hyperbolic_integral(lambda r: weight_V_p(r, n, q), u, q, n)
+    assert got == pytest.approx(oracle(mass), rel=1e-12, abs=0.0)
+    got = hyperbolic_dirichlet_energy(u, n, q=q)
+    assert got == pytest.approx(oracle(energy), rel=1e-12, abs=0.0)
+
+
+def test_panel_rule_rejects_a_non_finite_sum():
+    grid = RadialGrid.geometric(1e-6, 0.5, 100)
+    u = RadialFunction(grid, np.full(len(grid), 1e200))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError):
+            hyperbolic_integral(None, u, 2.0, 5)
+        with pytest.raises(DomainError):
+            hyperbolic_dirichlet_energy(
+                RadialFunction(grid, 1e200 * grid.log_nodes), 5)

@@ -7,23 +7,26 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from hardyball import verify
 from hardyball.bridge import EuclideanProblem
 from hardyball.constants import ProblemParams, alpha_minus, beta_pm
 from hardyball.grids import RadialFunction, RadialGrid
-from hardyball.kernel import green_G, hyperbolic_scaling
+from hardyball.kernel import (green_G, hyperbolic_dirichlet_energy,
+                              hyperbolic_integral, hyperbolic_scaling,
+                              weight_V_p)
 from hardyball.solver import ProfileData, SolutionProfile, shoot
 from hardyball.verify import (PohozaevBreakdown, VerificationError,
                               VerificationReport, asymptotic_exponent,
                               energy_levels, hardy_check,
-                              hardy_sobolev_check, pohozaev_residual)
+                              hardy_sharpness_error, hardy_sobolev_check,
+                              pohozaev_residual)
 
 
 # ---------------------------------------------------------------- Pohozaev
 
 def test_breakdown_bookkeeping():
     br = PohozaevBreakdown(h_term=1.0, grad_h_term=2.0, p_defect_term=3.0,
-                           grad_b_term=4.0, gamma_offset_term=0.0,
-                           s_offset_term=0.0, flux_outer=7.0, flux_inner=2.0,
+                           grad_b_term=4.0, flux_outer=7.0, flux_inner=2.0,
                            total=5.0, relative=0.1)
     assert br.volume_total() == pytest.approx(10.0)
     assert br.total == pytest.approx(br.volume_total()
@@ -117,11 +120,28 @@ def _bump(rng):
 
 
 def test_hardy_margin_nonnegative(rng):
-    from hardyball.kernel import hyperbolic_dirichlet_energy
+    # relative margin: -1e-8 of the gradient energy
     for _ in range(20):
-        u = _bump(rng)
-        rhs = hyperbolic_dirichlet_energy(u, 5, method="nodal")
-        assert hardy_check(u, 5, method="nodal") >= -1e-8 * rhs
+        assert hardy_check(_bump(rng), 5) >= -1e-8
+
+
+def test_hardy_margin_is_relative(rng):
+    u = _bump(rng)
+    energy = hyperbolic_dirichlet_energy(u, 5)
+    mass = hyperbolic_integral(lambda r: weight_V_p(r, 5, 2.0), u, 2.0, 5)
+    assert hardy_check(u, 5) == (energy - 2.25 * mass) / energy
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_hardy_sharpness_audit_passes(n):
+    assert hardy_sharpness_error(n) <= 1e-4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_hardy_sharpness_audit_catches_a_raised_constant(n, monkeypatch):
+    sharp = verify.hardy_constant(n)
+    monkeypatch.setattr(verify, "hardy_constant", lambda n: sharp * 1.001)
+    assert hardy_sharpness_error(n) > 1e-4
 
 
 def test_hardy_zero_function():
@@ -131,11 +151,11 @@ def test_hardy_zero_function():
 
 def test_hardy_sobolev_positive_and_scale_invariant(rng):
     u = _bump(rng)
-    base = hardy_sobolev_check(u, 5, 1.0, -2.0, method="nodal")
+    base = hardy_sobolev_check(u, 5, 1.0, -2.0)
     assert base > 0.0
     for lam in (0.5, 2.0, 5.0):
         moved = hyperbolic_scaling(u, lam, 5)
-        q = hardy_sobolev_check(moved, 5, 1.0, -2.0, method="nodal")
+        q = hardy_sobolev_check(moved, 5, 1.0, -2.0)
         assert q == pytest.approx(base, rel=1e-5)
 
 
