@@ -8,13 +8,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bridge import b_origin
 from .constants import (ProblemParams, admissibility, best_constant_estimate,
                         beta_pm, critical_exponent)
+from .grids import spline_integral
 from .kernel import sphere_area
-from .solver import EntireBubble, ProfileData, SolutionProfile
+from .profiles import EntireBubble, ProfileData, SolutionProfile
 
 COMPACT = "COMPACT"
 BLOWUP = "BLOWUP"
@@ -214,8 +214,8 @@ def plant_bubbles(bubble: EntireBubble, scales, p: float,
     """Synthetic superposition of calibrated bubbles at the given scales,
     sampled on the given radii; used to validate the detectors."""
     cal = calibrated_bubble(bubble)
-    spline = CubicSpline(np.log(cal.r), cal.v)
-    dspline = CubicSpline(np.log(cal.r), cal.dv)
+    spline = cal.spline()
+    dspline = cal.dspline()
     n = params.n
     q = critical_exponent(n, params.s)
     radii = np.asarray(radii, dtype=float)
@@ -302,8 +302,8 @@ def bubble_weighted_integrals(bubble_data: ProfileData, n: int, s: float,
     sq = bubble_data.v ** 2 * bubble_data.r ** (n - theta)
     crit = np.abs(bubble_data.v) ** q * bubble_data.r ** (n - s)
     return {
-        "sq_theta": omega * CubicSpline(t, sq).integrate(t[0], t[-1]),
-        "crit_mass": omega * CubicSpline(t, crit).integrate(t[0], t[-1]),
+        "sq_theta": omega * spline_integral(t, sq),
+        "crit_mass": omega * spline_integral(t, crit),
     }
 
 

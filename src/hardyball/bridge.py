@@ -9,11 +9,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.sparse import diags
 
 from .constants import ProblemParams, critical_exponent
-from .grids import RadialFunction, log_derivative_matrix_apply
+from .grids import CubicSpline, RadialFunction, log_derivative_matrix_apply
 from .kernel import DomainError, green_density, green_G, weight_V_p
 
 
@@ -145,9 +143,9 @@ class EuclideanProblem:
         if self.b_spec == "paper":
             self._ensure_b_spline()
             if isinstance(r, float):
-                # scipy's evaluation of the spline, in plain floats: the
+                # the spline's own evaluation, in plain floats: the
                 # interval by bisection (the end pieces extrapolate), then
-                # c3 + c2 d + c1 d^2 + c0 d^3 summed in scipy's order
+                # c3 + c2 d + c1 d^2 + c0 d^3 summed in the same order
                 knots, c0, c1, c2, c3 = self._b_pieces
                 t = math.log(r)
                 i = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
@@ -181,11 +179,15 @@ class CoercivityFailure(RuntimeError):
         self.last_quotient = last_quotient
 
 
-def _quadratic_form_matrices(problem: EuclideanProblem, r0: float, num: int):
+def _quadratic_form_diagonals(problem: EuclideanProblem, r0: float,
+                              num: int) -> tuple:
     """Tridiagonal P1 discretization (in log radius) of the quadratic form
     and of the Dirichlet energy, with the radial measure lumped at nodes.
 
-    Dirichlet condition at the outer boundary, natural at the inner cutoff."""
+    Returns three arrays: the main diagonals of the form and of the energy,
+    and their common off-diagonal (the lumped Hardy and h masses are
+    diagonal).  Dirichlet condition at the outer boundary (its node is
+    dropped), natural at the inner cutoff."""
     n = problem.params.n
     gamma = problem.params.gamma
     t = np.linspace(math.log(r0), math.log(problem.domain_radius), num)
@@ -193,28 +195,25 @@ def _quadratic_form_matrices(problem: EuclideanProblem, r0: float, num: int):
     r = np.exp(t)
     # stiffness and Hardy mass share the weight r^{n-2} dt
     w_mid = np.exp((n - 2.0) * 0.5 * (t[:-1] + t[1:]))
-    main = np.zeros(num)
-    main[:-1] += w_mid / ht
-    main[1:] += w_mid / ht
+    energy = np.zeros(num)
+    energy[:-1] += w_mid / ht
+    energy[1:] += w_mid / ht
     off = -w_mid / ht
-    S = diags([off, main, off], [-1, 0, 1], format="csc")
     # lumped masses
     lump = np.zeros(num)
     lump[:-1] += 0.5 * ht
     lump[1:] += 0.5 * ht
-    M_hardy = diags(lump * r ** (n - 2.0), format="csc")
-    M_h = diags(lump * problem.h(r) * r ** float(n), format="csc")
-    A = S - gamma * M_hardy - M_h
-    # Dirichlet row at the outer end
-    keep = np.arange(num - 1)
-    return A[np.ix_(keep, keep)].tocsc(), S[np.ix_(keep, keep)].tocsc()
+    form = (energy - gamma * (lump * r ** (n - 2.0))
+            - lump * problem.h(r) * r ** float(n))
+    return form[:-1], energy[:-1], off[:-1]
 
 
-def _count_eigs_below(lam: float, ad, ae, md, me) -> int:
+def _count_eigs_below(lam: float, form, energy, off) -> int:
     """Number of pencil eigenvalues strictly below lam, from the inertia
-    of the tridiagonal A - lam * M (Sturm sequence of the LDL^T pivots)."""
-    d = ad - lam * md
-    e = ae - lam * me
+    of the tridiagonal form - lam * energy (Sturm sequence of the LDL^T
+    pivots)."""
+    d = form - lam * energy
+    e = off - lam * off
     count = 0
     prev = d[0]
     if prev == 0.0:
@@ -231,6 +230,15 @@ def _count_eigs_below(lam: float, ad, ae, md, me) -> int:
     return count
 
 
+def _row_sums(diag, off):
+    """Row sums of the symmetric tridiagonal matrix (diag, off), each
+    added up from the left."""
+    out = diag.copy()
+    out[1:] += off
+    out[:-1] += off
+    return out
+
+
 def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
                        num: int = 2000, tol: float = 1e-11,
                        max_iter: int = 200) -> float:
@@ -241,16 +249,15 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
     by bisection on the pencil inertia (Sturm-sequence pivot counts);
     unlike vector iteration this is immune to the tight clustering these
     pencils exhibit."""
-    A, M = _quadratic_form_matrices(problem, r0, num)
-    ad, ae = A.diagonal(0).copy(), A.diagonal(1).copy()
-    md, me = M.diagonal(0).copy(), M.diagonal(1).copy()
-    if not (np.all(np.isfinite(ad)) and np.all(np.isfinite(md))):
+    form, energy, off = _quadratic_form_diagonals(problem, r0, num)
+    if not (np.all(np.isfinite(form)) and np.all(np.isfinite(energy))):
         raise CoercivityFailure("non-finite discretized form")
-    x = np.ones(A.shape[0])
-    hi = float((x @ (A @ x)) / (x @ (M @ x)))  # >= lambda_min
+    x = np.ones(len(form))
+    # Rayleigh quotient of the constant vector, >= lambda_min
+    hi = float((x @ _row_sums(form, off)) / (x @ _row_sums(energy, off)))
     step = max(1.0, abs(hi))
     for _ in range(max_iter):
-        if _count_eigs_below(hi, ad, ae, md, me) >= 1:
+        if _count_eigs_below(hi, form, energy, off) >= 1:
             break
         hi += step
         step *= 2.0
@@ -261,14 +268,14 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
     for _ in range(max_iter):
         lo -= step
         step *= 2.0
-        if _count_eigs_below(lo, ad, ae, md, me) == 0:
+        if _count_eigs_below(lo, form, energy, off) == 0:
             break
     else:
         raise CoercivityFailure("no eigenvalue bracketed from below",
                                 last_quotient=lo)
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        if _count_eigs_below(mid, ad, ae, md, me) >= 1:
+        if _count_eigs_below(mid, form, energy, off) >= 1:
             hi = mid
         else:
             lo = mid

@@ -1,6 +1,9 @@
 """Command-line entry point: configuration ingestion, run orchestration,
 deterministic persistence, and sweep parallelism.
 
+Only the commands that shoot (solve, continue, bubble, sweep) import the
+solver, and with it scipy; the others run on numpy alone.
+
 Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 3 solver failure."""
 
@@ -14,7 +17,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -27,10 +29,7 @@ from .constants import (AdmissibilityError, ProblemParams, admissibility,
                         exponent_set)
 from .grids import RadialFunction, RadialGrid
 from .kernel import green_density, green_G, sphere_area, weight_V_p
-from .solver import (ContinuationSchedule, ProfileData, SolutionProfile,
-                     SolverError, continuation_to_critical,
-                     solve_dirichlet_shooting, solve_limit_equation,
-                     solve_variational)
+from .profiles import ProfileData, SolutionProfile, SolverError
 from .verify import (asymptotic_exponent, hardy_check, hardy_sharpness_error,
                      pohozaev_residual)
 
@@ -345,10 +344,7 @@ def cmd_bridge(cfg: dict, args) -> int:
         "domain_radius": R,
     }
     if cfg["solver"]["coercivity"]:
-        try:
-            doc["coercivity_lambda0"] = coercivity_lambda0(problem)
-        except CoercivityFailure as exc:
-            raise SolverError(str(exc)) from exc
+        doc["coercivity_lambda0"] = coercivity_lambda0(problem)
     write_text(os.path.join(out, "bridge.json"), dumps17(doc) + "\n")
     update_manifest(out, ["bridge.csv", "bridge.json"],
                     _config_text(cfg, args.seed), args.seed)
@@ -358,6 +354,7 @@ def cmd_bridge(cfg: dict, args) -> int:
 
 def _solve_one(cfg: dict, params: ProblemParams,
                problem: EuclideanProblem) -> SolutionProfile:
+    from .solver import solve_dirichlet_shooting, solve_variational
     sol = cfg["solver"]
     if sol["method"] == "variational":
         return solve_variational(params, problem, params.p_defect,
@@ -386,6 +383,7 @@ def cmd_solve(cfg: dict, args) -> int:
 
 
 def cmd_bubble(cfg: dict, args) -> int:
+    from .solver import solve_limit_equation
     params = make_params(cfg)
     beta_pm(params.n, params.gamma)
     out = _outdir(cfg, args)
@@ -404,6 +402,7 @@ def cmd_bubble(cfg: dict, args) -> int:
 
 
 def cmd_continue(cfg: dict, args) -> int:
+    from .solver import ContinuationSchedule, continuation_to_critical
     params = make_params(cfg)
     problem = make_problem(cfg, params)
     schedule = ContinuationSchedule(tuple(cfg["solver"]["schedule"]))
@@ -594,7 +593,11 @@ def cmd_sweep(cfg: dict, args) -> int:
     for index, combo in enumerate(combos):
         overrides = {key: val for (key, _), val in zip(axes, combo)}
         tasks.append((index, cfg, overrides))
+    # the solver, and scipy with it, is imported before the pool forks, so
+    # that the workers inherit it instead of each importing it again
+    from . import solver  # noqa: F401
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:

@@ -1,5 +1,5 @@
-"""Closed-form exponents, admissibility predicates, and the variational
-best-constant estimate for the singular quotient on R^n."""
+"""Closed-form exponents, admissibility predicates, and the best constant
+of the singular quotient on R^n over the extremal trial family."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+
+from .kernel import sphere_area
 
 
 class AdmissibilityError(ValueError):
@@ -121,52 +121,35 @@ def admissibility(params: ProblemParams) -> dict:
     }
 
 
-def _trial_quotient(n: int, s: float, gamma: float, alpha: float,
-                    rtol: float = 1e-10) -> float:
-    """Rayleigh quotient of the radial trial profile
-    w(r) = r^{-(n-2)/2} sech(alpha * log r)^{(n-2)/(2-s)} on R^n."""
-    q = critical_exponent(n, s)
-    nu = (n - 2.0) / 2.0
-    m = 2.0 / (q - 2.0)  # = (n-2)/(2-s)
-
-    # Emden-Fowler frame: w = r^{-nu} psi(log r), psi = sech(alpha t)^m;
-    # both integrals reduce to 1-d integrals in t.
-    def psi(t):
-        return np.cosh(alpha * t) ** -m
-
-    def dpsi(t):
-        return -m * alpha * np.tanh(alpha * t) * np.cosh(alpha * t) ** -m
-
-    T = 40.0 / max(alpha * m, 0.2)
-    num1, _ = quad(lambda t: dpsi(t) ** 2, -T, T, epsrel=rtol, limit=400)
-    num2, _ = quad(lambda t: psi(t) ** 2, -T, T, epsrel=rtol, limit=400)
-    den, _ = quad(lambda t: psi(t) ** q, -T, T, epsrel=rtol, limit=400)
-    num = num1 + (nu * nu - gamma) * num2
-    from .kernel import sphere_area
-    omega = sphere_area(n)
-    return omega * num / (omega * den) ** (2.0 / q)
+def _log_beta_half(x: float) -> float:
+    """log B(x, 1/2) = log of the integral of sech(u)^{2x} over the line."""
+    return math.lgamma(x) + math.lgamma(0.5) - math.lgamma(x + 0.5)
 
 
 def best_constant_estimate(n: int, s: float, gamma: float) -> dict:
-    """Estimate of the best constant in the weighted quotient on R^n by
-    minimizing over a one-parameter family of radial trial profiles.
+    """Best constant in the weighted quotient on R^n over the radial trial
+    profiles w(r) = r^{-(n-2)/2} sech(alpha log r)^m, m = 2/(q-2), the
+    family of the radial extremal [Lieb 1983; Catrina-Wang 2001].
 
-    The family contains the exact extremal decay rates, so the estimate
-    is tight up to quadrature error for admissible (gamma, s)."""
+    With a = (n-2)^2/4 - gamma and B = B(m, 1/2), the integrals in t = log r
+    are Beta functions: |psi'|^2 gives m^2 alpha B / (2m+1), psi^2 gives
+    B / alpha and psi^q = psi^{2m+2} gives B(m+1, 1/2) / alpha.  The
+    quotient is minimal at alpha* = sqrt(a) m^{-1} = sqrt(a) (q-2)/2, where
+    its numerator is m sqrt(a) B (2m+2)/(2m+1)."""
     bm, bp = beta_pm(n, gamma)
     if not (0.0 < s < 2.0):
         raise AdmissibilityError("s must lie in (0, 2)")
-    # width of the exact connecting orbit
-    alpha_star = (bp - bm) / 2.0 * (2.0 - s) / (n - 2.0)
-    res = minimize_scalar(
-        lambda a: _trial_quotient(n, s, gamma, a),
-        bracket=(0.5 * alpha_star, alpha_star, 2.0 * alpha_star),
-        method="brent", options={"xtol": 1e-8})
-    return {
-        "value": float(res.fun),
-        "alpha": float(res.x),
-        "converged": bool(res.success) if res.success is not None else True,
-    }
+    q = critical_exponent(n, s)
+    m = 2.0 / (q - 2.0)
+    root_a = (bp - bm) / 2.0
+    alpha = root_a * (2.0 - s) / (n - 2.0)
+    log_num = (math.log(m * root_a * (2.0 * m + 2.0) / (2.0 * m + 1.0))
+               + _log_beta_half(m))
+    log_den = math.log(m / root_a) + _log_beta_half(m + 1.0)
+    omega = sphere_area(n)
+    value = math.exp(math.log(omega) * (1.0 - 2.0 / q) + log_num
+                     - log_den * 2.0 / q)
+    return {"value": value, "alpha": alpha, "converged": True}
 
 
 def radial_hardy_ode_residual(n: int, gamma: float, beta: float,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class GridError(ValueError):
@@ -55,6 +54,122 @@ class RadialGrid:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+class CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing with
+    at least 4 knots.
+
+    ``c[:, i]`` holds the coefficients of d^3, d^2, d and 1 on
+    [x[i], x[i+1]], d = t - x[i].  The slopes solve the not-a-knot
+    tridiagonal system by the Thomas algorithm (no pivoting; the interior
+    rows are diagonally dominant), and the coefficients,
+    evaluation and integral repeat the arithmetic of
+    scipy.interpolate.CubicSpline, so both give the same bits wherever
+    LAPACK's tridiagonal solver does not pivot (log-uniform knots among
+    them).  Outside [x[0], x[-1]] the end pieces extrapolate."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 4:
+            raise GridError("a spline needs matching 1-d x, y with >= 4 knots")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise GridError("spline knots must be strictly increasing")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise GridError("non-finite spline data")
+        slope = np.diff(y) / dx
+        # rows of the slope system: sub[i] at (i+1, i), diag[i], sup[i] at
+        # (i, i+1); the first and last rows are the not-a-knot conditions
+        h, m = dx.tolist(), slope.tolist()
+        d0, d1 = float(x[2] - x[0]), float(x[-1] - x[-3])
+        diag = [h[1], *(2 * (dx[:-1] + dx[1:])).tolist(), h[-2]]
+        sup = [d0, *h[:-1]]
+        sub = [*h[1:], d1]
+        rhs = [((h[0] + 2 * d0) * h[1] * m[0] + h[0] * h[0] * m[1]) / d0,
+               *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+               (h[-1] * h[-1] * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1])
+               / d1]
+        # forward elimination, then back substitution, in plain floats
+        piv, acc = diag[0], rhs[0]
+        pivots, accs = [piv], [acc]
+        for lo, up, dg, rh in zip(sub, sup, diag[1:], rhs[1:]):
+            f = lo / piv
+            piv = dg - f * up
+            acc = rh - f * acc
+            pivots.append(piv)
+            accs.append(acc)
+        x_next = acc / piv
+        s = [x_next]
+        for acc, up, piv in zip(accs[-2::-1], sup[::-1], pivots[-2::-1]):
+            x_next = (acc - up * x_next) / piv
+            s.append(x_next)
+        s = np.array(s[::-1])
+        # Hermite form from the values and slopes
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x, self.y = x, y
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, t, nu: int = 0):
+        """Values (nu = 0) or first derivatives (nu = 1) at t."""
+        t = np.asarray(t, dtype=float)
+        return self.on_pieces(self.piece_of(t), t, nu)
+
+    def piece_of(self, t) -> np.ndarray:
+        """Index i of the piece that evaluates t: x[i] <= t < x[i+1], the
+        last piece closed, the end pieces extended outward."""
+        return np.clip(np.searchsorted(self.x, t, side="right") - 1,
+                       0, len(self.x) - 2)
+
+    def on_pieces(self, i, t, nu: int = 0):
+        """__call__ with the pieces i of the points t already known (i may
+        broadcast against t, e.g. one piece per row)."""
+        d = t - self.x[i]
+        c0, c1, c2, c3 = np.take(self.c, i, axis=1)
+        if nu == 0:
+            return c3 + c2 * d + c1 * (d * d) + c0 * (d * d * d)
+        if nu == 1:
+            return c2 + c1 * d * 2.0 + c0 * (d * d) * 3.0
+        raise ValueError("only nu = 0 and nu = 1 are supported")
+
+    def integral(self) -> float:
+        """Integral over [x[0], x[-1]]: the antiderivative of each piece at
+        its width, summed from left to right."""
+        h = np.diff(self.x)
+        c0, c1, c2, c3 = self.c
+        h2 = h * h
+        h3 = h2 * h
+        pieces = (c3 * h + c2 * h2 * 0.5 + c1 * h3 * (1.0 / 3.0)
+                  + c0 * (h3 * h) * 0.25)
+        return float(np.cumsum(pieces)[-1])
+
+    def roots(self) -> np.ndarray:
+        """Sorted real roots in [x[0], x[-1]].
+
+        A piece is skipped when its constant term outweighs the rest on the
+        whole interval (it cannot reach zero), or when it stays below 1e-12
+        of the largest knot value (the ringing of samples clipped to zero);
+        each remaining piece is solved as a cubic in d / h."""
+        h = np.diff(self.x)
+        c0, c1, c2, c3 = self.c
+        rest = np.abs(c0) * h ** 3 + np.abs(c1) * h * h + np.abs(c2) * h
+        reach = np.abs(c3) <= rest
+        tiny = np.abs(c3) + rest <= 1e-12 * np.max(np.abs(self.y))
+        out = []
+        for i in np.flatnonzero(reach & ~tiny):
+            hi = h[i]
+            for z in np.roots([c0[i] * hi ** 3, c1[i] * hi * hi, c2[i] * hi,
+                               c3[i]]):
+                if abs(z.imag) <= 1e-10 and -1e-12 <= z.real <= 1.0 + 1e-12:
+                    out.append(self.x[i] + min(max(z.real, 0.0), 1.0) * hi)
+        return np.unique(out)
+
+
+def spline_integral(t, values) -> float:
+    """Integral over [t[0], t[-1]] of the not-a-knot cubic spline through
+    (t, values): the quadrature of every sampled radial integral in log r."""
+    return CubicSpline(t, values).integral()
 
 
 def log_derivative_matrix_apply(t: np.ndarray, values: np.ndarray) -> np.ndarray:

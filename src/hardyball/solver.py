@@ -6,74 +6,24 @@ comparison pair."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from .bridge import (EuclideanProblem, _count_eigs_below,
-                     _quadratic_form_matrices)
+                     _quadratic_form_diagonals)
 from .constants import (ProblemParams, beta_pm, check_defect,
                         critical_exponent)
-from .grids import log_derivative_matrix_apply
+from .grids import log_derivative_matrix_apply, spline_integral
 from .kernel import sphere_area
-
-
-class SolverError(RuntimeError):
-    def __init__(self, message, shoots=0):
-        super().__init__(message)
-        self.shoots = shoots
-
-
-class BracketNotFound(SolverError):
-    def __init__(self, message, node_counts=None, shoots=0):
-        super().__init__(message, shoots)
-        self.node_counts = node_counts or {}
-
-
-class NotCoercive(SolverError):
-    """The quadratic form is not coercive, so no positive solution exists."""
-
-
-def _sign_changes(v: np.ndarray, sup: float) -> int:
-    """Sign changes along v, skipping samples at or below 1e-13 * sup."""
-    return int(np.count_nonzero(np.diff(np.sign(v[np.abs(v) > 1e-13 * sup]))))
-
-
-@dataclass
-class ProfileData:
-    """Radial samples (log-uniform) with derivative, free of ball bounds."""
-    r: np.ndarray
-    v: np.ndarray
-    dv: np.ndarray
-
-    def spline(self):
-        return CubicSpline(np.log(self.r), self.v)
-
-    def dspline(self):
-        return CubicSpline(np.log(self.r), self.dv)
-
-    def node_count(self) -> int:
-        """Interior sign changes; the boundary sample is left out."""
-        return _sign_changes(self.v[:-1], np.max(np.abs(self.v)))
-
-
-@dataclass
-class SolutionProfile:
-    data: ProfileData
-    params: ProblemParams
-    p_defect: float
-    K0: float
-    node_count: int
-    energy: float
-    residual_norm: float
-    boundary_value: float
-    diverged: bool = False
-    meta: dict = field(default_factory=dict)
+# the scipy-free records and errors, re-exported for the solver's callers
+from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
+                       NotCoercive, ProfileData, SolutionProfile, SolverError,
+                       _sign_changes)
 
 
 @dataclass(frozen=True)
@@ -94,6 +44,14 @@ class ComparisonPair:
     eigen_profile: ProfileData
     eigenvalue: float
     gamma_prime: float
+
+
+def _form_operator(problem: EuclideanProblem, r0: float, num: int):
+    """The discretized quadratic form (bridge._quadratic_form_diagonals) as
+    a sparse matrix, for the products and LU solves of the variational
+    code."""
+    form, _, off = _quadratic_form_diagonals(problem, r0, num)
+    return diags([off, form, off], [-1, 0, 1], format="csc")
 
 
 def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
@@ -183,8 +141,8 @@ def euclidean_energy(profile: SolutionProfile,
     quad_part = (d.dv ** 2 - gamma * d.v ** 2 / r ** 2
                  - problem.h(r) * d.v ** 2) * r ** float(n)
     nl_part = problem.b(r) * np.abs(d.v) ** pf * r ** (n - s)
-    I_quad = CubicSpline(t, quad_part).integrate(t[0], t[-1])
-    I_nl = CubicSpline(t, nl_part).integrate(t[0], t[-1])
+    I_quad = spline_integral(t, quad_part)
+    I_nl = spline_integral(t, nl_part)
     return omega * (0.5 * I_quad - I_nl / pf)
 
 
@@ -192,8 +150,7 @@ def dirichlet_norm_sq(profile: SolutionProfile) -> float:
     d = profile.data
     t = np.log(d.r)
     integ = d.dv ** 2 * d.r ** profile.params.n
-    return sphere_area(profile.params.n) * CubicSpline(t, integ).integrate(
-        t[0], t[-1])
+    return sphere_area(profile.params.n) * spline_integral(t, integ)
 
 
 def fit_K0(profile: SolutionProfile) -> float:
@@ -248,9 +205,8 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     n, s = params.n, params.s
     expo = check_defect(n, s, p)
     if node_target == 0:
-        A, M = _quadratic_form_matrices(problem, 1e-6, 2000)
-        if _count_eigs_below(-1e-3, A.diagonal(0), A.diagonal(1),
-                             M.diagonal(0), M.diagonal(1)) >= 1:
+        if _count_eigs_below(-1e-3, *_quadratic_form_diagonals(
+                problem, 1e-6, 2000)) >= 1:
             raise NotCoercive("the quadratic form is not coercive "
                               "(Lambda0 < -1e-3): no positive solution")
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
@@ -331,7 +287,7 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     R = problem.domain_radius
     if r0 is None:
         r0 = 1e-5 * R
-    A, _ = _quadratic_form_matrices(problem, r0, num)
+    A = _form_operator(problem, r0, num)
     t = np.linspace(math.log(r0), math.log(R), num)
     ht = t[1] - t[0]
     r = np.exp(t)
@@ -454,7 +410,7 @@ def nonlinear_mass(profile: SolutionProfile,
     d = profile.data
     t = np.log(d.r)
     integ = problem.b(d.r) * np.abs(d.v) ** pf * d.r ** (n - s)
-    return sphere_area(n) * CubicSpline(t, integ).integrate(t[0], t[-1])
+    return sphere_area(n) * spline_integral(t, integ)
 
 
 def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:
@@ -465,20 +421,6 @@ def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:
     diff = np.abs(sa(t) - sb(t))
     return float(np.max(diff) / max(np.max(np.abs(a.data.v)),
                                     np.max(np.abs(b.data.v))))
-
-
-@dataclass
-class EntireBubble:
-    """Positive entire radial solution of the limit equation on (0, inf)."""
-    data: ProfileData
-    n: int
-    s: float
-    gamma: float
-    b0: float
-    K_minus: float
-    K_plus: float
-    psi_peak: float
-    meta: dict = field(default_factory=dict)
 
 
 def bubble_closed_form(n: int, s: float, gamma: float, b0: float,
@@ -552,10 +494,9 @@ def bubble_nehari_gap(bubble: EntireBubble) -> float:
     q = critical_exponent(n, s)
     d = bubble.data
     t = np.log(d.r)
-    grad = CubicSpline(t, d.dv ** 2 * d.r ** float(n)).integrate(t[0], t[-1])
-    hardy = CubicSpline(t, d.v ** 2 * d.r ** (n - 2.0)).integrate(t[0], t[-1])
-    nl = CubicSpline(t, np.abs(d.v) ** q * d.r ** (n - s)).integrate(
-        t[0], t[-1])
+    grad = spline_integral(t, d.dv ** 2 * d.r ** float(n))
+    hardy = spline_integral(t, d.v ** 2 * d.r ** (n - 2.0))
+    nl = spline_integral(t, np.abs(d.v) ** q * d.r ** (n - s))
     lhs = grad - gamma * hardy
     rhs = b0 * nl
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
@@ -595,7 +536,7 @@ def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
                              c=params.c),
         domain_radius=R, h_spec=problem.h_spec, b_spec=problem.b_spec,
         lowdim=problem.lowdim)
-    A, _ = _quadratic_form_matrices(shifted, r0, num)
+    A = _form_operator(shifted, r0, num)
     tg = np.linspace(t0, t1, num)
     ht = tg[1] - tg[0]
     rg = np.exp(tg)

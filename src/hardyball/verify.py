@@ -8,14 +8,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bridge import EuclideanProblem
 from .constants import critical_exponent
-from .grids import RadialFunction, RadialGrid
+from .grids import RadialFunction, RadialGrid, spline_integral
 from .kernel import (green_G, green_G_inverse, hyperbolic_dirichlet_energy,
                      hyperbolic_integral, sphere_area, weight_V_p)
-from .solver import SolutionProfile, frobenius_init
+from .profiles import SolutionProfile
 
 
 class VerificationError(RuntimeError):
@@ -134,8 +133,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     du = d.dv[sel]
 
     def vol(vals):
-        return omega * CubicSpline(t, vals * r ** float(n)).integrate(
-            t[0], t[-1])
+        return omega * spline_integral(t, vals * r ** float(n))
 
     h_vals = np.asarray(problem.h(r), dtype=float)
     hs_vals = np.asarray(problem.h_radial_slope(r), dtype=float)
@@ -151,6 +149,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     if use_jet is None:
         use_jet = a < 10.0 * d.r[0]
     if use_jet:
+        from .solver import frobenius_init  # loads scipy, so only here
         u_a, du_a = frobenius_init(params, problem, v.K0, a, v.p_defect)
     else:
         u_a, du_a = float(u[0]), float(du[0])

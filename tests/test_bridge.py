@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh
 
 from hardyball.bridge import (EuclideanProblem, LowDimConstants,
-                              _quadratic_form_matrices, b_origin, b_weight,
+                              _quadratic_form_diagonals, b_origin, b_weight,
                               coercivity_lambda0, h_conformal,
                               h_gamma_lambda, phi, residual_equivalence_check,
                               to_euclidean, to_hyperbolic)
@@ -152,8 +152,10 @@ def test_coercivity_reference_and_monotonicity():
 def test_coercivity_matches_dense_eigensolver():
     params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
     prob = EuclideanProblem(params)
-    A, M = _quadratic_form_matrices(prob, 1e-6, 600)
-    dense = eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
+    form, energy, off = _quadratic_form_diagonals(prob, 1e-6, 600)
+    offd = np.diag(off, 1) + np.diag(off, -1)
+    dense = eigh(np.diag(form) + offd, np.diag(energy) + offd,
+                 eigvals_only=True)[0]
     assert coercivity_lambda0(prob, num=600) == pytest.approx(dense,
                                                               rel=1e-8)
 

@@ -5,11 +5,14 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import hardyball
 from hardyball.cli import (dumps17, format17, load_config, main,
                            read_profile_csv, write_profile_csv, ConfigError)
 from hardyball.solver import ProfileData
@@ -122,6 +125,119 @@ def test_exit_code_not_coercive(tmp_path, capsys):
     assert main(["solve", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     assert "not coercive" in capsys.readouterr().err
+
+
+def test_bridge_coercivity_reports_negative_lambda0(tmp_path, capsys):
+    # gamma = 2.2 is admissible but not coercive: bridge reports Lambda0 < 0
+    cfg = _write_cfg(tmp_path / "nc.json", {
+        "params": dict(REF_PARAMS, gamma=2.2), "solver": {"coercivity": True}})
+    out = str(tmp_path / "out")
+    assert main(["bridge", "--config", cfg, "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "bridge.json")))
+    assert doc["coercivity_lambda0"] < 0.0
+    capsys.readouterr()
+
+
+def test_bridge_coercivity_failure_exits_3(tmp_path, capsys):
+    # lam = 1e308 overflows h to inf, so the discretized form is not finite
+    # and coercivity_lambda0 raises CoercivityFailure
+    cfg = _write_cfg(tmp_path / "inf.json", {
+        "params": dict(REF_PARAMS, gamma=2.2, lam=1e308),
+        "solver": {"coercivity": True}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["bridge", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        "solver failure: non-finite discretized form\n"
+
+
+# ------------------------------------------------------- import footprint
+
+def _launch(script, argv):
+    """Start a Python script with the CLI arguments in a fresh interpreter
+    (pytest itself has scipy loaded)."""
+    src_dir = os.path.dirname(os.path.dirname(hardyball.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _finish(proc):
+    """Exit code and the JSON document on the last line of output."""
+    out, err = proc.communicate(timeout=300)
+    assert out, err
+    return proc.returncode, json.loads(out.splitlines()[-1])
+
+
+_SCIPY_AFTER_MAIN = """
+import json, sys
+from hardyball.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def test_only_shooting_commands_load_scipy(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]}})
+
+    def launch(command, out):
+        return _launch(_SCIPY_AFTER_MAIN, [command, "--config", cfg,
+                                           "--out", str(tmp_path / out)])
+
+    solve = launch("solve", "solved")
+    free = [(c, launch(c, c)) for c in ("weights", "bridge", "constants")]
+    # blowup reads a stored continuation, verify the solved profile
+    assert main(["continue", "--config", cfg,
+                 "--out", str(tmp_path / "continued")]) == 0
+    free.append(("blowup", launch("blowup", "continued")))
+    code, loaded = _finish(solve)
+    assert code == 0 and "scipy.integrate" in loaded
+    free.append(("verify", launch("verify", "solved")))
+    for command, proc in free:
+        assert (command, *_finish(proc)) == (command, 0, [])
+    capsys.readouterr()
+
+
+_POOL_PROBE = """
+import concurrent.futures, json, sys
+seen = []
+
+class Probe:
+    def __init__(self, max_workers):
+        seen.append("hardyball.solver" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+concurrent.futures.ProcessPoolExecutor = Probe
+from hardyball.cli import main
+before = "hardyball.solver" in sys.modules
+main(sys.argv[1:])
+print(json.dumps([before, seen]))
+"""
+
+
+def test_sweep_imports_solver_before_the_pool(tmp_path):
+    # forked workers inherit the solver (and scipy) instead of importing it
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.9, 1.0]}})
+    _, (before, seen) = _finish(_launch(
+        _POOL_PROBE, ["sweep", "--config", cfg, "--out",
+                      str(tmp_path / "out"), "--workers", "2"]))
+    assert before is False
+    assert seen == [True]
 
 
 # ----------------------------------------------------- solve/verify cycle

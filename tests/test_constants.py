@@ -132,3 +132,47 @@ def test_best_constant_monotone_in_gamma():
 def test_best_constant_stable_under_reference():
     est = best_constant_estimate(5, 1.0, 0.0)
     assert est["value"] > 0.0 and math.isfinite(est["value"])
+
+
+def _trial_quotient_mp(mpmath, n, s, gamma, alpha):
+    """Quotient of w = r^{-(n-2)/2} sech(alpha log r)^{2/(q-2)} by
+    tanh-sinh quadrature of its even integrands in t = log r."""
+    s, gamma = mpmath.mpf(s), mpmath.mpf(gamma)
+    q = 2 * (n - s) / (n - 2)
+    m = 2 / (q - 2)
+    a = mpmath.mpf(n - 2) ** 2 / 4 - gamma
+
+    def line(f):
+        return 2 * mpmath.quad(f, [0, mpmath.inf])
+
+    grad = line(lambda t: (m * alpha * mpmath.tanh(alpha * t)
+                           * mpmath.sech(alpha * t) ** m) ** 2)
+    mass = line(lambda t: mpmath.sech(alpha * t) ** (2 * m))
+    crit = line(lambda t: mpmath.sech(alpha * t) ** (m * q))
+    omega = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(
+        mpmath.mpf(n) / 2)
+    return omega * (grad + a * mass) / (omega * crit) ** (2 / q)
+
+
+@pytest.mark.parametrize("n,s,gamma", [(5, 1.0, -2.0), (5, 1.0, 0.0),
+                                       (6, 0.5, 1.0), (7, 1.5, -4.0),
+                                       (3, 0.25, 0.1)])
+def test_best_constant_closed_form_matches_quadrature(n, s, gamma):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        q = 2 * (n - mpmath.mpf(s)) / (n - 2)
+        alpha = mpmath.sqrt(mpmath.mpf(n - 2) ** 2 / 4
+                            - mpmath.mpf(gamma)) * (q - 2) / 2
+        value = _trial_quotient_mp(mpmath, n, s, gamma, alpha)
+        est = best_constant_estimate(n, s, gamma)
+        assert abs(est["value"] - value) <= 1e-12 * value
+        assert abs(est["alpha"] - alpha) <= 1e-14 * alpha
+
+
+def test_best_constant_alpha_minimises_the_family():
+    mpmath = pytest.importorskip("mpmath")
+    est = best_constant_estimate(5, 1.0, -2.0)
+    with mpmath.workdps(20):
+        for factor in (0.99, 1.01):
+            assert _trial_quotient_mp(mpmath, 5, 1.0, -2.0,
+                                      est["alpha"] * factor) > est["value"]

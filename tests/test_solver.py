@@ -157,9 +157,9 @@ def test_variational_agrees_with_shooting(ground_shoot, ground_var):
 def test_variational_quadratic_sanity(ref_params, ref_problem):
     # with the same quadratic form but a fixed source, the minimizer is the
     # direct linear solve; the descent loop must reproduce it
-    from hardyball.bridge import _quadratic_form_matrices
+    from hardyball.solver import _form_operator
     from scipy.sparse.linalg import spsolve
-    A, _ = _quadratic_form_matrices(ref_problem, 1e-5 * 0.5, 400)
+    A = _form_operator(ref_problem, 1e-5 * 0.5, 400)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(A.shape[0])
     direct = spsolve(A.tocsc(), f)
