@@ -5,16 +5,16 @@ rate formula, and the compactness verdict."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bridge import b_origin
 from .constants import (ProblemParams, admissibility, best_constant_estimate,
                         beta_pm, critical_exponent)
-from .grids import spline_integral
+from .grids import ProfileData, spline_integral
 from .kernel import sphere_area
-from .profiles import EntireBubble, ProfileData, SolutionProfile
+from .profiles import EntireBubble, SolutionProfile
 
 COMPACT = "COMPACT"
 BLOWUP = "BLOWUP"
@@ -65,19 +65,12 @@ class BubbleFamily:
 
     @classmethod
     def from_scales(cls, mu, p: float, params: ProblemParams,
-                    bubbles=None, weak_limit=None,
-                    richardson: bool = False) -> "BubbleFamily":
-        """Build the family from raw scales; t_i is estimated by mu_i^p
-        (optionally Richardson-extrapolated toward p = 0 assuming the
-        leading correction is linear in p)."""
+                    bubbles=None, weak_limit=None) -> "BubbleFamily":
+        """Build the family from raw scales; t_i is estimated by mu_i^p."""
         mu = np.asarray(mu, dtype=float)
         q = critical_exponent(params.n, params.s)
         k = mu ** (1.0 - p / (q - 2.0))
-        t = mu ** p
-        if richardson and p > 0:
-            # t(p) = 1 + p log(mu) + O(p^2); extrapolate the exponent
-            t = np.exp(2.0 * np.log(mu ** p) - np.log(mu ** (2.0 * p)))
-        t = np.clip(t, 1e-300, 1.0)
+        t = np.clip(mu ** p, 1e-300, 1.0)
         return cls(mu=mu, k=k, t_limits=t, p_defect=p, params=params,
                    bubbles=list(bubbles) if bubbles else [],
                    weak_limit=weak_limit)
@@ -85,8 +78,7 @@ class BubbleFamily:
 
 @dataclass
 class EnvelopeReport:
-    constant: float              # smallest C with |u| <= C * envelope
-    worst_ratio: float           # max over the grid of |u| / envelope
+    worst_ratio: float           # smallest C with |u| <= C * envelope
     worst_annulus: tuple         # (r_lo, r_hi) of the worst decade
     annuli: list                 # per-decade (r_lo, r_hi, max_ratio)
     budget: float = math.inf
@@ -131,7 +123,8 @@ def rescale_profile(u: SolutionProfile, mu: float, p: float,
     bm, _ = beta_pm(n, u.params.gamma)
     data = ProfileData(r=r_new, v=v_new, dv=dv_new)
     return SolutionProfile(
-        data=data, params=u.params, p_defect=p, K0=u.K0 * amp * k ** -bm,
+        data=data, params=replace(u.params, p_defect=p), p_defect=p,
+        K0=u.K0 * amp * k ** -bm,
         node_count=u.node_count, energy=u.energy,
         residual_norm=u.residual_norm, boundary_value=u.boundary_value,
         diverged=u.diverged,
@@ -242,7 +235,8 @@ def plant_bubbles(bubble: EntireBubble, scales, p: float,
                          dvals)
         dv += amp * dvals / k
     data = ProfileData(r=radii, v=v, dv=dv)
-    return SolutionProfile(data=data, params=params, p_defect=p, K0=0.0,
+    return SolutionProfile(data=data, params=replace(params, p_defect=p),
+                           p_defect=p, K0=0.0,
                            node_count=data.node_count(), energy=math.nan,
                            residual_norm=math.nan, boundary_value=v[-1],
                            meta={"synthetic_scales": [float(m) for m in scales]})
@@ -287,7 +281,7 @@ def envelope_check(u: SolutionProfile, family: BubbleFamily,
         annuli.append((10.0 ** d, 10.0 ** (d + 1), band_max))
         if band_max == worst:
             worst_band = (10.0 ** d, 10.0 ** (d + 1))
-    return EnvelopeReport(constant=worst, worst_ratio=worst,
+    return EnvelopeReport(worst_ratio=worst,
                           worst_annulus=worst_band, annuli=annuli,
                           budget=budget)
 

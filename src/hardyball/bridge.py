@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import ProblemParams, critical_exponent
-from .grids import CubicSpline, RadialFunction, log_derivative_matrix_apply
+from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 from .kernel import DomainError, green_density, green_G, weight_V_p
 
 
@@ -83,12 +83,12 @@ def b_origin(n: int, s: float) -> float:
     return (n - 2.0) ** ((2.0 - s) / (n - 2.0)) / 2.0 ** (2.0 - s)
 
 
-def to_euclidean(u: RadialFunction, n: int) -> RadialFunction:
-    return u.with_values(u.values * phi(u.grid.nodes, n))
+def to_euclidean(u: ProfileData, n: int) -> ProfileData:
+    return ProfileData(u.r, u.v * phi(u.r, n))
 
 
-def to_hyperbolic(v: RadialFunction, n: int) -> RadialFunction:
-    return v.with_values(v.values / phi(v.grid.nodes, n))
+def to_hyperbolic(v: ProfileData, n: int) -> ProfileData:
+    return ProfileData(v.r, v.v / phi(v.r, n))
 
 
 @dataclass
@@ -284,8 +284,8 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
     return 0.5 * (lo + hi)
 
 
-def residual_equivalence_check(u: RadialFunction, problem: EuclideanProblem,
-                               critical_weight: str = "paper") -> dict:
+def residual_equivalence_check(u: ProfileData,
+                               problem: EuclideanProblem) -> dict:
     """Compare the ball-side residual of u with the flat-side residual of
     the transported profile, after the conformal weight factor.
 
@@ -294,21 +294,21 @@ def residual_equivalence_check(u: RadialFunction, problem: EuclideanProblem,
     params = problem.params
     n, gamma, lam, s = params.n, params.gamma, params.lam, params.s
     q = critical_exponent(n, s)
-    t = u.grid.log_nodes
-    r = u.grid.nodes
+    r = u.r
+    t = np.log(r)
     rho = 2.0 / (1.0 - r * r)
 
     # ball-side Laplacian: rho^-n r^{1-n} d/dr (rho^{n-2} r^{n-1} u')
-    du_dt = log_derivative_matrix_apply(t, u.values)
+    du_dt = log_derivative_matrix_apply(t, u.v)
     flux = rho ** (n - 2.0) * r ** (n - 1.0) * du_dt / r
     dflux_dt = log_derivative_matrix_apply(t, flux)
     lap_ball = dflux_dt / r / (rho ** float(n) * r ** (n - 1.0))
     V2 = weight_V_p(r, n, 2.0)
     Vq = weight_V_p(r, n, q)
-    res_ball = (-lap_ball - gamma * V2 * u.values - lam * u.values
-                - Vq * np.abs(u.values) ** (q - 2.0) * u.values)
+    res_ball = (-lap_ball - gamma * V2 * u.v - lam * u.v
+                - Vq * np.abs(u.v) ** (q - 2.0) * u.v)
 
-    v = u.values * phi(r, n)
+    v = u.v * phi(r, n)
     dv_dt = log_derivative_matrix_apply(t, v)
     d2v_dt = log_derivative_matrix_apply(t, dv_dt)
     lap_flat = (d2v_dt + (n - 2.0) * dv_dt) / r ** 2

@@ -27,9 +27,9 @@ from .bridge import (EuclideanProblem, b_origin, b_weight, coercivity_lambda0,
 from .constants import (AdmissibilityError, ProblemParams, admissibility,
                         best_constant_estimate, beta_pm, critical_exponent,
                         exponent_set)
-from .grids import RadialFunction, RadialGrid
+from .grids import ProfileData
 from .kernel import green_density, green_G, sphere_area, weight_V_p
-from .profiles import ProfileData, SolutionProfile, SolverError
+from .profiles import SolutionProfile, SolverError
 from .verify import (asymptotic_exponent, hardy_check, hardy_sharpness_error,
                      pohozaev_residual)
 
@@ -87,24 +87,26 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_profile_csv(path: str, data: ProfileData) -> None:
-    lines = ["r,v,dv"]
-    for r, v, dv in zip(data.r, data.v, data.dv):
-        lines.append(f"{format17(r)},{format17(v)},{format17(dv)}")
-    write_text(path, "\n".join(lines) + "\n")
+def _cell(val) -> str:
+    if isinstance(val, (float, np.floating)):
+        return format17(val)
+    if isinstance(val, (int, np.integer, np.bool_)):    # bools as 0/1
+        return str(int(val))
+    text = str(val)
+    return json.dumps(text) if "," in text else text
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows: floats at 17 significant digits,
+    bools as 0/1, and strings quoted only when they hold a comma."""
+    lines = [",".join(header)]
+    lines += [",".join(_cell(val) for val in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def read_profile_csv(path: str) -> ProfileData:
     raw = np.loadtxt(path, delimiter=",", skiprows=1)
     return ProfileData(r=raw[:, 0], v=raw[:, 1], dv=raw[:, 2])
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def update_manifest(outdir: str, files: list, config_text: str,
@@ -120,9 +122,10 @@ def update_manifest(outdir: str, files: list, config_text: str,
         except (json.JSONDecodeError, OSError):
             entries = {}
     for name in files:
-        full = os.path.join(outdir, name)
-        entries[name] = {"sha256": _sha256(full),
-                         "bytes": os.path.getsize(full)}
+        with open(os.path.join(outdir, name), "rb") as fh:
+            blob = fh.read()
+        entries[name] = {"sha256": hashlib.sha256(blob).hexdigest(),
+                         "bytes": len(blob)}
     manifest = {
         "version": __version__,
         "config_sha256": hashlib.sha256(
@@ -154,7 +157,7 @@ _SOLVER_DEFAULTS = {
     "bubble_decades": 8.0,
     "coercivity": False,
 }
-_OUTPUT_DEFAULTS = {"directory": "out", "formats": ["csv", "json"]}
+_OUTPUT_DEFAULTS = {"directory": "out"}
 _SWEEP_KEYS = {"gamma", "s", "lam", "p_defect", "node_target"}
 
 
@@ -231,7 +234,25 @@ def _config_text(cfg: dict, seed: int) -> str:
     return dumps17({"config": cfg, "seed": int(seed)})
 
 
-def _sidecar(profile: SolutionProfile, extra: dict = None) -> dict:
+def emit(cfg: dict, args, files: dict, summary) -> int:
+    """Write each output file, name -> text or a JSON document (written by
+    dumps17), record them all in the manifest, and print the summary."""
+    out = _outdir(cfg, args)
+    for name, body in files.items():
+        text = body if isinstance(body, str) else dumps17(body) + "\n"
+        write_text(os.path.join(out, name), text)
+    update_manifest(out, list(files), _config_text(cfg, args.seed), args.seed)
+    print(dumps17(summary))
+    return EXIT_OK
+
+
+def _profile_csv(data: ProfileData) -> str:
+    return csv_text(("r", "v", "dv"), zip(data.r, data.v, data.dv))
+
+
+def _sidecar(stem: str, profile: SolutionProfile,
+             problem: EuclideanProblem) -> dict:
+    """The two files of a stored profile: its samples and its sidecar."""
     doc = {
         "params": profile.params.as_dict(),
         "p_defect": profile.p_defect,
@@ -243,10 +264,9 @@ def _sidecar(profile: SolutionProfile, extra: dict = None) -> dict:
         "diverged": profile.diverged,
         "meta": {k: v for k, v in profile.meta.items()
                  if isinstance(v, (int, float, str, bool))},
+        "domain_radius": problem.domain_radius,
     }
-    if extra:
-        doc.update(extra)
-    return doc
+    return {stem + ".csv": _profile_csv(profile.data), stem + ".json": doc}
 
 
 def read_profile(outdir: str, stem: str) -> tuple:
@@ -259,10 +279,7 @@ def read_profile(outdir: str, stem: str) -> tuple:
     data = read_profile_csv(csv_path)
     with open(json_path) as fh:
         doc = json.load(fh)
-    pd = doc["params"]
-    params = ProblemParams(n=int(pd["n"]), s=pd["s"], gamma=pd["gamma"],
-                           lam=pd["lam"], theta=pd["theta"], c=pd["c"],
-                           p_defect=doc["p_defect"])
+    params = ProblemParams(**{**doc["params"], "p_defect": doc["p_defect"]})
     problem = EuclideanProblem(params,
                                domain_radius=doc.get("domain_radius",
                                                      float(data.r[-1])))
@@ -289,13 +306,9 @@ def cmd_constants(cfg: dict, args) -> int:
         "best_constant": best_constant_estimate(params.n, params.s,
                                                 params.gamma),
     }
-    text = dumps17(doc)
-    print(text)
     if args.out:
-        out = _outdir(cfg, args)
-        write_text(os.path.join(out, "constants.json"), text + "\n")
-        update_manifest(out, ["constants.json"], _config_text(cfg, args.seed),
-                        args.seed)
+        return emit(cfg, args, {"constants.json": doc}, doc)
+    print(dumps17(doc))
     return EXIT_OK
 
 
@@ -303,39 +316,26 @@ def cmd_weights(cfg: dict, args) -> int:
     params = make_params(cfg)
     n, s = params.n, params.s
     q = critical_exponent(n, s)
-    out = _outdir(cfg, args)
     r = np.geomspace(1e-6, 1.0 - 1e-6, int(cfg["solver"]["grid_num"]))
-    rows = ["r,f,G,V2,Vq"]
-    G = green_G(r, n)
-    f = green_density(r, n)
     V2 = weight_V_p(r, n, 2.0)
-    Vq = weight_V_p(r, n, q)
-    for vals in zip(r, f, G, V2, Vq):
-        rows.append(",".join(format17(v) for v in vals))
-    write_text(os.path.join(out, "weights.csv"), "\n".join(rows) + "\n")
+    table = csv_text(("r", "f", "G", "V2", "Vq"), zip(
+        r, green_density(r, n), green_G(r, n), V2, weight_V_p(r, n, q)))
     doc = {"n": n, "s": s, "critical_exponent": q,
            "origin_limit_4r2_V2": float(V2[0] * 4.0 * r[0] ** 2),
            "surface_constant": sphere_area(n)}
-    write_text(os.path.join(out, "weights.json"), dumps17(doc) + "\n")
-    update_manifest(out, ["weights.csv", "weights.json"],
-                    _config_text(cfg, args.seed), args.seed)
-    print(dumps17(doc))
-    return EXIT_OK
+    return emit(cfg, args, {"weights.csv": table, "weights.json": doc}, doc)
 
 
 def cmd_bridge(cfg: dict, args) -> int:
     params = make_params(cfg)
     beta_pm(params.n, params.gamma)     # raises above the threshold
     problem = make_problem(cfg, params)
-    out = _outdir(cfg, args)
     R = problem.domain_radius
     r = np.geomspace(1e-6, R, int(cfg["solver"]["grid_num"]))
-    rows = ["r,h,b,W"]
-    for ri in r:
-        rows.append(",".join(format17(v) for v in (
-            ri, float(problem.h(ri)), float(problem.b(ri)),
-            euclidean_potential(ri, params.n, params.gamma, params.lam))))
-    write_text(os.path.join(out, "bridge.csv"), "\n".join(rows) + "\n")
+    table = csv_text(("r", "h", "b", "W"), (
+        (ri, float(problem.h(ri)), float(problem.b(ri)),
+         euclidean_potential(ri, params.n, params.gamma, params.lam))
+        for ri in r))
     doc = {
         "b_origin": b_origin(params.n, params.s),
         "h_exact_at_R_half": h_conformal(R * 0.5, params.n, params.gamma,
@@ -345,11 +345,7 @@ def cmd_bridge(cfg: dict, args) -> int:
     }
     if cfg["solver"]["coercivity"]:
         doc["coercivity_lambda0"] = coercivity_lambda0(problem)
-    write_text(os.path.join(out, "bridge.json"), dumps17(doc) + "\n")
-    update_manifest(out, ["bridge.csv", "bridge.json"],
-                    _config_text(cfg, args.seed), args.seed)
-    print(dumps17(doc))
-    return EXIT_OK
+    return emit(cfg, args, {"bridge.csv": table, "bridge.json": doc}, doc)
 
 
 def _solve_one(cfg: dict, params: ProblemParams,
@@ -370,35 +366,24 @@ def cmd_solve(cfg: dict, args) -> int:
     params = make_params(cfg)
     problem = make_problem(cfg, params)
     prof = _solve_one(cfg, params, problem)
-    out = _outdir(cfg, args)
-    write_profile_csv(os.path.join(out, "profile.csv"), prof.data)
-    doc = _sidecar(prof, {"domain_radius": problem.domain_radius})
-    write_text(os.path.join(out, "profile.json"), dumps17(doc) + "\n")
-    update_manifest(out, ["profile.csv", "profile.json"],
-                    _config_text(cfg, args.seed), args.seed)
-    print(dumps17({"energy": prof.energy, "K0": prof.K0,
-                   "node_count": prof.node_count,
-                   "residual_norm": prof.residual_norm}))
-    return EXIT_OK
+    return emit(cfg, args, _sidecar("profile", prof, problem),
+                {"energy": prof.energy, "K0": prof.K0,
+                 "node_count": prof.node_count,
+                 "residual_norm": prof.residual_norm})
 
 
 def cmd_bubble(cfg: dict, args) -> int:
     from .solver import solve_limit_equation
     params = make_params(cfg)
     beta_pm(params.n, params.gamma)
-    out = _outdir(cfg, args)
     bub = solve_limit_equation(params.n, params.s, params.gamma,
                                b_origin(params.n, params.s),
                                decades=float(cfg["solver"]["bubble_decades"]))
-    write_profile_csv(os.path.join(out, "bubble.csv"), bub.data)
     doc = {"n": bub.n, "s": bub.s, "gamma": bub.gamma, "b0": bub.b0,
            "K_minus": bub.K_minus, "K_plus": bub.K_plus,
            "psi_peak": bub.psi_peak}
-    write_text(os.path.join(out, "bubble.json"), dumps17(doc) + "\n")
-    update_manifest(out, ["bubble.csv", "bubble.json"],
-                    _config_text(cfg, args.seed), args.seed)
-    print(dumps17(doc))
-    return EXIT_OK
+    return emit(cfg, args, {"bubble.csv": _profile_csv(bub.data),
+                            "bubble.json": doc}, doc)
 
 
 def cmd_continue(cfg: dict, args) -> int:
@@ -412,15 +397,11 @@ def cmd_continue(cfg: dict, args) -> int:
         K_range=tuple(cfg["solver"]["K_range"]))
     if not profiles:
         raise SolverError("continuation produced no profiles")
-    out = _outdir(cfg, args)
-    files = []
+    files = {}
     steps = []
     for idx, prof in enumerate(profiles):
         stem = f"continuation_{idx:02d}"
-        write_profile_csv(os.path.join(out, stem + ".csv"), prof.data)
-        doc = _sidecar(prof, {"domain_radius": problem.domain_radius})
-        write_text(os.path.join(out, stem + ".json"), dumps17(doc) + "\n")
-        files += [stem + ".csv", stem + ".json"]
+        files.update(_sidecar(stem, prof, problem))
         steps.append({"p_defect": prof.p_defect, "stem": stem,
                       "energy": prof.energy,
                       "weighted_sup": prof.meta.get("weighted_sup"),
@@ -429,12 +410,9 @@ def cmd_continue(cfg: dict, args) -> int:
     summary = {"params": params.as_dict(), "steps": steps,
                "domain_radius": problem.domain_radius,
                "completed": len(profiles) == len(schedule.p_values)}
-    write_text(os.path.join(out, "continuation.json"),
-               dumps17(summary) + "\n")
-    files.append("continuation.json")
-    update_manifest(out, files, _config_text(cfg, args.seed), args.seed)
-    print(dumps17({"steps": len(steps), "completed": summary["completed"]}))
-    return EXIT_OK
+    files["continuation.json"] = summary
+    return emit(cfg, args, files,
+                {"steps": len(steps), "completed": summary["completed"]})
 
 
 def cmd_blowup(cfg: dict, args) -> int:
@@ -445,31 +423,23 @@ def cmd_blowup(cfg: dict, args) -> int:
         raise ConfigError(f"no stored continuation in {out}")
     with open(summary_path) as fh:
         summary = json.load(fh)
-    profiles = []
-    for step in summary["steps"]:
-        prof, _ = read_profile(out, step["stem"])
-        profiles.append(prof)
+    profiles = [read_profile(out, step["stem"])[0]
+                for step in summary["steps"]]
     verdict = blowup_mod.compactness_verdict(profiles, params)
     last = profiles[-1]
     scales = blowup_mod.detect_scales(last, last.p_defect)
     verdict["detected_scales"] = [list(pair) for pair in scales]
-    files = []
+    files = {}
     if scales:
         fam = blowup_mod.BubbleFamily.from_scales(
             [mu for mu, _ in scales], last.p_defect, params)
         rep = blowup_mod.envelope_check(last, fam)
-        verdict["envelope_constant"] = rep.constant
-        rows = ["r_lo,r_hi,max_ratio"]
-        for lo, hi, ratio in rep.annuli:
-            rows.append(",".join(format17(v) for v in (lo, hi, ratio)))
-        write_text(os.path.join(out, "envelope.csv"), "\n".join(rows) + "\n")
-        files.append("envelope.csv")
-    write_text(os.path.join(out, "blowup.json"), dumps17(verdict) + "\n")
-    files.append("blowup.json")
-    update_manifest(out, files, _config_text(cfg, args.seed), args.seed)
-    print(dumps17({"verdict": verdict["verdict"],
-                   "scales": len(scales)}))
-    return EXIT_OK
+        verdict["envelope_constant"] = rep.worst_ratio
+        files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
+                                         rep.annuli)
+    files["blowup.json"] = verdict
+    return emit(cfg, args, files,
+                {"verdict": verdict["verdict"], "scales": len(scales)})
 
 
 def cmd_verify(cfg: dict, args) -> int:
@@ -494,7 +464,7 @@ def cmd_verify(cfg: dict, args) -> int:
     # sampled hyperbolic Hardy margins, and the margins of near-extremal
     # profiles against their exact values
     rng = np.random.default_rng(int(args.seed))
-    grid = RadialGrid.geometric(1e-6, 0.99, 600)
+    r = np.geomspace(1e-6, 0.99, 600)
     worst_rel = math.inf
     # compactly supported samples: tails must clear the clipping level
     # inside the grid, otherwise the truncated singular mass is meaningless.
@@ -504,10 +474,10 @@ def cmd_verify(cfg: dict, args) -> int:
         for _ in range(20):
             center = rng.uniform(math.log(1e-3), math.log(0.05))
             width = rng.uniform(0.2, 0.5)
-            vals = np.exp(-((grid.log_nodes - center) / width) ** 2)
+            vals = np.exp(-((np.log(r) - center) / width) ** 2)
             vals[vals < 1e-14] = 0.0
             worst_rel = min(worst_rel,
-                            hardy_check(RadialFunction(grid, vals), params.n))
+                            hardy_check(ProfileData(r, vals), params.n))
         sharpness = hardy_sharpness_error(params.n)
     report.provenance["hardy_warnings"] = len(caught)
     report.provenance["hardy_first_warning"] = (
@@ -516,17 +486,11 @@ def cmd_verify(cfg: dict, args) -> int:
                passed=worst_rel >= -1e-8)
     report.add("hardy_sharpness_relative_error", sharpness, 1e-4)
     doc = report.as_dict()
-    write_text(os.path.join(out, "verify.json"), dumps17(doc) + "\n")
-    rows = ["name,value,tolerance,passed"]
-    for check in doc["checks"]:
-        rows.append(f'{check["name"]},{format17(check["value"])},'
-                    f'{format17(check["tolerance"])},{int(check["passed"])}')
-    write_text(os.path.join(out, "verify.csv"), "\n".join(rows) + "\n")
-    update_manifest(out, ["verify.json", "verify.csv"],
-                    _config_text(cfg, args.seed), args.seed)
-    print(dumps17({"passed": doc["passed"],
-                   "checks": len(doc["checks"])}))
-    return EXIT_OK
+    columns = ("name", "value", "tolerance", "passed")
+    table = csv_text(columns, ([check[col] for col in columns]
+                               for check in doc["checks"]))
+    return emit(cfg, args, {"verify.json": doc, "verify.csv": table},
+                {"passed": doc["passed"], "checks": len(doc["checks"])})
 
 
 # ---------------------------------------------------------------------------
@@ -603,31 +567,13 @@ def cmd_sweep(cfg: dict, args) -> int:
     else:
         rows = [_sweep_row(task) for task in tasks]
     rows.sort(key=lambda row: row["index"])
-
-    out = _outdir(cfg, args)
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _SWEEP_COLUMNS:
-            val = row.get(col, base_params.get(col, ""))
-            if isinstance(val, bool):
-                cells.append(str(int(val)))
-            elif isinstance(val, (float, np.floating)):
-                cells.append(format17(val))
-            elif isinstance(val, (int, np.integer)):
-                cells.append(str(int(val)))
-            else:
-                cells.append(json.dumps(str(val))
-                             if "," in str(val) else str(val))
-        lines.append(",".join(cells))
-    write_text(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    table = csv_text(_SWEEP_COLUMNS, (
+        [row.get(col, base_params.get(col, "")) for col in _SWEEP_COLUMNS]
+        for row in rows))
     ok = sum(1 for row in rows if row["status"] == "ok")
     doc = {"rows": len(rows), "succeeded": ok,
            "failed": len(rows) - ok}
-    write_text(os.path.join(out, "sweep.json"), dumps17(doc) + "\n")
-    update_manifest(out, ["sweep.csv", "sweep.json"],
-                    _config_text(cfg, args.seed), args.seed)
-    print(dumps17(doc))
+    emit(cfg, args, {"sweep.csv": table, "sweep.json": doc}, doc)
     return EXIT_OK if ok else EXIT_SOLVER
 
 

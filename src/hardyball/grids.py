@@ -1,4 +1,5 @@
-"""Log-graded radial grids and sampled radial functions."""
+"""Sampled radial functions: the not-a-knot cubic spline in log r, the
+log-grid quadrature and derivative stencils, and ProfileData."""
 
 from __future__ import annotations
 
@@ -13,47 +14,6 @@ class GridError(ValueError):
 
 class ExtrapolationError(ValueError):
     """Requested radii fall outside the support of a sampled profile."""
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Strictly increasing radii in (0, 1), geometrically spaced by default.
-
-    The grid lives on [inner_cutoff, outer_cutoff]; all quadrature and
-    differentiation stay inside this interval (no extrapolation).
-    """
-
-    nodes: np.ndarray
-    inner_cutoff: float
-    outer_cutoff: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or len(nodes) < 8:
-            raise GridError("need a 1-d grid with at least 8 nodes")
-        if not np.all(np.diff(nodes) > 0):
-            raise GridError("grid nodes must be strictly increasing")
-        if not (0.0 < self.inner_cutoff <= nodes[0]):
-            raise GridError("inner_cutoff must satisfy 0 < r0 <= nodes[0]")
-        if not (nodes[-1] <= self.outer_cutoff < 1.0):
-            raise GridError("outer_cutoff must satisfy nodes[-1] <= R < 1")
-
-    @classmethod
-    def geometric(cls, r0: float, R: float, num: int) -> "RadialGrid":
-        """Log-uniform grid on [r0, R]; resolves power-law behavior near 0."""
-        if not (0.0 < r0 < R < 1.0):
-            raise GridError("need 0 < r0 < R < 1")
-        nodes = np.geomspace(r0, R, num)
-        nodes[0], nodes[-1] = r0, R
-        return cls(nodes, r0, R)
-
-    @property
-    def log_nodes(self) -> np.ndarray:
-        return np.log(self.nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 class CubicSpline:
@@ -189,56 +149,69 @@ def log_derivative_matrix_apply(t: np.ndarray, values: np.ndarray) -> np.ndarray
     return d
 
 
+def _sign_changes(v: np.ndarray, sup: float) -> int:
+    """Sign changes along v, skipping samples at or below 1e-13 * sup."""
+    return int(np.count_nonzero(np.diff(np.sign(v[np.abs(v) > 1e-13 * sup]))))
+
+
 @dataclass
-class RadialFunction:
-    """Samples of a radial function on a RadialGrid."""
+class ProfileData:
+    """Samples v (and, where known, dv/dr) of a radial function at strictly
+    increasing radii r > 0: the one sampled-radial type of the lab, for
+    solver output, bubbles, rescaled profiles and audit samples alike.
 
-    grid: RadialGrid
-    values: np.ndarray
+    It carries no r < 1 bound, because bubbles and rescaled profiles live
+    beyond the unit ball; the hyperbolic integrals enforce the ball."""
 
-    _spline: CubicSpline = field(default=None, repr=False, compare=False)
+    r: np.ndarray
+    v: np.ndarray
+    dv: np.ndarray = None
+
+    _spline: CubicSpline = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        self.values = values
-        if values.shape != self.grid.nodes.shape:
-            raise GridError("values and grid nodes must have equal length")
-        if not np.all(np.isfinite(values)):
+        self.r = np.asarray(self.r, dtype=float)
+        self.v = np.asarray(self.v, dtype=float)
+        if self.r.ndim != 1 or len(self.r) < 4:
+            raise GridError("need 1-d samples at 4 or more radii")
+        arrays = [self.v]
+        if self.dv is not None:
+            self.dv = np.asarray(self.dv, dtype=float)
+            arrays.append(self.dv)
+        if any(a.shape != self.r.shape for a in arrays):
+            raise GridError("samples and radii must have equal length")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
             raise GridError("non-finite sample values")
+        if not (self.r[0] > 0.0 and np.all(np.diff(self.r) > 0.0)):
+            raise GridError("radii must be positive and strictly increasing")
 
     def spline(self) -> CubicSpline:
+        """Not-a-knot spline of v in log r, built once."""
         if self._spline is None:
-            self._spline = CubicSpline(self.grid.log_nodes, self.values)
+            self._spline = CubicSpline(np.log(self.r), self.v)
         return self._spline
 
+    def dspline(self) -> CubicSpline:
+        return CubicSpline(np.log(self.r), self.dv)
+
     def __call__(self, r, atol: float = 0.0):
-        """Evaluate at radii r; outside the grid the profile must be flat to
-        within atol (compactly supported samples), else this is an error."""
+        """Evaluate at radii r; outside the samples the profile must be
+        flat to within atol (compactly supported samples), else this is an
+        error."""
         r = np.asarray(r, dtype=float)
-        lo, hi = self.grid.nodes[0], self.grid.nodes[-1]
+        lo, hi = self.r[0], self.r[-1]
         below, above = r < lo, r > hi
-        if below.any() and abs(self.values[0]) > atol:
+        if below.any() and abs(self.v[0]) > atol:
             raise ExtrapolationError(
-                f"radius below grid support ({r[below].min():g} < {lo:g})")
-        if above.any() and abs(self.values[-1]) > atol:
+                f"radius below the samples ({r[below].min():g} < {lo:g})")
+        if above.any() and abs(self.v[-1]) > atol:
             raise ExtrapolationError(
-                f"radius above grid support ({r[above].max():g} > {hi:g})")
+                f"radius above the samples ({r[above].max():g} > {hi:g})")
         out = self.spline()(np.log(np.clip(r, lo, hi)))
-        out = np.where(below, self.values[0], out)
-        out = np.where(above, self.values[-1], out)
-        return out
-
-    def derivative_values(self) -> np.ndarray:
-        """dv/dr at the nodes (4th-order differences in log r)."""
-        dt = log_derivative_matrix_apply(self.grid.log_nodes, self.values)
-        return dt / self.grid.nodes
-
-    def with_values(self, values) -> "RadialFunction":
-        return RadialFunction(self.grid, values)
+        out = np.where(below, self.v[0], out)
+        return np.where(above, self.v[-1], out)
 
     def node_count(self) -> int:
-        """Number of strict sign changes of the samples."""
-        s = np.sign(self.values[np.abs(self.values) > 0])
-        if len(s) == 0:
-            return 0
-        return int(np.count_nonzero(np.diff(s) != 0))
+        """Interior sign changes; the boundary sample is left out."""
+        return _sign_changes(self.v[:-1], np.max(np.abs(self.v)))

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .grids import CubicSpline, RadialFunction, log_derivative_matrix_apply
+from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 
 # Gauss-Legendre rule on [-1, 1], held as pairs (1 - x_i, w_i) so that the
 # outer panel of G forms 1 - t without cancellation
@@ -152,22 +152,19 @@ def weight_V_p(r, n: int, p: float):
             / (4.0 * (n - 2) ** 2 * G ** ((p + 2.0) / 2.0)))
 
 
-def hyperbolic_scaling(u: RadialFunction, lam: float, n: int) -> RadialFunction:
-    """u_lam(r) = lam^{-1/2} u(G^{-1}(lam G(r))), sampled on u's grid.
+def hyperbolic_scaling(u: ProfileData, lam: float, n: int) -> ProfileData:
+    """u_lam(r) = lam^{-1/2} u(G^{-1}(lam G(r))), sampled at u's radii.
 
-    Radii pulled back outside the grid are allowed only where the profile
-    has decayed to (numerical) zero at the corresponding end.
+    Radii pulled back outside the samples are allowed only where the
+    profile has decayed to (numerical) zero at the corresponding end.
     """
     if lam <= 0:
         raise DomainError("scaling parameter must be positive")
     if lam == 1.0:
-        return u.with_values(u.values.copy())
-    r = u.grid.nodes
-    g = green_G(r, n)
-    rho = green_G_inverse(lam * g, n)
-    atol = 1e-12 * np.max(np.abs(u.values))
-    vals = lam ** -0.5 * u(rho, atol=atol)
-    return u.with_values(vals)
+        return ProfileData(u.r, u.v.copy())
+    rho = green_G_inverse(lam * green_G(u.r, n), n)
+    atol = 1e-12 * np.max(np.abs(u.v))
+    return ProfileData(u.r, lam ** -0.5 * u(rho, atol=atol))
 
 
 def _panel_integral(spline: CubicSpline, q: float, n: int, w) -> float:
@@ -185,8 +182,13 @@ def _panel_integral(spline: CubicSpline, q: float, n: int, w) -> float:
     away from r = 1 nothing is cut.  The 8-point Gauss-Legendre rule runs
     on every piece, all in one vectorized pass: for q = 2 each piece's
     integrand is a degree-6 polynomial times an analytic weight, so the
-    rule has converged.  w is a vectorized weight, or None for weight 1."""
+    rule has converged.  w is a vectorized weight, or None for weight 1.
+
+    Every knot must lie inside the ball, 0 < r < 1; this is checked before
+    any arithmetic, so samples beyond it raise DomainError and no warning."""
     t = spline.x
+    if not t[-1] < 0.0:
+        raise DomainError("hyperbolic integrals need samples with r < 1")
     if q % 2.0 != 0.0:
         t = np.union1d(t, spline.roots())
     d_near, d_far = -t[1:], -t[:-1]
@@ -212,7 +214,7 @@ def _panel_integral(spline: CubicSpline, q: float, n: int, w) -> float:
     return val
 
 
-def hyperbolic_integral(w, u: RadialFunction, q: float, n: int) -> float:
+def hyperbolic_integral(w, u: ProfileData, q: float, n: int) -> float:
     """Integral of w(r)|u|^q over the ball in the hyperbolic volume, on the
     sample support: the cubic spline of u in t = log r, integrated by the
     panel rule of _panel_integral.  w is a vectorized weight (or None for
@@ -220,13 +222,13 @@ def hyperbolic_integral(w, u: RadialFunction, q: float, n: int) -> float:
     return _panel_integral(u.spline(), q, n, w)
 
 
-def hyperbolic_dirichlet_energy(u: RadialFunction, n: int,
+def hyperbolic_dirichlet_energy(u: ProfileData, n: int,
                                 q: float = 2.0) -> float:
     """integral of |grad_B u|^q in the hyperbolic volume; for q=2 this is
     the squared energy norm.  du/dt is taken at the nodes by 4th-order
     differences, splined in t and integrated by the panel rule of
     _panel_integral, with |grad_B u| = (1-r^2)/(2r) |du/dt|."""
-    t = u.grid.log_nodes
-    du_dt = CubicSpline(t, log_derivative_matrix_apply(t, u.values))
+    t = np.log(u.r)
+    du_dt = CubicSpline(t, log_derivative_matrix_apply(t, u.v))
     return _panel_integral(du_dt, q, n,
                            lambda r: (0.5 * (1.0 - r * r) / r) ** q)

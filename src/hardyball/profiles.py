@@ -1,15 +1,13 @@
-"""Solution records and solver errors: the radial samples the solvers
-return and the audits, the blow-up lab and the CLI read, free of the
-integrator so that reading a stored profile loads no scipy."""
+"""Solution records and solver errors: the solutions the solvers return
+and the audits, the blow-up lab and the CLI read, free of the integrator
+so that reading a stored profile loads no scipy."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import ProblemParams
-from .grids import CubicSpline
+from .grids import ProfileData
 
 
 class SolverError(RuntimeError):
@@ -26,29 +24,6 @@ class BracketNotFound(SolverError):
 
 class NotCoercive(SolverError):
     """The quadratic form is not coercive, so no positive solution exists."""
-
-
-def _sign_changes(v: np.ndarray, sup: float) -> int:
-    """Sign changes along v, skipping samples at or below 1e-13 * sup."""
-    return int(np.count_nonzero(np.diff(np.sign(v[np.abs(v) > 1e-13 * sup]))))
-
-
-@dataclass
-class ProfileData:
-    """Radial samples (log-uniform) with derivative, free of ball bounds."""
-    r: np.ndarray
-    v: np.ndarray
-    dv: np.ndarray
-
-    def spline(self) -> CubicSpline:
-        return CubicSpline(np.log(self.r), self.v)
-
-    def dspline(self) -> CubicSpline:
-        return CubicSpline(np.log(self.r), self.dv)
-
-    def node_count(self) -> int:
-        """Interior sign changes; the boundary sample is left out."""
-        return _sign_changes(self.v[:-1], np.max(np.abs(self.v)))
 
 
 @dataclass

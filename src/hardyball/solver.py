@@ -6,7 +6,7 @@ comparison pair."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,18 +18,17 @@ from .bridge import (EuclideanProblem, _count_eigs_below,
                      _quadratic_form_diagonals)
 from .constants import (ProblemParams, beta_pm, check_defect,
                         critical_exponent)
-from .grids import log_derivative_matrix_apply, spline_integral
+from .grids import (ProfileData, _sign_changes, log_derivative_matrix_apply,
+                    spline_integral)
 from .kernel import sphere_area
 # the scipy-free records and errors, re-exported for the solver's callers
 from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
-                       NotCoercive, ProfileData, SolutionProfile, SolverError,
-                       _sign_changes)
+                       NotCoercive, SolutionProfile, SolverError)
 
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
     p_values: tuple
-    warm_start: bool = True
 
     def __post_init__(self):
         ps = tuple(float(p) for p in self.p_values)
@@ -121,7 +120,7 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
     r = np.exp(t)
     data = ProfileData(r=r, v=vals[0], dv=vals[1] / r)
     return SolutionProfile(
-        data=data, params=params, p_defect=p, K0=K,
+        data=data, params=replace(params, p_defect=p), p_defect=p, K0=K,
         node_count=data.node_count(), energy=math.nan,
         residual_norm=math.nan, boundary_value=float(vals[0][-1]),
         diverged=diverged, meta={"r0": r0, "R": R})
@@ -278,8 +277,8 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
 
 def solve_variational(params: ProblemParams, problem: EuclideanProblem,
                       p: float, r0: float = None, num: int = 1600,
-                      max_iter: int = 4000, gtol: float = 1e-10,
-                      seed: int = 7) -> SolutionProfile:
+                      max_iter: int = 4000,
+                      gtol: float = 1e-10) -> SolutionProfile:
     """Ground-state candidate by projected gradient descent constrained to
     the zero set of the radial fibering derivative."""
     n, gamma, s = params.n, params.gamma, params.s
@@ -356,7 +355,7 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     dv = log_derivative_matrix_apply(t, v) / r
     data = ProfileData(r=r, v=v, dv=dv)
     prof = SolutionProfile(
-        data=data, params=params, p_defect=p, K0=0.0,
+        data=data, params=replace(params, p_defect=p), p_defect=p, K0=0.0,
         node_count=data.node_count(), energy=e,
         residual_norm=math.nan, boundary_value=0.0,
         meta={"iterations": it, "stalled": stalled, "converged": converged,
@@ -384,8 +383,7 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
                 sp.meta["truncated_at"] = idx
                 sp.meta["failure"] = str(exc)
             return out
-        if schedule.warm_start:
-            K_prev = prof.meta["K_shoot"]
+        K_prev = prof.meta["K_shoot"]
         n = params.n
         q = critical_exponent(n, params.s)
         w = prof.data.r ** ((n - 2.0) / 2.0) * \

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bridge import EuclideanProblem
 from .constants import critical_exponent
-from .grids import RadialFunction, RadialGrid, spline_integral
+from .grids import ProfileData, spline_integral
 from .kernel import (green_G, green_G_inverse, hyperbolic_dirichlet_energy,
                      hyperbolic_integral, sphere_area, weight_V_p)
 from .profiles import SolutionProfile
@@ -177,12 +177,12 @@ def hardy_constant(n: int) -> float:
     return (n - 2.0) ** 2 / 4.0
 
 
-def hardy_check(u: RadialFunction, n: int) -> float:
+def hardy_check(u: ProfileData, n: int) -> float:
     """Relative margin of the hyperbolic Hardy inequality: gradient energy
     minus the sharp multiple of the singular mass, over the gradient
     energy; non-negative up to quadrature error for every admissible
     profile (0 for the zero profile)."""
-    if np.max(np.abs(u.values)) == 0.0:
+    if np.max(np.abs(u.v)) == 0.0:
         return 0.0
     energy = hyperbolic_dirichlet_energy(u, n)
     mass = hyperbolic_integral(lambda r: weight_V_p(r, n, 2.0), u, 2.0, n)
@@ -202,18 +202,18 @@ def hardy_sharpness_error(n: int) -> float:
     each profile has decayed to 1.5e-5 of its peak or less at both ends."""
     R = 0.99
     r0 = green_G_inverse(green_G(R, n) * math.exp(58.0), n)
-    grid = RadialGrid.geometric(r0, R, 600)
-    log_g = np.log(green_G(grid.nodes, n))
+    r = np.geomspace(r0, R, 600)
+    log_g = np.log(green_G(r, n))
     s = log_g - 0.5 * (log_g[0] + log_g[-1])
     worst = 0.0
     for w in (2.0, 4.0, 6.0):
-        u = RadialFunction(grid, np.exp(0.5 * s - (s / w) ** 2))
+        u = ProfileData(r, np.exp(0.5 * s - (s / w) ** 2))
         margin = hardy_check(u, n)
         worst = max(worst, abs(margin * (1.0 + w * w / 4.0) - 1.0))
     return worst
 
 
-def hardy_sobolev_check(u: RadialFunction, n: int, s: float,
+def hardy_sobolev_check(u: ProfileData, n: int, s: float,
                         gamma: float) -> float:
     """Sample quotient of the hyperbolic Hardy-Sobolev inequality:
     (gradient energy - gamma * singular mass) over the critical norm.

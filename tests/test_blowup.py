@@ -116,7 +116,7 @@ def test_envelope_on_single_bubble(params, bubble):
     bm, bp = beta_pm(5, -2.0)
     cal = calibrated_bubble(bubble)
     own = np.max(np.abs(cal.v) * (cal.r ** bm + cal.r ** bp))
-    assert 0.5 * own <= rep.constant <= 2.0 * own
+    assert 0.5 * own <= rep.worst_ratio <= 2.0 * own
     assert rep.passed  # infinite default budget
     assert rep.annuli
 
@@ -129,7 +129,7 @@ def test_envelope_zero_profile(params):
         residual_norm=0.0, boundary_value=0.0)
     fam = BubbleFamily.from_scales([1e-3], 0.0, params)
     rep = envelope_check(prof, fam)
-    assert rep.constant == 0.0
+    assert rep.worst_ratio == 0.0
 
 
 def test_envelope_bounded_along_continuation(continuation, params):
@@ -137,7 +137,7 @@ def test_envelope_bounded_along_continuation(continuation, params):
     consts = []
     for prof in continuation[-3:]:
         fam = BubbleFamily.from_scales([1e-3], prof.p_defect, params)
-        consts.append(envelope_check(prof, fam).constant)
+        consts.append(envelope_check(prof, fam).worst_ratio)
     assert max(consts) < 2.0 * min(consts)
 
 

@@ -13,7 +13,7 @@ from hardyball.bridge import (EuclideanProblem, LowDimConstants,
                               h_gamma_lambda, phi, residual_equivalence_check,
                               to_euclidean, to_hyperbolic)
 from hardyball.constants import ProblemParams, beta_pm
-from hardyball.grids import RadialFunction, RadialGrid
+from hardyball.grids import ProfileData
 from hardyball.kernel import DomainError
 
 
@@ -87,14 +87,14 @@ def test_exact_potential_vs_truncated_h():
 
 
 def test_transport_round_trip_and_values():
-    g = RadialGrid.geometric(1e-5, 0.5, 300)
-    u = RadialFunction(g, np.exp(-((g.log_nodes + 4.0) / 1.0) ** 2))
+    r = np.geomspace(1e-5, 0.5, 300)
+    u = ProfileData(r, np.exp(-((np.log(r) + 4.0) / 1.0) ** 2))
     v = to_euclidean(u, 5)
     back = to_hyperbolic(v, 5)
-    assert np.max(np.abs(back.values - u.values)) <= 1e-14 * np.max(u.values)
-    ones = RadialFunction(g, np.ones(len(g)))
-    assert to_euclidean(ones, 5).values[0] == pytest.approx(
-        phi(g.nodes[0], 5), rel=1e-12)
+    assert np.max(np.abs(back.v - u.v)) <= 1e-14 * np.max(u.v)
+    ones = ProfileData(r, np.ones(len(r)))
+    assert to_euclidean(ones, 5).v[0] == pytest.approx(
+        phi(r[0], 5), rel=1e-12)
 
 
 def test_transport_maps_indicial_branches():
@@ -104,10 +104,10 @@ def test_transport_maps_indicial_branches():
     n, gamma = 5, -2.0
     bm, _ = beta_pm(n, gamma)
     am = alpha_minus(n, gamma)
-    g = RadialGrid.geometric(1e-6, 1e-3, 200)
-    u = RadialFunction(g, green_G(g.nodes, n) ** am)
+    r = np.geomspace(1e-6, 1e-3, 200)
+    u = ProfileData(r, green_G(r, n) ** am)
     v = to_euclidean(u, n)
-    slope = np.polyfit(g.log_nodes, np.log(np.abs(v.values)), 1)[0]
+    slope = np.polyfit(np.log(r), np.log(np.abs(v.v)), 1)[0]
     assert slope == pytest.approx(-bm, rel=2e-2)
 
 
@@ -163,14 +163,13 @@ def test_coercivity_matches_dense_eigensolver():
 def test_residual_equivalence_trivial_and_manufactured():
     params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
     prob = EuclideanProblem(params)
-    g = RadialGrid.geometric(1e-4, 0.5, 800)
-    zero = RadialFunction(g, np.zeros(len(g)))
+    zero = ProfileData(np.geomspace(1e-4, 0.5, 800), np.zeros(800))
     rep = residual_equivalence_check(zero, prob)
     assert rep["max_difference"] == 0.0
     rels = []
     for num in (400, 800, 1600):
-        gg = RadialGrid.geometric(1e-4, 0.5, num)
-        u = RadialFunction(gg, np.exp(-((gg.log_nodes + 3.0) / 1.2) ** 2))
+        r = np.geomspace(1e-4, 0.5, num)
+        u = ProfileData(r, np.exp(-((np.log(r) + 3.0) / 1.2) ** 2))
         rels.append(residual_equivalence_check(u, prob)
                     ["relative_difference"])
     assert rels[0] / rels[1] >= 8.0

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import hardyball
-from hardyball.cli import (dumps17, format17, load_config, main,
-                           read_profile_csv, write_profile_csv, ConfigError)
+from hardyball import cli
+from hardyball.blowup import plant_bubbles
+from hardyball.bridge import EuclideanProblem
+from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
+                           read_profile_csv, ConfigError)
 from hardyball.solver import ProfileData
 
 REF_PARAMS = {"n": 5, "s": 1.0, "gamma": -2.0, "lam": 10.0,
@@ -53,13 +56,22 @@ def test_profile_csv_round_trip(tmp_path):
     r = np.geomspace(1e-6, 0.5, 50)
     data = ProfileData(r=r, v=np.sin(r) / 3.0, dv=np.cos(r) / 7.0)
     path = str(tmp_path / "p.csv")
-    write_profile_csv(path, data)
+    cli.write_text(path, cli._profile_csv(data))
     with open(path) as fh:
         assert fh.readline().strip() == "r,v,dv"
     back = read_profile_csv(path)
     assert np.array_equal(back.r, data.r)
     assert np.array_equal(back.v, data.v)
     assert np.array_equal(back.dv, data.dv)
+
+
+def test_csv_text_cell_rule():
+    text = csv_text(["a", "b", "c", "d", "e"],
+                    [[True, 1.0 / 3.0, 7, "ok", "x, y"],
+                     [np.bool_(False), np.float64(0.5), np.int64(-2), "", 2]])
+    assert text == ('a,b,c,d,e\n'
+                    '1,0.33333333333333331,7,ok,"x, y"\n'
+                    '0,0.5,-2,,2\n')
 
 
 # ----------------------------------------------------------- configuration
@@ -79,6 +91,11 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(_write_cfg(tmp_path / "d.json",
                                {"params": dict(REF_PARAMS),
                                 "sweep": {"gamma": []}}))
+    # output.formats was never read and is no longer a key
+    with pytest.raises(ConfigError):
+        load_config(_write_cfg(tmp_path / "e.json",
+                               {"params": dict(REF_PARAMS),
+                                "output": {"formats": ["csv"]}}))
 
 
 def test_load_config_requires_core_params(tmp_path):
@@ -352,10 +369,78 @@ def test_continue_then_blowup(tmp_path, capsys):
     summary = json.load(open(os.path.join(out, "continuation.json")))
     assert summary["completed"] is True
     assert len(summary["steps"]) == 3
+    # each sidecar's params carry the defect its profile was solved for,
+    # not the config's p_defect = 0.2
+    for step in summary["steps"]:
+        doc = json.load(open(os.path.join(out, step["stem"] + ".json")))
+        assert doc["params"]["p_defect"] == doc["p_defect"] == step["p_defect"]
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
     verdict = json.load(open(os.path.join(out, "blowup.json")))
     assert verdict["verdict"] in ("COMPACT", "BLOWUP", "INCONCLUSIVE")
     assert verdict["theory_compact"] is True
+    capsys.readouterr()
+
+
+def test_blowup_writes_the_envelope(tmp_path, bubble, ref_params, capsys):
+    # a stored one-step continuation that carries one planted bubble, so
+    # that blowup detects a scale and writes the per-decade envelope
+    out = tmp_path / "out"
+    out.mkdir()
+    prof = plant_bubbles(bubble, [1e-3], 0.0, ref_params,
+                         np.geomspace(1e-7, 0.5, 3000))
+    files = cli._sidecar("continuation_00", prof,
+                         EuclideanProblem(ref_params, domain_radius=0.5))
+    files["continuation.json"] = {"steps": [{"stem": "continuation_00"}]}
+    for name, body in files.items():
+        (out / name).write_text(
+            body if isinstance(body, str) else dumps17(body) + "\n")
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "envelope.csv", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["r_lo", "r_hi", "max_ratio"]
+    decades = [round(np.log10(float(row[0]))) for row in rows[1:]]
+    assert decades == list(range(-7, 0))         # one row per decade
+    verdict = json.load(open(out / "blowup.json"))
+    assert len(verdict["detected_scales"]) == 1
+    assert verdict["envelope_constant"] == max(float(row[2])
+                                               for row in rows[1:])
+    manifest = json.load(open(out / "manifest.json"))
+    blob = (out / "envelope.csv").read_bytes()
+    assert manifest["files"]["envelope.csv"] == {
+        "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    capsys.readouterr()
+
+
+def test_every_write_goes_through_write_text(tmp_path, monkeypatch, capsys):
+    # the benchmark counts the bytes a command writes by wrapping
+    # cli.write_text, so no command may write a file any other way
+    written = []
+    real = cli.write_text
+
+    def record(path, text):
+        written.append(os.path.realpath(path))
+        return real(path, text)
+
+    monkeypatch.setattr(cli, "write_text", record)
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"grid_num": 200, "schedule": [0.05]},
+        "sweep": {"p_defect": [0.9, 1.0]}})
+    out = tmp_path / "out"
+    for command, code in [("solve", 0), ("verify", 0), ("weights", 0),
+                          ("bridge", 0), ("continue", 0), ("blowup", 0),
+                          ("sweep", 3)]:
+        # age every file, so that any file the command writes is new or
+        # carries a fresh modification time
+        for path in out.glob("*") if out.exists() else []:
+            os.utime(path, ns=(0, 0))
+        written.clear()
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        touched = {str(path.resolve()) for path in out.glob("*")
+                   if path.stat().st_mtime_ns != 0}
+        assert touched, command
+        assert touched <= set(written), (command, touched - set(written))
     capsys.readouterr()
 
 

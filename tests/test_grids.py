@@ -1,31 +1,30 @@
-"""Grid construction, differentiation order, and sampled-function safety."""
+"""Sample checks, differentiation order, the spline, and sampled-function
+safety."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipySpline
 
 from hardyball.grids import (CubicSpline, ExtrapolationError, GridError,
-                             RadialFunction, RadialGrid,
-                             log_derivative_matrix_apply, spline_integral)
+                             ProfileData, log_derivative_matrix_apply,
+                             spline_integral)
 
 
-def test_geometric_grid_endpoints_and_monotonicity():
-    g = RadialGrid.geometric(1e-6, 0.5, 200)
-    assert g.nodes[0] == 1e-6
-    assert g.nodes[-1] == 0.5
-    assert np.all(np.diff(g.nodes) > 0)
-    assert len(g) == 200
-
-
-@pytest.mark.parametrize("r0,R", [(0.0, 0.5), (0.5, 0.5), (0.1, 1.0)])
-def test_geometric_grid_rejects_bad_bounds(r0, R):
+def test_profile_data_rejects_bad_radii():
+    ones = np.ones(50)
     with pytest.raises(GridError):
-        RadialGrid.geometric(r0, R, 50)
+        ProfileData(np.linspace(0.0, 0.5, 50), ones)     # r = 0
+    with pytest.raises(GridError):
+        ProfileData(np.full(50, 0.5), ones)              # repeated radii
+    with pytest.raises(GridError):
+        ProfileData(np.geomspace(1e-3, 0.5, 3), ones[:3])   # too few
+    # no r < 1 bound: bubbles and rescaled profiles live beyond the ball
+    assert ProfileData(np.geomspace(0.1, 1e3, 50), ones).r[-1] == 1e3
 
 
 def test_grid_rejects_decreasing_nodes():
     with pytest.raises(GridError):
-        RadialGrid(np.linspace(0.5, 0.1, 20), 0.1, 0.5)
+        ProfileData(np.linspace(0.5, 0.1, 20), np.ones(20))
 
 
 def test_log_derivative_is_fourth_order():
@@ -46,39 +45,34 @@ def test_log_derivative_requires_uniform_grid():
         log_derivative_matrix_apply(t, t)
 
 
-def test_radial_function_derivative_chain_rule():
-    g = RadialGrid.geometric(1e-3, 0.5, 400)
-    u = RadialFunction(g, g.nodes ** 2)
-    dv = u.derivative_values()
-    assert np.max(np.abs(dv - 2.0 * g.nodes) / (2.0 * g.nodes)) < 1e-6
-
-
 def test_radial_function_rejects_bad_values():
-    g = RadialGrid.geometric(1e-3, 0.5, 50)
+    r = np.geomspace(1e-3, 0.5, 50)
     with pytest.raises(GridError):
-        RadialFunction(g, np.ones(49))
+        ProfileData(r, np.ones(49))
     with pytest.raises(GridError):
-        RadialFunction(g, np.full(50, np.nan))
+        ProfileData(r, np.full(50, np.nan))
+    with pytest.raises(GridError):
+        ProfileData(r, np.ones(50), np.full(50, np.inf))
 
 
 def test_call_outside_support_guarded():
-    g = RadialGrid.geometric(1e-3, 0.5, 100)
-    u = RadialFunction(g, np.ones(100))
+    r = np.geomspace(1e-3, 0.5, 100)
+    u = ProfileData(r, np.ones(100))
     with pytest.raises(ExtrapolationError):
         u(np.array([1e-4]))
     # compactly supported samples extend by zero
-    vals = np.exp(-((g.log_nodes - np.log(0.03)) / 0.3) ** 2)
+    vals = np.exp(-((np.log(r) - np.log(0.03)) / 0.3) ** 2)
     vals[vals < 1e-14] = 0.0
-    bump = RadialFunction(g, vals)
+    bump = ProfileData(r, vals)
     out = bump(np.array([1e-4, 0.9]), atol=1e-12)
     assert np.all(out == 0.0)
 
 
 def test_node_count_counts_strict_sign_changes():
-    g = RadialGrid.geometric(1e-3, 0.5, 50)
+    r = np.geomspace(1e-3, 0.5, 50)
     vals = np.sin(np.linspace(0.0, 3.0 * np.pi, 50))
-    assert RadialFunction(g, vals).node_count() == 2
-    assert RadialFunction(g, np.ones(50)).node_count() == 0
+    assert ProfileData(r, vals).node_count() == 2
+    assert ProfileData(r, np.ones(50)).node_count() == 0
 
 
 def _knot_sets():
@@ -130,13 +124,13 @@ def test_spline_reproduces_cubics_exactly():
 def test_spline_roots_skip_the_ringing_of_clipped_samples():
     # a bump clipped to exact zeros rings through zero in its tails at
     # ~1e-14 of its peak; those are not roots worth cutting at
-    g = RadialGrid.geometric(1e-6, 0.99, 1500)
-    vals = np.exp(-((g.log_nodes - np.log(0.01)) / 0.3) ** 2)
+    r = np.geomspace(1e-6, 0.99, 1500)
+    t = np.log(r)
+    vals = np.exp(-((t - np.log(0.01)) / 0.3) ** 2)
     vals[vals < 1e-14] = 0.0
-    assert len(ScipySpline(g.log_nodes, vals).roots(extrapolate=False)) > 50
-    assert len(RadialFunction(g, vals).spline().roots()) == 0
+    assert len(ScipySpline(t, vals).roots(extrapolate=False)) > 50
+    assert len(ProfileData(r, vals).spline().roots()) == 0
     # a real sign change is kept
-    t = g.log_nodes
     signed = CubicSpline(t, vals * (t - np.log(0.01)))
     assert np.max(np.abs(signed.roots() - np.log(0.01))) <= 1e-9
 

@@ -3,18 +3,19 @@ quadrature oracle for G at n = 3..8, weight asymptotics, the scaling group,
 and quadrature cross-checks against an adaptive oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from hardyball.grids import (RadialFunction, RadialGrid,
-                             log_derivative_matrix_apply)
+from hardyball.grids import ProfileData, log_derivative_matrix_apply
 from hardyball.kernel import (DomainError, green_density, green_G,
                               green_G_inverse, hyperbolic_dirichlet_energy,
                               hyperbolic_integral, hyperbolic_scaling,
                               sphere_area, weight_V_p)
+from hardyball.verify import hardy_check
 
 
 def closed_form_G3(r):
@@ -141,15 +142,15 @@ def test_sphere_area_values():
     assert sphere_area(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-14)
 
 
-def _bump(grid, center, width, seed_amp=1.0):
-    vals = seed_amp * np.exp(-((grid.log_nodes - math.log(center)) / width) ** 2)
+def _bump(r, center, width, seed_amp=1.0):
+    vals = seed_amp * np.exp(-((np.log(r) - math.log(center)) / width) ** 2)
     vals[vals < 1e-14 * seed_amp] = 0.0
-    return RadialFunction(grid, vals)
+    return ProfileData(r, vals)
 
 
 @pytest.fixture(scope="module")
 def dense_grid():
-    return RadialGrid.geometric(1e-8, 1.0 - 1e-6, 1500)
+    return np.geomspace(1e-8, 1.0 - 1e-6, 1500)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 5.0])
@@ -171,7 +172,7 @@ def test_scaling_invariance_gradient_and_weight(dense_grid, lam):
 def test_scaling_identity_at_lambda_one(dense_grid):
     u = _bump(dense_grid, 0.05, 0.4)
     same = hyperbolic_scaling(u, 1.0, 5)
-    assert np.array_equal(same.values, u.values)
+    assert np.array_equal(same.v, u.v)
 
 
 def test_gradient_invariance_fails_off_exponent_two(dense_grid):
@@ -186,13 +187,11 @@ def test_gradient_invariance_fails_off_exponent_two(dense_grid):
 
 
 def test_hyperbolic_integral_trivial_and_oracle():
-    grid = RadialGrid.geometric(1e-6, 0.5, 400)
-    zero = RadialFunction(grid, np.zeros(len(grid)))
+    zero = ProfileData(np.geomspace(1e-6, 0.5, 400), np.zeros(400))
     assert hyperbolic_integral(None, zero, 2.0, 5) == 0.0
     # small-ball volume: conformal factor tends to 2 at the origin
     rho = 1e-3
-    small = RadialGrid.geometric(1e-9, rho, 400)
-    one = RadialFunction(small, np.ones(len(small)))
+    one = ProfileData(np.geomspace(1e-9, rho, 400), np.ones(400))
     vol = hyperbolic_integral(None, one, 1.0, 3)
     euclid = 4.0 / 3.0 * math.pi * rho ** 3
     assert vol == pytest.approx(euclid * 2.0 ** 3, rel=1e-4)
@@ -200,12 +199,12 @@ def test_hyperbolic_integral_trivial_and_oracle():
 
 def test_hyperbolic_integral_matches_dense_trapezoid():
     n = 5
-    grid = RadialGrid.geometric(1e-5, 0.6, 300)
-    u = RadialFunction(grid, grid.nodes ** -1.0 *
-                       np.exp(-((grid.log_nodes + 4.0) / 1.0) ** 2))
+    grid = np.geomspace(1e-5, 0.6, 300)
+    u = ProfileData(grid, grid ** -1.0 *
+                    np.exp(-((np.log(grid) + 4.0) / 1.0) ** 2))
     val = hyperbolic_integral(lambda r: weight_V_p(r, n, 2.0), u, 2.0, n)
     # brute-force oracle at 10x resolution
-    t = np.linspace(grid.log_nodes[0], grid.log_nodes[-1], 3000)
+    t = np.linspace(math.log(grid[0]), math.log(grid[-1]), 3000)
     r = np.exp(t)
     w = weight_V_p(r, n, 2.0)
     conf = 2.0 / (1.0 - r * r)
@@ -215,16 +214,15 @@ def test_hyperbolic_integral_matches_dense_trapezoid():
 
 
 def test_dirichlet_energy_constant_and_linear():
-    grid = RadialGrid.geometric(1e-6, 0.5, 2000)
-    const = RadialFunction(grid, np.ones(len(grid)))
+    grid = np.geomspace(1e-6, 0.5, 2000)
+    const = ProfileData(grid, np.ones(len(grid)))
     assert abs(hyperbolic_dirichlet_energy(const, 5)) < 1e-12
-    t = np.linspace(grid.log_nodes[0], grid.log_nodes[-1], 5000)
+    t = np.linspace(math.log(grid[0]), math.log(grid[-1]), 5000)
     r = np.exp(t)
     gradB = 0.5 * (1.0 - r * r)  # |u'| = 1
     conf = 2.0 / (1.0 - r * r)
     oracle = sphere_area(3) * simpson(gradB ** 2 * r ** 3 * conf ** 3, x=t)
-    got = hyperbolic_dirichlet_energy(
-        RadialFunction(grid, grid.nodes.copy()), 3)
+    got = hyperbolic_dirichlet_energy(ProfileData(grid, grid.copy()), 3)
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
@@ -238,11 +236,11 @@ def test_panel_rule_matches_adaptive_oracle(q, center, width):
     # du/dt changes sign at the peak, so both the cuts near r = 1 and, for
     # q = 8/3, the cuts at the roots are exercised.
     n = 5
-    grid = RadialGrid.geometric(1e-6, 0.9, 200)
+    grid = np.geomspace(1e-6, 0.9, 200)
     u = _bump(grid, center, width)
-    t = grid.log_nodes
-    spline = CubicSpline(t, u.values)
-    dspline = CubicSpline(t, log_derivative_matrix_apply(t, u.values))
+    t = np.log(grid)
+    spline = CubicSpline(t, u.v)
+    dspline = CubicSpline(t, log_derivative_matrix_apply(t, u.v))
 
     def volume(x):
         r = math.exp(x)
@@ -269,11 +267,27 @@ def test_panel_rule_matches_adaptive_oracle(q, center, width):
 
 
 def test_panel_rule_rejects_a_non_finite_sum():
-    grid = RadialGrid.geometric(1e-6, 0.5, 100)
-    u = RadialFunction(grid, np.full(len(grid), 1e200))
+    grid = np.geomspace(1e-6, 0.5, 100)
+    u = ProfileData(grid, np.full(len(grid), 1e200))
     with np.errstate(over="ignore"):
         with pytest.raises(DomainError):
             hyperbolic_integral(None, u, 2.0, 5)
         with pytest.raises(DomainError):
             hyperbolic_dirichlet_energy(
-                RadialFunction(grid, 1e200 * grid.log_nodes), 5)
+                ProfileData(grid, 1e200 * np.log(grid)), 5)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.2])
+def test_hyperbolic_integrals_reject_samples_outside_the_ball(R):
+    # ProfileData carries no r < 1 bound, so the panel rule keeps samples
+    # inside the ball: without it, samples reaching r = 1.2 integrate
+    # across the pole at r = 1 to a large finite number
+    u = _bump(np.geomspace(1e-6, R, 300), 0.3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            hyperbolic_integral(lambda r: weight_V_p(r, 5, 2.0), u, 2.0, 5)
+        with pytest.raises(DomainError):
+            hyperbolic_integral(None, u, 8.0 / 3.0, 5)
+        with pytest.raises(DomainError):
+            hardy_check(u, 5)
