@@ -22,6 +22,16 @@ def test_profile_data_rejects_bad_radii():
     assert ProfileData(np.geomspace(0.1, 1e3, 50), ones).r[-1] == 1e3
 
 
+@pytest.mark.parametrize("r0,R", [(0.0, 0.5), (0.5, 0.5)])
+def test_geometric_grid_rejects_bad_bounds(r0, R):
+    # geometric radii from r0 to R: a grid that starts at r = 0 or
+    # collapses to a single radius is refused
+    r = np.geomspace(max(r0, 1e-3), R, 50)
+    r[0] = r0
+    with pytest.raises(GridError):
+        ProfileData(r, np.ones(50))
+
+
 def test_grid_rejects_decreasing_nodes():
     with pytest.raises(GridError):
         ProfileData(np.linspace(0.5, 0.1, 20), np.ones(20))
