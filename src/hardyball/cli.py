@@ -2,7 +2,7 @@
 deterministic persistence, and sweep parallelism.
 
 Only the commands that shoot (solve, continue, bubble, sweep) import the
-solver, and with it scipy; the others run on numpy alone.
+solver; no command loads scipy unless it runs the variational method.
 
 Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 3 solver failure."""
@@ -247,7 +247,9 @@ def emit(cfg: dict, args, files: dict, summary) -> int:
 
 
 def _profile_csv(data: ProfileData) -> str:
-    return csv_text(("r", "v", "dv"), zip(data.r, data.v, data.dv))
+    # csv_text's bytes without its per-cell type dispatch: all are floats
+    cols = (map(format17, col.tolist()) for col in (data.r, data.v, data.dv))
+    return "\n".join(["r,v,dv", *map(",".join, zip(*cols))]) + "\n"
 
 
 def _sidecar(stem: str, profile: SolutionProfile,
@@ -557,8 +559,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     for index, combo in enumerate(combos):
         overrides = {key: val for (key, _), val in zip(axes, combo)}
         tasks.append((index, cfg, overrides))
-    # the solver, and scipy with it, is imported before the pool forks, so
-    # that the workers inherit it instead of each importing it again
+    # the solver is imported before the pool forks, so that the workers
+    # inherit it instead of each importing it again
     from . import solver  # noqa: F401
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor

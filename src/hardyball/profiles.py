@@ -1,6 +1,6 @@
 """Solution records and solver errors: the solutions the solvers return
 and the audits, the blow-up lab and the CLI read, free of the integrator
-so that reading a stored profile loads no scipy."""
+so that reading a stored profile does not load the solver."""
 
 from __future__ import annotations
 

@@ -9,10 +9,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .bridge import (EuclideanProblem, _count_eigs_below,
                      _quadratic_form_diagonals)
@@ -21,7 +17,8 @@ from .constants import (ProblemParams, beta_pm, check_defect,
 from .grids import (ProfileData, _sign_changes, log_derivative_matrix_apply,
                     spline_integral)
 from .kernel import sphere_area
-# the scipy-free records and errors, re-exported for the solver's callers
+from .ode import _brent, _dop853
+# the records and errors, re-exported for the solver's callers
 from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
                        NotCoercive, SolutionProfile, SolverError)
 
@@ -48,7 +45,8 @@ class ComparisonPair:
 def _form_operator(problem: EuclideanProblem, r0: float, num: int):
     """The discretized quadratic form (bridge._quadratic_form_diagonals) as
     a sparse matrix, for the products and LU solves of the variational
-    code."""
+    code; scipy.sparse is imported here, so that shooting loads no scipy."""
+    from scipy.sparse import diags
     form, _, off = _quadratic_form_diagonals(problem, r0, num)
     return diags([off, form, off], [-1, 0, 1], format="csc")
 
@@ -68,8 +66,7 @@ def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
     return v, dv
 
 
-def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float,
-                 guard: float):
+def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}."""
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
@@ -81,49 +78,43 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float,
     if problem.h_spec == "paper" and n >= 5:
         h_const = float(problem.h(0.1))
 
-    def rhs(t, y):
-        v, vt = y
+    def rhs(t, v, vt):
         r = math.exp(t)
         h = h_const if h_const is not None else float(h_fun(r))
         b = float(b_fun(r))
         nonlin = b * abs(v) ** expo * v * r ** (2.0 - s)
         return (vt, -nm2 * vt - (gamma + h * r * r) * v - nonlin)
 
-    def blow_event(t, y):
-        return guard - abs(y[0])
-    blow_event.terminal = True
-
-    return rhs, blow_event
+    return rhs
 
 
 def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
           p: float, r0: float = None, num: int = 3000,
           rtol: float = 1e-11, atol_scale: float = 1e-13) -> SolutionProfile:
     """Integrate the radial equation outward from the singular-end jet and
-    return the (un-matched) trajectory."""
+    return the (un-matched) trajectory.  Its meta counts the right-hand side
+    evaluations and the accepted and rejected steps."""
     R = problem.domain_radius
     if r0 is None:
         r0 = 1e-5 * R
     v0, dv0 = frobenius_init(params, problem, K, r0, p)
     guard = 1e12 * max(abs(K), abs(v0), 1.0)
-    rhs, blow_event = _rhs_factory(params, problem, p, guard)
     t0, t1 = math.log(r0), math.log(R)
-    y0 = (v0, dv0 * r0)  # v_t = r v'
     scale = max(abs(v0), abs(K))
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol,
-                    atol=atol_scale * scale, events=blow_event,
-                    dense_output=True)
-    diverged = sol.status == 1
-    t_end = sol.t[-1]
-    t = np.linspace(t0, t_end, num)
-    vals = sol.sol(t)
+    # v_t = r v'
+    sol = _dop853(_rhs_factory(params, problem, p), t0, t1, v0, dv0 * r0,
+                  rtol=rtol, atol=atol_scale * scale, guard=guard)
+    t = np.linspace(t0, sol.t_end, num)
+    v, vt = sol(t)
     r = np.exp(t)
-    data = ProfileData(r=r, v=vals[0], dv=vals[1] / r)
+    data = ProfileData(r=r, v=v, dv=vt / r)
     return SolutionProfile(
         data=data, params=replace(params, p_defect=p), p_defect=p, K0=K,
         node_count=data.node_count(), energy=math.nan,
-        residual_norm=math.nan, boundary_value=float(vals[0][-1]),
-        diverged=diverged, meta={"r0": r0, "R": R})
+        residual_norm=math.nan, boundary_value=float(v[-1]),
+        diverged=sol.diverged,
+        meta={"r0": r0, "R": R, "rhs_evals": sol.nfev, "steps": sol.steps,
+              "rejected_steps": sol.rejected})
 
 
 def euclidean_energy(profile: SolutionProfile,
@@ -200,7 +191,8 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     crosses node_target.  The bracket is bisected until its ends read
     node_target and node_target + 1; Brent's method [Brent 1973] then finds
     the root of v(R)/sup|v| in log K, stopping at the first shoot below a
-    tenth of boundary_tol (the integrator's noise floor)."""
+    tenth of boundary_tol (the integrator's noise floor).  meta counts the
+    shoots per phase, and their RHS evaluations and steps."""
     n, s = params.n, params.s
     expo = check_defect(n, s, p)
     if node_target == 0:
@@ -210,12 +202,15 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
                               "(Lambda0 < -1e-3): no positive solution")
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
     seen = {}  # log K -> (K, node count, v(R) / sup|v|)
+    metas = []  # the meta of every shoot
 
     def shoot_at(x):
         K = math.exp(x)
-        v = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol).data.v
+        prof = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol)
+        metas.append(prof.meta)
+        v = prof.data.v
         sup = np.max(np.abs(v))
-        vR = v[-1] / sup  # reads 0 below the noise floor: brentq stops
+        vR = v[-1] / sup  # reads 0 below the noise floor: Brent stops
         seen[x] = (K, _sign_changes(v, sup),
                    0.0 if abs(vR) <= max(1e-13, 0.1 * boundary_tol) else vR)
         return seen[x][1]
@@ -241,6 +236,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
         if (shoot_at(nxt) > node_target) == up:
             break
         x, step = nxt, 2.0 * step
+    walk = len(seen)
     x_lo, x_hi = sorted((x, nxt))
     while not (seen[x_lo][1] == node_target
                and seen[x_hi][1] == node_target + 1):
@@ -256,9 +252,11 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
             shoot_at(x)
         return seen[x][2]
 
-    K_root = math.exp(brentq(boundary, x_lo, x_hi, xtol=1e-12))
+    bisect = len(seen) - walk
+    K_root = math.exp(_brent(boundary, x_lo, x_hi, xtol=1e-12))
     best = shoot(params, problem, K_root, p, r0=r0, num=3000, rtol=rtol)
     shoots = len(seen) + 1
+    metas.append(best.meta)
     sup = np.max(np.abs(best.data.v))
     if abs(best.boundary_value) > boundary_tol * sup:
         raise SolverError(
@@ -270,8 +268,11 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     best.energy = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
-    best.meta.update({"K_shoot": K_root, "boundary_tol": boundary_tol,
-                      "shoots": shoots})
+    best.meta.update({key: sum(meta[key] for meta in metas) for key in
+                      ("rhs_evals", "steps", "rejected_steps")},
+                     K_shoot=K_root, boundary_tol=boundary_tol,
+                     shoots=shoots, shoots_walk=walk, shoots_bisect=bisect,
+                     shoots_brent=len(seen) - walk - bisect, shoots_polish=1)
     return best
 
 
@@ -286,6 +287,7 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     R = problem.domain_radius
     if r0 is None:
         r0 = 1e-5 * R
+    from scipy.sparse.linalg import splu
     A = _form_operator(problem, r0, num)
     t = np.linspace(math.log(r0), math.log(R), num)
     ht = t[1] - t[0]
@@ -452,15 +454,13 @@ def solve_limit_equation(n: int, s: float, gamma: float, b0: float,
     a = nu * nu - gamma
     psi_max = (a * q / (2.0 * b0)) ** (1.0 / (q - 2.0))
 
-    def rhs(t, y):
-        psi, dpsi = y
+    def rhs(t, psi, dpsi):
         return (dpsi, a * psi - b0 * abs(psi) ** (q - 2.0) * psi)
 
     T_half = decades * math.log(10.0) / 2.0
     t_half = np.linspace(0.0, T_half, (num + 1) // 2)
-    sol = solve_ivp(rhs, (0.0, T_half), (psi_max, 0.0), method="DOP853",
-                    rtol=rtol, atol=1e-14 * psi_max, dense_output=True)
-    psi_half = sol.sol(t_half)[0]
+    psi_half = _dop853(rhs, 0.0, T_half, psi_max, 0.0, rtol=rtol,
+                       atol=1e-14 * psi_max)(t_half)[0]
 
     # matched exponential tail past the switch amplitude
     sq = math.sqrt(a)
@@ -513,19 +513,16 @@ def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
     R = problem.domain_radius
     nm2 = n - 2.0
 
-    def rhs(t, y):
-        v, vt = y
+    def rhs(t, v, vt):
         r = math.exp(t)
         h = float(problem.h(r))
         return (vt, -nm2 * vt - (gamma_prime + h * r * r) * v)
 
     t0, t1 = math.log(r0), math.log(R)
-    sol = solve_ivp(rhs, (t1, t0), (0.0, -1.0), method="DOP853",
-                    rtol=1e-11, atol=1e-14, dense_output=True)
     t = np.linspace(t0, t1, num)
-    vals = sol.sol(t)
+    v, vt = _dop853(rhs, t1, t0, 0.0, -1.0, rtol=1e-11, atol=1e-14)(t)
     r = np.exp(t)
-    H = ProfileData(r=r, v=vals[0], dv=vals[1] / r)
+    H = ProfileData(r=r, v=v, dv=vt / r)
 
     # principal eigen-pair of -Lap - gamma'/r^2 - h against the plain mass
     shifted = EuclideanProblem(
@@ -541,6 +538,7 @@ def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
     lump = np.zeros(num)
     lump[:-1] += 0.5 * ht
     lump[1:] += 0.5 * ht
+    from scipy.sparse import diags
     M = diags((lump * rg ** float(n))[:-1], format="csc")
     lam, x = _smallest_pencil_eig(A, M)
     if x[np.argmax(np.abs(x))] < 0:
@@ -553,6 +551,7 @@ def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
 
 
 def _smallest_pencil_eig(A, M, tol: float = 1e-12, max_iter: int = 300):
+    from scipy.sparse.linalg import splu
     rng = np.random.default_rng(2024)
     x = rng.standard_normal(A.shape[0])
     x /= math.sqrt(abs(x @ (M @ x)))

@@ -4,9 +4,11 @@ deterministic artifacts, and sweep parallelism."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -63,6 +65,18 @@ def test_profile_csv_round_trip(tmp_path):
     assert np.array_equal(back.r, data.r)
     assert np.array_equal(back.v, data.v)
     assert np.array_equal(back.dv, data.dv)
+
+
+def test_profile_csv_matches_the_cell_rule(rng):
+    # the float-only path of the profile CSVs writes the bytes of csv_text
+    cols = [np.concatenate([[-0.0, 0.0, 1e-300, -1e-300, math.nan, math.inf,
+                             5e-324, 1.0 / 3.0],
+                            rng.standard_normal(200) * 10.0 ** rng.integers(
+                                -20, 20, 200)])
+            for _ in range(3)]
+    data = types.SimpleNamespace(r=cols[0], v=cols[1][::-1], dv=-cols[2])
+    assert cli._profile_csv(data) == csv_text(
+        ("r", "v", "dv"), zip(data.r, data.v, data.dv))
 
 
 def test_csv_text_cell_rule():
@@ -198,27 +212,26 @@ sys.exit(code)
 """
 
 
-def test_only_shooting_commands_load_scipy(tmp_path, capsys):
+def test_no_command_loads_scipy(tmp_path):
+    # all nine commands, the shooting ones included, run on numpy alone
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
-        "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]}})
+        "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]},
+        "sweep": {"p_defect": [0.05]}})
 
     def launch(command, out):
         return _launch(_SCIPY_AFTER_MAIN, [command, "--config", cfg,
                                            "--out", str(tmp_path / out)])
 
-    solve = launch("solve", "solved")
-    free = [(c, launch(c, c)) for c in ("weights", "bridge", "constants")]
-    # blowup reads a stored continuation, verify the solved profile
-    assert main(["continue", "--config", cfg,
-                 "--out", str(tmp_path / "continued")]) == 0
-    free.append(("blowup", launch("blowup", "continued")))
-    code, loaded = _finish(solve)
-    assert code == 0 and "scipy.integrate" in loaded
-    free.append(("verify", launch("verify", "solved")))
-    for command, proc in free:
-        assert (command, *_finish(proc)) == (command, 0, [])
-    capsys.readouterr()
+    first = [(c, launch(c, c)) for c in ("solve", "continue", "bubble",
+                                         "sweep", "weights", "bridge",
+                                         "constants")]
+    finished = [(command, *_finish(proc)) for command, proc in first]
+    # verify reads the solved profile, blowup the stored continuation
+    later = [("verify", launch("verify", "solve")),
+             ("blowup", launch("blowup", "continue"))]
+    finished += [(command, *_finish(proc)) for command, proc in later]
+    assert finished == [(command, 0, []) for command, _ in first + later]
 
 
 _POOL_PROBE = """
@@ -247,7 +260,7 @@ print(json.dumps([before, seen]))
 
 
 def test_sweep_imports_solver_before_the_pool(tmp_path):
-    # forked workers inherit the solver (and scipy) instead of importing it
+    # forked workers inherit the solver instead of importing it
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.9, 1.0]}})
     _, (before, seen) = _finish(_launch(

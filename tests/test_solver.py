@@ -201,14 +201,33 @@ def test_brent_root_meets_the_shooting_conditions(ground_shoot):
 def test_cold_solve_shoot_count(ground_shoot):
     # the scaling estimate (K ~ 1901) and three steps outward (the third
     # crosses), five for Brent's root, one polish
-    assert ground_shoot.meta["shoots"] == 10
+    meta = ground_shoot.meta
+    assert meta["shoots"] == 10
+    assert [meta[f"shoots_{phase}"] for phase in
+            ("walk", "bisect", "brent", "polish")] == [4, 0, 5, 1]
+
+
+def test_solver_counters_repeat_exactly(ref_params, ref_problem,
+                                        ground_shoot):
+    keys = ("shoots", "shoots_walk", "shoots_bisect", "shoots_brent",
+            "shoots_polish", "rhs_evals", "steps", "rejected_steps")
+    again = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2)
+    counters = {key: ground_shoot.meta[key] for key in keys}
+    assert counters == {key: again.meta[key] for key in keys}
+    assert all(type(value) is int for value in counters.values())
+    assert counters["shoots"] == sum(counters[f"shoots_{phase}"] for phase
+                                     in ("walk", "bisect", "brent", "polish"))
+    # the totals are the sums over the shoots: 12 evaluations per attempted
+    # step, 3 more per accepted one, 2 at each start
+    assert counters["rhs_evals"] == 2 * counters["shoots"] + 15 * \
+        counters["steps"] + 12 * counters["rejected_steps"]
 
 
 def test_continuation_shoot_total(continuation):
     # one cold solve, then walks outward from the previous K
     shoots = [prof.meta["shoots"] for prof in continuation]
-    assert shoots == [10, 12, 9, 7, 7, 7, 7]
-    assert sum(shoots) == 59
+    assert shoots == [8, 12, 9, 7, 7, 7, 7]
+    assert sum(shoots) == 57
 
 
 def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
@@ -234,6 +253,12 @@ def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
                                     K_range=(1e-4, 1e8), K_start=K_start)
     assert prof.K0 == pytest.approx(ground_shoot.K0, rel=1e-7)
     assert prof.node_count == 0
+    # walk, bisect, Brent, polish: from K = 7 the walk's last step jumps
+    # from 0 to 2 nodes, and one bisection narrows the bracket
+    split = [prof.meta[f"shoots_{phase}"] for phase in
+             ("walk", "bisect", "brent", "polish")]
+    assert split == {7.0: [6, 1, 6, 1], 7.0e6: [6, 0, 10, 1]}[K_start]
+    assert sum(split) == prof.meta["shoots"]
 
 
 def test_continuation_walk_clamps_onto_the_range_end(ref_params,
