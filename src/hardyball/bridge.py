@@ -102,7 +102,8 @@ class EuclideanProblem:
     lowdim: LowDimConstants = field(default_factory=LowDimConstants)
 
     _b_spline: CubicSpline = field(default=None, repr=False, compare=False)
-    _b_pieces: tuple = field(default=None, repr=False, compare=False)
+    _b_float: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.domain_radius < 1.0):
@@ -136,26 +137,34 @@ class EuclideanProblem:
             self._b_spline = CubicSpline(t, vals)
             # the same pieces as plain floats: the knots, then per
             # interval the coefficients of d^3, d^2, d and 1
-            self._b_pieces = (self._b_spline.x.tolist(),
-                              *self._b_spline.c.tolist())
+            knots = self._b_spline.x.tolist()
+            c0, c1, c2, c3 = self._b_spline.c.tolist()
+            inner = len(knots) - 1
 
-    def b(self, r):
-        if self.b_spec == "paper":
-            self._ensure_b_spline()
-            if isinstance(r, float):
-                # the spline's own evaluation, in plain floats: the
-                # interval by bisection (the end pieces extrapolate), then
+            def b_float(r):
+                # the spline's own evaluation: the interval by bisection
+                # over the inner knots (the end pieces extrapolate), then
                 # c3 + c2 d + c1 d^2 + c0 d^3 summed in the same order
-                knots, c0, c1, c2, c3 = self._b_pieces
                 t = math.log(r)
-                i = min(max(bisect_right(knots, t) - 1, 0), len(knots) - 2)
+                i = bisect_right(knots, t, 1, inner) - 1
                 d = t - knots[i]
                 d2 = d * d
                 return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+            self._b_float = b_float
+
+    def b(self, r):
+        # a float radius once the table is built: the table in plain floats
+        if isinstance(r, float) and self._b_float is not None:
+            return self._b_float(r)
+        if self.b_spec == "paper":
+            self._ensure_b_spline()
+            if isinstance(r, float):
+                return self._b_float(r)
             out = self._b_spline(np.log(np.asarray(r, dtype=float)))
             return float(out) if np.ndim(out) == 0 else out
         if callable(self.b_spec):
-            return self.b_spec(r)
+            out = self.b_spec(r)
+            return float(out) if np.ndim(out) == 0 else out
         r = np.asarray(r, dtype=float)
         out = np.full_like(r, float(self.b_spec), dtype=float)
         return float(out) if out.ndim == 0 else out

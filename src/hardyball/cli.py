@@ -247,9 +247,10 @@ def emit(cfg: dict, args, files: dict, summary) -> int:
 
 
 def _profile_csv(data: ProfileData) -> str:
-    # csv_text's bytes without its per-cell type dispatch: all are floats
-    cols = (map(format17, col.tolist()) for col in (data.r, data.v, data.dv))
-    return "\n".join(["r,v,dv", *map(",".join, zip(*cols))]) + "\n"
+    # csv_text's bytes in one formatting pass: "%.17g" writes what format17
+    # writes, and every cell is a float
+    flat = np.column_stack((data.r, data.v, data.dv)).ravel().tolist()
+    return "r,v,dv\n" + ("%.17g,%.17g,%.17g\n" * len(data.r)) % tuple(flat)
 
 
 def _sidecar(stem: str, profile: SolutionProfile,

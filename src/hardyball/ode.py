@@ -88,13 +88,21 @@ _E5_ROW, _E3_ROW = (tuple(zip(_A_COLS[11], e)) for e in (_E5, _E3))
 _D_ROWS = tuple(tuple(zip((0, *range(5, 16)), row)) for row in _D)
 
 
-def _combine(row, kv, kw):
-    """sum_j a_j k_j over the (j, a_j) of a row, for both components."""
-    sv = sw = 0.0
-    for j, a in row:
-        sv += a * kv[j]
-        sw += a * kw[j]
-    return sv, sw
+def _compiled(row):
+    """The row's sum_j a_j k_j for both components as one straight-line
+    callable (kv, kw) -> (sv, sw): the terms added to 0.0 from the left."""
+    sums = ("0.0" + "".join(f" + {a!r} * k{x}[{j}]" for j, a in row)
+            for x in "vw")
+    return eval("lambda kv, kw: ({}, {})".format(*sums))
+
+
+# per stage, its index, its node and its compiled row: the step's stages
+# 1..12, then the interpolant's 13..15
+_SUMS = tuple((s, c, _compiled(row))
+              for s, (c, row) in enumerate(_STAGES, start=1))
+_STEP, _DENSE = _SUMS[:12], _SUMS[12:]
+_E5_SUM, _E3_SUM = _compiled(_E5_ROW), _compiled(_E3_ROW)
+_D_SUMS = tuple(map(_compiled, _D_ROWS))
 
 
 def _interpolate(x, F, y_old):
@@ -159,16 +167,16 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
             h = t_new - t
             h_abs = abs(h)
             try:
-                for s, (c, row) in enumerate(_STAGES[:12], start=1):
-                    sv, sw = _combine(row, kv, kw)
+                for s, c, row in _STEP:
+                    sv, sw = row(kv, kw)
                     # after stage 12, (vs, ws) is the step's solution
                     vs, ws = v + sv * h, w + sw * h
                     nfev += 1
                     kv[s], kw[s] = rhs(t + c * h, vs, ws)
                 scale_v = atol + max(abs(v), abs(vs)) * rtol
                 scale_w = atol + max(abs(w), abs(ws)) * rtol
-                e5v, e5w = _combine(_E5_ROW, kv, kw)
-                e3v, e3w = _combine(_E3_ROW, kv, kw)
+                e5v, e5w = _E5_SUM(kv, kw)
+                e3v, e3w = _E3_SUM(kv, kw)
                 n5 = (e5v / scale_v) ** 2 + (e5w / scale_w) ** 2
                 n3 = (e3v / scale_v) ** 2 + (e3w / scale_w) ** 2
                 err = (0.0 if n5 == 0.0 and n3 == 0.0 else
@@ -186,14 +194,15 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
         else:
             break   # the step size underflowed
         steps += 1
-        for s, (c, row) in enumerate(_STAGES[12:], start=13):
-            sv, sw = _combine(row, kv, kw)
+        for s, c, row in _DENSE:
+            sv, sw = row(kv, kw)
             nfev += 1
             kv[s], kw[s] = rhs(t + c * h, v + sv * h, w + sw * h)
         dv, dw = vs - v, ws - w
         Fv = [dv, h * fv - dv, 2.0 * dv - h * (kv[12] + fv)]
         Fw = [dw, h * fw - dw, 2.0 * dw - h * (kw[12] + fw)]
-        for sv, sw in (_combine(row, kv, kw) for row in _D_ROWS):
+        for row in _D_SUMS:
+            sv, sw = row(kv, kw)
             Fv.append(h * sv)
             Fw.append(h * sw)
         pieces.append((t, h, v, w, *Fv, *Fw))

@@ -38,6 +38,10 @@ class SolutionProfile:
     boundary_value: float
     diverged: bool = False
     meta: dict = field(default_factory=dict)
+    # kept in memory only, never written: a shoot's dense output, and the
+    # nonlinear mass that a solve integrates with the energy
+    trajectory: object = field(default=None, repr=False, compare=False)
+    nonlinear_mass: float = field(default=float("nan"), compare=False)
 
 
 @dataclass

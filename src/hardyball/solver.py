@@ -66,23 +66,27 @@ def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
     return v, dv
 
 
+def _constant_h(problem: EuclideanProblem):
+    """h as one float where it is constant (the paper's h at n >= 5), so
+    that a right-hand side need not call it; otherwise None."""
+    constant = problem.h_spec == "paper" and problem.params.n >= 5
+    return float(problem.h(0.1)) if constant else None
+
+
 def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}."""
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
     expo = q - 2.0 - p
-    nm2 = n - 2.0
+    nm2, r_expo = n - 2.0, 2.0 - s
     h_fun = problem.h
     b_fun = problem.b
-    h_const = None
-    if problem.h_spec == "paper" and n >= 5:
-        h_const = float(problem.h(0.1))
+    h_const = _constant_h(problem)
 
     def rhs(t, v, vt):
         r = math.exp(t)
         h = h_const if h_const is not None else float(h_fun(r))
-        b = float(b_fun(r))
-        nonlin = b * abs(v) ** expo * v * r ** (2.0 - s)
+        nonlin = b_fun(r) * abs(v) ** expo * v * r ** r_expo
         return (vt, -nm2 * vt - (gamma + h * r * r) * v - nonlin)
 
     return rhs
@@ -92,19 +96,27 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
           p: float, r0: float = None, num: int = 3000,
           rtol: float = 1e-11, atol_scale: float = 1e-13) -> SolutionProfile:
     """Integrate the radial equation outward from the singular-end jet and
-    return the (un-matched) trajectory.  Its meta counts the right-hand side
-    evaluations and the accepted and rejected steps."""
+    return the (un-matched) trajectory, sampled at num log-uniform radii.
+    Its meta counts the right-hand side evaluations and the accepted and
+    rejected steps."""
     R = problem.domain_radius
     if r0 is None:
         r0 = 1e-5 * R
     v0, dv0 = frobenius_init(params, problem, K, r0, p)
     guard = 1e12 * max(abs(K), abs(v0), 1.0)
-    t0, t1 = math.log(r0), math.log(R)
     scale = max(abs(v0), abs(K))
     # v_t = r v'
-    sol = _dop853(_rhs_factory(params, problem, p), t0, t1, v0, dv0 * r0,
-                  rtol=rtol, atol=atol_scale * scale, guard=guard)
-    t = np.linspace(t0, sol.t_end, num)
+    sol = _dop853(_rhs_factory(params, problem, p), math.log(r0),
+                  math.log(R), v0, dv0 * r0, rtol=rtol,
+                  atol=atol_scale * scale, guard=guard)
+    return _sampled(sol, params, K, p, r0, R, num)
+
+
+def _sampled(sol, params: ProblemParams, K: float, p: float, r0: float,
+             R: float, num: int) -> SolutionProfile:
+    """The shoot of K whose dense output is sol, sampled at num log-uniform
+    radii from r0 to where the integration ended."""
+    t = np.linspace(math.log(r0), sol.t_end, num)
     v, vt = sol(t)
     r = np.exp(t)
     data = ProfileData(r=r, v=v, dv=vt / r)
@@ -112,15 +124,16 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
         data=data, params=replace(params, p_defect=p), p_defect=p, K0=K,
         node_count=data.node_count(), energy=math.nan,
         residual_norm=math.nan, boundary_value=float(v[-1]),
-        diverged=sol.diverged,
+        diverged=sol.diverged, trajectory=sol,
         meta={"r0": r0, "R": R, "rhs_evals": sol.nfev, "steps": sol.steps,
               "rejected_steps": sol.rejected})
 
 
 def euclidean_energy(profile: SolutionProfile,
-                     problem: EuclideanProblem) -> float:
+                     problem: EuclideanProblem) -> tuple:
     """Value of the action functional (quadratic part minus the weighted
-    power term) at the profile, by spline quadrature."""
+    power term) at the profile, and its nonlinear mass (the integral of
+    b |v|^{q-p} / |x|^s over the ball), by spline quadrature."""
     params = profile.params
     n, gamma, s = params.n, params.gamma, params.s
     pf = critical_exponent(n, s) - profile.p_defect
@@ -133,7 +146,7 @@ def euclidean_energy(profile: SolutionProfile,
     nl_part = problem.b(r) * np.abs(d.v) ** pf * r ** (n - s)
     I_quad = spline_integral(t, quad_part)
     I_nl = spline_integral(t, nl_part)
-    return omega * (0.5 * I_quad - I_nl / pf)
+    return omega * (0.5 * I_quad - I_nl / pf), omega * I_nl
 
 
 def dirichlet_norm_sq(profile: SolutionProfile) -> float:
@@ -191,8 +204,10 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     crosses node_target.  The bracket is bisected until its ends read
     node_target and node_target + 1; Brent's method [Brent 1973] then finds
     the root of v(R)/sup|v| in log K, stopping at the first shoot below a
-    tenth of boundary_tol (the integrator's noise floor).  meta counts the
-    shoots per phase, and their RHS evaluations and steps."""
+    tenth of boundary_tol (the integrator's noise floor).  Brent's root is
+    a point already shot; the profile samples that shoot's trajectory
+    finely.  meta counts the shoots per phase, and their RHS evaluations
+    and steps."""
     n, s = params.n, params.s
     expo = check_defect(n, s, p)
     if node_target == 0:
@@ -200,14 +215,18 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
                 problem, 1e-6, 2000)) >= 1:
             raise NotCoercive("the quadratic form is not coercive "
                               "(Lambda0 < -1e-3): no positive solution")
+    R = problem.domain_radius
+    r0 = 1e-5 * R if r0 is None else r0
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
     seen = {}  # log K -> (K, node count, v(R) / sup|v|)
+    trajectories = {}  # log K -> the shoot's dense output
     metas = []  # the meta of every shoot
 
     def shoot_at(x):
         K = math.exp(x)
         prof = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol)
         metas.append(prof.meta)
+        trajectories[x] = prof.trajectory
         v = prof.data.v
         sup = np.max(np.abs(v))
         vR = v[-1] / sup  # reads 0 below the noise floor: Brent stops
@@ -221,8 +240,8 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
             shoots=len(seen))
 
     if K_start is None:
-        r = 0.5 * problem.domain_radius
-        b0 = float(problem.b(r0 or 1e-5 * problem.domain_radius))
+        r = 0.5 * R
+        b0 = float(problem.b(r0))
         amp = ((n - 2.0) ** 2 / 4.0 - params.gamma) / (b0 * r ** (2.0 - s))
         K_start = amp ** (1.0 / expo) * r ** beta_pm(n, params.gamma)[0]
     x = min(max(math.log(K_start), x_min), x_max)
@@ -253,10 +272,10 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
         return seen[x][2]
 
     bisect = len(seen) - walk
-    K_root = math.exp(_brent(boundary, x_lo, x_hi, xtol=1e-12))
-    best = shoot(params, problem, K_root, p, r0=r0, num=3000, rtol=rtol)
-    shoots = len(seen) + 1
-    metas.append(best.meta)
+    x_root = _brent(boundary, x_lo, x_hi, xtol=1e-12)
+    K_root = math.exp(x_root)
+    best = _sampled(trajectories[x_root], params, K_root, p, r0, R, 3000)
+    shoots = len(seen)
     sup = np.max(np.abs(best.data.v))
     if abs(best.boundary_value) > boundary_tol * sup:
         raise SolverError(
@@ -265,14 +284,14 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     if best.node_count != node_target:
         raise SolverError(f"root at K = {K_root:.6g} has {best.node_count} "
                           f"nodes, not {node_target}", shoots=shoots)
-    best.energy = euclidean_energy(best, problem)
+    best.energy, best.nonlinear_mass = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
     best.meta.update({key: sum(meta[key] for meta in metas) for key in
                       ("rhs_evals", "steps", "rejected_steps")},
                      K_shoot=K_root, boundary_tol=boundary_tol,
                      shoots=shoots, shoots_walk=walk, shoots_bisect=bisect,
-                     shoots_brent=len(seen) - walk - bisect, shoots_polish=1)
+                     shoots_brent=shoots - walk - bisect)
     return best
 
 
@@ -392,25 +411,13 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
             np.abs(prof.data.v) ** (1.0 - p / (q - 2.0))
         prof.meta["weighted_sup"] = float(np.max(w))
         prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
-        prof.meta["nonlinear_mass"] = nonlinear_mass(prof, problem)
+        prof.meta["nonlinear_mass"] = prof.nonlinear_mass
         if prev is not None:
             sup_inc = _sup_diff(prev, prof)
             prof.meta["sup_increment"] = sup_inc
         prev = prof
         out.append(prof)
     return out
-
-
-def nonlinear_mass(profile: SolutionProfile,
-                   problem: EuclideanProblem) -> float:
-    """integral of b |v|^{q-p} / |x|^s over the ball."""
-    params = profile.params
-    n, s = params.n, params.s
-    pf = critical_exponent(n, s) - profile.p_defect
-    d = profile.data
-    t = np.log(d.r)
-    integ = problem.b(d.r) * np.abs(d.v) ** pf * d.r ** (n - s)
-    return sphere_area(n) * spline_integral(t, integ)
 
 
 def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:
@@ -511,11 +518,11 @@ def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
         raise ValueError("gamma' must lie strictly between gamma and the "
                          "Hardy threshold")
     R = problem.domain_radius
-    nm2 = n - 2.0
+    nm2, h_const = n - 2.0, _constant_h(problem)
 
     def rhs(t, v, vt):
         r = math.exp(t)
-        h = float(problem.h(r))
+        h = h_const if h_const is not None else float(problem.h(r))
         return (vt, -nm2 * vt - (gamma_prime + h * r * r) * v)
 
     t0, t1 = math.log(r0), math.log(R)

@@ -73,6 +73,25 @@ def test_b_float_path_matches_spline(n):
     assert np.max(np.abs(scalar / prob.b(r) - 1.0)) <= 1e-15
 
 
+def test_b_same_bits_on_float_float64_and_array():
+    # the plain-float closure serves floats and np.float64, from the first
+    # call on; the array path differs only where numpy's log does
+    R = 0.5
+    params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
+    r = np.geomspace(1e-9, R, 2001)
+    first = EuclideanProblem(params, domain_radius=R).b(float(r[0]))
+    prob = EuclideanProblem(params, domain_radius=R)
+    table = prob.b(r)
+    scalar = np.array([prob.b(x) for x in r.tolist()])
+    assert all(type(prob.b(x)) is float for x in (r[0], float(r[0])))
+    assert first == scalar[0]
+    assert np.array_equal(scalar, [prob.b(x) for x in r])
+    same_log = np.log(r) == np.array([math.log(x) for x in r.tolist()])
+    assert np.count_nonzero(same_log) >= 1000
+    assert np.array_equal(scalar[same_log], table[same_log])
+    assert np.max(np.abs(scalar / table - 1.0)) <= 1e-15
+
+
 def test_exact_potential_vs_truncated_h():
     # for n >= 5 the truncated branch equals the exact induced potential
     # only in the r -> 0 limit

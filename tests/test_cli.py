@@ -291,7 +291,7 @@ def test_solve_writes_checked_artifacts(solved_dir, capsys):
         assert len(blob) == entry["bytes"]
     doc = json.load(open(os.path.join(out, "profile.json")))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
-    assert doc["meta"]["shoots"] == 10
+    assert doc["meta"]["shoots"] == 9
     capsys.readouterr()
 
 

@@ -38,6 +38,35 @@ def test_tableau_is_bit_equal_to_scipy():
     assert np.max(np.abs(A.sum(axis=1) - C)) <= 1e-15
 
 
+def _summed_term_by_term(row, kv, kw):
+    """A row's sum over its (column, coefficient) pairs, one term at a time
+    from 0.0: the order the compiled rows must keep."""
+    sv = sw = 0.0
+    for j, a in row:
+        sv += a * kv[j]
+        sw += a * kw[j]
+    return sv, sw
+
+
+def test_compiled_rows_give_the_term_by_term_floats(rng):
+    assert [(s, c) for s, c, _ in ode._STEP + ode._DENSE] == \
+        [(s, c) for s, (c, _) in enumerate(ode._STAGES, start=1)]
+    assert [s for s, _, _ in ode._STEP] == list(range(1, 13))
+    pairs = ([(row, fn) for (_, row), (_, _, fn) in
+              zip(ode._STAGES, ode._STEP + ode._DENSE)]
+             + [(ode._E5_ROW, ode._E5_SUM), (ode._E3_ROW, ode._E3_SUM)]
+             + list(zip(ode._D_ROWS, ode._D_SUMS)))
+    for _ in range(1000):
+        # stage vectors with magnitudes over 16 decades, so that rounding
+        # differs between summation orders
+        kv, kw = (list(rng.standard_normal(16)
+                       * 10.0 ** rng.integers(-8, 8, 16)) for _ in "vw")
+        for row, fn in pairs:
+            sv, sw = fn(kv, kw)
+            want_v, want_w = _summed_term_by_term(row, kv, kw)
+            assert sv == want_v and sw == want_w
+
+
 def _cosh_rhs(t, v, w):
     return w, v
 

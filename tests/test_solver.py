@@ -9,6 +9,8 @@ import pytest
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
                                  critical_exponent)
+from hardyball.grids import spline_integral
+from hardyball.kernel import sphere_area
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
                               NotCoercive, bubble_closed_form,
                               bubble_nehari_gap, comparison_pair,
@@ -200,34 +202,53 @@ def test_brent_root_meets_the_shooting_conditions(ground_shoot):
 
 def test_cold_solve_shoot_count(ground_shoot):
     # the scaling estimate (K ~ 1901) and three steps outward (the third
-    # crosses), five for Brent's root, one polish
+    # crosses), five for Brent's root, whose last shoot is the profile
     meta = ground_shoot.meta
-    assert meta["shoots"] == 10
+    assert meta["shoots"] == 9
     assert [meta[f"shoots_{phase}"] for phase in
-            ("walk", "bisect", "brent", "polish")] == [4, 0, 5, 1]
+            ("walk", "bisect", "brent")] == [4, 0, 5]
 
 
 def test_solver_counters_repeat_exactly(ref_params, ref_problem,
                                         ground_shoot):
     keys = ("shoots", "shoots_walk", "shoots_bisect", "shoots_brent",
-            "shoots_polish", "rhs_evals", "steps", "rejected_steps")
+            "rhs_evals", "steps", "rejected_steps")
     again = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2)
     counters = {key: ground_shoot.meta[key] for key in keys}
     assert counters == {key: again.meta[key] for key in keys}
     assert all(type(value) is int for value in counters.values())
     assert counters["shoots"] == sum(counters[f"shoots_{phase}"] for phase
-                                     in ("walk", "bisect", "brent", "polish"))
+                                     in ("walk", "bisect", "brent"))
     # the totals are the sums over the shoots: 12 evaluations per attempted
     # step, 3 more per accepted one, 2 at each start
     assert counters["rhs_evals"] == 2 * counters["shoots"] + 15 * \
         counters["steps"] + 12 * counters["rejected_steps"]
 
 
+def test_solve_profile_is_the_root_shoot(ref_params, ref_problem,
+                                        ground_shoot, continuation):
+    # the solve samples the trajectory of Brent's last shoot at 3000 radii,
+    # bit for bit what a fresh shoot at that K gives
+    again = shoot(ref_params, ref_problem, ground_shoot.meta["K_shoot"],
+                  0.2, num=3000)
+    for name in ("r", "v", "dv"):
+        assert np.array_equal(getattr(ground_shoot.data, name),
+                              getattr(again.data, name))
+    # the nonlinear mass is the integral the energy already took
+    for prof in continuation:
+        d, n, s = prof.data, ref_params.n, ref_params.s
+        pf = critical_exponent(n, s) - prof.p_defect
+        mass = sphere_area(n) * spline_integral(
+            np.log(d.r),
+            ref_problem.b(d.r) * np.abs(d.v) ** pf * d.r ** (n - s))
+        assert prof.meta["nonlinear_mass"] == mass
+
+
 def test_continuation_shoot_total(continuation):
     # one cold solve, then walks outward from the previous K
     shoots = [prof.meta["shoots"] for prof in continuation]
-    assert shoots == [8, 12, 9, 7, 7, 7, 7]
-    assert sum(shoots) == 57
+    assert shoots == [7, 11, 8, 6, 6, 6, 6]
+    assert sum(shoots) == 50
 
 
 def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
@@ -253,11 +274,11 @@ def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
                                     K_range=(1e-4, 1e8), K_start=K_start)
     assert prof.K0 == pytest.approx(ground_shoot.K0, rel=1e-7)
     assert prof.node_count == 0
-    # walk, bisect, Brent, polish: from K = 7 the walk's last step jumps
-    # from 0 to 2 nodes, and one bisection narrows the bracket
+    # walk, bisect, Brent: from K = 7 the walk's last step jumps from 0 to
+    # 2 nodes, and one bisection narrows the bracket
     split = [prof.meta[f"shoots_{phase}"] for phase in
-             ("walk", "bisect", "brent", "polish")]
-    assert split == {7.0: [6, 1, 6, 1], 7.0e6: [6, 0, 10, 1]}[K_start]
+             ("walk", "bisect", "brent")]
+    assert split == {7.0: [6, 1, 6], 7.0e6: [6, 0, 10]}[K_start]
     assert sum(split) == prof.meta["shoots"]
 
 
