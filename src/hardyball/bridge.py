@@ -102,8 +102,12 @@ class EuclideanProblem:
     lowdim: LowDimConstants = field(default_factory=LowDimConstants)
 
     _b_spline: CubicSpline = field(default=None, repr=False, compare=False)
+    _b_pieces: tuple = field(default=None, init=False, repr=False,
+                             compare=False)
     _b_float: object = field(default=None, init=False, repr=False,
                              compare=False)
+    _coercive: bool = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.domain_radius < 1.0):
@@ -137,8 +141,9 @@ class EuclideanProblem:
             self._b_spline = CubicSpline(t, vals)
             # the same pieces as plain floats: the knots, then per
             # interval the coefficients of d^3, d^2, d and 1
-            knots = self._b_spline.x.tolist()
-            c0, c1, c2, c3 = self._b_spline.c.tolist()
+            self._b_pieces = (self._b_spline.x.tolist(),
+                              *self._b_spline.c.tolist())
+            knots, c0, c1, c2, c3 = self._b_pieces
             inner = len(knots) - 1
 
             def b_float(r):
@@ -151,6 +156,22 @@ class EuclideanProblem:
                 d2 = d * d
                 return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
             self._b_float = b_float
+
+    def b_table(self):
+        """The paper's b table in plain floats: its knots in log r, then
+        per interval the coefficients c0, c1, c2, c3 of d^3, d^2, d and 1,
+        where d is log r less the interval's left knot."""
+        self._ensure_b_spline()
+        return self._b_pieces
+
+    def coercive(self) -> bool:
+        """Whether no pencil eigenvalue of the quadratic form lies below
+        -1e-3: one Sturm count on 2000 nodes from r = 1e-6.  The form does
+        not depend on p, so the verdict is kept."""
+        if self._coercive is None:
+            self._coercive = _count_eigs_below(
+                -1e-3, *_quadratic_form_diagonals(self, 1e-6, 2000)) == 0
+        return self._coercive
 
     def b(self, r):
         # a float radius once the table is built: the table in plain floats

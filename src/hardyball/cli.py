@@ -2,7 +2,8 @@
 deterministic persistence, and sweep parallelism.
 
 Only the commands that shoot (solve, continue, bubble, sweep) import the
-solver; no command loads scipy unless it runs the variational method.
+solver, and only those that audit (blowup, verify, sweep) import their
+module; no command loads scipy unless it runs the variational method.
 
 Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 3 solver failure."""
@@ -20,8 +21,6 @@ import warnings
 
 import numpy as np
 
-from . import blowup as blowup_mod
-from . import verify as verify_mod
 from .bridge import (EuclideanProblem, b_origin, b_weight, coercivity_lambda0,
                      euclidean_potential, h_conformal, CoercivityFailure)
 from .constants import (AdmissibilityError, ProblemParams, admissibility,
@@ -30,8 +29,6 @@ from .constants import (AdmissibilityError, ProblemParams, admissibility,
 from .grids import ProfileData
 from .kernel import green_density, green_G, sphere_area, weight_V_p
 from .profiles import SolutionProfile, SolverError
-from .verify import (asymptotic_exponent, hardy_check, hardy_sharpness_error,
-                     pohozaev_residual)
 
 __version__ = "0.1.0"
 
@@ -419,6 +416,8 @@ def cmd_continue(cfg: dict, args) -> int:
 
 
 def cmd_blowup(cfg: dict, args) -> int:
+    from .blowup import (BubbleFamily, compactness_verdict, detect_scales,
+                         envelope_check)
     params = make_params(cfg)
     out = _outdir(cfg, args)
     summary_path = os.path.join(out, "continuation.json")
@@ -428,15 +427,15 @@ def cmd_blowup(cfg: dict, args) -> int:
         summary = json.load(fh)
     profiles = [read_profile(out, step["stem"])[0]
                 for step in summary["steps"]]
-    verdict = blowup_mod.compactness_verdict(profiles, params)
+    verdict = compactness_verdict(profiles, params)
     last = profiles[-1]
-    scales = blowup_mod.detect_scales(last, last.p_defect)
+    scales = detect_scales(last, last.p_defect)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}
     if scales:
-        fam = blowup_mod.BubbleFamily.from_scales(
-            [mu for mu, _ in scales], last.p_defect, params)
-        rep = blowup_mod.envelope_check(last, fam)
+        fam = BubbleFamily.from_scales([mu for mu, _ in scales],
+                                       last.p_defect, params)
+        rep = envelope_check(last, fam)
         verdict["envelope_constant"] = rep.worst_ratio
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
                                          rep.annuli)
@@ -446,10 +445,12 @@ def cmd_blowup(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
+    from .verify import (VerificationReport, asymptotic_exponent, hardy_check,
+                         hardy_sharpness_error, pohozaev_residual)
     params = make_params(cfg)
     out = _outdir(cfg, args)
     prof, problem = read_profile(out, "profile")
-    report = verify_mod.VerificationReport(
+    report = VerificationReport(
         provenance={"stem": "profile", "directory": out,
                     "seed": int(args.seed)})
     R = problem.domain_radius
@@ -500,6 +501,8 @@ def cmd_verify(cfg: dict, args) -> int:
 # sweep
 
 def _sweep_row(task: tuple) -> dict:
+    from .verify import (VerificationError, asymptotic_exponent,
+                         pohozaev_residual)
     index, base_cfg, overrides = task
     row = {"index": index}
     row.update(overrides)
@@ -524,7 +527,7 @@ def _sweep_row(task: tuple) -> dict:
         window = (prof.data.r[0] * 10.0, prof.data.r[0] * 100.0)
         try:
             slope, stderr = asymptotic_exponent(prof, window)
-        except verify_mod.VerificationError:
+        except VerificationError:
             slope, stderr = math.nan, math.nan
         R = problem.domain_radius
         po = pohozaev_residual(prof, problem, (1e-3 * R, R))
@@ -532,8 +535,7 @@ def _sweep_row(task: tuple) -> dict:
                     "node_count": prof.node_count, "slope": slope,
                     "slope_target": -bm, "slope_stderr": stderr,
                     "pohozaev_relative": po.relative, "message": ""})
-    except (AdmissibilityError, SolverError,
-            verify_mod.VerificationError) as exc:
+    except (AdmissibilityError, SolverError, VerificationError) as exc:
         inadmissible = isinstance(exc, AdmissibilityError)
         row.update({"status": "inadmissible" if inadmissible else "failed",
                     "message": str(exc), "error_class": type(exc).__name__,
@@ -560,9 +562,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     for index, combo in enumerate(combos):
         overrides = {key: val for (key, _), val in zip(axes, combo)}
         tasks.append((index, cfg, overrides))
-    # the solver is imported before the pool forks, so that the workers
-    # inherit it instead of each importing it again
-    from . import solver  # noqa: F401
+    # the solver and verify are imported before the pool forks, so that the
+    # workers inherit them instead of each importing them again
+    from . import solver, verify  # noqa: F401
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

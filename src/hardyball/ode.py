@@ -4,10 +4,13 @@ Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.10; Hairer's
 dop853.f] with dense output and a terminal guard on |v|, and Brent's root
 [Brent 1973].  Both port scipy's (DOP853's tableau, err5/err3 norm, step
 control and initial step; brentq.c) and take its steps and iterates; the
-coefficients are scipy's (BSD-3-Clause, (c) the SciPy Developers)."""
+coefficients are scipy's (BSD-3-Clause, (c) the SciPy Developers).  A step
+attempt and its dense output are each one straight-line function, generated
+at import from the tableau, on local floats."""
 
 from __future__ import annotations
 
+import linecache
 import math
 import sys
 
@@ -88,21 +91,64 @@ _E5_ROW, _E3_ROW = (tuple(zip(_A_COLS[11], e)) for e in (_E5, _E3))
 _D_ROWS = tuple(tuple(zip((0, *range(5, 16)), row)) for row in _D)
 
 
-def _compiled(row):
-    """The row's sum_j a_j k_j for both components as one straight-line
-    callable (kv, kw) -> (sv, sw): the terms added to 0.0 from the left."""
-    sums = ("0.0" + "".join(f" + {a!r} * k{x}[{j}]" for j, a in row)
-            for x in "vw")
-    return eval("lambda kv, kw: ({}, {})".format(*sums))
+def _sum(row, x):
+    """The source of a row's sum_j a_j k_j for component x (v or w): the
+    terms added to 0.0 from the left."""
+    return "0.0" + "".join(f" + {a!r} * k{j}{x}" for j, a in row)
 
 
-# per stage, its index, its node and its compiled row: the step's stages
-# 1..12, then the interpolant's 13..15
-_SUMS = tuple((s, c, _compiled(row))
-              for s, (c, row) in enumerate(_STAGES, start=1))
-_STEP, _DENSE = _SUMS[:12], _SUMS[12:]
-_E5_SUM, _E3_SUM = _compiled(_E5_ROW), _compiled(_E3_ROW)
-_D_SUMS = tuple(map(_compiled, _D_ROWS))
+def _stage(s, c, row):
+    """The source lines of stage s: its row's sums, then the right-hand
+    side at the stage's time and state."""
+    return [f"    sv = {_sum(row, 'v')}", f"    sw = {_sum(row, 'w')}",
+            f"    k{s}v, k{s}w = rhs(t + {c!r} * h, v + sv * h, w + sw * h)"]
+
+
+def _generated(name, lines):
+    """The function _<name> compiled from its source lines under the
+    pseudo-file <dop853-name>, whose source linecache holds, so that a
+    traceback or a profile shows the line of a stage."""
+    filename = f"<dop853-{name}>"
+    source = "\n".join(lines) + "\n"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    scope = {}
+    exec(compile(source, filename, "exec"), scope)
+    return scope[f"_{name}"]
+
+
+# the stage values of an attempt that its dense output reads: the columns
+# of D up to 12 (0, 5..12), which hold those that stages 13..15 read
+_KEPT = ", ".join(f"k{j}v, k{j}w" for j, _ in _D_ROWS[0] if j <= 12)
+
+# one step attempt: stages 1..12, the step's solution (vs, ws) (the state
+# of stage 12), the E5 and E3 sums, and the kept stage values.  An
+# OverflowError from a stage carries the number of stages it reached.
+_attempt = _generated("attempt", [
+    "def _attempt(rhs, t, h, v, w, k0v, k0w):",
+    "    try:",
+    *(f"    {line}" for s, (c, row) in enumerate(_STAGES[:12], start=1)
+      for line in [f"    stage = {s}", *_stage(s, c, row)]),
+    "    except OverflowError as exc:",
+    "        exc.stages = stage",
+    "        raise",
+    "    vs, ws = v + sv * h, w + sw * h     # stage 12's state",
+    *(f"    e{e}{x} = {_sum(row, x)}"
+      for e, row in ((5, _E5_ROW), (3, _E3_ROW)) for x in "vw"),
+    f"    return vs, ws, e5v, e5w, e3v, e3w, ({_KEPT})"])
+
+# the dense output of an accepted step: stages 13..15, then its row
+# (t, h, v, w, F_v, F_w) with the interpolant's coefficients F
+_dense = _generated("dense", [
+    f"def _dense(rhs, t, h, v, w, vs, ws, {_KEPT}):",
+    *(line for s, (c, row) in enumerate(_STAGES[12:], start=13)
+      for line in _stage(s, c, row)),
+    "    dv, dw = vs - v, ws - w",
+    *(f"    f{i}{x} = h * ({_sum(row, x)})"
+      for x in "vw" for i, row in enumerate(_D_ROWS, start=3)),
+    "    return (t, h, v, w, " + ", ".join(
+        f"d{x}, h * k0{x} - d{x}, 2.0 * d{x} - h * (k12{x} + k0{x}), "
+        f"f3{x}, f4{x}, f5{x}, f6{x}" for x in "vw") + ")"])
 
 
 def _interpolate(x, F, y_old):
@@ -152,14 +198,12 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
           (0.01 / max(d1, d2)) ** (1.0 / 8.0))
     h_abs = min(100.0 * h0, h1, span)
 
-    kv, kw = [0.0] * 16, [0.0] * 16
     t, v, w, ts, pieces = t0, v0, w0, [t0], []
     nfev, steps, rejected, diverged = 2, 0, 0, False
     while d * (t - t1) < 0.0 and not diverged:
         min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False
-        kv[0], kw[0] = fv, fw
         while h_abs >= min_step:
             t_new = t + h_abs * d
             if d * (t_new - t1) > 0.0:
@@ -167,21 +211,19 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
             h = t_new - t
             h_abs = abs(h)
             try:
-                for s, c, row in _STEP:
-                    sv, sw = row(kv, kw)
-                    # after stage 12, (vs, ws) is the step's solution
-                    vs, ws = v + sv * h, w + sw * h
-                    nfev += 1
-                    kv[s], kw[s] = rhs(t + c * h, vs, ws)
+                vs, ws, e5v, e5w, e3v, e3w, ks = _attempt(rhs, t, h, v, w,
+                                                          fv, fw)
+                nfev += 12
                 scale_v = atol + max(abs(v), abs(vs)) * rtol
                 scale_w = atol + max(abs(w), abs(ws)) * rtol
-                e5v, e5w = _E5_SUM(kv, kw)
-                e3v, e3w = _E3_SUM(kv, kw)
                 n5 = (e5v / scale_v) ** 2 + (e5w / scale_w) ** 2
                 n3 = (e3v / scale_v) ** 2 + (e3w / scale_w) ** 2
                 err = (0.0 if n5 == 0.0 and n3 == 0.0 else
                        h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0))
-            except OverflowError:   # a float power overflowed in a stage
+            except OverflowError as exc:    # a float power overflowed
+                # in a stage, the stages it reached; in the norm, all 12
+                # are counted already
+                nfev += getattr(exc, "stages", 0)
                 err = math.inf
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
@@ -194,24 +236,17 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
         else:
             break   # the step size underflowed
         steps += 1
-        for s, c, row in _DENSE:
-            sv, sw = row(kv, kw)
-            nfev += 1
-            kv[s], kw[s] = rhs(t + c * h, v + sv * h, w + sw * h)
-        dv, dw = vs - v, ws - w
-        Fv = [dv, h * fv - dv, 2.0 * dv - h * (kv[12] + fv)]
-        Fw = [dw, h * fw - dw, 2.0 * dw - h * (kw[12] + fw)]
-        for row in _D_SUMS:
-            sv, sw = row(kv, kw)
-            Fv.append(h * sv)
-            Fw.append(h * sw)
-        pieces.append((t, h, v, w, *Fv, *Fw))
+        nfev += 3
+        piece = _dense(rhs, t, h, v, w, vs, ws, *ks)
+        pieces.append(piece)
         if abs(vs) >= guard:
             t_new = _brent(lambda x: guard - abs(_interpolate(
-                (x - t) / h, Fv, v)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+                (x - t) / h, piece[4:11], v)), t, t_new, xtol=4 * _EPS,
+                rtol=4 * _EPS)
             diverged = True
         ts.append(t_new)
-        t, v, w, fv, fw = t_new, vs, ws, kv[12], kw[12]
+        # stage 12 is the next step's stage 0
+        t, v, w, (fv, fw) = t_new, vs, ws, ks[-2:]
     return _Trajectory(ts, pieces, diverged, nfev, steps, rejected)
 
 

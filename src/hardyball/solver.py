@@ -6,12 +6,12 @@ comparison pair."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bridge import (EuclideanProblem, _count_eigs_below,
-                     _quadratic_form_diagonals)
+from .bridge import EuclideanProblem, _quadratic_form_diagonals
 from .constants import (ProblemParams, beta_pm, check_defect,
                         critical_exponent)
 from .grids import (ProfileData, _sign_changes, log_derivative_matrix_apply,
@@ -74,20 +74,47 @@ def _constant_h(problem: EuclideanProblem):
 
 
 def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
-    """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}."""
+    """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}.
+
+    With the paper's b and a constant h, b is the table's evaluation inline:
+    its current piece is kept, and found again (by the bisection of
+    ``problem.b``) only when log r leaves it."""
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
     expo = q - 2.0 - p
     nm2, r_expo = n - 2.0, 2.0 - s
-    h_fun = problem.h
-    b_fun = problem.b
     h_const = _constant_h(problem)
 
+    if h_const is None or problem.b_spec != "paper":
+        h_fun, b_fun = problem.h, problem.b
+
+        def rhs(t, v, vt):
+            r = math.exp(t)
+            h = h_const if h_const is not None else float(h_fun(r))
+            nonlin = b_fun(r) * abs(v) ** expo * v * r ** r_expo
+            return (vt, -nm2 * vt - (gamma + h * r * r) * v - nonlin)
+        return rhs
+
+    knots, c0, c1, c2, c3 = problem.b_table()
+    inner = len(knots) - 1
+    # the current piece: its bounds in log r, its left knot and coefficients
+    lo = hi = math.nan
+    x0 = a0 = a1 = a2 = a3 = 0.0
+
     def rhs(t, v, vt):
+        nonlocal lo, hi, x0, a0, a1, a2, a3
         r = math.exp(t)
-        h = h_const if h_const is not None else float(h_fun(r))
-        nonlin = b_fun(r) * abs(v) ** expo * v * r ** r_expo
-        return (vt, -nm2 * vt - (gamma + h * r * r) * v - nonlin)
+        x = math.log(r)
+        if not lo <= x < hi:
+            i = bisect_right(knots, x, 1, inner) - 1
+            lo = knots[i] if i > 0 else -math.inf
+            hi = knots[i + 1] if i < inner - 1 else math.inf
+            x0, a0, a1, a2, a3 = knots[i], c0[i], c1[i], c2[i], c3[i]
+        d = x - x0
+        d2 = d * d
+        b = a3 + a2 * d + a1 * d2 + a0 * (d2 * d)
+        nonlin = b * abs(v) ** expo * v * r ** r_expo
+        return (vt, -nm2 * vt - (gamma + h_const * r * r) * v - nonlin)
 
     return rhs
 
@@ -210,11 +237,9 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     and steps."""
     n, s = params.n, params.s
     expo = check_defect(n, s, p)
-    if node_target == 0:
-        if _count_eigs_below(-1e-3, *_quadratic_form_diagonals(
-                problem, 1e-6, 2000)) >= 1:
-            raise NotCoercive("the quadratic form is not coercive "
-                              "(Lambda0 < -1e-3): no positive solution")
+    if node_target == 0 and not problem.coercive():
+        raise NotCoercive("the quadratic form is not coercive "
+                          "(Lambda0 < -1e-3): no positive solution")
     R = problem.domain_radius
     r0 = 1e-5 * R if r0 is None else r0
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])

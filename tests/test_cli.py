@@ -238,9 +238,13 @@ _POOL_PROBE = """
 import concurrent.futures, json, sys
 seen = []
 
+def loaded():
+    return ["hardyball.solver" in sys.modules,
+            "hardyball.verify" in sys.modules]
+
 class Probe:
     def __init__(self, max_workers):
-        seen.append("hardyball.solver" in sys.modules)
+        seen.append(loaded())
 
     def __enter__(self):
         return self
@@ -253,21 +257,45 @@ class Probe:
 
 concurrent.futures.ProcessPoolExecutor = Probe
 from hardyball.cli import main
-before = "hardyball.solver" in sys.modules
+before = loaded()
 main(sys.argv[1:])
 print(json.dumps([before, seen]))
 """
 
 
 def test_sweep_imports_solver_before_the_pool(tmp_path):
-    # forked workers inherit the solver instead of importing it
+    # forked workers inherit the solver and verify instead of importing
+    # them
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.9, 1.0]}})
     _, (before, seen) = _finish(_launch(
         _POOL_PROBE, ["sweep", "--config", cfg, "--out",
                       str(tmp_path / "out"), "--workers", "2"]))
-    assert before is False
-    assert seen == [True]
+    assert before == [False, False]
+    assert seen == [[True, True]]
+
+
+_AUDITS_AFTER_MAIN = """
+import json, sys
+from hardyball.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([m for m in ("hardyball.verify", "hardyball.blowup")
+                  if m in sys.modules]))
+sys.exit(code)
+"""
+
+
+def test_only_the_audits_import_verify_and_blowup(tmp_path):
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]}})
+    commands = ("solve", "continue", "bubble", "weights", "bridge",
+                "constants")
+    procs = [(c, _launch(_AUDITS_AFTER_MAIN, [c, "--config", cfg, "--out",
+                                             str(tmp_path / c)]))
+             for c in commands]
+    finished = [(command, *_finish(proc)) for command, proc in procs]
+    assert finished == [(command, 0, []) for command in commands]
 
 
 # ----------------------------------------------------- solve/verify cycle

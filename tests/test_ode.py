@@ -3,6 +3,7 @@ against scipy's implementations, which they port, and against closed
 forms."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_tableau_is_bit_equal_to_scipy():
 
 def _summed_term_by_term(row, kv, kw):
     """A row's sum over its (column, coefficient) pairs, one term at a time
-    from 0.0: the order the compiled rows must keep."""
+    from 0.0: the order the generated step must keep."""
     sv = sw = 0.0
     for j, a in row:
         sv += a * kv[j]
@@ -48,23 +49,105 @@ def _summed_term_by_term(row, kv, kw):
     return sv, sw
 
 
-def test_compiled_rows_give_the_term_by_term_floats(rng):
-    assert [(s, c) for s, c, _ in ode._STEP + ode._DENSE] == \
-        [(s, c) for s, (c, _) in enumerate(ode._STAGES, start=1)]
-    assert [s for s, _, _ in ode._STEP] == list(range(1, 13))
-    pairs = ([(row, fn) for (_, row), (_, _, fn) in
-              zip(ode._STAGES, ode._STEP + ode._DENSE)]
-             + [(ode._E5_ROW, ode._E5_SUM), (ode._E3_ROW, ode._E3_SUM)]
-             + list(zip(ode._D_ROWS, ode._D_SUMS)))
+class _Replay:
+    """A right-hand side that records its arguments and returns the given
+    stage values of stages 1, 2, ... in turn."""
+
+    def __init__(self, kv, kw):
+        self.kv, self.kw, self.calls = kv, kw, []
+
+    def __call__(self, t, v, w):
+        self.calls.append((t, v, w))
+        s = len(self.calls)
+        return self.kv[s], self.kw[s]
+
+
+def test_generated_step_gives_the_term_by_term_floats(rng):
     for _ in range(1000):
-        # stage vectors with magnitudes over 16 decades, so that rounding
+        # stage values with magnitudes over 16 decades, so that rounding
         # differs between summation orders
-        kv, kw = (list(rng.standard_normal(16)
-                       * 10.0 ** rng.integers(-8, 8, 16)) for _ in "vw")
-        for row, fn in pairs:
-            sv, sw = fn(kv, kw)
-            want_v, want_w = _summed_term_by_term(row, kv, kw)
-            assert sv == want_v and sw == want_w
+        kv, kw = ((rng.standard_normal(16)
+                   * 10.0 ** rng.integers(-8, 8, 16)).tolist() for _ in "vw")
+        t, h, v, w = (rng.standard_normal(4)
+                      * 10.0 ** rng.integers(-3, 3, 4)).tolist()
+        # every stage's time and state, from its row summed term by term
+        want = []
+        for c, row in ode._STAGES:
+            sv, sw = _summed_term_by_term(row, kv, kw)
+            want.append((t + c * h, v + sv * h, w + sw * h))
+        replay = _Replay(kv, kw)
+        vs, ws, e5v, e5w, e3v, e3w, ks = ode._attempt(replay, t, h, v, w,
+                                                      kv[0], kw[0])
+        assert replay.calls == want[:12]
+        assert (vs, ws) == want[11][1:]
+        assert (e5v, e5w) == _summed_term_by_term(ode._E5_ROW, kv, kw)
+        assert (e3v, e3w) == _summed_term_by_term(ode._E3_ROW, kv, kw)
+        assert ks[-2:] == (kv[12], kw[12])
+        piece = ode._dense(replay, t, h, v, w, vs, ws, *ks)
+        assert replay.calls == want
+        F = []
+        for y, ys, k in ((v, vs, kv), (w, ws, kw)):
+            dy = ys - y
+            F += [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])]
+            F += [h * _summed_term_by_term(row, k, k)[0]
+                  for row in ode._D_ROWS]
+        assert piece == (t, h, v, w, *F)
+
+
+def _former_attempt_nfev(rhs, t, h, v, w, fv, fw):
+    """The stage loop of the former integrator, which counted each
+    evaluation before making it: the evaluations an attempt counts."""
+    kv, kw = [fv] + [0.0] * 15, [fw] + [0.0] * 15
+    nfev = 0
+    try:
+        for s, (c, row) in enumerate(ode._STAGES[:12], start=1):
+            sv, sw = _summed_term_by_term(row, kv, kw)
+            nfev += 1
+            kv[s], kw[s] = rhs(t + c * h, v + sv * h, w + sw * h)
+    except OverflowError:
+        pass
+    return nfev
+
+
+def _overflowing(at, error=OverflowError):
+    """v'' = v, raising error at the evaluation numbered at."""
+    calls = []
+
+    def rhs(t, v, w):
+        calls.append(t)
+        if len(calls) == at:
+            raise error("math range error")
+        return w, v
+    return rhs
+
+
+@pytest.mark.parametrize("stage", range(1, 13))
+def test_overflow_in_a_stage_counts_the_stages_reached(stage):
+    reached = _former_attempt_nfev(_overflowing(stage), 0.0, 0.1, 1.0, 0.0,
+                                   0.0, 1.0)
+    assert reached == stage
+    with pytest.raises(OverflowError) as err:
+        ode._attempt(_overflowing(stage), 0.0, 0.1, 1.0, 0.0, 0.0, 1.0)
+    assert err.value.stages == reached
+    # in the first attempt of an integration (after its 2 start
+    # evaluations): that attempt is rejected, counting only its stages
+    sol = ode._dop853(_overflowing(2 + stage), 0.0, 5.0, 1.0, 0.0,
+                      rtol=1e-12, atol=1e-14)
+    assert sol.t_end == 5.0 and sol.rejected >= 1
+    assert sol.nfev == 2 + reached + 12 * (sol.steps + sol.rejected - 1) \
+        + 3 * sol.steps
+
+
+@pytest.mark.parametrize("at, name", [(3, "attempt"), (14, "dense")])
+def test_a_traceback_shows_the_stage_source(at, name):
+    # the generated functions have their source in linecache; stage 14 is
+    # in the dense output of the first step, which is accepted
+    with pytest.raises(ArithmeticError) as err:
+        ode._dop853(_overflowing(2 + at, ArithmeticError), 0.0, 5.0, 1.0,
+                    0.0, rtol=1e-12, atol=1e-14)
+    frame = traceback.extract_tb(err.value.__traceback__)[-2]
+    assert frame.filename == f"<dop853-{name}>"
+    assert frame.line.startswith(f"k{at}v, k{at}w = rhs(t + ")
 
 
 def _cosh_rhs(t, v, w):

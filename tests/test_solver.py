@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyball import bridge, solver
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
                                  critical_exponent)
@@ -302,6 +303,72 @@ def test_not_coercive_raises_before_shooting():
     with pytest.raises(NotCoercive) as err:
         solve_dirichlet_shooting(params, EuclideanProblem(params), p=0.03)
     assert err.value.shoots == 0
+
+
+def test_not_coercive_verdict_is_kept(monkeypatch):
+    # the second solve on the same problem raises from the kept verdict,
+    # again before any shoot
+    params = ProblemParams(n=5, s=1.0, gamma=2.2, lam=10.0)
+    problem = EuclideanProblem(params)
+    counts = []
+    count_eigs_below = bridge._count_eigs_below
+    monkeypatch.setattr(bridge, "_count_eigs_below", lambda *args: (
+        counts.append(args[0]) or count_eigs_below(*args)))
+    monkeypatch.setattr(solver, "shoot", None)
+    for p in (0.03, 0.01):
+        with pytest.raises(NotCoercive) as err:
+            solve_dirichlet_shooting(params, problem, p=p)
+        assert err.value.shoots == 0
+    assert counts == [-1e-3]
+
+
+def test_continuation_counts_the_pencil_once(ref_params, monkeypatch):
+    # the quadratic form does not depend on p: one Sturm count serves the
+    # seven solves of a continuation
+    counts = []
+    count_eigs_below = bridge._count_eigs_below
+    monkeypatch.setattr(bridge, "_count_eigs_below", lambda *args: (
+        counts.append(args[0]) or count_eigs_below(*args)))
+    schedule = ContinuationSchedule((0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0))
+    profiles = continuation_to_critical(
+        ref_params, EuclideanProblem(ref_params, domain_radius=0.5), schedule)
+    assert len(profiles) == 7
+    assert counts == [-1e-3]
+
+
+def test_inline_b_rhs_is_the_generic_rhs_bit_for_bit(ref_params, rng):
+    # the paper's b inline, with its piece kept between calls, against the
+    # same table through problem.b: at log-spaced radii, the knots and
+    # their neighbours, and past both ends of the table, in shuffled order
+    R = 0.5
+    paper = EuclideanProblem(ref_params, domain_radius=R)
+    wrapped = EuclideanProblem(ref_params, domain_radius=R, b_spec=paper.b)
+    inline = solver._rhs_factory(ref_params, paper, 0.2)
+    generic = solver._rhs_factory(ref_params, wrapped, 0.2)
+    assert "knots" in inline.__code__.co_freevars
+    assert "b_fun" in generic.__code__.co_freevars
+    knots = np.array(paper.b_table()[0])
+    assert knots[0] > math.log(1e-9) and knots[-1] == math.log(R)
+    t = np.concatenate([np.log(np.geomspace(1e-9, R, 2001)), knots,
+                        np.nextafter(knots, -np.inf),
+                        np.nextafter(knots, np.inf), np.log([0.7, 0.99])])
+    rng.shuffle(t)
+    v, vt = rng.standard_normal((2, len(t))) * 1e3
+    for args in zip(t.tolist(), v.tolist(), vt.tolist()):
+        assert inline(*args) == generic(*args)
+
+
+@pytest.mark.parametrize("K, p", [(7116.94, 0.2), (733645.9, 0.4),
+                                  (1e4, 0.0), (1e6, 0.0)])
+def test_inline_b_shoot_is_the_generic_shoot(ref_params, ref_problem, K, p):
+    # a callable b_spec that wraps the same table takes the generic RHS
+    wrapped = EuclideanProblem(ref_params, domain_radius=0.5,
+                               b_spec=ref_problem.b)
+    mine = shoot(ref_params, ref_problem, K, p, num=1200)
+    theirs = shoot(ref_params, wrapped, K, p, num=1200)
+    assert np.array_equal(mine.trajectory.pieces, theirs.trajectory.pieces)
+    assert np.array_equal(mine.trajectory.ts, theirs.trajectory.ts)
+    assert mine.meta == theirs.meta
 
 
 @pytest.mark.parametrize("n, s, p", [(7, 1.5, 0.2), (5, 1.9, 0.2),
