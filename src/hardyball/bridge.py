@@ -102,10 +102,8 @@ class EuclideanProblem:
     lowdim: LowDimConstants = field(default_factory=LowDimConstants)
 
     _b_spline: CubicSpline = field(default=None, repr=False, compare=False)
-    _b_pieces: tuple = field(default=None, init=False, repr=False,
-                             compare=False)
-    _b_float: object = field(default=None, init=False, repr=False,
-                             compare=False)
+    _b_table: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
     _coercive: bool = field(default=None, init=False, repr=False,
                             compare=False)
 
@@ -134,53 +132,36 @@ class EuclideanProblem:
         dr = 1e-6 * r
         return (self.h(r + dr) - self.h(r - dr)) / (2.0 * dr)
 
-    def _ensure_b_spline(self):
-        if self._b_spline is None:
+    def b_table(self):
+        """The paper's b table in plain floats: its knots in log r, then per
+        interval the coefficients of d^3, d^2, d and 1 (d from its knot)."""
+        if self._b_table is None:
             t = np.linspace(math.log(1e-8), math.log(self.domain_radius), 400)
             vals = b_weight(np.exp(t), self.params.n, self.params.s)
             self._b_spline = CubicSpline(t, vals)
-            # the same pieces as plain floats: the knots, then per
-            # interval the coefficients of d^3, d^2, d and 1
-            self._b_pieces = (self._b_spline.x.tolist(),
-                              *self._b_spline.c.tolist())
-            knots, c0, c1, c2, c3 = self._b_pieces
-            inner = len(knots) - 1
-
-            def b_float(r):
-                # the spline's own evaluation: the interval by bisection
-                # over the inner knots (the end pieces extrapolate), then
-                # c3 + c2 d + c1 d^2 + c0 d^3 summed in the same order
-                t = math.log(r)
-                i = bisect_right(knots, t, 1, inner) - 1
-                d = t - knots[i]
-                d2 = d * d
-                return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
-            self._b_float = b_float
-
-    def b_table(self):
-        """The paper's b table in plain floats: its knots in log r, then
-        per interval the coefficients c0, c1, c2, c3 of d^3, d^2, d and 1,
-        where d is log r less the interval's left knot."""
-        self._ensure_b_spline()
-        return self._b_pieces
+            self._b_table = (self._b_spline.x.tolist(),
+                             *self._b_spline.c.tolist())
+        return self._b_table
 
     def coercive(self) -> bool:
         """Whether no pencil eigenvalue of the quadratic form lies below
-        -1e-3: one Sturm count on 2000 nodes from r = 1e-6.  The form does
-        not depend on p, so the verdict is kept."""
+        -1e-3 (one Sturm count), kept: the form does not depend on p."""
         if self._coercive is None:
             self._coercive = _count_eigs_below(
                 -1e-3, *_quadratic_form_diagonals(self, 1e-6, 2000)) == 0
         return self._coercive
 
     def b(self, r):
-        # a float radius once the table is built: the table in plain floats
-        if isinstance(r, float) and self._b_float is not None:
-            return self._b_float(r)
         if self.b_spec == "paper":
-            self._ensure_b_spline()
+            knots, c0, c1, c2, c3 = self.b_table()
             if isinstance(r, float):
-                return self._b_float(r)
+                # the spline's own evaluation in plain floats: the end
+                # pieces extrapolate, c3 + c2 d + c1 d^2 + c0 d^3 in order
+                t = math.log(r)
+                i = bisect_right(knots, t, 1, len(knots) - 1) - 1
+                d = t - knots[i]
+                d2 = d * d
+                return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
             out = self._b_spline(np.log(np.asarray(r, dtype=float)))
             return float(out) if np.ndim(out) == 0 else out
         if callable(self.b_spec):
@@ -193,7 +174,7 @@ class EuclideanProblem:
     def b_radial_slope(self, r):
         r = np.asarray(r, dtype=float)
         if self.b_spec == "paper":
-            self._ensure_b_spline()
+            self.b_table()
             out = self._b_spline(np.log(r), 1) / r
             return float(out) if np.ndim(out) == 0 else out
         if callable(self.b_spec):

@@ -416,8 +416,7 @@ def cmd_continue(cfg: dict, args) -> int:
 
 
 def cmd_blowup(cfg: dict, args) -> int:
-    from .blowup import (BubbleFamily, compactness_verdict, detect_scales,
-                         envelope_check)
+    from . import blowup as blowup_mod
     params = make_params(cfg)
     out = _outdir(cfg, args)
     summary_path = os.path.join(out, "continuation.json")
@@ -427,15 +426,15 @@ def cmd_blowup(cfg: dict, args) -> int:
         summary = json.load(fh)
     profiles = [read_profile(out, step["stem"])[0]
                 for step in summary["steps"]]
-    verdict = compactness_verdict(profiles, params)
+    verdict = blowup_mod.compactness_verdict(profiles, params)
     last = profiles[-1]
-    scales = detect_scales(last, last.p_defect)
+    scales = blowup_mod.detect_scales(last, last.p_defect)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}
     if scales:
-        fam = BubbleFamily.from_scales([mu for mu, _ in scales],
-                                       last.p_defect, params)
-        rep = envelope_check(last, fam)
+        fam = blowup_mod.BubbleFamily.from_scales(
+            [mu for mu, _ in scales], last.p_defect, params)
+        rep = blowup_mod.envelope_check(last, fam)
         verdict["envelope_constant"] = rep.worst_ratio
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
                                          rep.annuli)

@@ -4,9 +4,7 @@ Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.10; Hairer's
 dop853.f] with dense output and a terminal guard on |v|, and Brent's root
 [Brent 1973].  Both port scipy's (DOP853's tableau, err5/err3 norm, step
 control and initial step; brentq.c) and take its steps and iterates; the
-coefficients are scipy's (BSD-3-Clause, (c) the SciPy Developers).  A step
-attempt and its dense output are each one straight-line function, generated
-at import from the tableau, on local floats."""
+coefficients are scipy's (BSD-3-Clause, (c) the SciPy Developers)."""
 
 from __future__ import annotations
 
@@ -92,22 +90,19 @@ _D_ROWS = tuple(tuple(zip((0, *range(5, 16)), row)) for row in _D)
 
 
 def _sum(row, x):
-    """The source of a row's sum_j a_j k_j for component x (v or w): the
-    terms added to 0.0 from the left."""
+    """The source of a row's sum for component x: from 0.0, left to right."""
     return "0.0" + "".join(f" + {a!r} * k{j}{x}" for j, a in row)
 
 
 def _stage(s, c, row):
-    """The source lines of stage s: its row's sums, then the right-hand
-    side at the stage's time and state."""
+    """The source lines of stage s: its row's sums, then its evaluation."""
     return [f"    sv = {_sum(row, 'v')}", f"    sw = {_sum(row, 'w')}",
             f"    k{s}v, k{s}w = rhs(t + {c!r} * h, v + sv * h, w + sw * h)"]
 
 
 def _generated(name, lines):
-    """The function _<name> compiled from its source lines under the
-    pseudo-file <dop853-name>, whose source linecache holds, so that a
-    traceback or a profile shows the line of a stage."""
+    """The function _<name> compiled from its source lines as the file
+    <dop853-name>, held in linecache for tracebacks and profiles."""
     filename = f"<dop853-{name}>"
     source = "\n".join(lines) + "\n"
     linecache.cache[filename] = (len(source), None,
@@ -117,13 +112,12 @@ def _generated(name, lines):
     return scope[f"_{name}"]
 
 
-# the stage values of an attempt that its dense output reads: the columns
-# of D up to 12 (0, 5..12), which hold those that stages 13..15 read
+# the stage values the dense output reads: those of D's columns up to 12
 _KEPT = ", ".join(f"k{j}v, k{j}w" for j, _ in _D_ROWS[0] if j <= 12)
 
-# one step attempt: stages 1..12, the step's solution (vs, ws) (the state
-# of stage 12), the E5 and E3 sums, and the kept stage values.  An
-# OverflowError from a stage carries the number of stages it reached.
+# one step attempt, straight-line on local floats: stages 1..12, the
+# solution (stage 12's state), the E5 and E3 sums and the kept stage values;
+# an OverflowError from a stage carries the number of stages it reached
 _attempt = _generated("attempt", [
     "def _attempt(rhs, t, h, v, w, k0v, k0w):",
     "    try:",
@@ -137,8 +131,8 @@ _attempt = _generated("attempt", [
       for e, row in ((5, _E5_ROW), (3, _E3_ROW)) for x in "vw"),
     f"    return vs, ws, e5v, e5w, e3v, e3w, ({_KEPT})"])
 
-# the dense output of an accepted step: stages 13..15, then its row
-# (t, h, v, w, F_v, F_w) with the interpolant's coefficients F
+# an accepted step's dense output: stages 13..15, then its row (t, h, v, w,
+# F_v, F_w) with the interpolant's coefficients F
 _dense = _generated("dense", [
     f"def _dense(rhs, t, h, v, w, vs, ws, {_KEPT}):",
     *(line for s, (c, row) in enumerate(_STAGES[12:], start=13)
@@ -221,9 +215,7 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
                 err = (0.0 if n5 == 0.0 and n3 == 0.0 else
                        h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0))
             except OverflowError as exc:    # a float power overflowed
-                # in a stage, the stages it reached; in the norm, all 12
-                # are counted already
-                nfev += getattr(exc, "stages", 0)
+                nfev += getattr(exc, "stages", 0)   # 0: in the norm
                 err = math.inf
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
@@ -237,16 +229,14 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
             break   # the step size underflowed
         steps += 1
         nfev += 3
-        piece = _dense(rhs, t, h, v, w, vs, ws, *ks)
-        pieces.append(piece)
+        pieces.append(_dense(rhs, t, h, v, w, vs, ws, *ks))
         if abs(vs) >= guard:
+            Fv = pieces[-1][4:11]
             t_new = _brent(lambda x: guard - abs(_interpolate(
-                (x - t) / h, piece[4:11], v)), t, t_new, xtol=4 * _EPS,
-                rtol=4 * _EPS)
+                (x - t) / h, Fv, v)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
             diverged = True
         ts.append(t_new)
-        # stage 12 is the next step's stage 0
-        t, v, w, (fv, fw) = t_new, vs, ws, ks[-2:]
+        t, v, w, (fv, fw) = t_new, vs, ws, ks[-2:]  # stage 12: next stage 0
     return _Trajectory(ts, pieces, diverged, nfev, steps, rejected)
 
 

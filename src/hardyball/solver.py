@@ -75,10 +75,7 @@ def _constant_h(problem: EuclideanProblem):
 
 def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}.
-
-    With the paper's b and a constant h, b is the table's evaluation inline:
-    its current piece is kept, and found again (by the bisection of
-    ``problem.b``) only when log r leaves it."""
+    The paper's b with a constant h is the b table inline (see rhs below)."""
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
     expo = q - 2.0 - p
@@ -95,11 +92,11 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
             return (vt, -nm2 * vt - (gamma + h * r * r) * v - nonlin)
         return rhs
 
+    # problem.b's evaluation of its table, keeping the current piece (its
+    # bounds in log r, left knot and coefficients) until log r leaves it
     knots, c0, c1, c2, c3 = problem.b_table()
     inner = len(knots) - 1
-    # the current piece: its bounds in log r, its left knot and coefficients
-    lo = hi = math.nan
-    x0 = a0 = a1 = a2 = a3 = 0.0
+    lo = hi = x0 = a0 = a1 = a2 = a3 = math.nan
 
     def rhs(t, v, vt):
         nonlocal lo, hi, x0, a0, a1, a2, a3

@@ -74,7 +74,7 @@ def test_b_float_path_matches_spline(n):
 
 
 def test_b_same_bits_on_float_float64_and_array():
-    # the plain-float closure serves floats and np.float64, from the first
+    # the plain-float path serves floats and np.float64, from the first
     # call on; the array path differs only where numpy's log does
     R = 0.5
     params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
