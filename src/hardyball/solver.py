@@ -75,7 +75,7 @@ def _constant_h(problem: EuclideanProblem):
 
 def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}.
-    The paper's b with a constant h is the b table inline (see rhs below)."""
+    With the paper's b and a constant h, it evaluates the b table inline."""
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
     expo = q - 2.0 - p

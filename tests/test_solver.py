@@ -338,8 +338,9 @@ def test_continuation_counts_the_pencil_once(ref_params, monkeypatch):
 
 def test_inline_b_rhs_is_the_generic_rhs_bit_for_bit(ref_params, rng):
     # the paper's b inline, with its piece kept between calls, against the
-    # same table through problem.b: at log-spaced radii, the knots and
-    # their neighbours, and past both ends of the table, in shuffled order
+    # same table through problem.b: at log-spaced radii, at times within 4
+    # ulp of each knot (log r = log exp t hits most knots exactly), and
+    # past both ends of the table; shuffled, then ascending and descending
     R = 0.5
     paper = EuclideanProblem(ref_params, domain_radius=R)
     wrapped = EuclideanProblem(ref_params, domain_radius=R, b_spec=paper.b)
@@ -349,10 +350,13 @@ def test_inline_b_rhs_is_the_generic_rhs_bit_for_bit(ref_params, rng):
     assert "b_fun" in generic.__code__.co_freevars
     knots = np.array(paper.b_table()[0])
     assert knots[0] > math.log(1e-9) and knots[-1] == math.log(R)
-    t = np.concatenate([np.log(np.geomspace(1e-9, R, 2001)), knots,
-                        np.nextafter(knots, -np.inf),
-                        np.nextafter(knots, np.inf), np.log([0.7, 0.99])])
+    near = (knots[:, None] + np.arange(-4, 5) * np.spacing(knots)[:, None])
+    hits = {math.log(math.exp(x)) for x in near.ravel().tolist()}
+    assert len(hits & set(knots.tolist())) >= 390
+    t = np.concatenate([np.log(np.geomspace(1e-9, R, 2001)), near.ravel(),
+                        np.log([0.7, 0.99])])
     rng.shuffle(t)
+    t = np.concatenate([t, np.sort(t), -np.sort(-t)])
     v, vt = rng.standard_normal((2, len(t))) * 1e3
     for args in zip(t.tolist(), v.tolist(), vt.tolist()):
         assert inline(*args) == generic(*args)
