@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import itertools
 import json
@@ -31,6 +33,9 @@ from .kernel import green_density, green_G, sphere_area, weight_V_p
 from .profiles import SolutionProfile, SolverError
 
 __version__ = "0.1.0"
+
+# exit-time collections then skip the import-time heap, which the OS frees
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -106,10 +111,11 @@ def read_profile_csv(path: str) -> ProfileData:
     return ProfileData(r=raw[:, 0], v=raw[:, 1], dv=raw[:, 2])
 
 
-def update_manifest(outdir: str, files: list, config_text: str,
+def update_manifest(outdir: str, files: dict, config_text: str,
                     seed: int) -> str:
-    """Record every output file with its checksum; entries from earlier
-    commands in the same directory are preserved."""
+    """Record every output file, name -> the text written to it, with its
+    checksum; entries from earlier commands in the same directory are
+    preserved."""
     path = os.path.join(outdir, "manifest.json")
     entries = {}
     if os.path.exists(path):
@@ -118,9 +124,8 @@ def update_manifest(outdir: str, files: list, config_text: str,
                 entries = json.load(fh).get("files", {})
         except (json.JSONDecodeError, OSError):
             entries = {}
-    for name in files:
-        with open(os.path.join(outdir, name), "rb") as fh:
-            blob = fh.read()
+    for name, text in files.items():
+        blob = text.encode("utf-8")     # the bytes write_text wrote
         entries[name] = {"sha256": hashlib.sha256(blob).hexdigest(),
                          "bytes": len(blob)}
     manifest = {
@@ -235,10 +240,11 @@ def emit(cfg: dict, args, files: dict, summary) -> int:
     """Write each output file, name -> text or a JSON document (written by
     dumps17), record them all in the manifest, and print the summary."""
     out = _outdir(cfg, args)
-    for name, body in files.items():
-        text = body if isinstance(body, str) else dumps17(body) + "\n"
+    texts = {name: body if isinstance(body, str) else dumps17(body) + "\n"
+             for name, body in files.items()}
+    for name, text in texts.items():
         write_text(os.path.join(out, name), text)
-    update_manifest(out, list(files), _config_text(cfg, args.seed), args.seed)
+    update_manifest(out, texts, _config_text(cfg, args.seed), args.seed)
     print(dumps17(summary))
     return EXIT_OK
 

@@ -298,6 +298,47 @@ def test_only_the_audits_import_verify_and_blowup(tmp_path):
     assert finished == [(command, 0, []) for command in commands]
 
 
+def _check_manifest(out):
+    """The manifest's entries: one for every file in ``out``, each with the
+    checksum and size of the file on disk."""
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert set(manifest["files"]) == set(os.listdir(out)) - {"manifest.json"}
+    for name, entry in manifest["files"].items():
+        blob = open(os.path.join(out, name), "rb").read()
+        assert entry == {"sha256": hashlib.sha256(blob).hexdigest(),
+                         "bytes": len(blob)}, name
+    return manifest["files"]
+
+
+_FREEZE_AT_EXIT = """
+import atexit, contextlib, gc, io, json, sys
+# registered before the CLI's own hook, so it runs after it (atexit runs
+# its handlers last in, first out)
+atexit.register(lambda: print(json.dumps([summary.getvalue(),
+                                          gc.get_freeze_count()])))
+from hardyball.cli import main
+summary = io.StringIO()
+with contextlib.redirect_stdout(summary):
+    code = main(sys.argv[1:])
+sys.exit(code)
+"""
+
+
+def test_exit_freezes_the_heap_and_keeps_the_outputs(tmp_path):
+    # the exit hook moves the import-time heap (~22,000 objects with numpy)
+    # out of the final collections; the command's output is unchanged
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS),
+                                             "solver": {"grid_num": 200}})
+    out = str(tmp_path / "out")
+    code, (summary, frozen) = _finish(_launch(
+        _FREEZE_AT_EXIT, ["weights", "--config", cfg, "--out", out]))
+    assert code == 0
+    assert frozen > 10_000
+    assert json.loads(summary) == json.load(open(os.path.join(out,
+                                                              "weights.json")))
+    assert set(_check_manifest(out)) == {"weights.csv", "weights.json"}
+
+
 # ----------------------------------------------------- solve/verify cycle
 
 @pytest.fixture(scope="module")
@@ -309,14 +350,14 @@ def solved_dir(tmp_path_factory):
     return cfg, out
 
 
-def test_solve_writes_checked_artifacts(solved_dir, capsys):
+def test_solve_writes_checked_artifacts(solved_dir, tmp_path, capsys):
     cfg, out = solved_dir
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
-    for name in ("profile.csv", "profile.json"):
-        entry = manifest["files"][name]
-        blob = open(os.path.join(out, name), "rb").read()
-        assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
-        assert len(blob) == entry["bytes"]
+    assert {"profile.csv", "profile.json"} <= set(_check_manifest(out))
+    # continue writes 15 files in one call: 7 profiles of two files each,
+    # and the summary
+    assert main(["continue", "--config", cfg, "--out",
+                 str(tmp_path / "continue")]) == 0
+    assert len(_check_manifest(str(tmp_path / "continue"))) == 15
     doc = json.load(open(os.path.join(out, "profile.json")))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
     assert doc["meta"]["shoots"] == 9
