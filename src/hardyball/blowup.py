@@ -1,11 +1,11 @@
 """Concentration diagnostics for the subcritical family: scale
-extraction, profile rescaling, pointwise envelope fitting, the blow-up
-rate formula, and the compactness verdict."""
+extraction, pointwise envelope fitting, the blow-up rate formula, and the
+compactness verdict."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,20 +27,16 @@ class FamilyError(ValueError):
 
 @dataclass
 class BubbleFamily:
-    """A stack of concentration scales with their rescaled profiles.
+    """A stack of concentration scales.
 
     mu: increasing positive scales; k[i] = mu[i]^(1 - p/(q-2)) with q the
-    critical exponent; t_limits[i] in (0, 1] approximates lim mu_i^p;
-    bubbles holds the rescaled profiles, weak_limit the residual profile
-    (None for a zero weak limit)."""
+    critical exponent; t_limits[i] in (0, 1] approximates lim mu_i^p."""
 
     mu: np.ndarray
     k: np.ndarray
     t_limits: np.ndarray
     p_defect: float
     params: ProblemParams
-    bubbles: list = field(default_factory=list)
-    weak_limit: ProfileData = None
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -64,72 +60,25 @@ class BubbleFamily:
         return len(self.mu)
 
     @classmethod
-    def from_scales(cls, mu, p: float, params: ProblemParams,
-                    bubbles=None, weak_limit=None) -> "BubbleFamily":
+    def from_scales(cls, mu, p: float,
+                    params: ProblemParams) -> "BubbleFamily":
         """Build the family from raw scales; t_i is estimated by mu_i^p."""
         mu = np.asarray(mu, dtype=float)
         q = critical_exponent(params.n, params.s)
         k = mu ** (1.0 - p / (q - 2.0))
         t = np.clip(mu ** p, 1e-300, 1.0)
-        return cls(mu=mu, k=k, t_limits=t, p_defect=p, params=params,
-                   bubbles=list(bubbles) if bubbles else [],
-                   weak_limit=weak_limit)
+        return cls(mu=mu, k=k, t_limits=t, p_defect=p, params=params)
 
 
 @dataclass
 class EnvelopeReport:
     worst_ratio: float           # smallest C with |u| <= C * envelope
-    worst_annulus: tuple         # (r_lo, r_hi) of the worst decade
     annuli: list                 # per-decade (r_lo, r_hi, max_ratio)
     budget: float = math.inf
 
     @property
     def passed(self) -> bool:
         return self.worst_ratio <= self.budget
-
-
-def rescale_profile(u: SolutionProfile, mu: float, p: float,
-                    radii=None) -> SolutionProfile:
-    """Zoom to the scale mu: returns x -> mu^{(n-2)/2} u(k x) with
-    k = mu^{1 - p/(q-2)}.
-
-    With no target radii the native grid is carried along exactly (radii
-    r/k); a supplied grid is evaluated through the spline and rows outside
-    the support are dropped, with a flag in the metadata."""
-    if mu <= 0.0:
-        raise FamilyError("scale must be positive")
-    n, s = u.params.n, u.params.s
-    q = critical_exponent(n, s)
-    if not (0.0 <= p < q - 2.0):
-        raise FamilyError("defect must lie in [0, q - 2)")
-    k = mu ** (1.0 - p / (q - 2.0))
-    amp = mu ** ((n - 2.0) / 2.0)
-    truncated = False
-    if radii is None:
-        r_new = u.data.r / k
-        v_new = amp * u.data.v
-        dv_new = amp * k * u.data.dv
-    else:
-        radii = np.asarray(radii, dtype=float)
-        pulled = k * radii
-        inside = (pulled >= u.data.r[0]) & (pulled <= u.data.r[-1])
-        truncated = bool(np.any(~inside))
-        r_new = radii[inside]
-        if len(r_new) < 8:
-            raise FamilyError("target radii fall outside the support")
-        t_pulled = np.log(k * r_new)
-        v_new = amp * u.data.spline()(t_pulled)
-        dv_new = amp * k * u.data.dspline()(t_pulled)
-    bm, _ = beta_pm(n, u.params.gamma)
-    data = ProfileData(r=r_new, v=v_new, dv=dv_new)
-    return SolutionProfile(
-        data=data, params=replace(u.params, p_defect=p), p_defect=p,
-        K0=u.K0 * amp * k ** -bm,
-        node_count=u.node_count, energy=u.energy,
-        residual_norm=u.residual_norm, boundary_value=u.boundary_value,
-        diverged=u.diverged,
-        meta={"rescaled_from": dict(u.meta), "mu": mu, "k": k,
-              "truncated": truncated})
 
 
 def _weighted_profile(u: SolutionProfile, p: float) -> np.ndarray:
@@ -139,32 +88,24 @@ def _weighted_profile(u: SolutionProfile, p: float) -> np.ndarray:
         np.abs(u.data.v) ** (1.0 - p / (q - 2.0))
 
 
-def detect_scales(u: SolutionProfile, p: float, tau: float = None,
-                  separation_decades: float = 1.0,
-                  consistency_factor: float = 10.0,
-                  boundary_frac: float = 0.25,
-                  noise_floor: float = 1e-10) -> list:
+def detect_scales(u: SolutionProfile, p: float) -> list:
     """Concentration scales of a profile, as (mu, location) pairs sorted
     by increasing mu.
 
-    Local maxima of w(r) = r^{(n-2)/2} |u|^{1 - p/(q-2)}, separated by at
-    least a decade, are candidate cores; each yields mu = |u(r*)|^{-2/(n-2)}.
+    Local maxima of w(r) = r^{(n-2)/2} |u|^{1 - p/(q-2)} above 1e-10 of its
+    maximum and inside a quarter of the outer radius, separated by at least
+    a decade, are candidate cores; each yields mu = |u(r*)|^{-2/(n-2)}.
     A candidate is kept only when its location is consistent with its own
-    zoom factor (r* within a fixed factor of k = mu^{1-p/(q-2)}) and clear
-    of the outer boundary; together these distinguish a concentrating core
-    from the broad interior maximum every smooth profile has."""
-    n, gamma = u.params.n, u.params.gamma
-    bm, _ = beta_pm(n, gamma)
-    if tau is None:
-        tau = 0.5 * (bm + (n - 2.0) / 2.0)
-    if not (bm < tau < (n - 2.0) / 2.0):
-        raise FamilyError("tau must lie strictly between beta_- and (n-2)/2")
+    zoom factor (r* within a factor 10 of k = mu^{1-p/(q-2)}); together
+    these distinguish a concentrating core from the broad interior maximum
+    every smooth profile has."""
+    n = u.params.n
     q = critical_exponent(n, u.params.s)
     w = _weighted_profile(u, p)
     r = u.data.r
-    floor = noise_floor * np.max(w)
+    floor = 1e-10 * np.max(w)
     # strict interior local maxima of the weighted profile
-    r_cap = boundary_frac * r[-1]
+    r_cap = 0.25 * r[-1]
     cand = [i for i in range(1, len(w) - 1)
             if w[i] > w[i - 1] and w[i] >= w[i + 1] and w[i] > floor
             and r[i] <= r_cap]
@@ -172,8 +113,7 @@ def detect_scales(u: SolutionProfile, p: float, tau: float = None,
     cand.sort(key=lambda i: -w[i])
     kept = []
     for i in cand:
-        if all(abs(math.log10(r[i] / r[j])) >= separation_decades
-               for j in kept):
+        if all(abs(math.log10(r[i] / r[j])) >= 1.0 for j in kept):
             kept.append(i)
     out = []
     for i in kept:
@@ -182,7 +122,7 @@ def detect_scales(u: SolutionProfile, p: float, tau: float = None,
             continue
         mu = amp ** (-2.0 / (n - 2.0))
         k = mu ** (1.0 - p / (q - 2.0))
-        if not (1.0 / consistency_factor <= r[i] / k <= consistency_factor):
+        if not 0.1 <= r[i] / k <= 10.0:
             continue
         out.append((float(mu), float(r[i])))
     out.sort(key=lambda pair: pair[0])
@@ -242,27 +182,24 @@ def plant_bubbles(bubble: EntireBubble, scales, p: float,
                            meta={"synthetic_scales": [float(m) for m in scales]})
 
 
-def envelope_values(r, family: BubbleFamily, u0_weighted_sup: float):
-    """Pointwise value of the two-sided envelope: the bubble stack terms
-    plus the weak-limit tail."""
+def envelope_values(r, family: BubbleFamily):
+    """Pointwise value of the two-sided envelope, summed over the bubble
+    stack."""
     n, gamma = family.params.n, family.params.gamma
     bm, bp = beta_pm(n, gamma)
     r = np.asarray(r, dtype=float)
     env = np.zeros_like(r)
     for mu in family.mu:
         env += mu ** ((bp - bm) / 2.0) / (mu ** (bp - bm) * r ** bm + r ** bp)
-    env += u0_weighted_sup / r ** bm
     return env
 
 
 def envelope_check(u: SolutionProfile, family: BubbleFamily,
-                   u0_sup: float = 0.0,
                    budget: float = math.inf) -> EnvelopeReport:
-    """Fit the smallest constant C with |u| <= C * envelope on the grid
-    and localize the worst decade.  u0_sup is the weighted sup norm of the
-    weak limit (sup of |x|^{beta_-} |u0|)."""
+    """Fit the smallest constant C with |u| <= C * envelope on the grid,
+    and the largest ratio |u| / envelope on each decade of radii."""
     r = u.data.r
-    env = envelope_values(r, family, u0_sup)
+    env = envelope_values(r, family)
     absu = np.abs(u.data.v)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(env > 0.0, absu / env,
@@ -272,18 +209,13 @@ def envelope_check(u: SolutionProfile, family: BubbleFamily,
     annuli = []
     lo = math.floor(math.log10(r[0]))
     hi = math.ceil(math.log10(r[-1]))
-    worst_band = (r[0], r[-1])
     for d in range(lo, hi):
         mask = (r >= 10.0 ** d) & (r < 10.0 ** (d + 1))
         if not mask.any():
             continue
         band_max = float(np.max(ratio[mask]))
         annuli.append((10.0 ** d, 10.0 ** (d + 1), band_max))
-        if band_max == worst:
-            worst_band = (10.0 ** d, 10.0 ** (d + 1))
-    return EnvelopeReport(worst_ratio=worst,
-                          worst_annulus=worst_band, annuli=annuli,
-                          budget=budget)
+    return EnvelopeReport(worst_ratio=worst, annuli=annuli, budget=budget)
 
 
 def bubble_weighted_integrals(bubble_data: ProfileData, n: int, s: float,

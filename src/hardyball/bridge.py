@@ -1,6 +1,6 @@
 """Dictionary between the ball problem and its flat singular reduction:
-conformal factor, induced potential and weight, solution transport, the
-coercivity constant, and an exactness check of the correspondence."""
+conformal factor, induced potential and weight, the coercivity constant,
+and an exactness check of the correspondence."""
 
 from __future__ import annotations
 
@@ -12,14 +12,7 @@ import numpy as np
 
 from .constants import ProblemParams, critical_exponent
 from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
-from .kernel import DomainError, green_density, green_G, weight_V_p
-
-
-@dataclass(frozen=True)
-class LowDimConstants:
-    """Free additive constants of the low-dimension potential branches."""
-    c3: float = 0.0
-    c4: float = 0.0
+from .kernel import DomainError, weight_V_p
 
 
 def phi(r, n: int):
@@ -30,22 +23,21 @@ def phi(r, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-def h_gamma_lambda(r, params: ProblemParams,
-                   lowdim: LowDimConstants = LowDimConstants()):
+def h_gamma_lambda(r, params: ProblemParams):
     """Leading behavior of the induced linear potential.
 
     For n >= 5 this is an exact constant; for n = 3, 4 only the leading
-    singular term plus a free constant is known, so those runs are
-    qualitative."""
+    singular term is known (its free additive constant is taken as zero),
+    so those runs are qualitative."""
     n, gamma, lam = params.n, params.gamma, params.lam
     r = np.asarray(r, dtype=float)
     if n >= 5:
         val = 4.0 * (n - 2.0) / (n - 4.0) * gamma + 4.0 * lam - n * (n - 2.0)
         out = np.full_like(r, val, dtype=float)
     elif n == 3:
-        out = 4.0 * gamma / r + lowdim.c3
+        out = 4.0 * gamma / r
     else:  # n == 4
-        out = 8.0 * gamma * np.log(1.0 / r) + lowdim.c4
+        out = 8.0 * gamma * np.log(1.0 / r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -83,14 +75,6 @@ def b_origin(n: int, s: float) -> float:
     return (n - 2.0) ** ((2.0 - s) / (n - 2.0)) / 2.0 ** (2.0 - s)
 
 
-def to_euclidean(u: ProfileData, n: int) -> ProfileData:
-    return ProfileData(u.r, u.v * phi(u.r, n))
-
-
-def to_hyperbolic(v: ProfileData, n: int) -> ProfileData:
-    return ProfileData(v.r, v.v / phi(v.r, n))
-
-
 @dataclass
 class EuclideanProblem:
     """Flat Dirichlet problem on the centered ball of radius R < 1."""
@@ -99,9 +83,9 @@ class EuclideanProblem:
     domain_radius: float = 0.5
     h_spec: object = "paper"     # "paper" | callable h(r)
     b_spec: object = "paper"     # "paper" | positive float | callable b(r)
-    lowdim: LowDimConstants = field(default_factory=LowDimConstants)
 
-    _b_spline: CubicSpline = field(default=None, repr=False, compare=False)
+    _b_spline: CubicSpline = field(default=None, init=False, repr=False,
+                                   compare=False)
     _b_table: tuple = field(default=None, init=False, repr=False,
                             compare=False)
     _coercive: bool = field(default=None, init=False, repr=False,
@@ -113,7 +97,7 @@ class EuclideanProblem:
 
     def h(self, r):
         if self.h_spec == "paper":
-            return h_gamma_lambda(r, self.params, self.lowdim)
+            return h_gamma_lambda(r, self.params)
         return self.h_spec(r)
 
     def h_radial_slope(self, r):
@@ -185,9 +169,8 @@ class EuclideanProblem:
 
 
 class CoercivityFailure(RuntimeError):
-    def __init__(self, message, last_quotient=None):
-        super().__init__(message)
-        self.last_quotient = last_quotient
+    """The discretized form is not finite, or its lowest eigenvalue could
+    not be bracketed."""
 
 
 def _quadratic_form_diagonals(problem: EuclideanProblem, r0: float,
@@ -273,8 +256,7 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
         hi += step
         step *= 2.0
     else:
-        raise CoercivityFailure("no eigenvalue bracketed from above",
-                                last_quotient=hi)
+        raise CoercivityFailure("no eigenvalue bracketed from above")
     lo, step = hi, max(1.0, abs(hi))
     for _ in range(max_iter):
         lo -= step
@@ -282,8 +264,7 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
         if _count_eigs_below(lo, form, energy, off) == 0:
             break
     else:
-        raise CoercivityFailure("no eigenvalue bracketed from below",
-                                last_quotient=lo)
+        raise CoercivityFailure("no eigenvalue bracketed from below")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         if _count_eigs_below(mid, form, energy, off) >= 1:

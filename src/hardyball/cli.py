@@ -163,7 +163,9 @@ _OUTPUT_DEFAULTS = {"directory": "out"}
 _SWEEP_KEYS = {"gamma", "s", "lam", "p_defect", "node_target"}
 
 
-def _check_keys(block: dict, allowed: set, name: str) -> None:
+def _check_keys(block, allowed: set, name: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: "
@@ -180,8 +182,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
     _check_keys(cfg, {"params", "solver", "output", "sweep"}, "config")
     params = cfg.get("params")
     if not isinstance(params, dict):
@@ -210,14 +210,16 @@ def load_config(path: str) -> dict:
 def make_params(cfg: dict) -> ProblemParams:
     block = cfg["params"]
     try:
-        return ProblemParams(
+        values = dict(
             n=int(block["n"]), s=float(block["s"]),
             gamma=float(block["gamma"]), lam=float(block.get("lam", 0.0)),
             theta=float(block.get("theta", 0.0)),
             c=float(block.get("c", 1.0)),
             p_defect=float(block.get("p_defect", 0.0)))
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
+    # outside the try: AdmissibilityError is a ValueError with its own exit
+    return ProblemParams(**values)
 
 
 def make_problem(cfg: dict, params: ProblemParams) -> EuclideanProblem:

@@ -50,10 +50,6 @@ class ExponentSet:
         n_minus_2 = self.beta_minus + self.beta_plus
         return (self.beta_minus, n_minus_2 / 2.0)
 
-    def tau_default(self) -> float:
-        a, b = self.tau_range
-        return 0.5 * (a + b)
-
     def as_dict(self) -> dict:
         d = asdict(self)
         d["tau_range"] = list(self.tau_range)

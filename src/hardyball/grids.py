@@ -158,10 +158,10 @@ def _sign_changes(v: np.ndarray, sup: float) -> int:
 class ProfileData:
     """Samples v (and, where known, dv/dr) of a radial function at strictly
     increasing radii r > 0: the one sampled-radial type of the lab, for
-    solver output, bubbles, rescaled profiles and audit samples alike.
+    solver output, bubbles and audit samples alike.
 
-    It carries no r < 1 bound, because bubbles and rescaled profiles live
-    beyond the unit ball; the hyperbolic integrals enforce the ball."""
+    It carries no r < 1 bound, because bubbles live beyond the unit ball;
+    the hyperbolic integrals enforce the ball."""
 
     r: np.ndarray
     v: np.ndarray

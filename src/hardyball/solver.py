@@ -1,7 +1,6 @@
 """Radial solvers for the flat singular Dirichlet problem: outward shooting
 with a singular-endpoint jet, nodal targeting, a variational cross-check,
-subcritical continuation, the entire-space limit profile, and the linear
-comparison pair."""
+subcritical continuation, and the entire-space limit profile."""
 
 from __future__ import annotations
 
@@ -34,14 +33,6 @@ class ContinuationSchedule:
             raise ValueError("schedule must be strictly decreasing")
 
 
-@dataclass
-class ComparisonPair:
-    H_profile: ProfileData
-    eigen_profile: ProfileData
-    eigenvalue: float
-    gamma_prime: float
-
-
 def _form_operator(problem: EuclideanProblem, r0: float, num: int):
     """The discretized quadratic form (bridge._quadratic_form_diagonals) as
     a sparse matrix, for the products and LU solves of the variational
@@ -66,13 +57,6 @@ def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
     return v, dv
 
 
-def _constant_h(problem: EuclideanProblem):
-    """h as one float where it is constant (the paper's h at n >= 5), so
-    that a right-hand side need not call it; otherwise None."""
-    constant = problem.h_spec == "paper" and problem.params.n >= 5
-    return float(problem.h(0.1)) if constant else None
-
-
 def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}.
     With the paper's b and a constant h, it evaluates the b table inline."""
@@ -80,7 +64,10 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     q = critical_exponent(n, s)
     expo = q - 2.0 - p
     nm2, r_expo = n - 2.0, 2.0 - s
-    h_const = _constant_h(problem)
+    # h as one float where it is constant (the paper's h at n >= 5), so
+    # that the right-hand side need not call it
+    constant = problem.h_spec == "paper" and problem.params.n >= 5
+    h_const = float(problem.h(0.1)) if constant else None
 
     if h_const is None or problem.b_spec != "paper":
         h_fun, b_fun = problem.h, problem.b
@@ -467,16 +454,15 @@ def bubble_closed_form(n: int, s: float, gamma: float, b0: float,
     return np.asarray(r, dtype=float) ** (-nu) * psi
 
 
-def solve_limit_equation(n: int, s: float, gamma: float, b0: float,
-                         decades: float = 6.0, num: int = 4001,
-                         rtol: float = 1e-12,
-                         tail_switch: float = 1e-5) -> EntireBubble:
-    """Entire positive radial profile connecting the two indicial branches.
+def solve_limit_equation(n: int, s: float, gamma: float,
+                         b0: float, decades: float = 6.0) -> EntireBubble:
+    """Entire positive radial profile connecting the two indicial branches,
+    sampled at 4001 log-uniform radii over the given decades.
 
     The autonomous (log-radius) reduction makes the connecting orbit the
     symmetric trajectory through its turning point, so the two-sided
     shooting is integrated once from the turning point and reflected;
-    beyond the reliable range the matched indicial tails take over."""
+    below 1e-5 of the peak the matched indicial tails take over."""
     bm, bp = beta_pm(n, gamma)
     q = critical_exponent(n, s)
     nu = (n - 2.0) / 2.0
@@ -487,13 +473,13 @@ def solve_limit_equation(n: int, s: float, gamma: float, b0: float,
         return (dpsi, a * psi - b0 * abs(psi) ** (q - 2.0) * psi)
 
     T_half = decades * math.log(10.0) / 2.0
-    t_half = np.linspace(0.0, T_half, (num + 1) // 2)
-    psi_half = _dop853(rhs, 0.0, T_half, psi_max, 0.0, rtol=rtol,
+    t_half = np.linspace(0.0, T_half, 2001)
+    psi_half = _dop853(rhs, 0.0, T_half, psi_max, 0.0, rtol=1e-12,
                        atol=1e-14 * psi_max)(t_half)[0]
 
     # matched exponential tail past the switch amplitude
     sq = math.sqrt(a)
-    cut = psi_half > tail_switch * psi_max
+    cut = psi_half > 1e-5 * psi_max
     if not cut.all():
         i_cut = int(np.argmin(cut))
         t_cut = t_half[i_cut]
@@ -512,89 +498,3 @@ def solve_limit_equation(n: int, s: float, gamma: float, b0: float,
     return EntireBubble(data=data, n=n, s=s, gamma=gamma, b0=b0,
                         K_minus=K_minus, K_plus=K_plus, psi_peak=psi_max,
                         meta={"decades": decades})
-
-
-def bubble_nehari_gap(bubble: EntireBubble) -> float:
-    """Relative gap in the integral identity obtained by testing the limit
-    equation with its own solution."""
-    n, s, gamma, b0 = bubble.n, bubble.s, bubble.gamma, bubble.b0
-    q = critical_exponent(n, s)
-    d = bubble.data
-    t = np.log(d.r)
-    grad = spline_integral(t, d.dv ** 2 * d.r ** float(n))
-    hardy = spline_integral(t, d.v ** 2 * d.r ** (n - 2.0))
-    nl = spline_integral(t, np.abs(d.v) ** q * d.r ** (n - s))
-    lhs = grad - gamma * hardy
-    rhs = b0 * nl
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-
-def comparison_pair(params: ProblemParams, problem: EuclideanProblem,
-                    gamma_prime: float, r0: float = 1e-6,
-                    num: int = 3000) -> ComparisonPair:
-    """Singular positive supersolution (backward sweep from the boundary)
-    and the principal eigen-pair of the shifted linear operator."""
-    n = params.n
-    bm, bp = beta_pm(n, params.gamma)
-    if not (params.gamma < gamma_prime < (n - 2.0) ** 2 / 4.0):
-        raise ValueError("gamma' must lie strictly between gamma and the "
-                         "Hardy threshold")
-    R = problem.domain_radius
-    nm2, h_const = n - 2.0, _constant_h(problem)
-
-    def rhs(t, v, vt):
-        r = math.exp(t)
-        h = h_const if h_const is not None else float(problem.h(r))
-        return (vt, -nm2 * vt - (gamma_prime + h * r * r) * v)
-
-    t0, t1 = math.log(r0), math.log(R)
-    t = np.linspace(t0, t1, num)
-    v, vt = _dop853(rhs, t1, t0, 0.0, -1.0, rtol=1e-11, atol=1e-14)(t)
-    r = np.exp(t)
-    H = ProfileData(r=r, v=v, dv=vt / r)
-
-    # principal eigen-pair of -Lap - gamma'/r^2 - h against the plain mass
-    shifted = EuclideanProblem(
-        params=ProblemParams(n=n, s=params.s, gamma=gamma_prime,
-                             lam=params.lam, theta=params.theta,
-                             c=params.c),
-        domain_radius=R, h_spec=problem.h_spec, b_spec=problem.b_spec,
-        lowdim=problem.lowdim)
-    A = _form_operator(shifted, r0, num)
-    tg = np.linspace(t0, t1, num)
-    ht = tg[1] - tg[0]
-    rg = np.exp(tg)
-    lump = np.zeros(num)
-    lump[:-1] += 0.5 * ht
-    lump[1:] += 0.5 * ht
-    from scipy.sparse import diags
-    M = diags((lump * rg ** float(n))[:-1], format="csc")
-    lam, x = _smallest_pencil_eig(A, M)
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    phi1 = np.concatenate([x, [0.0]])
-    dphi = log_derivative_matrix_apply(tg, phi1) / rg
-    eig = ProfileData(r=rg, v=phi1, dv=dphi)
-    return ComparisonPair(H_profile=H, eigen_profile=eig,
-                          eigenvalue=float(lam), gamma_prime=gamma_prime)
-
-
-def _smallest_pencil_eig(A, M, tol: float = 1e-12, max_iter: int = 300):
-    from scipy.sparse.linalg import splu
-    rng = np.random.default_rng(2024)
-    x = rng.standard_normal(A.shape[0])
-    x /= math.sqrt(abs(x @ (M @ x)))
-    sigma = 0.0
-    lam = x @ (A @ x)
-    for _ in range(max_iter):
-        lu = splu((A - sigma * M).tocsc())
-        for _ in range(3):
-            y = lu.solve(M @ x)
-            ny = math.sqrt(abs(y @ (M @ y)))
-            x = y / ny
-        new_lam = (x @ (A @ x)) / (x @ (M @ x))
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            return new_lam, x
-        lam = new_lam
-        sigma = lam * (1.0 - 1e-8) - 1e-12
-    return lam, x

@@ -1,6 +1,6 @@
 """Identity and inequality audits: Pohozaev balance on annuli, the
-hyperbolic Hardy and Hardy-Sobolev inequalities, asymptotic exponent
-extraction, and energy-level tables."""
+hyperbolic Hardy and Hardy-Sobolev inequalities, and asymptotic exponent
+extraction."""
 
 from __future__ import annotations
 
@@ -36,10 +36,6 @@ class PohozaevBreakdown:
     flux_inner: float
     total: float
     relative: float
-
-    def volume_total(self) -> float:
-        return (self.h_term + self.grad_h_term + self.p_defect_term
-                + self.grad_b_term)
 
 
 @dataclass
@@ -230,13 +226,9 @@ def hardy_sobolev_check(u: ProfileData, n: int, s: float,
     return num / denom ** (2.0 / q)
 
 
-def asymptotic_exponent(v: SolutionProfile, window: tuple,
-                        mode: str = "euclidean") -> tuple:
-    """Least-squares slope of log |v| over the window.
-
-    mode "euclidean": slope against log r (converged profiles give
-    -beta_-); mode "hyperbolic": slope against log G(r) (giving
-    alpha_-)."""
+def asymptotic_exponent(v: SolutionProfile, window: tuple) -> tuple:
+    """Least-squares slope of log |v| against log r over the window, with
+    its standard error; converged profiles give -beta_-."""
     r1, r2 = window
     r = v.data.r
     mask = (r >= r1) & (r <= r2)
@@ -246,34 +238,10 @@ def asymptotic_exponent(v: SolutionProfile, window: tuple,
     if np.any(vals == 0.0) or np.any(np.sign(vals) != np.sign(vals[0])):
         raise VerificationError("sign change inside the fit window")
     y = np.log(np.abs(vals))
-    if mode == "euclidean":
-        x = np.log(r[mask])
-    elif mode == "hyperbolic":
-        x = np.log(green_G(r[mask], v.params.n))
-    else:
-        raise VerificationError(f"unknown mode {mode!r}")
+    x = np.log(r[mask])
     A = np.vstack([x, np.ones_like(x)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     dof = max(len(x) - 2, 1)
     var = (res[0] / dof if len(res) else 0.0)
     cov = var * np.linalg.inv(A.T @ A)[0, 0]
     return float(coef[0]), float(math.sqrt(max(cov, 0.0)))
-
-
-def energy_levels(profiles: list) -> dict:
-    """Action values per profile, sorted by nodal count; strict positivity
-    is asserted and monotonicity in the nodal count is reported (an
-    observation, not an identity)."""
-    rows = []
-    for prof in profiles:
-        rows.append({"node_count": int(prof.node_count),
-                     "p_defect": float(prof.p_defect),
-                     "energy": float(prof.energy)})
-    rows.sort(key=lambda row: (row["node_count"], row["p_defect"]))
-    energies = [row["energy"] for row in rows]
-    return {
-        "rows": rows,
-        "all_positive": all(e > 0.0 for e in energies),
-        "monotone_in_node_count": all(a <= b for a, b in
-                                      zip(energies, energies[1:])),
-    }

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from hardyball.bridge import (EuclideanProblem, LowDimConstants,
-                              _quadratic_form_diagonals, b_origin, b_weight,
-                              coercivity_lambda0, h_conformal,
-                              h_gamma_lambda, phi, residual_equivalence_check,
-                              to_euclidean, to_hyperbolic)
+from hardyball.bridge import (EuclideanProblem, _quadratic_form_diagonals,
+                              b_origin, b_weight, coercivity_lambda0,
+                              h_conformal, h_gamma_lambda, phi,
+                              residual_equivalence_check)
 from hardyball.constants import ProblemParams, beta_pm
 from hardyball.grids import ProfileData
 from hardyball.kernel import DomainError
@@ -31,8 +30,11 @@ def test_h_branch_values():
     p0 = ProblemParams(n=5, s=1.0, gamma=0.0, lam=0.0)
     assert h_gamma_lambda(0.3, p0) == pytest.approx(-15.0, rel=1e-14)
     p3 = ProblemParams(n=3, s=1.0, gamma=1.0)
-    assert h_gamma_lambda(0.01, p3, LowDimConstants(c3=0.0)) == \
-        pytest.approx(400.0, rel=1e-14)
+    assert h_gamma_lambda(0.01, p3) == pytest.approx(400.0, rel=1e-14)
+    # n = 4: h = 8 gamma ln(1/r)
+    p4 = ProblemParams(n=4, s=1.0, gamma=-1.0)
+    assert h_gamma_lambda(math.exp(-1.0), p4) == pytest.approx(-8.0,
+                                                               rel=1e-14)
     # n >= 5 branch is exactly constant in r
     r = np.geomspace(1e-6, 0.9, 50)
     vals = h_gamma_lambda(r, p)
@@ -108,12 +110,10 @@ def test_exact_potential_vs_truncated_h():
 def test_transport_round_trip_and_values():
     r = np.geomspace(1e-5, 0.5, 300)
     u = ProfileData(r, np.exp(-((np.log(r) + 4.0) / 1.0) ** 2))
-    v = to_euclidean(u, 5)
-    back = to_hyperbolic(v, 5)
-    assert np.max(np.abs(back.v - u.v)) <= 1e-14 * np.max(u.v)
-    ones = ProfileData(r, np.ones(len(r)))
-    assert to_euclidean(ones, 5).v[0] == pytest.approx(
-        phi(r[0], 5), rel=1e-12)
+    v = u.v * phi(r, 5)
+    assert np.max(np.abs(v / phi(r, 5) - u.v)) <= 1e-14 * np.max(u.v)
+    # phi tends to 2^{(n-2)/2} at the origin
+    assert v[0] / u.v[0] == pytest.approx(2.0 ** 1.5, rel=1e-9)
 
 
 def test_transport_maps_indicial_branches():
@@ -125,8 +125,8 @@ def test_transport_maps_indicial_branches():
     am = alpha_minus(n, gamma)
     r = np.geomspace(1e-6, 1e-3, 200)
     u = ProfileData(r, green_G(r, n) ** am)
-    v = to_euclidean(u, n)
-    slope = np.polyfit(np.log(r), np.log(np.abs(v.v)), 1)[0]
+    v = u.v * phi(r, n)
+    slope = np.polyfit(np.log(r), np.log(np.abs(v)), 1)[0]
     assert slope == pytest.approx(-bm, rel=2e-2)
 
 

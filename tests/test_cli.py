@@ -110,6 +110,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(_write_cfg(tmp_path / "e.json",
                                {"params": dict(REF_PARAMS),
                                 "output": {"formats": ["csv"]}}))
+    # a section that is not an object
+    for i, extra in enumerate(({"solver": [1, 2]}, {"output": 5},
+                               {"sweep": [1]}, {"solver": None})):
+        with pytest.raises(ConfigError):
+            load_config(_write_cfg(tmp_path / f"f{i}.json",
+                                   {"params": dict(REF_PARAMS), **extra}))
 
 
 def test_load_config_requires_core_params(tmp_path):
@@ -130,6 +136,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["constants", "--config", cfg]) == 1
     ok = _write_cfg(tmp_path / "ok.json", {"params": dict(REF_PARAMS)})
     assert main(["constants", "--config", ok, "--seed", "-1"]) == 1
+    # malformed values and sections exit cleanly, not with a traceback
+    for i, doc in enumerate((
+            {"params": {**REF_PARAMS, "n": "five"}},
+            {"params": {**REF_PARAMS, "gamma": "x"}},
+            {"params": {**REF_PARAMS, "n": math.inf}},
+            {"params": dict(REF_PARAMS), "solver": [1, 2]},
+            {"params": dict(REF_PARAMS), "output": 5},
+            {"params": dict(REF_PARAMS), "sweep": [1]})):
+        cfg = _write_cfg(tmp_path / f"m{i}.json", doc)
+        assert main(["constants", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
     capsys.readouterr()
 
 

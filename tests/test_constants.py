@@ -70,7 +70,6 @@ def test_exponent_set_tau_range():
     lo, hi = exps.tau_range
     assert lo == pytest.approx(beta_pm(5, -2.0)[0])
     assert hi == pytest.approx(1.5)
-    assert lo < exps.tau_default() < hi
 
 
 def test_admissibility_reference_flags():

@@ -87,8 +87,8 @@ def test_node_count_counts_strict_sign_changes():
 
 def _knot_sets():
     """Knots in t = log r: the log-uniform shooting grid, the symmetric
-    bubble grid, and radii a caller hands to blowup.rescale_profile
-    (uniform in r, so their log spacing varies 50-fold)."""
+    bubble grid, and radii uniform in r, as a caller may hand to a profile
+    (their log spacing varies 50-fold)."""
     half = np.linspace(0.0, 6.0, 1001)
     return {
         "log-uniform": np.linspace(np.log(5e-6), np.log(0.5), 1200),

@@ -1,5 +1,5 @@
-"""Shooting, variational cross-check, continuation, the entire-space
-profile, and the linear comparison pair."""
+"""Shooting, variational cross-check, continuation, and the entire-space
+profile."""
 
 import math
 
@@ -14,7 +14,6 @@ from hardyball.grids import spline_integral
 from hardyball.kernel import sphere_area
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
                               NotCoercive, bubble_closed_form,
-                              bubble_nehari_gap, comparison_pair,
                               continuation_to_critical,
                               dirichlet_norm_sq, frobenius_init, shoot,
                               solve_dirichlet_shooting, solve_limit_equation,
@@ -441,31 +440,3 @@ def test_bubble_tail_slopes_and_global_bound(bubble):
     assert np.max(bound) < math.inf
     assert np.max(bound) < 10.0 * np.median(bound[len(bound) // 3:
                                                   2 * len(bound) // 3])
-
-
-def test_bubble_nehari_identity(bubble):
-    assert bubble_nehari_gap(bubble) < 1e-4
-
-
-def test_comparison_pair_bounds(ref_params, ref_problem):
-    pair = comparison_pair(ref_params, ref_problem, gamma_prime=-1.0,
-                           num=2000)
-    bmp, bpp = beta_pm(5, -1.0)
-    r = pair.H_profile.r
-    H = pair.H_profile.v
-    mask = (r >= r[0]) & (r <= 0.05)
-    ratio = H[mask] * r[mask] ** bpp
-    assert np.all(ratio > 0.0)
-    assert np.max(ratio) / np.min(ratio) < 50.0
-    phi1 = pair.eigen_profile.v
-    rr = pair.eigen_profile.r
-    m2 = (rr >= rr[0] * 5) & (rr <= 0.05)
-    ratio2 = phi1[m2] * rr[m2] ** bmp
-    assert np.all(ratio2 > 0.0)
-    assert np.max(ratio2) / np.min(ratio2) < 50.0
-    assert np.all(phi1[:-1] > 0.0)
-
-
-def test_comparison_pair_range_check(ref_params, ref_problem):
-    with pytest.raises(ValueError):
-        comparison_pair(ref_params, ref_problem, gamma_prime=-3.0)

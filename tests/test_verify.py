@@ -1,5 +1,5 @@
 """Identity audits: the annulus momentum balance, the two hyperbolic
-inequalities, exponent extraction, and the energy table."""
+inequalities, and exponent extraction."""
 
 import math
 from dataclasses import dataclass
@@ -9,29 +9,19 @@ import pytest
 
 from hardyball import verify
 from hardyball.bridge import EuclideanProblem
-from hardyball.constants import ProblemParams, alpha_minus, beta_pm
+from hardyball.constants import ProblemParams, beta_pm
 from hardyball.grids import ProfileData
-from hardyball.kernel import (green_G, hyperbolic_dirichlet_energy,
+from hardyball.kernel import (hyperbolic_dirichlet_energy,
                               hyperbolic_integral, hyperbolic_scaling,
                               weight_V_p)
 from hardyball.solver import ProfileData, SolutionProfile, shoot
-from hardyball.verify import (PohozaevBreakdown, VerificationError,
-                              VerificationReport, asymptotic_exponent,
-                              energy_levels, hardy_check,
+from hardyball.verify import (VerificationError, VerificationReport,
+                              asymptotic_exponent, hardy_check,
                               hardy_sharpness_error, hardy_sobolev_check,
                               pohozaev_residual)
 
 
 # ---------------------------------------------------------------- Pohozaev
-
-def test_breakdown_bookkeeping():
-    br = PohozaevBreakdown(h_term=1.0, grad_h_term=2.0, p_defect_term=3.0,
-                           grad_b_term=4.0, flux_outer=7.0, flux_inner=2.0,
-                           total=5.0, relative=0.1)
-    assert br.volume_total() == pytest.approx(10.0)
-    assert br.total == pytest.approx(br.volume_total()
-                                     - (br.flux_outer - br.flux_inner))
-
 
 def test_constant_profile_balances_exactly():
     # gamma = 0, h = 0, b = 0, v = 1: every term vanishes identically
@@ -186,37 +176,16 @@ def test_exponent_recovers_pure_powers(expo):
     assert err <= 1e-10
 
 
-def test_exponent_hyperbolic_mode():
-    # v = G(r)^a has slope a against log G
-    n, a = 5, 0.25
-    r = np.geomspace(1e-6, 1e-3, 500)
-    g = green_G(r, n)
-    params = ProblemParams(n=n, s=1.0, gamma=-2.0)
-    prof = SolutionProfile(
-        data=ProfileData(r=r, v=g ** a, dv=np.gradient(g ** a, r)),
-        params=params, p_defect=0.0, K0=1.0, node_count=0, energy=1.0,
-        residual_norm=0.0, boundary_value=0.0)
-    slope, _ = asymptotic_exponent(prof, (2e-6, 5e-4), mode="hyperbolic")
-    assert slope == pytest.approx(a, rel=1e-6)
-
-
 def test_exponent_on_ground_state(ground_shoot):
     bm, _ = beta_pm(5, -2.0)
-    am = alpha_minus(5, -2.0)
     sl_e, _ = asymptotic_exponent(ground_shoot, (1e-5, 1e-3))
     assert sl_e == pytest.approx(-bm, rel=2e-2)
-    sl_h, _ = asymptotic_exponent(ground_shoot, (1e-5, 1e-3),
-                                  mode="hyperbolic")
-    # near zero G ~ c r^{-(n-2)} so the two slopes are proportional
-    assert sl_h == pytest.approx(am, rel=2e-2)
 
 
 def test_exponent_guards():
     prof = _power_profile(-1.0)
     with pytest.raises(VerificationError):
         asymptotic_exponent(prof, (1e-6, 1.03e-6))  # too few nodes
-    with pytest.raises(VerificationError):
-        asymptotic_exponent(prof, (1e-5, 1e-2), mode="spherical")
     sign_flip = _power_profile(0.0)
     sign_flip.data.v[:] = np.sin(np.log(sign_flip.data.r))
     with pytest.raises(VerificationError):
@@ -224,22 +193,6 @@ def test_exponent_guards():
 
 
 # ------------------------------------------------------------ reports etc.
-
-def test_energy_levels_table(ground_shoot):
-    @dataclass
-    class Lite:
-        node_count: int
-        p_defect: float
-        energy: float
-
-    table = energy_levels([Lite(1, 0.2, 5.0), ground_shoot])
-    assert table["all_positive"]
-    assert [row["node_count"] for row in table["rows"]] == [0, 1]
-    assert table["monotone_in_node_count"] == \
-        (table["rows"][0]["energy"] <= 5.0)
-    empty = energy_levels([])
-    assert empty["rows"] == [] and empty["all_positive"]
-
 
 def test_verification_report():
     rep = VerificationReport(provenance={"case": "unit"})
