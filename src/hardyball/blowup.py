@@ -29,29 +29,22 @@ class FamilyError(ValueError):
 class BubbleFamily:
     """A stack of concentration scales.
 
-    mu: increasing positive scales; k[i] = mu[i]^(1 - p/(q-2)) with q the
-    critical exponent; t_limits[i] in (0, 1] approximates lim mu_i^p."""
+    mu: increasing positive scales; t_limits[i] in (0, 1] approximates
+    lim mu_i^p."""
 
     mu: np.ndarray
-    k: np.ndarray
     t_limits: np.ndarray
     p_defect: float
     params: ProblemParams
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
-        self.k = np.asarray(self.k, dtype=float)
         self.t_limits = np.asarray(self.t_limits, dtype=float)
-        if len(self.mu) != len(self.k) or len(self.mu) != len(self.t_limits):
-            raise FamilyError("mu, k, t_limits must have equal length")
+        if len(self.mu) != len(self.t_limits):
+            raise FamilyError("mu and t_limits must have equal length")
         if len(self.mu) and (np.any(self.mu <= 0)
                              or np.any(np.diff(self.mu) <= 0)):
             raise FamilyError("scales must be positive and increasing")
-        q = critical_exponent(self.params.n, self.params.s)
-        expo = 1.0 - self.p_defect / (q - 2.0)
-        if len(self.mu) and np.max(np.abs(self.k - self.mu ** expo)
-                                   / self.mu ** expo) > 1e-12:
-            raise FamilyError("k inconsistent with mu and the defect")
         if len(self.mu) and (np.any(self.t_limits <= 0.0)
                              or np.any(self.t_limits > 1.0)):
             raise FamilyError("t limits must lie in (0, 1]")
@@ -64,10 +57,8 @@ class BubbleFamily:
                     params: ProblemParams) -> "BubbleFamily":
         """Build the family from raw scales; t_i is estimated by mu_i^p."""
         mu = np.asarray(mu, dtype=float)
-        q = critical_exponent(params.n, params.s)
-        k = mu ** (1.0 - p / (q - 2.0))
         t = np.clip(mu ** p, 1e-300, 1.0)
-        return cls(mu=mu, k=k, t_limits=t, p_defect=p, params=params)
+        return cls(mu=mu, t_limits=t, p_defect=p, params=params)
 
 
 @dataclass
@@ -129,51 +120,35 @@ def detect_scales(u: SolutionProfile, p: float) -> list:
     return out
 
 
-def calibrated_bubble(bubble: EntireBubble) -> ProfileData:
+def calibrated_bubble(bubble: EntireBubble, x=None) -> ProfileData:
     """Representative of the bubble's scaling orbit whose value equals one
-    at the maximum of the weighted profile; with this normalization the
-    scale read off by detect_scales is exactly the planted one."""
-    n = bubble.n
-    nu = (n - 2.0) / 2.0
+    at the maximum of the weighted profile, from the closed form at the
+    radii x (by default the bubble's own samples, rescaled); with this
+    normalization the scale read off by detect_scales is exactly the
+    planted one."""
     # peak of x^{nu} |B(x)| sits at the peak amplitude psi_peak
-    lam = bubble.psi_peak ** (1.0 / nu)
-    r = bubble.data.r * lam
-    amp = lam ** -nu
-    return ProfileData(r=r, v=amp * bubble.data.v, dv=amp / lam * bubble.data.dv)
+    lam = bubble.psi_peak ** (2.0 / (bubble.n - 2.0))
+    x = bubble.data.r * lam if x is None else np.asarray(x, dtype=float)
+    w, dw = bubble.at(x / lam)
+    return ProfileData(r=x, v=w / bubble.psi_peak,
+                       dv=dw / (bubble.psi_peak * lam))
 
 
 def plant_bubbles(bubble: EntireBubble, scales, p: float,
                   params: ProblemParams, radii) -> SolutionProfile:
     """Synthetic superposition of calibrated bubbles at the given scales,
     sampled on the given radii; used to validate the detectors."""
-    cal = calibrated_bubble(bubble)
-    spline = cal.spline()
-    dspline = cal.dspline()
     n = params.n
     q = critical_exponent(n, params.s)
     radii = np.asarray(radii, dtype=float)
     v = np.zeros_like(radii)
     dv = np.zeros_like(radii)
-    lo, hi = cal.r[0], cal.r[-1]
-    bm, bp = beta_pm(n, params.gamma)
     for mu in scales:
         k = mu ** (1.0 - p / (q - 2.0))
-        x = radii / k
-        t = np.log(np.clip(x, lo, hi))
         amp = mu ** (-(n - 2.0) / 2.0)
-        vals = np.where((x >= lo) & (x <= hi), spline(t), 0.0)
-        # power-law continuation outside the stored window
-        vals = np.where(x < lo, spline(math.log(lo)) * (x / lo) ** -bm, vals)
-        vals = np.where(x > hi, spline(math.log(hi)) * (x / hi) ** -bp, vals)
-        v += amp * vals
-        dvals = np.where((x >= lo) & (x <= hi), dspline(t), 0.0)
-        dvals = np.where(x < lo,
-                         -bm * spline(math.log(lo)) * (x / lo) ** (-bm - 1) / lo,
-                         dvals)
-        dvals = np.where(x > hi,
-                         -bp * spline(math.log(hi)) * (x / hi) ** (-bp - 1) / hi,
-                         dvals)
-        dv += amp * dvals / k
+        cal = calibrated_bubble(bubble, radii / k)
+        v += amp * cal.v
+        dv += amp * cal.dv / k
     data = ProfileData(r=radii, v=v, dv=dv)
     return SolutionProfile(data=data, params=replace(params, p_defect=p),
                            p_defect=p, K0=0.0,

@@ -172,6 +172,57 @@ def _check_keys(block, allowed: set, name: str) -> None:
                           + ", ".join(sorted(unknown)))
 
 
+def _number(key: str, value, low: float = 0.0, high: float = math.inf,
+            integer: bool = False):
+    """A JSON number in (low, high) as a float, or an integral one >= low
+    as an int; anything else is a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or not (low <= value == int(value) if integer
+                    else low < value < high)):
+        kind = (f"an integer >= {low:g}" if integer
+                else f"a number in ({low:g}, {high:g})")
+        raise ConfigError(f"{key} must be {kind}, not {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _interval(key: str, value) -> tuple:
+    """[lo, hi] with 0 < lo < hi, as a tuple of floats."""
+    pair = (tuple(_number(key, x) for x in value)
+            if isinstance(value, list) else ())
+    if len(pair) != 2 or not pair[0] < pair[1]:
+        raise ConfigError(f"{key} must be [lo, hi] with 0 < lo < hi")
+    return pair
+
+
+def _type_solver(sol: dict) -> None:
+    """Convert every value of the solver section to its type, in place,
+    and check it against its range, so that the commands read it as it
+    is."""
+    if sol["method"] not in ("shooting", "variational"):
+        raise ConfigError("solver.method must be shooting or variational")
+    if not isinstance(sol["coercivity"], bool):
+        raise ConfigError("solver.coercivity must be true or false")
+    for key, bounds in (("domain_radius", {"high": 1.0}),
+                        ("grid_num", {"low": 4, "integer": True}),
+                        ("node_target", {"integer": True}),
+                        ("boundary_tol", {}), ("rtol", {}),
+                        ("bubble_decades", {})):
+        sol[key] = _number("solver." + key, sol[key], **bounds)
+    if sol["r0"] is not None:
+        sol["r0"] = _number("solver.r0", sol["r0"], high=sol["domain_radius"])
+    for key in ("K_range", "annulus", "fit_window"):
+        if key == "K_range" or sol[key] is not None:
+            sol[key] = _interval("solver." + key, sol[key])
+    if not isinstance(sol["schedule"], list) or not sol["schedule"]:
+        raise ConfigError("solver.schedule must be a non-empty list")
+    ps = tuple(_number("solver.schedule", p, low=-math.inf)
+               for p in sol["schedule"])
+    if any(b >= a for a, b in zip(ps, ps[1:])):
+        raise ConfigError("solver.schedule must be strictly decreasing")
+    sol["schedule"] = ps
+
+
 def load_config(path: str) -> dict:
     if path is None:
         raise ConfigError("--config is required for this command")
@@ -194,6 +245,7 @@ def load_config(path: str) -> dict:
     solver = dict(_SOLVER_DEFAULTS)
     _check_keys(cfg.get("solver", {}), set(_SOLVER_DEFAULTS), "solver")
     solver.update(cfg.get("solver", {}))
+    _type_solver(solver)
     output = dict(_OUTPUT_DEFAULTS)
     _check_keys(cfg.get("output", {}), set(_OUTPUT_DEFAULTS), "output")
     output.update(cfg.get("output", {}))
@@ -203,6 +255,10 @@ def load_config(path: str) -> dict:
         for key, grid in sweep.items():
             if not isinstance(grid, list) or not grid:
                 raise ConfigError(f"sweep.{key} must be a non-empty list")
+        if "node_target" in sweep:
+            sweep = dict(sweep, node_target=[
+                _number("sweep.node_target", k, integer=True)
+                for k in sweep["node_target"]])
     return {"params": params, "solver": solver, "output": output,
             "sweep": sweep}
 
@@ -210,8 +266,11 @@ def load_config(path: str) -> dict:
 def make_params(cfg: dict) -> ProblemParams:
     block = cfg["params"]
     try:
+        n = float(block["n"])
+        if not n.is_integer():
+            raise ValueError(f"n must be an integer, not {block['n']!r}")
         values = dict(
-            n=int(block["n"]), s=float(block["s"]),
+            n=int(n), s=float(block["s"]),
             gamma=float(block["gamma"]), lam=float(block.get("lam", 0.0)),
             theta=float(block.get("theta", 0.0)),
             c=float(block.get("c", 1.0)),
@@ -224,8 +283,7 @@ def make_params(cfg: dict) -> ProblemParams:
 
 def make_problem(cfg: dict, params: ProblemParams) -> EuclideanProblem:
     return EuclideanProblem(params,
-                            domain_radius=float(
-                                cfg["solver"]["domain_radius"]))
+                            domain_radius=cfg["solver"]["domain_radius"])
 
 
 def _outdir(cfg: dict, args) -> str:
@@ -324,7 +382,7 @@ def cmd_weights(cfg: dict, args) -> int:
     params = make_params(cfg)
     n, s = params.n, params.s
     q = critical_exponent(n, s)
-    r = np.geomspace(1e-6, 1.0 - 1e-6, int(cfg["solver"]["grid_num"]))
+    r = np.geomspace(1e-6, 1.0 - 1e-6, cfg["solver"]["grid_num"])
     V2 = weight_V_p(r, n, 2.0)
     table = csv_text(("r", "f", "G", "V2", "Vq"), zip(
         r, green_density(r, n), green_G(r, n), V2, weight_V_p(r, n, q)))
@@ -339,7 +397,7 @@ def cmd_bridge(cfg: dict, args) -> int:
     beta_pm(params.n, params.gamma)     # raises above the threshold
     problem = make_problem(cfg, params)
     R = problem.domain_radius
-    r = np.geomspace(1e-6, R, int(cfg["solver"]["grid_num"]))
+    r = np.geomspace(1e-6, R, cfg["solver"]["grid_num"])
     table = csv_text(("r", "h", "b", "W"), (
         (ri, float(problem.h(ri)), float(problem.b(ri)),
          euclidean_potential(ri, params.n, params.gamma, params.lam))
@@ -362,11 +420,10 @@ def _solve_one(cfg: dict, params: ProblemParams,
     sol = cfg["solver"]
     if sol["method"] == "variational":
         return solve_variational(params, problem, params.p_defect,
-                                 r0=sol["r0"], num=int(sol["grid_num"]))
+                                 r0=sol["r0"], num=sol["grid_num"])
     return solve_dirichlet_shooting(
-        params, problem, params.p_defect,
-        node_target=int(sol["node_target"]),
-        K_range=tuple(sol["K_range"]), boundary_tol=sol["boundary_tol"],
+        params, problem, params.p_defect, node_target=sol["node_target"],
+        K_range=sol["K_range"], boundary_tol=sol["boundary_tol"],
         r0=sol["r0"], rtol=sol["rtol"])
 
 
@@ -383,10 +440,9 @@ def cmd_solve(cfg: dict, args) -> int:
 def cmd_bubble(cfg: dict, args) -> int:
     from .solver import solve_limit_equation
     params = make_params(cfg)
-    beta_pm(params.n, params.gamma)
     bub = solve_limit_equation(params.n, params.s, params.gamma,
                                b_origin(params.n, params.s),
-                               decades=float(cfg["solver"]["bubble_decades"]))
+                               decades=cfg["solver"]["bubble_decades"])
     doc = {"n": bub.n, "s": bub.s, "gamma": bub.gamma, "b0": bub.b0,
            "K_minus": bub.K_minus, "K_plus": bub.K_plus,
            "psi_peak": bub.psi_peak}
@@ -398,11 +454,10 @@ def cmd_continue(cfg: dict, args) -> int:
     from .solver import ContinuationSchedule, continuation_to_critical
     params = make_params(cfg)
     problem = make_problem(cfg, params)
-    schedule = ContinuationSchedule(tuple(cfg["solver"]["schedule"]))
+    schedule = ContinuationSchedule(cfg["solver"]["schedule"])
     profiles = continuation_to_critical(
-        params, problem, schedule,
-        node_target=int(cfg["solver"]["node_target"]),
-        K_range=tuple(cfg["solver"]["K_range"]))
+        params, problem, schedule, node_target=cfg["solver"]["node_target"],
+        K_range=cfg["solver"]["K_range"])
     if not profiles:
         raise SolverError("continuation produced no profiles")
     files = {}
@@ -461,13 +516,13 @@ def cmd_verify(cfg: dict, args) -> int:
         provenance={"stem": "profile", "directory": out,
                     "seed": int(args.seed)})
     R = problem.domain_radius
-    annulus = cfg["solver"]["annulus"] or [1e-3 * R, R]
-    po = pohozaev_residual(prof, problem, tuple(annulus))
+    annulus = cfg["solver"]["annulus"] or (1e-3 * R, R)
+    po = pohozaev_residual(prof, problem, annulus)
     report.add("pohozaev_relative_residual", po.relative, 1e-4)
-    window = cfg["solver"]["fit_window"] or [prof.data.r[0] * 10.0,
-                                             prof.data.r[0] * 100.0]
+    window = cfg["solver"]["fit_window"] or (prof.data.r[0] * 10.0,
+                                             prof.data.r[0] * 100.0)
     bm, _ = beta_pm(params.n, params.gamma)
-    slope, stderr = asymptotic_exponent(prof, tuple(window))
+    slope, stderr = asymptotic_exponent(prof, window)
     report.add("asymptotic_slope_error", slope - (-bm),
                0.02 * abs(bm) + 2.0 * stderr)
     report.add("energy_positive", prof.energy, math.inf,

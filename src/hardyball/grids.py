@@ -192,9 +192,6 @@ class ProfileData:
             self._spline = CubicSpline(np.log(self.r), self.v)
         return self._spline
 
-    def dspline(self) -> CubicSpline:
-        return CubicSpline(np.log(self.r), self.dv)
-
     def __call__(self, r, atol: float = 0.0):
         """Evaluate at radii r; outside the samples the profile must be
         flat to within atol (compactly supported samples), else this is an

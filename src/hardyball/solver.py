@@ -439,62 +439,21 @@ def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:
                                     np.max(np.abs(b.data.v))))
 
 
-def bubble_closed_form(n: int, s: float, gamma: float, b0: float,
-                       r) -> np.ndarray:
-    """Explicit connecting profile of the autonomous reduction; used as an
-    independent cross-check of the integrated bubble."""
-    bm, bp = beta_pm(n, gamma)
-    q = critical_exponent(n, s)
-    nu = (n - 2.0) / 2.0
-    a = nu * nu - gamma
-    psi_max = (a * q / (2.0 * b0)) ** (1.0 / (q - 2.0))
-    alpha = math.sqrt(a) * (q - 2.0) / 2.0
-    t = np.log(np.asarray(r, dtype=float))
-    psi = psi_max * np.cosh(alpha * t) ** (-2.0 / (q - 2.0))
-    return np.asarray(r, dtype=float) ** (-nu) * psi
-
-
 def solve_limit_equation(n: int, s: float, gamma: float,
                          b0: float, decades: float = 6.0) -> EntireBubble:
     """Entire positive radial profile connecting the two indicial branches,
-    sampled at 4001 log-uniform radii over the given decades.
-
-    The autonomous (log-radius) reduction makes the connecting orbit the
-    symmetric trajectory through its turning point, so the two-sided
-    shooting is integrated once from the turning point and reflected;
-    below 1e-5 of the peak the matched indicial tails take over."""
-    bm, bp = beta_pm(n, gamma)
+    sampled with its exact derivative (EntireBubble.at) at 4001
+    log-uniform radii over the given decades, centred on r = 1, where
+    r^{(n-2)/2} w peaks.  The indicial coefficients are the exact limits
+    K_- = K_+ = psi_peak 2^{2/(q-2)} of the closed form."""
+    beta_pm(n, gamma)                   # raises above the Hardy threshold
     q = critical_exponent(n, s)
     nu = (n - 2.0) / 2.0
-    a = nu * nu - gamma
-    psi_max = (a * q / (2.0 * b0)) ** (1.0 / (q - 2.0))
-
-    def rhs(t, psi, dpsi):
-        return (dpsi, a * psi - b0 * abs(psi) ** (q - 2.0) * psi)
-
+    psi_max = ((nu * nu - gamma) * q / (2.0 * b0)) ** (1.0 / (q - 2.0))
+    K = psi_max * 2.0 ** (2.0 / (q - 2.0))
+    bubble = EntireBubble(n=n, s=s, gamma=gamma, b0=b0, K_minus=K, K_plus=K,
+                          psi_peak=psi_max)
     T_half = decades * math.log(10.0) / 2.0
-    t_half = np.linspace(0.0, T_half, 2001)
-    psi_half = _dop853(rhs, 0.0, T_half, psi_max, 0.0, rtol=1e-12,
-                       atol=1e-14 * psi_max)(t_half)[0]
-
-    # matched exponential tail past the switch amplitude
-    sq = math.sqrt(a)
-    cut = psi_half > 1e-5 * psi_max
-    if not cut.all():
-        i_cut = int(np.argmin(cut))
-        t_cut = t_half[i_cut]
-        amp = psi_half[i_cut] * math.exp(sq * t_cut)
-        psi_half = np.where(cut, psi_half, amp * np.exp(-sq * t_half))
-    t = np.concatenate([-t_half[::-1][:-1], t_half])
-    psi = np.concatenate([psi_half[::-1][:-1], psi_half])
-    r = np.exp(t)
-    w = r ** (-nu) * psi
-    dw = log_derivative_matrix_apply(t, w) / r
-    data = ProfileData(r=r, v=w, dv=dw)
-    # indicial coefficients from the tails: w ~ K_- r^{-bm} at 0 and
-    # w ~ K_+ r^{-bp} at infinity
-    K_minus = float(w[0] * r[0] ** bm)
-    K_plus = float(w[-1] * r[-1] ** bp)
-    return EntireBubble(data=data, n=n, s=s, gamma=gamma, b0=b0,
-                        K_minus=K_minus, K_plus=K_plus, psi_peak=psi_max,
-                        meta={"decades": decades})
+    r = np.exp(np.linspace(-T_half, T_half, 4001))
+    bubble.data = ProfileData(r, *bubble.at(r))
+    return bubble

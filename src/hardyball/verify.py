@@ -62,35 +62,26 @@ class VerificationReport:
 
 
 def _flux(rho: float, u: float, du: float, problem: EuclideanProblem,
-          pf: float) -> float:
+          pf: float) -> tuple:
     """Surface integral of the momentum flux density over the sphere of
-    radius rho, outward normal (radial reduction)."""
+    radius rho, outward normal (radial reduction), and the same integral
+    of the absolute values of its terms: a cancellation-free magnitude
+    used to normalize the residual (for the entire-space profile the flux
+    itself vanishes identically)."""
     params = problem.params
     n, gamma, s = params.n, params.gamma, params.s
-    omega = sphere_area(n)
     h = float(problem.h(rho))
     b = float(problem.b(rho))
-    density = rho * (0.5 * du * du - 0.5 * gamma * u * u / rho ** 2
-                     - 0.5 * h * u * u
-                     - b * abs(u) ** pf / (pf * rho ** s))
-    density -= (rho * du + 0.5 * (n - 2.0) * u) * du
-    return omega * rho ** (n - 1.0) * density
-
-
-def _flux_magnitude(rho: float, u: float, du: float,
-                    problem: EuclideanProblem, pf: float, n: int,
-                    gamma: float, s: float) -> float:
-    """Sum of the absolute values of the flux components; a cancellation-
-    free magnitude used to normalize the residual (for the entire-space
-    profile the flux itself vanishes identically)."""
-    omega = sphere_area(n)
-    h = float(problem.h(rho))
-    b = float(problem.b(rho))
-    mag = (rho * (0.5 * du * du + 0.5 * abs(gamma) * u * u / rho ** 2
-                  + 0.5 * abs(h) * u * u
-                  + abs(b) * abs(u) ** pf / (pf * rho ** s))
-           + abs(rho * du + 0.5 * (n - 2.0) * u) * abs(du))
-    return omega * rho ** (n - 1.0) * mag
+    kinetic = 0.5 * du * du
+    hardy = 0.5 * gamma * u * u / rho ** 2
+    potential = 0.5 * h * u * u
+    nonlinear = b * abs(u) ** pf / (pf * rho ** s)
+    virial = rho * du + 0.5 * (n - 2.0) * u
+    density = rho * (kinetic - hardy - potential - nonlinear) - virial * du
+    mag = (rho * (kinetic + abs(hardy) + abs(potential) + abs(nonlinear))
+           + abs(virial) * abs(du))
+    weight = sphere_area(n) * rho ** (n - 1.0)
+    return weight * density, weight * mag
 
 
 def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
@@ -107,7 +98,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     sampled derivative."""
     a, b_out = annulus
     params = v.params
-    n, gamma, s = params.n, params.gamma, params.s
+    n, s = params.n, params.s
     q = critical_exponent(n, s)
     pf = q - v.p_defect
     d = v.data
@@ -149,18 +140,15 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
         u_a, du_a = frobenius_init(params, problem, v.K0, a, v.p_defect)
     else:
         u_a, du_a = float(u[0]), float(du[0])
-    flux_inner = _flux(a, u_a, du_a, problem, pf)
-    flux_outer = _flux(b_out, float(u[-1]), float(du[-1]), problem, pf)
+    flux_inner, mag_inner = _flux(a, u_a, du_a, problem, pf)
+    flux_outer, mag_outer = _flux(b_out, float(u[-1]), float(du[-1]),
+                                  problem, pf)
 
     volume = h_term + grad_h_term + p_defect_term + grad_b_term
     boundary = flux_outer - flux_inner
     total = volume - boundary
     scale = max(abs(h_term), abs(grad_h_term), abs(p_defect_term),
-                abs(grad_b_term),
-                _flux_magnitude(a, u_a, du_a, problem, pf, n, gamma, s),
-                _flux_magnitude(b_out, float(u[-1]), float(du[-1]),
-                                problem, pf, n, gamma, s),
-                1e-300)
+                abs(grad_b_term), mag_inner, mag_outer, 1e-300)
     return PohozaevBreakdown(
         h_term=h_term, grad_h_term=grad_h_term,
         p_defect_term=p_defect_term, grad_b_term=grad_b_term,

@@ -11,7 +11,7 @@ from hardyball.blowup import (BLOWUP, COMPACT, INCONCLUSIVE, BubbleFamily,
                               calibrated_bubble, compactness_verdict,
                               detect_scales, envelope_check, plant_bubbles,
                               rate_check, rate_formula, scale_count_bound)
-from hardyball.constants import ProblemParams, beta_pm, critical_exponent
+from hardyball.constants import ProblemParams, beta_pm
 from hardyball.solver import ProfileData, SolutionProfile
 
 
@@ -23,16 +23,15 @@ def params():
 def test_family_invariants(params):
     fam = BubbleFamily.from_scales([1e-4, 1e-2], 0.1, params)
     assert len(fam) == 2
-    q = critical_exponent(5, 1.0)
-    expo = 1.0 - 0.1 / (q - 2.0)
-    assert np.allclose(fam.k, fam.mu ** expo, rtol=1e-13)
     assert np.all((fam.t_limits > 0.0) & (fam.t_limits <= 1.0))
     with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2, 1e-4], k=[1.0, 1.0], t_limits=[1.0, 1.0],
+        BubbleFamily(mu=[1e-2, 1e-4], t_limits=[1.0, 1.0],
                      p_defect=0.0, params=params)
     with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2], k=[5.0], t_limits=[1.0],
-                     p_defect=0.0, params=params)
+        BubbleFamily(mu=[1e-2], t_limits=[1.5], p_defect=0.0, params=params)
+    with pytest.raises(FamilyError):
+        BubbleFamily(mu=[1e-2], t_limits=[1.0, 1.0], p_defect=0.0,
+                     params=params)
 
 
 def test_detect_single_scale(params, bubble):

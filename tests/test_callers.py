@@ -7,12 +7,11 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hardyball"
 
-# independent oracles that only tests call: the acceptance gate, and the
-# bubble's closed form in the solver tests
+# independent oracles that only tests call, all of them in the acceptance
+# gate
 ORACLES = ("plant_bubbles", "rate_check", "bubble_weighted_integrals",
            "hyperbolic_scaling", "residual_equivalence_check",
-           "hardy_sobolev_check", "radial_hardy_ode_residual",
-           "bubble_closed_form")
+           "hardy_sobolev_check", "radial_hardy_ode_residual")
 
 
 def _public_names_without_caller() -> dict:

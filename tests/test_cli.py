@@ -20,6 +20,7 @@ from hardyball.blowup import plant_bubbles
 from hardyball.bridge import EuclideanProblem
 from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
                            read_profile_csv, ConfigError)
+from hardyball.constants import critical_exponent
 from hardyball.solver import ProfileData
 
 REF_PARAMS = {"n": 5, "s": 1.0, "gamma": -2.0, "lam": 10.0,
@@ -136,16 +137,37 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["constants", "--config", cfg]) == 1
     ok = _write_cfg(tmp_path / "ok.json", {"params": dict(REF_PARAMS)})
     assert main(["constants", "--config", ok, "--seed", "-1"]) == 1
-    # malformed values and sections exit cleanly, not with a traceback
-    for i, doc in enumerate((
-            {"params": {**REF_PARAMS, "n": "five"}},
-            {"params": {**REF_PARAMS, "gamma": "x"}},
-            {"params": {**REF_PARAMS, "n": math.inf}},
-            {"params": dict(REF_PARAMS), "solver": [1, 2]},
-            {"params": dict(REF_PARAMS), "output": 5},
-            {"params": dict(REF_PARAMS), "sweep": [1]})):
+    # malformed values and sections exit cleanly, not with a traceback,
+    # before the command reads them
+    def solver(**values):
+        return {"params": dict(REF_PARAMS), "solver": values}
+
+    for i, (command, doc) in enumerate((
+            ("constants", {"params": {**REF_PARAMS, "n": "five"}}),
+            ("constants", {"params": {**REF_PARAMS, "gamma": "x"}}),
+            ("constants", {"params": {**REF_PARAMS, "n": math.inf}}),
+            ("constants", {"params": {**REF_PARAMS, "n": 5.9}}),
+            ("constants", {"params": dict(REF_PARAMS), "solver": [1, 2]}),
+            ("constants", {"params": dict(REF_PARAMS), "output": 5}),
+            ("constants", {"params": dict(REF_PARAMS), "sweep": [1]}),
+            ("bridge", solver(domain_radius="x")),
+            ("bridge", solver(domain_radius=1.5)),
+            ("bridge", solver(grid_num="x")),
+            ("weights", solver(grid_num="x")),
+            ("weights", solver(grid_num=200.5)),
+            ("bubble", solver(bubble_decades=-3)),
+            ("solve", solver(method="newton")),
+            ("solve", solver(K_range=[1e6, 1e-4])),
+            ("solve", solver(r0=0.7)),
+            ("solve", solver(rtol=0)),
+            ("bridge", solver(coercivity="yes")),
+            ("continue", solver(schedule=[0.1, 0.2])),
+            ("verify", solver(annulus=[0.1])),
+            ("sweep", {"params": dict(REF_PARAMS),
+                       "sweep": {"node_target": [-1]}}))):
         cfg = _write_cfg(tmp_path / f"m{i}.json", doc)
-        assert main(["constants", "--config", cfg]) == 1
+        out = str(tmp_path / f"out{i}")
+        assert main([command, "--config", cfg, "--out", out]) == 1, doc
         assert capsys.readouterr().err.startswith("config error:")
     capsys.readouterr()
 
@@ -453,7 +475,11 @@ def test_bubble_command(tmp_path, capsys):
     assert main(["bubble", "--config", cfg, "--out", out]) == 0
     doc = json.load(open(os.path.join(out, "bubble.json")))
     assert doc["psi_peak"] > 0.0
-    assert doc["K_minus"] > 0.0 and doc["K_plus"] > 0.0
+    # the exact indicial limits of the closed form
+    q = critical_exponent(doc["n"], doc["s"])
+    K = doc["psi_peak"] * 2.0 ** (2.0 / (q - 2.0))
+    assert doc["K_minus"] == pytest.approx(K, rel=1e-14)
+    assert doc["K_plus"] == pytest.approx(K, rel=1e-14)
     data = read_profile_csv(os.path.join(out, "bubble.csv"))
     assert np.all(np.diff(data.r) > 0.0)
     capsys.readouterr()

@@ -10,11 +10,10 @@ from hardyball import bridge, solver
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
                                  critical_exponent)
-from hardyball.grids import spline_integral
+from hardyball.grids import log_derivative_matrix_apply, spline_integral
 from hardyball.kernel import sphere_area
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
-                              NotCoercive, bubble_closed_form,
-                              continuation_to_critical,
+                              NotCoercive, continuation_to_critical,
                               dirichlet_norm_sq, frobenius_init, shoot,
                               solve_dirichlet_shooting, solve_limit_equation,
                               solve_variational)
@@ -416,14 +415,59 @@ def test_continuation_compact_regime(continuation):
     assert max(norms[-3:]) <= 2.0 * min(norms[-3:])
 
 
-def test_bubble_matches_closed_form(bubble):
-    # stay inside the integrated window (the far tails switch to the
-    # matched pure-exponential continuation)
-    r = bubble.data.r
-    sel = (r > 1e-2) & (r < 1e2)
-    exact = bubble_closed_form(bubble.n, bubble.s, bubble.gamma, bubble.b0,
-                               r[sel])
-    assert np.max(np.abs(bubble.data.v[sel] - exact)) <= 1e-8 * np.max(exact)
+def test_bubble_matches_30_digit_integration(bubble):
+    # psi = r^{(n-2)/2} w solves psi'' = a psi - b0 psi^{q-1} in t = ln r
+    # from its turning point (psi_peak, 0) at t = 0
+    mpmath = pytest.importorskip("mpmath")
+    q = critical_exponent(bubble.n, bubble.s)
+    nu = (bubble.n - 2.0) / 2.0
+    with mpmath.workdps(30):
+        a = mpmath.mpf(nu * nu - bubble.gamma)
+        b0, expo = mpmath.mpf(bubble.b0), mpmath.mpf(q) - 1
+        psi = mpmath.odefun(
+            lambda t, y: [y[1], a * y[0] - b0 * y[0] ** expo],
+            0, [mpmath.mpf(bubble.psi_peak), 0])
+        for t in (1.0, 2.0):
+            exact = float(psi(t)[0])
+            w, _ = bubble.at(math.exp(t))
+            assert abs(float(w) * math.exp(nu * t) - exact) <= 1e-12 * exact
+
+
+def test_bubble_residual_converges_at_fourth_order():
+    # the sampled w in the limit equation w_tt + (n-2) w_t + gamma w
+    # + b0 r^{2-s} w^{q-1} = 0 (t = ln r), and the sampled dw/dr against
+    # w_t / r, by 4th-order differences on |t| <= 2; the 4001 samples
+    # halve their log step with the decades
+    n, s, gamma = 5, 1.0, -2.0
+    b0 = b_origin(n, s)
+    q = critical_exponent(n, s)
+    res, dv_err = [], []
+    for decades in (32.0, 16.0, 8.0):
+        d = solve_limit_equation(n, s, gamma, b0, decades=decades).data
+        t = np.log(d.r)
+        wt = log_derivative_matrix_apply(t, d.v)
+        wtt = log_derivative_matrix_apply(t, wt)
+        eq = (wtt + (n - 2.0) * wt + gamma * d.v
+              + b0 * d.r ** (2.0 - s) * d.v ** (q - 1.0))
+        sel = np.abs(t) <= 2.0
+        res.append(np.max(np.abs(eq[sel])) / np.max(np.abs(wtt[sel])))
+        dv_err.append(np.max(np.abs(wt / d.r - d.dv)[sel])
+                      / np.max(np.abs(d.dv[sel])))
+    assert res[-1] <= 1e-8 and dv_err[-1] <= 1e-9
+    for errs in (res, dv_err):
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
+
+
+def test_bubble_indicial_limits_over_600_decades():
+    # the closed form in log form samples r = 1e-300 without overflow, and
+    # w r^{beta_-} there is the exact indicial coefficient K_-
+    n, s, gamma = 5, 1.0, -2.0
+    bub = solve_limit_equation(n, s, gamma, b_origin(n, s), decades=600.0)
+    bm, _ = beta_pm(n, gamma)
+    d = bub.data
+    assert d.r[0] < 1e-299
+    assert d.v[0] * d.r[0] ** bm == pytest.approx(bub.K_minus, rel=1e-12)
 
 
 def test_bubble_tail_slopes_and_global_bound(bubble):
