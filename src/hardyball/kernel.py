@@ -53,15 +53,14 @@ def green_density(r, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _green_G_inner(r, n: int, log):
+def _green_G_inner(r, n: int):
     """G on (0, 1/4]: the density expands binomially into the powers
-    t^{2k+1-n}, each integrated exactly (t^{-1}, for even n, gives -ln r).
-    Written for floats and arrays alike; ``log`` is math.log or np.log."""
+    t^{2k+1-n}, each integrated exactly (t^{-1}, for even n, gives -ln r)."""
     m = n - 2
     out = 0.0
     for k in range(m + 1):
         e = 2 * k + 2 - n
-        term = -log(r) if e == 0 else (1.0 - r ** e) / e
+        term = -np.log(r) if e == 0 else (1.0 - r ** e) / e
         out = out + (-1) ** k * math.comb(m, k) * term
     return out
 
@@ -69,7 +68,7 @@ def _green_G_inner(r, n: int, log):
 def _green_G_outer(r, n: int):
     """G on (1/4, 1): the binomial sum cancels as r grows, so integrate the
     density over [r, 1] with the fixed Gauss-Legendre rule, forming
-    1 - t^2 as (1 - t)(1 + t).  Floats and arrays alike."""
+    1 - t^2 as (1 - t)(1 + t)."""
     h = 0.5 * (1.0 - r)
     out = 0.0
     for one_minus_x, w in _GL_RULE:
@@ -85,25 +84,18 @@ def green_G(r, n: int):
 
     Exact binomial sum for r <= 1/4 (where it amplifies rounding by at most
     ~3 for n <= 8), a 24-point Gauss-Legendre rule on [r, 1] beyond; both
-    match a 30-digit quadrature to ~1e-14 relative for n <= 12.  Scalars
-    are evaluated with plain floats and return a float; arrays are
-    evaluated elementwise by the same formulas."""
+    match a 30-digit quadrature to ~1e-14 relative for n <= 12.  A scalar
+    returns a float."""
     if n < 3:
         raise DomainError("dimension must be >= 3")
-    if np.ndim(r) == 0:
-        r = float(r)
-        if not (0.0 < r < 1.0):
-            raise DomainError("radius must lie in (0, 1)")
-        return _green_G_inner(r, n, math.log) if r <= 0.25 \
-            else _green_G_outer(r, n)
     r = np.asarray(r, dtype=float)
     if not np.all((r > 0.0) & (r < 1.0)):
         raise DomainError("radius must lie in (0, 1)")
     out = np.empty_like(r)
     inner = r <= 0.25
-    out[inner] = _green_G_inner(r[inner], n, np.log)
+    out[inner] = _green_G_inner(r[inner], n)
     out[~inner] = _green_G_outer(r[~inner], n)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def green_G_inverse(g, n: int):

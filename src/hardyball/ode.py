@@ -240,7 +240,7 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
     return _Trajectory(ts, pieces, diverged, nfev, steps, rejected)
 
 
-def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS, maxiter=100):
+def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS):
     """A root of f in [a, b] to xtol + rtol |x|: scipy's brentq.c."""
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
@@ -251,7 +251,7 @@ def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -280,4 +280,4 @@ def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS, maxiter=100):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
+    raise RuntimeError("Brent's method did not converge in 100 steps")

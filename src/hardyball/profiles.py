@@ -47,6 +47,15 @@ class SolutionProfile:
     nonlinear_mass: float = field(default=float("nan"), compare=False)
 
 
+def weighted_profile(u: SolutionProfile, p: float) -> np.ndarray:
+    """w(r) = r^{(n-2)/2} |v|^{1 - p/(q-2)}, the profile in the scaling
+    that a concentrating core keeps as p -> 0."""
+    n = u.params.n
+    q = critical_exponent(n, u.params.s)
+    return u.data.r ** ((n - 2.0) / 2.0) * \
+        np.abs(u.data.v) ** (1.0 - p / (q - 2.0))
+
+
 @dataclass
 class EntireBubble:
     """Positive entire radial solution of the limit equation

@@ -19,7 +19,8 @@ from .kernel import sphere_area
 from .ode import _brent, _dop853
 # the records and errors, re-exported for the solver's callers
 from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
-                       NotCoercive, SolutionProfile, SolverError)
+                       NotCoercive, SolutionProfile, SolverError,
+                       weighted_profile)
 
 
 @dataclass(frozen=True)
@@ -227,25 +228,24 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     R = problem.domain_radius
     r0 = 1e-5 * R if r0 is None else r0
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
-    seen = {}  # log K -> (K, node count, v(R) / sup|v|)
-    trajectories = {}  # log K -> the shoot's dense output
-    metas = []  # the meta of every shoot
+    # every shoot, in order: log K -> (K, node count, v(R) / sup|v|, the
+    # shoot's meta, its dense output)
+    seen = {}
 
     def shoot_at(x):
         K = math.exp(x)
         prof = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol)
-        metas.append(prof.meta)
-        trajectories[x] = prof.trajectory
         v = prof.data.v
         sup = np.max(np.abs(v))
         vR = v[-1] / sup  # reads 0 below the noise floor: Brent stops
         seen[x] = (K, _sign_changes(v, sup),
-                   0.0 if abs(vR) <= max(1e-13, 0.1 * boundary_tol) else vR)
+                   0.0 if abs(vR) <= max(1e-13, 0.1 * boundary_tol) else vR,
+                   prof.meta, prof.trajectory)
         return seen[x][1]
 
     def no_bracket(message):
         return BracketNotFound(
-            message, node_counts={K: nc for K, nc, _ in seen.values()},
+            message, node_counts={K: nc for K, nc, *_ in seen.values()},
             shoots=len(seen))
 
     if K_start is None:
@@ -283,7 +283,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     bisect = len(seen) - walk
     x_root = _brent(boundary, x_lo, x_hi, xtol=1e-12)
     K_root = math.exp(x_root)
-    best = _sampled(trajectories[x_root], params, K_root, p, r0, R, 3000)
+    best = _sampled(seen[x_root][4], params, K_root, p, r0, R, 3000)
     shoots = len(seen)
     sup = np.max(np.abs(best.data.v))
     if abs(best.boundary_value) > boundary_tol * sup:
@@ -296,8 +296,8 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     best.energy, best.nonlinear_mass = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
-    best.meta.update({key: sum(meta[key] for meta in metas) for key in
-                      ("rhs_evals", "steps", "rejected_steps")},
+    best.meta.update({key: sum(shot[3][key] for shot in seen.values())
+                      for key in ("rhs_evals", "steps", "rejected_steps")},
                      K_shoot=K_root, boundary_tol=boundary_tol,
                      shoots=shoots, shoots_walk=walk, shoots_bisect=bisect,
                      shoots_brent=shoots - walk - bisect)
@@ -306,8 +306,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
 
 def solve_variational(params: ProblemParams, problem: EuclideanProblem,
                       p: float, r0: float = None, num: int = 1600,
-                      max_iter: int = 4000,
-                      gtol: float = 1e-10) -> SolutionProfile:
+                      max_iter: int = 4000) -> SolutionProfile:
     """Ground-state candidate by projected gradient descent constrained to
     the zero set of the radial fibering derivative."""
     n, gamma, s = params.n, params.gamma, params.s
@@ -359,7 +358,7 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     for it in range(max_iter):
         g, raw = grad(u)
         gn = math.sqrt(abs(float(raw @ g))) * omega  # energy norm of I'
-        if gn < gtol * max(1.0, abs(e)):
+        if gn < 1e-10 * max(1.0, abs(e)):
             converged = True
             break
         trial_step = step * 2.0
@@ -414,11 +413,7 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
                 sp.meta["failure"] = str(exc)
             return out
         K_prev = prof.meta["K_shoot"]
-        n = params.n
-        q = critical_exponent(n, params.s)
-        w = prof.data.r ** ((n - 2.0) / 2.0) * \
-            np.abs(prof.data.v) ** (1.0 - p / (q - 2.0))
-        prof.meta["weighted_sup"] = float(np.max(w))
+        prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof, p)))
         prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
         prof.meta["nonlinear_mass"] = prof.nonlinear_mass
         if prev is not None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import EuclideanProblem
-from .constants import critical_exponent
+from .constants import beta_pm, critical_exponent
 from .grids import ProfileData, spline_integral
 from .kernel import (green_G, green_G_inverse, hyperbolic_dirichlet_energy,
                      hyperbolic_integral, sphere_area, weight_V_p)
@@ -233,3 +233,22 @@ def asymptotic_exponent(v: SolutionProfile, window: tuple) -> tuple:
     var = (res[0] / dof if len(res) else 0.0)
     cov = var * np.linalg.inv(A.T @ A)[0, 0]
     return float(coef[0]), float(math.sqrt(max(cov, 0.0)))
+
+
+def audit_profile(v: SolutionProfile, problem: EuclideanProblem,
+                  annulus: tuple, window: tuple) -> tuple:
+    """(Pohozaev breakdown, slope, its standard error, target -beta_-) of
+    a solved profile: the balance on the annulus, (1e-3 R, R) if None, and
+    the slope of log |v| on the window, (10 r0, 100 r0) if None, r0 its
+    first radius.  A window the fit cannot use (too few nodes, a sign
+    change) gives a NaN slope; an annulus off the grid raises
+    VerificationError."""
+    R, r0 = problem.domain_radius, v.data.r[0]
+    po = pohozaev_residual(v, problem, annulus or (1e-3 * R, R))
+    try:
+        slope, stderr = asymptotic_exponent(v, window
+                                            or (r0 * 10.0, r0 * 100.0))
+    except VerificationError:
+        slope = stderr = math.nan
+    bm, _ = beta_pm(v.params.n, v.params.gamma)
+    return po, slope, stderr, -bm

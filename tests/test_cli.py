@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 import warnings
 
 import numpy as np
@@ -59,7 +58,8 @@ def test_profile_csv_round_trip(tmp_path):
     r = np.geomspace(1e-6, 0.5, 50)
     data = ProfileData(r=r, v=np.sin(r) / 3.0, dv=np.cos(r) / 7.0)
     path = str(tmp_path / "p.csv")
-    cli.write_text(path, cli._profile_csv(data))
+    cli.write_text(path, csv_text(("r", "v", "dv"),
+                                  np.column_stack((data.r, data.v, data.dv))))
     with open(path) as fh:
         assert fh.readline().strip() == "r,v,dv"
     back = read_profile_csv(path)
@@ -69,15 +69,20 @@ def test_profile_csv_round_trip(tmp_path):
 
 
 def test_profile_csv_matches_the_cell_rule(rng):
-    # the float-only path of the profile CSVs writes the bytes of csv_text
+    # a 2-D float array is formatted in one pass, with the bytes of the
+    # per-cell rule
     cols = [np.concatenate([[-0.0, 0.0, 1e-300, -1e-300, math.nan, math.inf,
                              5e-324, 1.0 / 3.0],
                             rng.standard_normal(200) * 10.0 ** rng.integers(
                                 -20, 20, 200)])
             for _ in range(3)]
-    data = types.SimpleNamespace(r=cols[0], v=cols[1][::-1], dv=-cols[2])
-    assert cli._profile_csv(data) == csv_text(
-        ("r", "v", "dv"), zip(data.r, data.v, data.dv))
+    table = np.column_stack((cols[0], cols[1][::-1], -cols[2]))
+    assert csv_text(("r", "v", "dv"), table) == csv_text(
+        ("r", "v", "dv"), [list(row) for row in table])
+    # no rows, and one column
+    assert csv_text(("a", "b"), np.empty((0, 2))) == csv_text(("a", "b"), [])
+    assert csv_text(("a",), table[:, :1]) == csv_text(
+        ("a",), [[x] for x in table[:, 0]])
 
 
 def test_csv_text_cell_rule():
@@ -147,6 +152,14 @@ def test_exit_code_config_errors(tmp_path, capsys):
             ("constants", {"params": {**REF_PARAMS, "gamma": "x"}}),
             ("constants", {"params": {**REF_PARAMS, "n": math.inf}}),
             ("constants", {"params": {**REF_PARAMS, "n": 5.9}}),
+            # params and sweep values are numbers, not strings or booleans
+            ("constants", {"params": {**REF_PARAMS, "n": "5", "s": "1.0"}}),
+            ("constants", {"params": {**REF_PARAMS, "lam": True}}),
+            ("constants", {"params": {**REF_PARAMS, "theta": None}}),
+            ("sweep", {"params": dict(REF_PARAMS),
+                       "sweep": {"gamma": [True, "-2"]}}),
+            ("sweep", {"params": dict(REF_PARAMS),
+                       "sweep": {"p_defect": [0.1, math.nan]}}),
             ("constants", {"params": dict(REF_PARAMS), "solver": [1, 2]}),
             ("constants", {"params": dict(REF_PARAMS), "output": 5}),
             ("constants", {"params": dict(REF_PARAMS), "sweep": [1]}),
@@ -434,6 +447,32 @@ def test_verify_on_stored_profile(solved_dir, capsys):
     capsys.readouterr()
 
 
+def test_verify_reports_a_window_or_annulus_off_the_grid(solved_dir, tmp_path,
+                                                        capsys):
+    # an annulus that does not fit the stored grid is a config error, and
+    # a window with too few nodes fails the slope check, without a traceback
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("profile.csv", "profile.json"):
+        (out / name).write_bytes(open(os.path.join(solved_dir[1], name),
+                                      "rb").read())
+    annulus = _write_cfg(tmp_path / "a.json", {
+        "params": dict(REF_PARAMS), "solver": {"annulus": [1e-9, 0.5]}})
+    capsys.readouterr()
+    assert main(["verify", "--config", annulus, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    window = _write_cfg(tmp_path / "w.json", {
+        "params": dict(REF_PARAMS), "solver": {"fit_window": [0.4, 0.401]}})
+    assert main(["verify", "--config", window, "--out", str(out)]) == 0
+    doc = json.load(open(out / "verify.json"))
+    slope = [c for c in doc["checks"]
+             if c["name"] == "asymptotic_slope_error"]
+    assert slope == [{"name": "asymptotic_slope_error", "value": None,
+                      "tolerance": None, "passed": False}]
+    assert doc["passed"] is False
+    capsys.readouterr()
+
+
 def test_constants_and_weights_and_bridge(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.json",
                      {"params": dict(REF_PARAMS),
@@ -617,6 +656,22 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
                      "--workers", workers]) == 0
         blobs.append(open(os.path.join(out, "sweep.csv"), "rb").read())
     assert blobs[0] == blobs[1]
+    capsys.readouterr()
+
+
+def test_sweep_audits_on_the_config_window(tmp_path, capsys):
+    # the sweep's audit reads the config's fit window: one with too few
+    # nodes gives a NaN slope on a solved row
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"fit_window": [0.4, 0.401]},
+        "sweep": {"p_defect": [0.2]}})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["status"] == "ok"
+    assert row["slope"] == row["slope_stderr"] == "nan"
     capsys.readouterr()
 
 
