@@ -208,17 +208,12 @@ def _quadratic_form_diagonals(problem: EuclideanProblem, r0: float,
 def _count_eigs_below(lam: float, form, energy, off) -> int:
     """Number of pencil eigenvalues strictly below lam, from the inertia
     of the tridiagonal form - lam * energy (Sturm sequence of the LDL^T
-    pivots)."""
-    d = form - lam * energy
-    e = off - lam * off
-    count = 0
-    prev = d[0]
-    if prev == 0.0:
-        prev = -1e-300
-    if prev < 0.0:
-        count += 1
-    for k in range(1, len(d)):
-        piv = d[k] - e[k - 1] ** 2 / prev
+    pivots), run in plain floats."""
+    d = (form - lam * energy).tolist()
+    e = [0.0] + (off - lam * off).tolist()    # the first pivot is d[0]
+    count, prev = 0, 1.0
+    for dk, ek in zip(d, e):
+        piv = dk - ek ** 2 / prev
         if piv == 0.0:
             piv = -1e-300
         if piv < 0.0:

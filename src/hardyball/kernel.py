@@ -9,13 +9,33 @@ import numpy as np
 
 from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 
-# Gauss-Legendre rule on [-1, 1], held as pairs (1 - x_i, w_i) so that the
-# outer panel of G forms 1 - t without cancellation
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-_GL_RULE = tuple(zip((1.0 - _GL_X).tolist(), _GL_W.tolist()))
 
-# Gauss-Legendre rule on [-1, 1] for the panels of the hyperbolic integrals
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(8)
+# Gauss-Legendre rules on [-1, 1], ascending: leggauss's from
+# numpy.polynomial, which mirrors them exactly, held as literals (their
+# nodes and weights on (0, 1)) so that no command imports numpy.polynomial
+def _gauss_legendre(x, w) -> tuple:
+    return [-v for v in x[::-1]] + x, w[::-1] + w
+
+
+# 24-point rule, held as pairs (1 - x_i, w_i) so that the outer panel of G
+# forms 1 - t without cancellation
+_GL_X, _GL_W = _gauss_legendre(
+    [0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+     0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+     0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+     0.9382745520027328, 0.9747285559713095, 0.9951872199970213],
+    [0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+     0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+     0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+     0.04427743881741941, 0.02853138862893356, 0.01234122979998869])
+_GL_RULE = tuple(zip([1.0 - x for x in _GL_X], _GL_W))
+
+# 8-point rule for the panels of the hyperbolic integrals
+_PANEL_X, _PANEL_W = map(np.array, _gauss_legendre(
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+     0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+     0.10122853629037706]))
 
 _NEWTON_MAX = 50
 
@@ -159,30 +179,22 @@ def hyperbolic_scaling(u: ProfileData, lam: float, n: int) -> ProfileData:
     return ProfileData(u.r, lam ** -0.5 * u(rho, atol=atol))
 
 
-def _panel_integral(spline: CubicSpline, q: float, n: int, w) -> float:
-    """Integral of w(r)|spline(log r)|^q over the ball in the hyperbolic
-    volume, on the spline's knot range.
+def _panel_rule(t, n: int) -> tuple:
+    """The panel rule on the panel ends t = log r, shared by every spline
+    integrated over them: the pieces' midpoints, the nodes tq, the flat
+    Gauss weights, and r, r^n and (2/(1-r^2))^n at the nodes.
 
-    In t = log r the volume is |S^{n-1}| (2/(1-r^2))^n r^n dt, singular at
-    t = 0 (r = 1).  The panels are the knot intervals, cut at the spline's
-    real roots unless q is even, so that |spline|^q is smooth inside each
-    (CubicSpline.roots leaves out pieces below 1e-12 of the largest sample,
-    whose share of the integral is below 1e-12^q).
-    Each panel is then cut geometrically in its distance d = -t to r = 1,
-    into the fewest pieces whose end distances differ by at most 5/4, so
-    no piece is wider than a quarter of its distance to the singularity;
-    away from r = 1 nothing is cut.  The 8-point Gauss-Legendre rule runs
-    on every piece, all in one vectorized pass: for q = 2 each piece's
+    In t the volume is |S^{n-1}| (2/(1-r^2))^n r^n dt, singular at t = 0
+    (r = 1).  Each panel is cut geometrically in its distance d = -t to
+    r = 1, into the fewest pieces whose end distances differ by at most
+    5/4, so no piece is wider than a quarter of its distance to the
+    singularity; away from r = 1 nothing is cut.  The 8-point
+    Gauss-Legendre rule runs on every piece: for q = 2 each piece's
     integrand is a degree-6 polynomial times an analytic weight, so the
-    rule has converged.  w is a vectorized weight, or None for weight 1.
-
-    Every knot must lie inside the ball, 0 < r < 1; this is checked before
-    any arithmetic, so samples beyond it raise DomainError and no warning."""
-    t = spline.x
+    rule has converged.  Every end must lie inside the ball, 0 < r < 1,
+    checked first, so samples beyond it raise DomainError and no warning."""
     if not t[-1] < 0.0:
         raise DomainError("hyperbolic integrals need samples with r < 1")
-    if q % 2.0 != 0.0:
-        t = np.union1d(t, spline.roots())
     d_near, d_far = -t[1:], -t[:-1]
     k = np.ceil(np.log(d_far / d_near) / math.log(1.25)).astype(int)
     k = k.clip(min=1)
@@ -192,18 +204,44 @@ def _panel_integral(spline: CubicSpline, q: float, n: int, w) -> float:
     b = -d_near[panel] * ratio ** j             # piece [b * ratio, b]
     h = 0.5 * b * (1.0 - ratio)                 # its half-width
     tq = (b - h)[:, None] + h[:, None] * _PANEL_X   # one row per piece
-    wq = h[:, None] * _PANEL_W
     r = np.exp(tq)
+    return (b - h, tq, (h[:, None] * _PANEL_W).ravel(), r, r ** n,
+            (2.0 / (1.0 - r * r)) ** n)
+
+
+def _panel_sum(spline: CubicSpline, rule: tuple, q: float, n: int,
+               w_nodes) -> float:
+    """Integral of w|spline|^q on the panel rule, w given at its nodes (None
+    for weight 1); no panel may straddle a root unless q is even."""
+    mid, tq, wq, _, rn, ball = rule
     # every node of a piece lies in the knot interval of its midpoint
-    knot = spline.piece_of(b - h)[:, None]
-    vals = (np.abs(spline.on_pieces(knot, tq)) ** q * r ** n
-            * (2.0 / (1.0 - r * r)) ** n)
-    if w is not None:
-        vals = vals * w(r)
-    val = sphere_area(n) * float(np.dot(wq.ravel(), vals.ravel()))
+    knot = spline.piece_of(mid)[:, None]
+    vals = np.abs(spline.on_pieces(knot, tq)) ** q * rn * ball
+    if w_nodes is not None:
+        vals = vals * w_nodes
+    val = sphere_area(n) * float(np.dot(wq, vals.ravel()))
     if not math.isfinite(val):
         raise DomainError("hyperbolic integral is not finite")
     return val
+
+
+def _panel_integral(spline: CubicSpline, q: float, n: int, w) -> float:
+    """Integral of w(r)|spline(log r)|^q over the ball in the hyperbolic
+    volume on the spline's knot range: the panel rule of the knots, cut at
+    the spline's real roots unless q is even, so that |spline|^q is smooth
+    inside each panel (CubicSpline.roots leaves out pieces below 1e-12 of
+    the largest sample, whose share of the integral is below 1e-12^q).
+    w is a vectorized weight, or None for weight 1."""
+    t = spline.x
+    if q % 2.0 != 0.0:
+        t = np.union1d(t, spline.roots())
+    rule = _panel_rule(t, n)
+    return _panel_sum(spline, rule, q, n, None if w is None else w(rule[3]))
+
+
+def _gradient_weight(r, q: float):
+    """|grad_B u|^q / |du/dt|^q = ((1-r^2)/(2r))^q."""
+    return (0.5 * (1.0 - r * r) / r) ** q
 
 
 def hyperbolic_integral(w, u: ProfileData, q: float, n: int) -> float:
@@ -219,8 +257,7 @@ def hyperbolic_dirichlet_energy(u: ProfileData, n: int,
     """integral of |grad_B u|^q in the hyperbolic volume; for q=2 this is
     the squared energy norm.  du/dt is taken at the nodes by 4th-order
     differences, splined in t and integrated by the panel rule of
-    _panel_integral, with |grad_B u| = (1-r^2)/(2r) |du/dt|."""
+    _panel_integral, weighted by _gradient_weight."""
     t = np.log(u.r)
     du_dt = CubicSpline(t, log_derivative_matrix_apply(t, u.v))
-    return _panel_integral(du_dt, q, n,
-                           lambda r: (0.5 * (1.0 - r * r) / r) ** q)
+    return _panel_integral(du_dt, q, n, lambda r: _gradient_weight(r, q))

@@ -13,8 +13,8 @@ import numpy as np
 from .bridge import EuclideanProblem, _quadratic_form_diagonals
 from .constants import (ProblemParams, beta_pm, check_defect,
                         critical_exponent)
-from .grids import (ProfileData, _sign_changes, log_derivative_matrix_apply,
-                    spline_integral)
+from .grids import (GridError, ProfileData, _sign_changes,
+                    log_derivative_matrix_apply, spline_integral)
 from .kernel import sphere_area
 from .ode import _brent, _dop853
 # the records and errors, re-exported for the solver's callers
@@ -425,13 +425,12 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
 
 
 def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:
-    ra = a.data.r
-    sa = a.data.spline()
-    sb = b.data.spline()
-    t = np.log(ra)
-    diff = np.abs(sa(t) - sb(t))
-    return float(np.max(diff) / max(np.max(np.abs(a.data.v)),
-                                    np.max(np.abs(b.data.v))))
+    """Largest |a - b| over their shared radii, relative to the larger sup
+    of the two: every step of a continuation samples the same grid."""
+    if not np.array_equal(a.data.r, b.data.r):
+        raise GridError("sup increment needs profiles on the same radii")
+    return float(np.max(np.abs(a.data.v - b.data.v))
+                 / max(np.max(np.abs(a.data.v)), np.max(np.abs(b.data.v))))
 
 
 def solve_limit_equation(n: int, s: float, gamma: float,

@@ -11,8 +11,10 @@ import numpy as np
 
 from .bridge import EuclideanProblem
 from .constants import beta_pm, critical_exponent
-from .grids import ProfileData, spline_integral
-from .kernel import (green_G, green_G_inverse, hyperbolic_dirichlet_energy,
+from .grids import (CubicSpline, ProfileData, log_derivative_matrix_apply,
+                    spline_integral)
+from .kernel import (_gradient_weight, _panel_rule, _panel_sum, green_G,
+                     green_G_inverse, hyperbolic_dirichlet_energy,
                      hyperbolic_integral, sphere_area, weight_V_p)
 from .profiles import SolutionProfile
 
@@ -161,16 +163,29 @@ def hardy_constant(n: int) -> float:
     return (n - 2.0) ** 2 / 4.0
 
 
-def hardy_check(u: ProfileData, n: int) -> float:
-    """Relative margin of the hyperbolic Hardy inequality: gradient energy
-    minus the sharp multiple of the singular mass, over the gradient
-    energy; non-negative up to quadrature error for every admissible
-    profile (0 for the zero profile)."""
-    if np.max(np.abs(u.v)) == 0.0:
-        return 0.0
-    energy = hyperbolic_dirichlet_energy(u, n)
-    mass = hyperbolic_integral(lambda r: weight_V_p(r, n, 2.0), u, 2.0, n)
-    return (energy - hardy_constant(n) * mass) / energy
+def hardy_check(us: list, n: int) -> list:
+    """Relative margins of the hyperbolic Hardy inequality for profiles
+    sampled at the same radii: gradient energy minus the sharp multiple of
+    the singular mass, over the gradient energy; non-negative up to
+    quadrature error for every admissible profile (0 for the zero
+    profile).  The integrals are hyperbolic_dirichlet_energy's and
+    hyperbolic_integral's, all on one panel rule of the shared knots."""
+    t = np.log(us[0].r)
+    if any(not np.array_equal(u.r, us[0].r) for u in us):
+        raise VerificationError("hardy_check needs profiles on one grid")
+    rule = _panel_rule(t, n)
+    r = rule[3]
+    w_energy, w_mass = _gradient_weight(r, 2.0), weight_V_p(r, n, 2.0)
+    margins = []
+    for u in us:
+        if np.max(np.abs(u.v)) == 0.0:
+            margins.append(0.0)
+            continue
+        du_dt = CubicSpline(t, log_derivative_matrix_apply(t, u.v))
+        energy = _panel_sum(du_dt, rule, 2.0, n, w_energy)
+        mass = _panel_sum(u.spline(), rule, 2.0, n, w_mass)
+        margins.append((energy - hardy_constant(n) * mass) / energy)
+    return margins
 
 
 def hardy_sharpness_error(n: int) -> float:
@@ -189,12 +204,11 @@ def hardy_sharpness_error(n: int) -> float:
     r = np.geomspace(r0, R, 600)
     log_g = np.log(green_G(r, n))
     s = log_g - 0.5 * (log_g[0] + log_g[-1])
-    worst = 0.0
-    for w in (2.0, 4.0, 6.0):
-        u = ProfileData(r, np.exp(0.5 * s - (s / w) ** 2))
-        margin = hardy_check(u, n)
-        worst = max(worst, abs(margin * (1.0 + w * w / 4.0) - 1.0))
-    return worst
+    widths = (2.0, 4.0, 6.0)
+    margins = hardy_check([ProfileData(r, np.exp(0.5 * s - (s / w) ** 2))
+                           for w in widths], n)
+    return max(0.0, *(abs(margin * (1.0 + w * w / 4.0) - 1.0)
+                      for w, margin in zip(widths, margins)))
 
 
 def hardy_sobolev_check(u: ProfileData, n: int, s: float,
@@ -237,12 +251,14 @@ def asymptotic_exponent(v: SolutionProfile, window: tuple) -> tuple:
 
 def audit_profile(v: SolutionProfile, problem: EuclideanProblem,
                   annulus: tuple, window: tuple) -> tuple:
-    """(Pohozaev breakdown, slope, its standard error, target -beta_-) of
-    a solved profile: the balance on the annulus, (1e-3 R, R) if None, and
-    the slope of log |v| on the window, (10 r0, 100 r0) if None, r0 its
-    first radius.  A window the fit cannot use (too few nodes, a sign
-    change) gives a NaN slope; an annulus off the grid raises
-    VerificationError."""
+    """(Pohozaev breakdown, slope, its standard error, target -beta_-,
+    checks) of a solved profile: the balance on the annulus, (1e-3 R, R)
+    if None, and the slope of log |v| on the window, (10 r0, 100 r0) if
+    None, r0 its first radius.  A window the fit cannot use (too few
+    nodes, a sign change) gives a NaN slope; an annulus off the grid
+    raises VerificationError.  checks holds the (name, value, tolerance)
+    of the two audits, each passed when |value| <= tolerance, so a NaN
+    slope fails."""
     R, r0 = problem.domain_radius, v.data.r[0]
     po = pohozaev_residual(v, problem, annulus or (1e-3 * R, R))
     try:
@@ -250,5 +266,9 @@ def audit_profile(v: SolutionProfile, problem: EuclideanProblem,
                                             or (r0 * 10.0, r0 * 100.0))
     except VerificationError:
         slope = stderr = math.nan
-    bm, _ = beta_pm(v.params.n, v.params.gamma)
-    return po, slope, stderr, -bm
+    target = -beta_pm(v.params.n, v.params.gamma)[0]
+    return po, slope, stderr, target, [
+        ("pohozaev_relative_residual", po.relative, 1e-4),
+        ("asymptotic_slope_error", slope - target,
+         0.02 * abs(target) + 2.0 * stderr)]
+

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from hardyball.bridge import (EuclideanProblem, _quadratic_form_diagonals,
-                              b_origin, b_weight, coercivity_lambda0,
+from hardyball.bridge import (EuclideanProblem, _count_eigs_below,
+                              _quadratic_form_diagonals, b_origin, b_weight, coercivity_lambda0,
                               h_conformal, h_gamma_lambda, phi,
                               residual_equivalence_check)
 from hardyball.constants import ProblemParams, beta_pm
@@ -166,6 +166,39 @@ def test_coercivity_reference_and_monotonicity():
     a = coercivity_lambda0(EuclideanProblem(params), num=1200)
     b = coercivity_lambda0(EuclideanProblem(params), num=2400)
     assert a == pytest.approx(b, abs=1e-4)
+
+
+def _count_eigs_below_numpy(lam, form, energy, off):
+    # the LDL^T pivot loop on numpy scalars, as the count was first written
+    d = form - lam * energy
+    e = off - lam * off
+    prev = d[0] if d[0] != 0.0 else -1e-300
+    count = int(prev < 0.0)
+    for k in range(1, len(d)):
+        piv = d[k] - e[k - 1] ** 2 / prev
+        if piv == 0.0:
+            piv = -1e-300
+        count += int(piv < 0.0)
+        prev = piv
+    return count
+
+
+def test_float_sturm_count_matches_numpy_scalars():
+    params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
+    form = _quadratic_form_diagonals(EuclideanProblem(params), 1e-6, 2000)
+    lam0 = coercivity_lambda0(EuclideanProblem(params))
+    grid = np.concatenate([np.linspace(-20.0, 400.0, 60),
+                           lam0 + np.array([-1e-9, 0.0, 1e-9])])
+    counts = [_count_eigs_below(lam, *form) for lam in grid]
+    assert counts == [_count_eigs_below_numpy(lam, *form) for lam in grid]
+    assert len(set(counts)) > 3
+
+
+def test_coercivity_reference_value_is_kept():
+    # the bisection's every count is the numpy-scalar count, so the
+    # reference value keeps its bits
+    params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
+    assert coercivity_lambda0(EuclideanProblem(params)) == 1.0000192593427299
 
 
 def test_coercivity_matches_dense_eigensolver():

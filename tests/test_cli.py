@@ -259,13 +259,17 @@ _SCIPY_AFTER_MAIN = """
 import json, sys
 from hardyball.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy"
+                        or m.startswith("numpy.polynomial"))))
 sys.exit(code)
 """
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # all nine commands, the shooting ones included, run on numpy alone
+    # all nine commands, the shooting ones included, run on numpy alone,
+    # and none imports numpy.polynomial (kernel holds its Gauss-Legendre
+    # rules as literals)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]},
@@ -661,17 +665,46 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
 
 def test_sweep_audits_on_the_config_window(tmp_path, capsys):
     # the sweep's audit reads the config's fit window: one with too few
-    # nodes gives a NaN slope on a solved row
+    # nodes gives a NaN slope, which fails the slope audit as in verify,
+    # so the solved row is failed and the sweep exits as a solver failure
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"fit_window": [0.4, 0.401]},
         "sweep": {"p_defect": [0.2]}})
     out = str(tmp_path / "out")
-    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
     with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
         (row,) = list(csv.DictReader(fh))
-    assert row["status"] == "ok"
+    assert row["status"] == "failed"
+    assert row["error_class"] == "VerificationError"
+    assert row["message"] == "audit failed: asymptotic_slope_error"
     assert row["slope"] == row["slope_stderr"] == "nan"
+    capsys.readouterr()
+
+
+def test_sweep_fails_a_row_above_the_pohozaev_tolerance(tmp_path, capsys,
+                                                        monkeypatch):
+    # a residual above verify's 1e-4 fails the row, whose audit numbers
+    # are still written
+    from hardyball import verify
+    residual = verify.pohozaev_residual
+
+    def loose(*args):
+        po = residual(*args)
+        po.relative = 2e-4
+        return po
+
+    monkeypatch.setattr(verify, "pohozaev_residual", loose)
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.2]}})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["status"], row["error_class"], row["message"]) == (
+        "failed", "VerificationError",
+        "audit failed: pohozaev_relative_residual")
+    assert float(row["pohozaev_relative"]) == 2e-4
     capsys.readouterr()
 
 

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
+from hardyball import kernel
 from hardyball.grids import ProfileData, log_derivative_matrix_apply
 from hardyball.kernel import (DomainError, green_density, green_G,
                               green_G_inverse, hyperbolic_dirichlet_energy,
@@ -85,13 +86,19 @@ def test_G_matches_mpmath_oracle(n):
     assert np.max(np.abs(green_G(radii, n) / exact - 1.0)) <= 5e-14
 
 
+def test_gauss_legendre_tables_equal_leggauss():
+    # the literal rules are numpy's, bit for bit
+    for (x, w), points in (((kernel._GL_X, kernel._GL_W), 24),
+                           ((kernel._PANEL_X, kernel._PANEL_W), 8)):
+        want_x, want_w = np.polynomial.legendre.leggauss(points)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
-def test_G_scalar_and_vector_paths_agree(n):
+def test_weight_V_p_scalar_and_vector_paths_agree(n):
+    # a scalar's tail is evaluated in plain floats, an array's in numpy
     radii = np.concatenate([np.geomspace(1e-6, 1.0 - 1e-6, 200),
                             np.linspace(0.2, 0.55, 50)])
-    vec = green_G(radii, n)
-    scalar = np.array([green_G(float(r), n) for r in radii])
-    assert np.max(np.abs(scalar / vec - 1.0)) <= 1e-15
     vec_w = weight_V_p(radii, n, 2.0)
     scalar_w = np.array([weight_V_p(float(r), n, 2.0) for r in radii])
     assert np.max(np.abs(scalar_w / vec_w - 1.0)) <= 4e-15
@@ -290,4 +297,4 @@ def test_hyperbolic_integrals_reject_samples_outside_the_ball(R):
         with pytest.raises(DomainError):
             hyperbolic_integral(None, u, 8.0 / 3.0, 5)
         with pytest.raises(DomainError):
-            hardy_check(u, 5)
+            hardy_check([u], 5)

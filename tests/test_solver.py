@@ -2,6 +2,7 @@
 profile."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hardyball import bridge, solver
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
                                  critical_exponent)
-from hardyball.grids import log_derivative_matrix_apply, spline_integral
+from hardyball.grids import (GridError, ProfileData,
+                             log_derivative_matrix_apply, spline_integral)
 from hardyball.kernel import sphere_area
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
                               NotCoercive, continuation_to_critical,
@@ -413,6 +415,17 @@ def test_continuation_compact_regime(continuation):
     assert masses[-3] <= 2.0 * masses[-1]
     norms = [prof.meta["h1_norm_sq"] for prof in continuation]
     assert max(norms[-3:]) <= 2.0 * min(norms[-3:])
+
+
+def test_sup_increment_differences_the_shared_samples(continuation):
+    # the increment is read off the samples of consecutive steps, which
+    # share their radii; profiles on different radii are refused
+    a, b = continuation[-2], continuation[-1]
+    sup = max(np.max(np.abs(a.data.v)), np.max(np.abs(b.data.v)))
+    assert b.meta["sup_increment"] == np.max(np.abs(a.data.v - b.data.v)) / sup
+    moved = ProfileData(a.data.r * 0.999, a.data.v)
+    with pytest.raises(GridError):
+        solver._sup_diff(replace(a, data=moved), b)
 
 
 def test_bubble_matches_30_digit_integration(bubble):

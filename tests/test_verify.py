@@ -111,15 +111,31 @@ def _bump(rng):
 
 def test_hardy_margin_nonnegative(rng):
     # relative margin: -1e-8 of the gradient energy
-    for _ in range(20):
-        assert hardy_check(_bump(rng), 5) >= -1e-8
+    margins = hardy_check([_bump(rng) for _ in range(20)], 5)
+    assert all(margin >= -1e-8 for margin in margins)
 
 
 def test_hardy_margin_is_relative(rng):
     u = _bump(rng)
     energy = hyperbolic_dirichlet_energy(u, 5)
     mass = hyperbolic_integral(lambda r: weight_V_p(r, 5, 2.0), u, 2.0, 5)
-    assert hardy_check(u, 5) == (energy - 2.25 * mass) / energy
+    assert hardy_check([u], 5) == [(energy - 2.25 * mass) / energy]
+
+
+def test_hardy_check_batch_matches_single_calls(rng):
+    # one panel rule for the whole batch gives every margin bit for bit,
+    # the zero profile among them
+    us = [_bump(rng) for _ in range(6)]
+    us.insert(2, ProfileData(GRID, np.zeros(len(GRID))))
+    single = [hardy_check([u], 5)[0] for u in us]
+    assert hardy_check(us, 5) == single
+    assert single[2] == 0.0
+
+
+def test_hardy_check_rejects_mixed_grids(rng):
+    other = ProfileData(GRID * 0.5, _bump(rng).v)
+    with pytest.raises(VerificationError):
+        hardy_check([_bump(rng), other], 5)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -136,7 +152,7 @@ def test_hardy_sharpness_audit_catches_a_raised_constant(n, monkeypatch):
 
 def test_hardy_zero_function():
     u = ProfileData(GRID, np.zeros(len(GRID)))
-    assert hardy_check(u, 5) == 0.0
+    assert hardy_check([u], 5) == [0.0]
 
 
 def test_hardy_sobolev_positive_and_scale_invariant(rng):
