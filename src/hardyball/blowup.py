@@ -266,24 +266,24 @@ def scale_count_bound(params: ProblemParams, energy_budget: float) -> float:
     return energy_budget * (b_origin(n, s) / best) ** (q / (q - 2.0))
 
 
-def compactness_verdict(continuation_output, params: ProblemParams) -> dict:
-    """Classify a continuation run as COMPACT, BLOWUP, or INCONCLUSIVE.
+def compactness_verdict(metas: list, params: ProblemParams) -> dict:
+    """Classify a continuation run, from the meta of each of its steps in
+    order, as COMPACT, BLOWUP, or INCONCLUSIVE.
 
     COMPACT requires the weighted sups to stay within a factor 10 of their
     smallest and the increments to decay geometrically (mean ratio <= 0.9);
     BLOWUP requires the sups to grow monotonically past that factor.  The
     verdict is cross-checked against the regime flags."""
-    profiles = list(continuation_output)
     flags = admissibility(params)
     theory_compact = flags["multiplicity_regime"] and flags["c_positive"]
     report = {"theory_compact": theory_compact, "flags": flags}
-    if not profiles:
+    if not metas:
         report.update({"verdict": INCONCLUSIVE,
                        "reason": "empty continuation"})
         return report
-    sups = [prof.meta.get("weighted_sup") for prof in profiles]
-    incs = [prof.meta["sup_increment"] for prof in profiles
-            if "sup_increment" in prof.meta]
+    sups = [meta.get("weighted_sup") for meta in metas]
+    incs = [meta["sup_increment"] for meta in metas
+            if "sup_increment" in meta]
     if any(w is None for w in sups):
         report.update({"verdict": INCONCLUSIVE,
                        "reason": "missing weighted sup data"})
@@ -291,7 +291,7 @@ def compactness_verdict(continuation_output, params: ProblemParams) -> dict:
     sups = np.asarray(sups, dtype=float)
     report["weighted_sups"] = [float(w) for w in sups]
     report["sup_increments"] = [float(i) for i in incs]
-    energies = [prof.meta.get("h1_norm_sq") for prof in profiles]
+    energies = [meta.get("h1_norm_sq") for meta in metas]
     if all(e is not None for e in energies):
         report["scale_count_bound"] = scale_count_bound(
             params, float(np.max(energies)))

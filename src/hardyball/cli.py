@@ -118,7 +118,7 @@ def read_profile_csv(path: str) -> ProfileData:
 
 
 def update_manifest(outdir: str, files: dict, config_text: str,
-                    seed: int) -> str:
+                    seed: int) -> None:
     """Record every output file, name -> the text written to it, with its
     checksum; entries from earlier commands in the same directory are
     preserved."""
@@ -142,7 +142,6 @@ def update_manifest(outdir: str, files: dict, config_text: str,
         "files": entries,
     }
     write_text(path, dumps17(manifest) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +230,6 @@ def _type_solver(sol: dict) -> None:
 
 
 def load_config(path: str) -> dict:
-    if path is None:
-        raise ConfigError("--config is required for this command")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -324,16 +321,24 @@ def _sidecar(stem: str, profile: SolutionProfile,
     return {stem + ".csv": table, stem + ".json": doc}
 
 
+def _stored(outdir: str, name: str) -> str:
+    """The path of a file that an earlier command wrote to outdir."""
+    path = os.path.join(outdir, name)
+    if not os.path.exists(path):
+        raise ConfigError(f"no stored {name} in {outdir}")
+    return path
+
+
+def _stored_json(outdir: str, name: str) -> dict:
+    with open(_stored(outdir, name)) as fh:
+        return json.load(fh)
+
+
 def read_profile(outdir: str, stem: str) -> tuple:
     """Rebuild (SolutionProfile, EuclideanProblem) from a CSV + sidecar
     written by an earlier command in the same directory."""
-    csv_path = os.path.join(outdir, stem + ".csv")
-    json_path = os.path.join(outdir, stem + ".json")
-    if not (os.path.exists(csv_path) and os.path.exists(json_path)):
-        raise ConfigError(f"no stored profile {stem!r} in {outdir}")
-    data = read_profile_csv(csv_path)
-    with open(json_path) as fh:
-        doc = json.load(fh)
+    doc = _stored_json(outdir, stem + ".json")
+    data = read_profile_csv(_stored(outdir, stem + ".csv"))
     params = ProblemParams(**{**doc["params"], "p_defect": doc["p_defect"]})
     problem = EuclideanProblem(params,
                                domain_radius=doc.get("domain_radius",
@@ -471,15 +476,13 @@ def cmd_blowup(cfg: dict, args) -> int:
     from . import blowup as blowup_mod
     params = make_params(cfg)
     out = _outdir(cfg, args)
-    summary_path = os.path.join(out, "continuation.json")
-    if not os.path.exists(summary_path):
-        raise ConfigError(f"no stored continuation in {out}")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-    profiles = [read_profile(out, step["stem"])[0]
-                for step in summary["steps"]]
-    verdict = blowup_mod.compactness_verdict(profiles, params)
-    last = profiles[-1]
+    stems = [step["stem"]
+             for step in _stored_json(out, "continuation.json")["steps"]]
+    # the verdict reads each step's meta, the scales the last step's samples
+    last = read_profile(out, stems[-1])[0]
+    verdict = blowup_mod.compactness_verdict(
+        [_stored_json(out, stem + ".json")["meta"] for stem in stems[:-1]]
+        + [last.meta], params)
     scales = blowup_mod.detect_scales(last, last.p_defect)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}

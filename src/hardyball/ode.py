@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 
+from .profiles import NoSignChange, NotConverged
+
 _EPS = sys.float_info.epsilon
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0      # -1 / (error estimator order 7 + 1)
@@ -241,7 +243,9 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
 
 
 def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS):
-    """A root of f in [a, b] to xtol + rtol |x|: scipy's brentq.c."""
+    """A root of f in [a, b] to xtol + rtol |x|: scipy's brentq.c.  A
+    bracket without a sign change raises NoSignChange, and 100 steps short
+    of the tolerance raise NotConverged."""
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:
@@ -249,7 +253,7 @@ def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS):
     if fcur == 0.0:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise NoSignChange(f"Brent: no sign change on [{a:g}, {b:g}]")
     xblk = fblk = spre = scur = 0.0
     for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and \
@@ -280,4 +284,4 @@ def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 steps")
+    raise NotConverged(f"Brent: no convergence in 100 steps on [{a:g}, {b:g}]")

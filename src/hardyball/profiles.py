@@ -25,6 +25,14 @@ class BracketNotFound(SolverError):
         self.node_counts = node_counts or {}
 
 
+class NoSignChange(SolverError, ValueError):
+    """A root-finder's bracket whose ends have the same sign."""
+
+
+class NotConverged(SolverError):
+    """A root-finder that reached its step cap short of its tolerance."""
+
+
 class NotCoercive(SolverError):
     """The quadratic form is not coercive, so no positive solution exists."""
 

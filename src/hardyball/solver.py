@@ -70,14 +70,15 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     constant = problem.h_spec == "paper" and problem.params.n >= 5
     h_const = float(problem.h(0.1)) if constant else None
 
+    exp, log = math.exp, math.log
     if h_const is None or problem.b_spec != "paper":
         h_fun, b_fun = problem.h, problem.b
 
         def rhs(t, v, vt):
-            r = math.exp(t)
+            r = exp(t)
             h = h_const if h_const is not None else float(h_fun(r))
-            nonlin = b_fun(r) * abs(v) ** expo * v * r ** r_expo
-            return (vt, -nm2 * vt - (gamma + h * r * r) * v - nonlin)
+            return (vt, -nm2 * vt - (gamma + h * r * r) * v
+                    - b_fun(r) * abs(v) ** expo * v * r ** r_expo)
         return rhs
 
     # problem.b's evaluation of its table, keeping the current piece (its
@@ -88,8 +89,8 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
 
     def rhs(t, v, vt):
         nonlocal lo, hi, x0, a0, a1, a2, a3
-        r = math.exp(t)
-        x = math.log(r)
+        r = exp(t)
+        x = log(r)
         if not lo <= x < hi:
             i = bisect_right(knots, x, 1, inner) - 1
             lo = knots[i] if i > 0 else -math.inf
@@ -98,8 +99,8 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
         d = x - x0
         d2 = d * d
         b = a3 + a2 * d + a1 * d2 + a0 * (d2 * d)
-        nonlin = b * abs(v) ** expo * v * r ** r_expo
-        return (vt, -nm2 * vt - (gamma + h_const * r * r) * v - nonlin)
+        return (vt, -nm2 * vt - (gamma + h_const * r * r) * v
+                - b * abs(v) ** expo * v * r ** r_expo)
 
     return rhs
 
@@ -197,6 +198,17 @@ def _pde_residual_norm(profile: SolutionProfile,
     return float(np.max(np.abs(res[4:-4])) / scale)
 
 
+def _scaling_estimate(params: ProblemParams, problem: EuclideanProblem,
+                     p: float, r0: float) -> float:
+    """The K at which b(r0) v^{q-2-p} r^{2-s} balances (n-2)^2/4 - gamma
+    at r = R/2, for v = K r^{beta_-}: amp^{1/(q-2-p)} (R/2)^{beta_-}."""
+    n, s, r = params.n, params.s, 0.5 * problem.domain_radius
+    amp = ((n - 2.0) ** 2 / 4.0 - params.gamma) / (float(problem.b(r0))
+                                                   * r ** (2.0 - s))
+    return (amp ** (1.0 / check_defect(n, s, p))
+            * r ** beta_pm(n, params.gamma)[0])
+
+
 def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
                              p: float, node_target: int = 0,
                              K_range: tuple = (1e-4, 1e6),
@@ -211,17 +223,18 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     node_target = 0, a pencil eigenvalue below -1e-3 raises NotCoercive.
     The node count, boundary sample included, rises with K and jumps when a
     zero crosses R.  Steps of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... walk out
-    from K_start, or from the K at which b v^{q-2-p} r^{2-s} balances
-    (n-2)^2/4 - gamma at r = R/2, both clamped into K_range, until the count
-    crosses node_target.  The bracket is bisected until its ends read
+    from K_start, or from the scaling estimate (the K at which
+    b v^{q-2-p} r^{2-s} balances (n-2)^2/4 - gamma at r = R/2), both
+    clamped into K_range, until the count crosses node_target; a
+    continuation starts at its previous root times the ratio of the two
+    defects' estimates.  The bracket is bisected until its ends read
     node_target and node_target + 1; Brent's method [Brent 1973] then finds
     the root of v(R)/sup|v| in log K, stopping at the first shoot below a
     tenth of boundary_tol (the integrator's noise floor).  Brent's root is
     a point already shot; the profile samples that shoot's trajectory
     finely.  meta counts the shoots per phase, and their RHS evaluations
     and steps."""
-    n, s = params.n, params.s
-    expo = check_defect(n, s, p)
+    check_defect(params.n, params.s, p)
     if node_target == 0 and not problem.coercive():
         raise NotCoercive("the quadratic form is not coercive "
                           "(Lambda0 < -1e-3): no positive solution")
@@ -249,10 +262,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
             shoots=len(seen))
 
     if K_start is None:
-        r = 0.5 * R
-        b0 = float(problem.b(r0))
-        amp = ((n - 2.0) ** 2 / 4.0 - params.gamma) / (b0 * r ** (2.0 - s))
-        K_start = amp ** (1.0 / expo) * r ** beta_pm(n, params.gamma)[0]
+        K_start = _scaling_estimate(params, problem, p, r0)
     x = min(max(math.log(K_start), x_min), x_max)
     up = shoot_at(x) <= node_target
     step = (1.0 if up else -1.0) * math.log(10.0) / 6.0
@@ -400,19 +410,24 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
     """Warm-started solves along the decreasing defect schedule; records the
     Cauchy increments and the weighted sup norms used by the blow-up lab."""
     out = []
-    K_prev = None
-    prev = None
+    K_start = prev = None
     for idx, p in enumerate(schedule.p_values):
+        if prev is not None:
+            # the previous root, moved as the scaling law moves K with p
+            r0 = prev.meta["r0"]
+            K_start = (prev.meta["K_shoot"]
+                       * _scaling_estimate(params, problem, p, r0)
+                       / _scaling_estimate(params, problem, prev.p_defect,
+                                           r0))
         try:
             prof = solve_dirichlet_shooting(params, problem, p,
                                             node_target=node_target,
-                                            K_range=K_range, K_start=K_prev)
+                                            K_range=K_range, K_start=K_start)
         except SolverError as exc:
             for sp in out:
                 sp.meta["truncated_at"] = idx
                 sp.meta["failure"] = str(exc)
             return out
-        K_prev = prof.meta["K_shoot"]
         prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof, p)))
         prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
         prof.meta["nonlinear_mass"] = prof.nonlinear_mass

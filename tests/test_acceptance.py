@@ -190,7 +190,8 @@ def test_criterion_07_limit_bubble(bubble):
 def test_criterion_08_compactness_witness(continuation, ref_params):
     build = continuation[0].meta.get("fixture_build_seconds", 0.0)
     assert build < 600.0
-    rep = blowup_mod.compactness_verdict(continuation, ref_params)
+    rep = blowup_mod.compactness_verdict(
+        [prof.meta for prof in continuation], ref_params)
     assert rep["verdict"] == blowup_mod.COMPACT
     assert all(rep["flags"].values())
     sups = rep["weighted_sups"]

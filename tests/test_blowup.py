@@ -141,7 +141,7 @@ def test_scale_count_bound_positive(params):
 
 
 def test_verdict_compact_on_continuation(continuation, params):
-    rep = compactness_verdict(continuation, params)
+    rep = compactness_verdict([prof.meta for prof in continuation], params)
     assert rep["verdict"] == COMPACT
     assert rep["theory_compact"] is True
     assert rep["consistent_with_theory"] is True
@@ -164,6 +164,6 @@ def test_verdict_blowup_on_diverging_sups(params):
             energy=1.0, residual_norm=0.0, boundary_value=sup,
             meta={"weighted_sup": sup, "sup_increment": float(sup)})
         profiles.append(prof)
-    rep = compactness_verdict(profiles, params)
+    rep = compactness_verdict([prof.meta for prof in profiles], params)
     assert rep["verdict"] == BLOWUP
     assert rep["consistent_with_theory"] is False

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hardyball
-from hardyball import cli
+from hardyball import cli, ode, solver
 from hardyball.blowup import plant_bubbles
 from hardyball.bridge import EuclideanProblem
 from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
@@ -200,6 +200,23 @@ def test_exit_code_solver_failure(tmp_path, capsys):
     assert main(["solve", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jump, cause", [
+    (True, "no convergence in 100 steps"), (False, "no sign change")])
+def test_brent_failure_exits_3(tmp_path, monkeypatch, capsys, jump, cause):
+    # Brent's method on the solve's bracket, given a jump (which never
+    # converges at xtol = rtol = 0) or a function of one sign
+    def brent(f, a, b, xtol):
+        mid = 0.5 * (a + b)
+        return ode._brent(lambda x: 1.0 if x > mid or not jump else -1.0,
+                          a, b, xtol=0.0, rtol=0.0)
+
+    monkeypatch.setattr(solver, "_brent", brent)
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert cause in capsys.readouterr().err
 
 
 def test_exit_code_not_coercive(tmp_path, capsys):
@@ -546,6 +563,36 @@ def test_continue_then_blowup(tmp_path, capsys):
     verdict = json.load(open(os.path.join(out, "blowup.json")))
     assert verdict["verdict"] in ("COMPACT", "BLOWUP", "INCONCLUSIVE")
     assert verdict["theory_compact"] is True
+    capsys.readouterr()
+
+
+def test_blowup_reads_the_samples_of_the_last_step_only(
+        tmp_path, continuation, ref_problem, capsys):
+    # the verdict reads each step's sidecar, the scales the last samples
+    out = tmp_path / "out"
+    out.mkdir()
+    files = {"continuation.json": {"steps": [
+        {"stem": f"continuation_{idx:02d}"} for idx in range(7)]}}
+    for idx, prof in enumerate(continuation):
+        files.update(cli._sidecar(f"continuation_{idx:02d}", prof,
+                                  ref_problem))
+    for name, body in files.items():
+        (out / name).write_text(
+            body if isinstance(body, str) else dumps17(body) + "\n")
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    argv = ["blowup", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    before = (out / "blowup.json").read_bytes()
+    assert json.loads(before)["verdict"] == "COMPACT"
+    for idx in range(6):
+        (out / f"continuation_{idx:02d}.csv").unlink()
+    assert main(argv) == 0
+    assert (out / "blowup.json").read_bytes() == before
+    # the last step's samples, and every sidecar, are still required
+    for name in ("continuation_06.csv", "continuation_03.json"):
+        os.rename(out / name, out / "moved")
+        assert main(argv) == 1
+        os.rename(out / "moved", out / name)
     capsys.readouterr()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipySpline
 
+from hardyball import grids
 from hardyball.grids import (CubicSpline, ExtrapolationError, GridError,
                              ProfileData, log_derivative_matrix_apply,
                              spline_integral)
@@ -129,6 +130,59 @@ def test_spline_reproduces_cubics_exactly():
                        rtol=0, atol=1e-12)
     assert np.allclose(spline(mid, 1), 6.0 * mid ** 2 - 2.0 * mid,
                        rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("num", [96, 600, 3000])
+def test_spline_integral_on_log_uniform_knots_is_the_splines(num):
+    # the trapezoid sum with the spline's end weights, on the shooting grid
+    t = np.linspace(np.log(5e-6), np.log(0.5), num)
+    r = np.exp(t)
+    for y in (np.sin(3.0 * t) * np.exp(-0.05 * t * t) + 0.1 * np.cos(17.0 * t),
+              r ** 3 / (1.0 + r / 0.01) ** 4, np.cos(t) / r ** 1.5):
+        exact = CubicSpline(t, y).integral()
+        assert abs(spline_integral(t, y) - exact) <= 1e-14 * abs(exact)
+
+
+def test_end_weights_are_the_splines_on_unit_knots():
+    # each weight is the integral of the spline through a unit vector
+    unit = np.eye(96)
+    assert np.array_equal(grids._END_WEIGHTS, [
+        CubicSpline(np.arange(96.0), unit[k]).integral() for k in range(32)])
+
+
+def test_spline_integral_of_a_cubic_is_exact():
+    t = np.linspace(np.log(1e-3), np.log(0.5), 400)
+    a, b = t[0], t[-1]
+    exact = 0.5 * (b ** 4 - a ** 4) - (b ** 3 - a ** 3) / 3.0 + 0.5 * (b - a)
+    assert spline_integral(t, 2.0 * t ** 3 - t ** 2 + 0.5) == \
+        pytest.approx(exact, rel=1e-14)
+
+
+def test_spline_integral_builds_the_spline_off_long_uniform_grids(
+        monkeypatch):
+    built = []
+
+    class Counted(CubicSpline):
+        def __init__(self, x, y):
+            built.append(len(x))
+            super().__init__(x, y)
+
+    monkeypatch.setattr(grids, "CubicSpline", Counted)
+    uniform = np.linspace(np.log(1e-5), np.log(0.5), 600)
+    bent = uniform.copy()
+    bent[300] += 1e-9                   # 5e-8 of the spacing
+    for t in (uniform[:95], bent, _knot_sets()["rescale radii"]):
+        y = np.sin(3.0 * t)
+        assert spline_integral(t, y) == CubicSpline(t, y).integral()
+    assert built == [95, 600, 300]
+    spline_integral(uniform, np.sin(3.0 * uniform))
+    assert built == [95, 600, 300]
+    # non-finite samples and repeated knots are refused as the spline
+    # refuses them
+    with pytest.raises(GridError):
+        spline_integral(uniform, np.full(600, np.nan))
+    with pytest.raises(GridError):
+        spline_integral(np.zeros(600), np.ones(600))
 
 
 def test_spline_roots_skip_the_ringing_of_clipped_samples():

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from hardyball import ode, solver
 from hardyball.bridge import EuclideanProblem
+from hardyball.profiles import NoSignChange, NotConverged, SolverError
 
 
 def _dense(rows, width):
@@ -243,3 +244,14 @@ def test_brent_takes_the_iterates_of_scipy_brentq(f, a, b):
 def test_brent_rejects_a_bracket_without_a_sign_change():
     with pytest.raises(ValueError):
         ode._brent(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brent_failures_are_solver_errors():
+    # a jump has no root to converge on, and xtol = rtol = 0 leave no
+    # tolerance to stop at: the 100 steps run out
+    with pytest.raises(NotConverged):
+        ode._brent(lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0,
+                   xtol=0.0, rtol=0.0)
+    with pytest.raises(NoSignChange) as err:
+        ode._brent(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert isinstance(err.value, SolverError)

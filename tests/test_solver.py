@@ -246,10 +246,11 @@ def test_solve_profile_is_the_root_shoot(ref_params, ref_problem,
 
 
 def test_continuation_shoot_total(continuation):
-    # one cold solve, then walks outward from the previous K
+    # one cold solve, then walks outward from the previous K rescaled by
+    # the ratio of the scaling estimates
     shoots = [prof.meta["shoots"] for prof in continuation]
-    assert shoots == [7, 11, 8, 6, 6, 6, 6]
-    assert sum(shoots) == 50
+    assert shoots == [7, 7, 6, 6, 6, 6, 6]
+    assert sum(shoots) == 44
 
 
 def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
