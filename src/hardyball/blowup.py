@@ -66,11 +66,6 @@ class EnvelopeReport:
     worst_ratio: float           # smallest C with |u| <= C * envelope
     annuli: list                 # per-decade (r_lo, r_hi, max_ratio)
 
-    @property
-    def passed(self) -> bool:
-        """Every ratio passes but a NaN one: no budget is set."""
-        return not math.isnan(self.worst_ratio)
-
 
 def detect_scales(u: SolutionProfile, p: float) -> list:
     """Concentration scales of a profile, as (mu, location) pairs sorted

@@ -222,12 +222,12 @@ def _count_eigs_below(lam: float, form, energy, off) -> int:
     return count
 
 
-def _row_sums(diag, off):
-    """Row sums of the symmetric tridiagonal matrix (diag, off), each
-    added up from the left."""
-    out = diag.copy()
-    out[1:] += off
-    out[:-1] += off
+def _tridiagonal_product(diag, off, u):
+    """The symmetric tridiagonal matrix (diag, off) times u, each row's
+    diagonal term first, then its left and its right neighbour."""
+    out = diag * u
+    out[1:] += off * u[:-1]
+    out[:-1] += off * u[1:]
     return out
 
 
@@ -245,7 +245,8 @@ def coercivity_lambda0(problem: EuclideanProblem,
         raise CoercivityFailure("non-finite discretized form")
     x = np.ones(len(form))
     # Rayleigh quotient of the constant vector, >= lambda_min
-    hi = float((x @ _row_sums(form, off)) / (x @ _row_sums(energy, off)))
+    hi = float((x @ _tridiagonal_product(form, off, x))
+               / (x @ _tridiagonal_product(energy, off, x)))
     step = max(1.0, abs(hi))
     for _ in range(200):
         if _count_eigs_below(hi, form, energy, off) >= 1:

@@ -3,7 +3,7 @@ deterministic persistence, and sweep parallelism.
 
 Only the commands that shoot (solve, continue, bubble, sweep) import the
 solver, and only those that audit (blowup, verify, sweep) import their
-module; no command loads scipy unless it runs the variational method.
+module; no command loads scipy.
 
 Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 3 solver failure."""
@@ -478,6 +478,8 @@ def cmd_blowup(cfg: dict, args) -> int:
     out = _outdir(cfg, args)
     stems = [step["stem"]
              for step in _stored_json(out, "continuation.json")["steps"]]
+    if not stems:
+        raise ConfigError(f"no steps in the stored continuation in {out}")
     # the verdict reads each step's meta, the scales the last step's samples
     last = read_profile(out, stems[-1])[0]
     verdict = blowup_mod.compactness_verdict(

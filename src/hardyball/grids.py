@@ -16,6 +16,27 @@ class ExtrapolationError(ValueError):
     """Requested radii fall outside the support of a sampled profile."""
 
 
+def thomas_solve(sub: list, diag: list, sup: list, rhs: list) -> list:
+    """Solution of the tridiagonal system with sub[i] at (i+1, i), diag[i]
+    at (i, i) and sup[i] at (i, i+1), by forward elimination and back
+    substitution in plain floats (the Thomas algorithm), without pivoting:
+    no pivot may come near zero."""
+    piv, acc = diag[0], rhs[0]
+    pivots, accs = [piv], [acc]
+    for lo, up, dg, rh in zip(sub, sup, diag[1:], rhs[1:]):
+        f = lo / piv
+        piv = dg - f * up
+        acc = rh - f * acc
+        pivots.append(piv)
+        accs.append(acc)
+    x_next = acc / piv
+    out = [x_next]
+    for acc, up, piv in zip(accs[-2::-1], sup[::-1], pivots[-2::-1]):
+        x_next = (acc - up * x_next) / piv
+        out.append(x_next)
+    return out[::-1]
+
+
 class CubicSpline:
     """Not-a-knot cubic spline through (x, y), x strictly increasing with
     at least 4 knots.
@@ -51,21 +72,7 @@ class CubicSpline:
                *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
                (h[-1] * h[-1] * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1])
                / d1]
-        # forward elimination, then back substitution, in plain floats
-        piv, acc = diag[0], rhs[0]
-        pivots, accs = [piv], [acc]
-        for lo, up, dg, rh in zip(sub, sup, diag[1:], rhs[1:]):
-            f = lo / piv
-            piv = dg - f * up
-            acc = rh - f * acc
-            pivots.append(piv)
-            accs.append(acc)
-        x_next = acc / piv
-        s = [x_next]
-        for acc, up, piv in zip(accs[-2::-1], sup[::-1], pivots[-2::-1]):
-            x_next = (acc - up * x_next) / piv
-            s.append(x_next)
-        s = np.array(s[::-1])
+        s = np.array(thomas_solve(sub, diag, sup, rhs))
         # Hermite form from the values and slopes
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x, self.y = x, y

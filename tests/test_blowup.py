@@ -67,7 +67,6 @@ def test_envelope_on_single_bubble(params, bubble):
     cal = calibrated_bubble(bubble)
     own = np.max(np.abs(cal.v) * (cal.r ** bm + cal.r ** bp))
     assert 0.5 * own <= rep.worst_ratio <= 2.0 * own
-    assert rep.passed  # infinite default budget
     assert rep.annuli
 
 

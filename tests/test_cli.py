@@ -284,27 +284,32 @@ sys.exit(code)
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # all nine commands, the shooting ones included, run on numpy alone,
-    # and none imports numpy.polynomial (kernel holds its Gauss-Legendre
-    # rules as literals)
+    # all nine commands, the shooting ones included, and a solve by the
+    # variational method run on numpy alone, and none imports
+    # numpy.polynomial (kernel holds its Gauss-Legendre rules as literals)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]},
         "sweep": {"p_defect": [0.05]}})
+    variational = _write_cfg(tmp_path / "variational.json", {
+        "params": dict(REF_PARAMS), "solver": {"method": "variational"}})
 
-    def launch(command, out):
-        return _launch(_SCIPY_AFTER_MAIN, [command, "--config", cfg,
+    def launch(command, out, config=cfg):
+        return _launch(_SCIPY_AFTER_MAIN, [command, "--config", config,
                                            "--out", str(tmp_path / out)])
 
     first = [(c, launch(c, c)) for c in ("solve", "continue", "bubble",
                                          "sweep", "weights", "bridge",
                                          "constants")]
+    first.append(("solve", launch("solve", "variational", variational)))
     finished = [(command, *_finish(proc)) for command, proc in first]
     # verify reads the solved profile, blowup the stored continuation
     later = [("verify", launch("verify", "solve")),
              ("blowup", launch("blowup", "continue"))]
     finished += [(command, *_finish(proc)) for command, proc in later]
     assert finished == [(command, 0, []) for command, _ in first + later]
+    with open(tmp_path / "variational" / "profile.json") as fh:
+        assert json.load(fh)["meta"]["converged"] is True
 
 
 _POOL_PROBE = """
@@ -594,6 +599,18 @@ def test_blowup_reads_the_samples_of_the_last_step_only(
         assert main(argv) == 1
         os.rename(out / "moved", out / name)
     capsys.readouterr()
+
+
+def test_blowup_on_an_empty_continuation_is_a_config_error(tmp_path,
+                                                            capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "continuation.json").write_text('{"steps": []}\n')
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: no steps in the stored continuation in {out}\n"
+    assert not (out / "blowup.json").exists()
 
 
 def test_blowup_writes_the_envelope(tmp_path, bubble, ref_params, capsys):

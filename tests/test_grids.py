@@ -132,6 +132,42 @@ def test_spline_reproduces_cubics_exactly():
                        rtol=0, atol=1e-11)
 
 
+def _dense_tridiagonal(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 300])
+def test_thomas_solve_matches_dense_solve(size, rng):
+    # diagonally dominant rows whose diagonal has either sign: indefinite,
+    # and well posed without pivoting
+    sub, sup = rng.uniform(-1.0, 1.0, (2, size - 1))
+    margin = np.abs(np.r_[sub, 0.0]) + np.abs(np.r_[0.0, sup])
+    diag = rng.choice([-1.0, 1.0], size) * (margin + rng.uniform(0.5, 1.5,
+                                                                 size))
+    rhs = rng.standard_normal(size)
+    got = grids.thomas_solve(sub.tolist(), diag.tolist(), sup.tolist(),
+                             rhs.tolist())
+    want = np.linalg.solve(_dense_tridiagonal(sub, diag, sup), rhs)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_thomas_solve_on_a_symmetric_indefinite_form(rng):
+    # the 1-d Laplacian shifted between two of its eigenvalues, so that
+    # three are negative, as in the Newton step on a form with a
+    # nonlinear term
+    size = 300
+    eigs = 2.0 - 2.0 * np.cos(np.arange(1, size + 1) * np.pi / (size + 1))
+    diag = np.full(size, 2.0 - 0.5 * (eigs[2] + eigs[3]))
+    off = -np.ones(size - 1)
+    rhs = rng.standard_normal(size)
+    matrix = _dense_tridiagonal(off, diag, off)
+    assert np.sum(np.linalg.eigvalsh(matrix) < 0.0) == 3
+    got = grids.thomas_solve(off.tolist(), diag.tolist(), off.tolist(),
+                             rhs.tolist())
+    want = np.linalg.solve(matrix, rhs)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("num", [96, 600, 3000])
 def test_spline_integral_on_log_uniform_knots_is_the_splines(num):
     # the trapezoid sum with the spline's end weights, on the shooting grid

@@ -15,7 +15,8 @@ from hardyball.grids import (GridError, ProfileData,
                              log_derivative_matrix_apply, spline_integral)
 from hardyball.kernel import sphere_area
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
-                              NotCoercive, continuation_to_critical,
+                              NotCoercive, NotConverged,
+                              continuation_to_critical,
                               dirichlet_norm_sq, frobenius_init, shoot,
                               solve_dirichlet_shooting, solve_limit_equation,
                               solve_variational)
@@ -152,35 +153,35 @@ def test_scaling_symmetry_b_times_16(ref_params, ref_problem, ground_shoot):
 def test_variational_agrees_with_shooting(ground_shoot, ground_var):
     sup = np.max(np.abs(ground_shoot.data.v))
     vs = ground_var.data.spline()(np.log(ground_shoot.data.r))
-    assert np.max(np.abs(vs - ground_shoot.data.v)) <= 0.02 * sup
-    assert ground_var.energy == pytest.approx(ground_shoot.energy, rel=0.01)
+    assert np.max(np.abs(vs - ground_shoot.data.v)) <= 2e-3 * sup
+    assert ground_var.energy == pytest.approx(ground_shoot.energy, rel=1e-4)
     assert ground_var.energy > 0.0
 
 
-def test_variational_quadratic_sanity(ref_params, ref_problem):
-    # with the same quadratic form but a fixed source, the minimizer is the
-    # direct linear solve; the descent loop must reproduce it
-    from hardyball.solver import _form_operator
-    from scipy.sparse.linalg import spsolve
-    A = _form_operator(ref_problem, 1e-5 * 0.5, 400)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(A.shape[0])
-    direct = spsolve(A.tocsc(), f)
-    # gradient descent on the convex energy 1/2 x'Ax - f'x
-    x = np.zeros_like(f)
-    from scipy.sparse.linalg import splu
-    lu = splu(A.tocsc())
-    for _ in range(50):
-        x = x - lu.solve(A @ x - f)
-    assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
+def test_variational_newton_converges_at_second_order(ref_params,
+                                                      ref_problem,
+                                                      ground_shoot,
+                                                      ground_var):
+    # Newton converges in a few steps on every grid, and the energy gap to
+    # shooting is the discretization's, falling ~4x per grid doubling
+    profs = [solve_variational(ref_params, ref_problem, p=0.2, num=num)
+             for num in (400, 800)] + [ground_var]
+    gaps = []
+    for prof in profs:
+        assert prof.meta["converged"] is True
+        assert prof.meta["newton_steps"] <= 6
+        assert prof.meta["newton_change"] <= 1e-12
+        assert prof.node_count == 0
+        gaps.append(abs(prof.energy - ground_shoot.energy))
+    assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2]
 
 
-def test_variational_reports_not_converged_at_max_iter(ref_params,
-                                                       ref_problem):
-    prof = solve_variational(ref_params, ref_problem, p=0.2, num=400,
-                             max_iter=3)
-    assert prof.meta["converged"] is False
-    assert prof.meta["stalled"] is False
+def test_variational_raises_not_converged_at_the_newton_cap(ref_params,
+                                                            ref_problem,
+                                                            monkeypatch):
+    monkeypatch.setattr(solver, "_NEWTON_STEPS", 1)
+    with pytest.raises(NotConverged):
+        solve_variational(ref_params, ref_problem, p=0.2, num=400)
 
 
 def test_excited_state_has_one_node_and_higher_energy(ref_params,
