@@ -11,7 +11,7 @@ import numpy as np
 
 from .bridge import b_origin
 from .constants import (ProblemParams, admissibility, best_constant_estimate,
-                        beta_pm, critical_exponent)
+                        beta_pm, critical_exponent, h_origin)
 from .grids import ProfileData, spline_integral
 from .kernel import sphere_area
 from .profiles import EntireBubble, SolutionProfile, weighted_profile
@@ -180,66 +180,64 @@ def envelope_check(u: SolutionProfile, family: BubbleFamily) -> EnvelopeReport:
     return EnvelopeReport(worst_ratio=worst, annuli=annuli)
 
 
-def bubble_weighted_integrals(bubble_data: ProfileData, n: int, s: float,
-                              theta: float) -> dict:
+def bubble_weighted_integrals(bubble_data: ProfileData, n: int,
+                              s: float) -> dict:
     """Quadrature of the two bubble integrals entering the rate formula:
-    the theta-weighted square mass and the critical singular mass."""
+    the square mass and the critical singular mass."""
     q = critical_exponent(n, s)
     t = np.log(bubble_data.r)
     omega = sphere_area(n)
-    sq = bubble_data.v ** 2 * bubble_data.r ** (n - theta)
+    sq = bubble_data.v ** 2 * bubble_data.r ** n
     crit = np.abs(bubble_data.v) ** q * bubble_data.r ** (n - s)
     return {
-        "sq_theta": omega * spline_integral(t, sq),
+        "sq_mass": omega * spline_integral(t, sq),
         "crit_mass": omega * spline_integral(t, crit),
     }
 
 
 def rate_formula(params: ProblemParams, family: BubbleFamily,
                  bubble_integrals: list) -> float:
-    """Closed-form limit of p / mu_N^{2-theta} predicted for a blow-up
-    family; strictly negative whenever c > 0 and the integrals are
-    positive."""
+    """Closed-form limit of p / mu_N^2 predicted for a blow-up family, with
+    h(0) (constants.h_origin) the lower-order coefficient; strictly
+    negative whenever h(0) > 0 and the integrals are positive."""
     if len(family) == 0:
         raise FamilyError("empty family has no rate")
     if len(bubble_integrals) != len(family):
         raise FamilyError("need one integral record per scale")
     n, s = params.n, params.s
-    theta, c = params.theta, params.c
     q = critical_exponent(n, s)
     b0 = b_origin(n, s)
     tN = family.t_limits[-1]
-    num = bubble_integrals[-1]["sq_theta"]
+    num = bubble_integrals[-1]["sq_mass"]
     den = sum(b0 / family.t_limits[i] ** ((n - 2.0) / (q - 2.0))
               * bubble_integrals[i]["crit_mass"]
               for i in range(len(family)))
     if den <= 0.0:
         raise FamilyError("degenerate critical mass in the rate formula")
-    return (-(2.0 - theta) / 2.0 * c / tN ** ((n - theta) / (q - 2.0))
+    return (-h_origin(params) / tN ** (n / (q - 2.0))
             * 4.0 * (n - s) / (n - 2.0) ** 2 * num / den)
 
 
 def rate_check(family_over_p, params: ProblemParams,
                bubble_integrals: list) -> dict:
-    """Compare the measured p / mu_N^{2-theta} along a sequence of
-    families against the closed formula, and flag the sign obstruction:
-    for c > 0 the formula is negative while the defect is nonnegative, so
-    no blow-up family can exist in that regime.  They match within 2 %."""
+    """Compare the measured p / mu_N^2 along a sequence of families against
+    the closed formula, and flag the sign obstruction: for h(0) > 0 the
+    formula is negative while the defect is nonnegative, so no blow-up
+    family can exist in that regime.  They match within 2 %."""
     family_over_p = list(family_over_p)
     if not family_over_p:
         return {"applicable": False,
                 "reason": "no blow-up family exists (empty input)"}
-    theta = params.theta
     measured = []
     for p, fam in family_over_p:
         if len(fam) == 0:
             return {"applicable": False,
                     "reason": "family without scales in the sequence"}
-        measured.append(float(p) / fam.mu[-1] ** (2.0 - theta))
+        measured.append(float(p) / fam.mu[-1] ** 2)
     formula = rate_formula(params, family_over_p[-1][1], bubble_integrals)
     limit = measured[-1]
     gap = abs(limit - formula) / max(abs(formula), 1e-300)
-    sign_contradiction = (params.c > 0.0 and formula < 0.0
+    sign_contradiction = (h_origin(params) > 0.0 and formula < 0.0
                           and all(p >= 0.0 for p, _ in family_over_p))
     return {
         "applicable": True,
@@ -261,53 +259,50 @@ def scale_count_bound(params: ProblemParams, energy_budget: float) -> float:
     return energy_budget * (b_origin(n, s) / best) ** (q / (q - 2.0))
 
 
-def compactness_verdict(metas: list, params: ProblemParams) -> dict:
-    """Classify a continuation run, from the meta of each of its steps in
-    order, as COMPACT, BLOWUP, or INCONCLUSIVE.
+def compactness_verdict(steps: list, params: ProblemParams) -> dict:
+    """Classify a continuation run, from its steps in order (each a dict of
+    p_defect, weighted_sup, sup_increment and h1_norm_sq, as in
+    continuation.json), as COMPACT, BLOWUP, or INCONCLUSIVE.
 
-    COMPACT requires the weighted sups to stay within a factor 10 of their
-    smallest and the increments to decay geometrically (mean ratio <= 0.9);
-    BLOWUP requires the sups to grow monotonically past that factor.  The
-    verdict is cross-checked against the regime flags."""
+    COMPACT requires at least two increments, and both the weighted sups
+    and the increments per unit decrease of p (sup_increment over the
+    step's drop in p_defect) to stay within a factor 10 of their smallest,
+    so that the verdict does not depend on how the schedule spaces p;
+    BLOWUP requires the sups to grow monotonically past that factor.  Only
+    a BLOWUP verdict contradicts the regime flags, whose conditions are
+    sufficient for compactness, not necessary."""
     flags = admissibility(params)
-    theory_compact = flags["multiplicity_regime"] and flags["c_positive"]
+    theory_compact = (flags["multiplicity_regime"]
+                      and flags["lambda_threshold_met"])
     report = {"theory_compact": theory_compact, "flags": flags}
-    if not metas:
+    if not steps:
         report.update({"verdict": INCONCLUSIVE,
                        "reason": "empty continuation"})
         return report
-    sups = [meta.get("weighted_sup") for meta in metas]
-    incs = [meta["sup_increment"] for meta in metas
-            if "sup_increment" in meta]
-    if any(w is None for w in sups):
+    sups = [step.get("weighted_sup") for step in steps]
+    incs = [step.get("sup_increment") for step in steps[1:]]
+    ps = [step.get("p_defect") for step in steps]
+    if None in sups + incs + ps:
         report.update({"verdict": INCONCLUSIVE,
-                       "reason": "missing weighted sup data"})
+                       "reason": "missing step data"})
         return report
-    sups = np.asarray(sups, dtype=float)
-    report["weighted_sups"] = [float(w) for w in sups]
-    report["sup_increments"] = [float(i) for i in incs]
-    energies = [meta.get("h1_norm_sq") for meta in metas]
-    if all(e is not None for e in energies):
-        report["scale_count_bound"] = scale_count_bound(
-            params, float(np.max(energies)))
-    bounded = float(np.max(sups)) <= 10.0 * float(np.min(sups))
+    rates = [i / (a - b) for i, a, b in zip(incs, ps, ps[1:])]
+    report.update(weighted_sups=sups, sup_increments=incs,
+                  increments_per_unit_p=rates)
+    energies = [step.get("h1_norm_sq") for step in steps]
+    if None not in energies:
+        report["scale_count_bound"] = scale_count_bound(params,
+                                                        max(energies))
     diverging = (len(sups) >= 3 and np.all(np.diff(sups) > 0.0)
                  and sups[-1] > 10.0 * sups[0])
-    cauchy = False
-    if len(incs) >= 2:
-        ratios = [b / a for a, b in zip(incs, incs[1:]) if a > 0.0]
-        cauchy = bool(ratios) and \
-            float(np.exp(np.mean(np.log(ratios)))) <= 0.9
-    elif len(incs) == 1:
-        cauchy = incs[0] < 1e-6
-    if bounded and cauchy:
+    if len(rates) >= 2 and all(max(xs) <= 10.0 * min(xs)
+                               for xs in (sups, rates)):
         verdict = COMPACT
     elif diverging:
         verdict = BLOWUP
     else:
         verdict = INCONCLUSIVE
     report["verdict"] = verdict
-    report["consistent_with_theory"] = (
-        verdict == INCONCLUSIVE
-        or (verdict == COMPACT) == theory_compact)
+    report["consistent_with_theory"] = not (verdict == BLOWUP
+                                            and theory_compact)
     return report

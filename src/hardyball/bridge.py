@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ProblemParams, critical_exponent
+from .constants import ProblemParams, critical_exponent, h_origin
 from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 from .kernel import DomainError, weight_V_p
 
@@ -29,14 +29,13 @@ def phi(r, n: int):
 def h_gamma_lambda(r, params: ProblemParams):
     """Leading behavior of the induced linear potential.
 
-    For n >= 5 this is an exact constant; for n = 3, 4 only the leading
-    singular term is known (its free additive constant is taken as zero),
-    so those runs are qualitative."""
-    n, gamma, lam = params.n, params.gamma, params.lam
+    For n >= 5 this is the constant h(0) of constants.h_origin; for n = 3, 4
+    only the leading singular term is known (its free additive constant is
+    taken as zero), so those runs are qualitative."""
+    n, gamma = params.n, params.gamma
     r = np.asarray(r, dtype=float)
     if n >= 5:
-        val = 4.0 * (n - 2.0) / (n - 4.0) * gamma + 4.0 * lam - n * (n - 2.0)
-        out = np.full_like(r, val, dtype=float)
+        out = np.full_like(r, h_origin(params), dtype=float)
     elif n == 3:
         out = 4.0 * gamma / r
     else:  # n == 4

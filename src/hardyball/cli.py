@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -147,7 +148,7 @@ def update_manifest(outdir: str, files: dict, config_text: str,
 # ---------------------------------------------------------------------------
 # configuration
 
-_PARAM_KEYS = {"n", "s", "gamma", "lam", "theta", "c", "p_defect"}
+_PARAM_KEYS = {field.name for field in dataclasses.fields(ProblemParams)}
 _PARAM_REQUIRED = {"n", "s", "gamma"}
 _SOLVER_DEFAULTS = {
     "domain_radius": 0.5,
@@ -338,6 +339,7 @@ def read_profile(outdir: str, stem: str) -> tuple:
     """Rebuild (SolutionProfile, EuclideanProblem) from a CSV + sidecar
     written by an earlier command in the same directory."""
     doc = _stored_json(outdir, stem + ".json")
+    _check_keys(doc["params"], _PARAM_KEYS, f"{stem}.json params")
     data = read_profile_csv(_stored(outdir, stem + ".csv"))
     params = ProblemParams(**{**doc["params"], "p_defect": doc["p_defect"]})
     problem = EuclideanProblem(params,
@@ -476,15 +478,12 @@ def cmd_blowup(cfg: dict, args) -> int:
     from . import blowup as blowup_mod
     params = make_params(cfg)
     out = _outdir(cfg, args)
-    stems = [step["stem"]
-             for step in _stored_json(out, "continuation.json")["steps"]]
-    if not stems:
+    steps = _stored_json(out, "continuation.json")["steps"]
+    if not steps:
         raise ConfigError(f"no steps in the stored continuation in {out}")
-    # the verdict reads each step's meta, the scales the last step's samples
-    last = read_profile(out, stems[-1])[0]
-    verdict = blowup_mod.compactness_verdict(
-        [_stored_json(out, stem + ".json")["meta"] for stem in stems[:-1]]
-        + [last.meta], params)
+    # the verdict reads the stored steps, the scales the last step's samples
+    last = read_profile(out, steps[-1]["stem"])[0]
+    verdict = blowup_mod.compactness_verdict(steps, params)
     scales = blowup_mod.detect_scales(last, last.p_defect)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}

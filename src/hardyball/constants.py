@@ -21,8 +21,6 @@ class ProblemParams:
     s: float
     gamma: float
     lam: float = 0.0
-    theta: float = 0.0
-    c: float = 1.0
     p_defect: float = 0.0
 
     def __post_init__(self):
@@ -30,8 +28,6 @@ class ProblemParams:
             raise AdmissibilityError("dimension must be >= 3")
         if not (0.0 < self.s < 2.0):
             raise AdmissibilityError("s must lie in (0, 2)")
-        if not (0.0 <= self.theta < 2.0):
-            raise AdmissibilityError("theta must lie in [0, 2)")
         check_defect(self.n, self.s, self.p_defect)
 
     def as_dict(self) -> dict:
@@ -95,25 +91,27 @@ def exponent_set(n: int, s: float, gamma: float) -> ExponentSet:
                        two_star_s=critical_exponent(n, s))
 
 
+def h_origin(params: ProblemParams) -> float:
+    """h(0) = 4(n-2)/(n-4) gamma + 4 lam - n(n-2), the constant lower-order
+    coefficient of the flat problem for n >= 5; h(0) > 0 is the paper's
+    hypothesis lam > (n-2)/(n-4) (n(n-4)/4 - gamma).  NaN for n = 3, 4,
+    where h is singular at the origin."""
+    n, gamma, lam = params.n, params.gamma, params.lam
+    if n < 5:
+        return math.nan
+    return 4.0 * (n - 2.0) / (n - 4.0) * gamma + 4.0 * lam - n * (n - 2.0)
+
+
 def admissibility(params: ProblemParams) -> dict:
     """Regime report: which of the strict parameter conditions hold.
 
     Reports, never raises; boundary equalities count as inadmissible.
     """
-    n, s = params.n, params.s
-    hardy_cap = (n - 2.0) ** 2 / 4.0
-    two_star_s = critical_exponent(n, s)
-    lam_ok = False
-    if n >= 5:
-        lam_ok = params.lam > (n - 2.0) / (n - 4.0) * (
-            n * (n - 4.0) / 4.0 - params.gamma)
+    hardy_cap = (params.n - 2.0) ** 2 / 4.0
     return {
         "hardy_subcritical": params.gamma < hardy_cap,
-        "multiplicity_regime":
-            params.gamma < hardy_cap - (2.0 - params.theta) ** 2,
-        "lambda_threshold_met": lam_ok,
-        "theta_cap_met": params.theta <= 2.0 - 2.0 / two_star_s,
-        "c_positive": params.c > 0.0,
+        "multiplicity_regime": params.gamma < hardy_cap - 4.0,
+        "lambda_threshold_met": h_origin(params) > 0.0,
     }
 
 

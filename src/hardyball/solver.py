@@ -319,8 +319,10 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     tridiagonal form A of bridge._quadratic_form_diagonals: _DESCENT_STEPS
     Nehari-projected descent steps preconditioned by A [Choi & McKenna
     1993] from a positive bump, then Newton on A u = w |u|^{pf-2} u to
-    max|du| <= 1e-12 max|u|, both solved by grids.thomas_solve.  Raises
-    NotConverged after _NEWTON_STEPS steps, SolverError for a noded root."""
+    max|du| <= 1e-12 max|u|, or to a step below 1e-9 max|u| that is not
+    half the one before (the round-off floor), both solved by
+    grids.thomas_solve.  Raises NotConverged after _NEWTON_STEPS steps,
+    SolverError for a noded root."""
     n, s = params.n, params.s
     pf = critical_exponent(n, s) - p
     R = problem.domain_radius
@@ -370,12 +372,16 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
         if trial_step < 1e-14:
             break
         u, e, step = cand, e_cand, trial_step
+    change = math.inf
     for newton in range(1, _NEWTON_STEPS + 1):
         power = w_nl * np.abs(u) ** (pf - 2.0)
         du = solve(form - (pf - 1.0) * power, A(u) - power * u)
         u = u - du
-        change = float(np.max(np.abs(du)) / np.max(np.abs(u)))
-        if change <= 1e-12:
+        last, change = change, float(np.max(np.abs(du)) / np.max(np.abs(u)))
+        # past 1e-9 a converging step shrinks quadratically, to far below
+        # round-off; one that does not halve measures the round-off floor,
+        # which rises above 1e-12 on fine grids
+        if change <= 1e-12 or (change <= 1e-9 and change > 0.5 * last):
             break
     else:
         raise NotConverged(f"variational Newton: max|du| = {change:.3e} "

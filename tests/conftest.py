@@ -11,7 +11,7 @@ from hardyball.solver import (ContinuationSchedule, continuation_to_critical,
                               solve_dirichlet_shooting, solve_limit_equation,
                               solve_variational)
 
-REF = dict(n=5, s=1.0, gamma=-2.0, lam=10.0, theta=0.0, c=1.0)
+REF = dict(n=5, s=1.0, gamma=-2.0, lam=10.0)
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +54,13 @@ def continuation(ref_params, ref_problem):
     assert len(profiles) == len(schedule.p_values)
     profiles[0].meta["fixture_build_seconds"] = time.perf_counter() - start
     return profiles
+
+
+@pytest.fixture(scope="session")
+def continuation_steps(continuation):
+    """The continuation's steps as `continue` records them in
+    continuation.json, the inputs of the compactness verdict."""
+    return [{"p_defect": prof.p_defect, **prof.meta} for prof in continuation]
 
 
 @pytest.fixture()

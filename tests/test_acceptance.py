@@ -187,11 +187,11 @@ def test_criterion_07_limit_bubble(bubble):
     _report(7, "limit bubble asymptotics")
 
 
-def test_criterion_08_compactness_witness(continuation, ref_params):
+def test_criterion_08_compactness_witness(continuation, continuation_steps,
+                                          ref_params):
     build = continuation[0].meta.get("fixture_build_seconds", 0.0)
     assert build < 600.0
-    rep = blowup_mod.compactness_verdict(
-        [prof.meta for prof in continuation], ref_params)
+    rep = blowup_mod.compactness_verdict(continuation_steps, ref_params)
     assert rep["verdict"] == blowup_mod.COMPACT
     assert all(rep["flags"].values())
     sups = rep["weighted_sups"]
@@ -217,12 +217,11 @@ def test_criterion_09_blowup_machinery(ref_params, bubble):
     rep = blowup_mod.envelope_check(one, fam)
     assert 0.0 < rep.worst_ratio < math.inf
     cal = blowup_mod.calibrated_bubble(bubble)
-    ints = blowup_mod.bubble_weighted_integrals(cal, 5, 1.0,
-                                                ref_params.theta)
+    ints = blowup_mod.bubble_weighted_integrals(cal, 5, 1.0)
     A = -0.37
     seq = []
     for mu in (1e-2, 1e-3, 1e-4):
-        p = A * mu ** (2.0 - ref_params.theta)
+        p = A * mu ** 2
         seq.append((p, blowup_mod.BubbleFamily.from_scales(
             [mu], abs(p), ref_params)))
     out = blowup_mod.rate_check(seq, ref_params, [ints])

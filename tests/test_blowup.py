@@ -12,7 +12,8 @@ from hardyball.blowup import (BLOWUP, COMPACT, INCONCLUSIVE, BubbleFamily,
                               detect_scales, envelope_check, plant_bubbles,
                               rate_check, rate_formula, scale_count_bound)
 from hardyball.constants import ProblemParams, beta_pm
-from hardyball.solver import ProfileData, SolutionProfile
+from hardyball.solver import (ContinuationSchedule, ProfileData,
+                              SolutionProfile, continuation_to_critical)
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +92,15 @@ def test_envelope_bounded_along_continuation(continuation, params):
 
 
 def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
-    theta = params.theta
     cal = calibrated_bubble(bubble)
-    integrals = bubble_weighted_integrals(cal, 5, 1.0, theta)
-    assert integrals["sq_theta"] > 0.0
+    integrals = bubble_weighted_integrals(cal, 5, 1.0)
+    assert integrals["sq_mass"] > 0.0
     assert integrals["crit_mass"] > 0.0
     A = -0.37  # synthetic rate constant
     mus = [1e-2, 1e-3, 1e-4]
     seq = []
     for mu in mus:
-        p = A * mu ** (2.0 - theta)
+        p = A * mu ** 2
         # a blow-up family carries nonnegative defects only when A < 0
         # flips sign; here feed |p| and test pure recovery of the constant
         fam = BubbleFamily.from_scales([mu], abs(p), params)
@@ -109,7 +109,7 @@ def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
     assert rep["applicable"]
     assert rep["measured_limit"] == pytest.approx(A, rel=0.02)
     formula = rate_formula(params, seq[-1][1], [integrals])
-    assert formula < 0.0      # c > 0 forces the negative sign
+    assert formula < 0.0      # h(0) > 0 forces the negative sign
     assert rep["sign_contradiction"] is False  # defects here are signed
     # with nonnegative defects the contradiction flag must fire
     seq_pos = [(abs(p), fam) for p, fam in seq]
@@ -119,14 +119,31 @@ def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
 
 def test_rate_formula_uses_only_last_scale_in_numerator(params, bubble):
     cal = calibrated_bubble(bubble)
-    ints = bubble_weighted_integrals(cal, 5, 1.0, 0.0)
+    ints = bubble_weighted_integrals(cal, 5, 1.0)
     fam = BubbleFamily.from_scales([1e-4, 1e-2], 0.0, params)
     base = rate_formula(params, fam, [ints, ints])
     # doubling the inner bubble's square mass must not move the rate
     inner_bumped = dict(ints)
-    inner_bumped["sq_theta"] = 2.0 * ints["sq_theta"]
+    inner_bumped["sq_mass"] = 2.0 * ints["sq_mass"]
     assert rate_formula(params, fam, [inner_bumped, ints]) == \
         pytest.approx(base, rel=1e-12)
+
+
+def test_rate_formula_is_proportional_to_h_origin(params, bubble):
+    # h(0) = 4 lam - 39 at n = 5, gamma = -2: 1 at lam = 10, 2 at 10.25,
+    # 0 at the threshold 9.75 and -3 at 9
+    ints = bubble_weighted_integrals(calibrated_bubble(bubble), 5, 1.0)
+    fam = BubbleFamily.from_scales([1e-3], 0.0, params)
+    base = rate_formula(params, fam, [ints])
+    for lam, h0 in ((10.25, 2.0), (9.75, 0.0), (9.0, -3.0)):
+        other = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=lam)
+        assert rate_formula(other, fam, [ints]) == pytest.approx(
+            h0 * base, rel=1e-14, abs=0.0)
+        # nonnegative defects contradict the formula only when h(0) > 0
+        seq = [(mu ** 2, BubbleFamily.from_scales([mu], mu ** 2, other))
+               for mu in (1e-2, 1e-3)]
+        assert rate_check(seq, other,
+                          [ints])["sign_contradiction"] is (h0 > 0.0)
 
 
 def test_rate_check_empty_inputs(params):
@@ -139,11 +156,46 @@ def test_scale_count_bound_positive(params):
     assert bound > 0.0 and math.isfinite(bound)
 
 
-def test_verdict_compact_on_continuation(continuation, params):
-    rep = compactness_verdict([prof.meta for prof in continuation], params)
+def test_verdict_compact_on_continuation(continuation_steps, params):
+    rep = compactness_verdict(continuation_steps, params)
     assert rep["verdict"] == COMPACT
     assert rep["theory_compact"] is True
     assert rep["consistent_with_theory"] is True
+
+
+def test_verdict_does_not_depend_on_the_schedule(continuation_steps,
+                                                 ref_problem, params):
+    # the reference family on the halving schedule 0.4 -> 0 and on the
+    # uniform one 0.06, 0.05, ..., 0: the increments fall by about half per
+    # step on the first and by 4 % on the second, while the increment per
+    # unit decrease of p stays between 4.9 and 6.7 on both
+    uniform = continuation_to_critical(
+        params, ref_problem,
+        ContinuationSchedule((0.06, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)))
+    steps = [{"p_defect": prof.p_defect, **prof.meta} for prof in uniform]
+    for run in (continuation_steps, steps):
+        rep = compactness_verdict(run, params)
+        assert rep["verdict"] == COMPACT
+        assert all(4.9 <= rate <= 6.7
+                   for rate in rep["increments_per_unit_p"])
+
+
+def test_verdict_rejects_increments_that_do_not_shrink_with_dp(params):
+    # constant increments over a schedule that halves dp: the increment per
+    # unit dp doubles at every step, which no Lipschitz family shows
+    ps = [0.8 * 0.5 ** i for i in range(7)]
+    steps = [{"p_defect": p, "weighted_sup": 1.0, "sup_increment": 0.06}
+             for p in ps]
+    rep = compactness_verdict(steps, params)
+    assert rep["verdict"] == INCONCLUSIVE
+    assert rep["increments_per_unit_p"][-1] == pytest.approx(
+        32.0 * rep["increments_per_unit_p"][0])
+    # the same increments on a uniform schedule are bounded per unit dp
+    uniform = [dict(step, p_defect=0.06 - 0.01 * i)
+               for i, step in enumerate(steps)]
+    assert compactness_verdict(uniform, params)["verdict"] == COMPACT
+    # one increment cannot show a bound
+    assert compactness_verdict(steps[:2], params)["verdict"] == INCONCLUSIVE
 
 
 def test_verdict_empty_is_inconclusive(params):
@@ -153,16 +205,15 @@ def test_verdict_empty_is_inconclusive(params):
 
 def test_verdict_blowup_on_diverging_sups(params):
     # synthetic run whose weighted sup norms grow without bound
-    r = np.geomspace(1e-5, 0.5, 200)
-    profiles = []
-    for i, sup in enumerate((1.0, 6.0, 60.0, 700.0)):
-        prof = SolutionProfile(
-            data=ProfileData(r=r, v=np.full_like(r, sup),
-                             dv=np.zeros_like(r)),
-            params=params, p_defect=0.4 / (i + 1.0), K0=1.0, node_count=0,
-            energy=1.0, residual_norm=0.0, boundary_value=sup,
-            meta={"weighted_sup": sup, "sup_increment": float(sup)})
-        profiles.append(prof)
-    rep = compactness_verdict([prof.meta for prof in profiles], params)
+    steps = [{"p_defect": 0.4 / (i + 1.0), "weighted_sup": sup,
+              "sup_increment": sup}
+             for i, sup in enumerate((1.0, 6.0, 60.0, 700.0))]
+    rep = compactness_verdict(steps, params)
     assert rep["verdict"] == BLOWUP
     assert rep["consistent_with_theory"] is False
+    # the flags are sufficient for compactness, not necessary: below the
+    # lambda threshold a blow-up verdict contradicts nothing
+    low = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=9.0)
+    rep = compactness_verdict(steps, low)
+    assert rep["theory_compact"] is False
+    assert rep["consistent_with_theory"] is True

@@ -22,8 +22,7 @@ from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
 from hardyball.constants import critical_exponent
 from hardyball.solver import ProfileData
 
-REF_PARAMS = {"n": 5, "s": 1.0, "gamma": -2.0, "lam": 10.0,
-              "theta": 0.0, "c": 1.0, "p_defect": 0.2}
+REF_PARAMS = {"n": 5, "s": 1.0, "gamma": -2.0, "lam": 10.0, "p_defect": 0.2}
 
 
 def _write_cfg(path, doc):
@@ -155,7 +154,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
             # params and sweep values are numbers, not strings or booleans
             ("constants", {"params": {**REF_PARAMS, "n": "5", "s": "1.0"}}),
             ("constants", {"params": {**REF_PARAMS, "lam": True}}),
-            ("constants", {"params": {**REF_PARAMS, "theta": None}}),
+            ("constants", {"params": {**REF_PARAMS, "lam": None}}),
+            # the potential has no r^-theta factor and c is h(0)
+            ("constants", {"params": {**REF_PARAMS, "theta": 0.0}}),
+            ("constants", {"params": {**REF_PARAMS, "c": 1.0}}),
             ("sweep", {"params": dict(REF_PARAMS),
                        "sweep": {"gamma": [True, "-2"]}}),
             ("sweep", {"params": dict(REF_PARAMS),
@@ -567,17 +569,42 @@ def test_continue_then_blowup(tmp_path, capsys):
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
     verdict = json.load(open(os.path.join(out, "blowup.json")))
     assert verdict["verdict"] in ("COMPACT", "BLOWUP", "INCONCLUSIVE")
+    assert verdict["flags"] == {"hardy_subcritical": True,
+                                "multiplicity_regime": True,
+                                "lambda_threshold_met": True}
     assert verdict["theory_compact"] is True
     capsys.readouterr()
 
 
+def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):
+    # lam = 9 gives h(0) = -3: no flag may claim h(0) > 0, and the compact
+    # ground-state family outside the sufficient conditions is consistent
+    cfg = _write_cfg(tmp_path / "run.json",
+                     {"params": dict(REF_PARAMS, lam=9.0)})
+    out = str(tmp_path / "out")
+    assert main(["continue", "--config", cfg, "--out", out]) == 0
+    assert main(["blowup", "--config", cfg, "--out", out]) == 0
+    verdict = json.load(open(os.path.join(out, "blowup.json")))
+    assert verdict["flags"] == {"hardy_subcritical": True,
+                                "multiplicity_regime": True,
+                                "lambda_threshold_met": False}
+    assert verdict["theory_compact"] is False
+    assert verdict["verdict"] == "COMPACT"
+    assert verdict["consistent_with_theory"] is True
+    capsys.readouterr()
+
+
 def test_blowup_reads_the_samples_of_the_last_step_only(
-        tmp_path, continuation, ref_problem, capsys):
-    # the verdict reads each step's sidecar, the scales the last samples
+        tmp_path, continuation, continuation_steps, ref_problem, capsys):
+    # the verdict reads the steps of continuation.json, the scales the last
+    # step's samples
     out = tmp_path / "out"
     out.mkdir()
+    keys = ("p_defect", "weighted_sup", "sup_increment", "h1_norm_sq")
     files = {"continuation.json": {"steps": [
-        {"stem": f"continuation_{idx:02d}"} for idx in range(7)]}}
+        {"stem": f"continuation_{idx:02d}",
+         **{key: step.get(key) for key in keys}}
+        for idx, step in enumerate(continuation_steps)]}}
     for idx, prof in enumerate(continuation):
         files.update(cli._sidecar(f"continuation_{idx:02d}", prof,
                                   ref_problem))
@@ -590,15 +617,32 @@ def test_blowup_reads_the_samples_of_the_last_step_only(
     before = (out / "blowup.json").read_bytes()
     assert json.loads(before)["verdict"] == "COMPACT"
     for idx in range(6):
-        (out / f"continuation_{idx:02d}.csv").unlink()
+        for ext in ("csv", "json"):
+            (out / f"continuation_{idx:02d}.{ext}").unlink()
     assert main(argv) == 0
     assert (out / "blowup.json").read_bytes() == before
-    # the last step's samples, and every sidecar, are still required
-    for name in ("continuation_06.csv", "continuation_03.json"):
+    # the last step's samples and sidecar are still required
+    for name in ("continuation_06.csv", "continuation_06.json"):
         os.rename(out / name, out / "moved")
         assert main(argv) == 1
         os.rename(out / "moved", out / name)
     capsys.readouterr()
+
+
+def test_a_stale_sidecar_is_a_config_error(solved_dir, tmp_path, capsys):
+    # a sidecar written while params still carried theta and c
+    cfg, out = solved_dir
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    doc = json.load(open(os.path.join(out, "profile.json")))
+    doc["params"].update(theta=0.0, c=1.0)
+    (stale / "profile.json").write_text(dumps17(doc) + "\n")
+    (stale / "profile.csv").write_bytes(
+        open(os.path.join(out, "profile.csv"), "rb").read())
+    assert main(["verify", "--config", cfg, "--out", str(stale)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: unknown key(s) in profile.json params: c, theta\n"
+    assert not (stale / "verify.json").exists()
 
 
 def test_blowup_on_an_empty_continuation_is_a_config_error(tmp_path,

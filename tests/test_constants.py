@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hardyball.constants import (AdmissibilityError, ProblemParams,
                                  admissibility, alpha_minus,
                                  best_constant_estimate, beta_pm,
-                                 critical_exponent, exponent_set,
+                                 critical_exponent, exponent_set, h_origin,
                                  radial_hardy_ode_residual)
 
 
@@ -73,23 +73,45 @@ def test_exponent_set_tau_range():
 
 
 def test_admissibility_reference_flags():
-    flags = admissibility(ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0,
-                                        theta=0.0, c=1.0))
-    assert all(flags.values())
-    # lambda threshold at n=5, gamma=-2 is 3 * (5/4 + 2) = 9.75
-    low = admissibility(ProblemParams(n=5, s=1.0, gamma=-2.0, lam=9.75))
-    assert not low["lambda_threshold_met"]
+    flags = admissibility(ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0))
+    assert flags == {"hardy_subcritical": True, "multiplicity_regime": True,
+                     "lambda_threshold_met": True}
+    # lambda threshold at n=5, gamma=-2 is 3 * (5/4 + 2) = 9.75, where
+    # h(0) = -24 + 39 - 15 is exactly zero
+    at = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=9.75)
+    assert h_origin(at) == 0.0
+    assert not admissibility(at)["lambda_threshold_met"]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 9])
+def test_lambda_flag_is_the_papers_inequality(n):
+    # h(0) > 0 is lam > (n-2)/(n-4) (n(n-4)/4 - gamma)
+    for gamma in np.linspace(-6.0, 2.0, 9):
+        for lam in np.linspace(-5.0, 25.0, 13):
+            params = ProblemParams(n=n, s=1.0, gamma=float(gamma),
+                                   lam=float(lam))
+            paper = lam > (n - 2.0) / (n - 4.0) * (n * (n - 4.0) / 4.0
+                                                   - gamma)
+            assert (h_origin(params) > 0.0) == paper
+            assert admissibility(params)["lambda_threshold_met"] == paper
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_constant_h_origin_below_dimension_5(n):
+    params = ProblemParams(n=n, s=1.0, gamma=-0.5, lam=100.0)
+    assert math.isnan(h_origin(params))
+    assert not admissibility(params)["lambda_threshold_met"]
 
 
 def test_admissibility_multiplicity_boundary():
-    # multiplicity regime needs gamma < (n-2)^2/4 - (2-theta)^2 = -1.75
+    # multiplicity regime needs gamma < (n-2)^2/4 - 4 = -1.75
     near = admissibility(ProblemParams(n=5, s=1.0, gamma=-1.0, lam=10.0))
     assert near["hardy_subcritical"]
     assert not near["multiplicity_regime"]
 
 
 def test_multiplicity_equivalent_to_indicial_gap():
-    # gamma < cap - 4 at theta = 0 is the same as beta_+ - beta_- > 4
+    # gamma < cap - 4 is the same as beta_+ - beta_- > 4
     for gamma in np.linspace(-8.0, 2.0, 21):
         params = ProblemParams(n=5, s=1.0, gamma=float(gamma))
         pred = admissibility(params)["multiplicity_regime"]

@@ -176,6 +176,23 @@ def test_variational_newton_converges_at_second_order(ref_params,
     assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2]
 
 
+def test_variational_newton_stops_at_its_round_off_floor(ref_params,
+                                                         ref_problem,
+                                                         ground_shoot,
+                                                         ground_var):
+    # at num = 12,800 the relative steps stall between 1e-12 and 6e-12 from
+    # the fifth on, so the 1e-12 rule alone runs to the step cap; a step
+    # below 1e-9 that does not halve ends the solve as converged
+    prof = solve_variational(ref_params, ref_problem, p=0.2, num=12800)
+    assert prof.meta["converged"] is True
+    assert prof.meta["newton_steps"] < 10
+    assert prof.meta["newton_change"] <= 1e-9
+    assert prof.energy == pytest.approx(ground_shoot.energy, rel=1e-4)
+    # on the default grid the 1e-12 rule still decides, after 4 steps
+    assert ground_var.meta["newton_steps"] == 4
+    assert ground_var.meta["newton_change"] <= 1e-12
+
+
 def test_variational_raises_not_converged_at_the_newton_cap(ref_params,
                                                             ref_problem,
                                                             monkeypatch):
