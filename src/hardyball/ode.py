@@ -1,16 +1,17 @@
 """The solver's scalar kernels in plain floats, where numpy's per-call
 overhead outweighs the arithmetic of a 2-component system: DOP853 [Dormand &
 Prince 1980; Hairer, Norsett & Wanner, Solving ODEs I, II.10; Hairer's
-dop853.f] with dense output and a terminal guard on |v|, and Brent's root
-[Brent 1973].  Both port scipy's (DOP853's tableau, err5/err3 norm, step
-control and initial step; brentq.c) and take its steps and iterates; the
-coefficients are scipy's (BSD-3-Clause, (c) the SciPy Developers)."""
+dop853.f] with lazy dense output and a terminal guard on |v|, and Brent's
+root [Brent 1973].  Both port scipy's (DOP853's tableau, err5/err3 norm,
+step control and initial step; brentq.c) and take its steps and iterates;
+the coefficients are scipy's (BSD-3-Clause, (c) the SciPy Developers)."""
 
 from __future__ import annotations
 
 import linecache
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -157,13 +158,21 @@ def _interpolate(x, F, y_old):
 
 
 class _Trajectory:
-    """An integration: its step ends ``ts`` (the last is the guard's time if
-    ``diverged``), counters, and rows (t_old, h, v_old, w_old, F_v, F_w)."""
+    """An integration: step ends ``ts`` with v and w there (the last is the
+    guard's time if ``diverged``), counters, and rows (t_old, h, v_old, w_old,
+    F_v, F_w), built from the kept stage values when first sampled."""
 
-    def __init__(self, ts, pieces, diverged, nfev, steps, rejected):
-        self.ts, self.pieces = np.array(ts), np.array(pieces)
-        self.t_end, self.diverged = ts[-1], diverged
+    def __init__(self, rhs, ends, kept, guard_row, nfev, steps, rejected):
+        self.ts, self.v_ends, self.w_ends = np.array(ends).T
+        self.t_end, self.diverged = ends[-1][0], bool(guard_row)
         self.nfev, self.steps, self.rejected = nfev, steps, rejected
+        self._rhs, self._kept, self._guard_row = rhs, kept, guard_row
+
+    @cached_property
+    def pieces(self):
+        self.nfev += 3 * len(self._kept)
+        return np.array([_dense(self._rhs, *step) for step in self._kept]
+                        + self._guard_row)
 
     def __call__(self, t):
         """(v, w) at the times t, in one vectorised pass (as OdeSolution)."""
@@ -194,9 +203,9 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
           (0.01 / max(d1, d2)) ** (1.0 / 8.0))
     h_abs = min(100.0 * h0, h1, span)
 
-    t, v, w, ts, pieces = t0, v0, w0, [t0], []
-    nfev, steps, rejected, diverged = 2, 0, 0, False
-    while d * (t - t1) < 0.0 and not diverged:
+    t, v, w, ends, kept, guard_row = t0, v0, w0, [(t0, v0, w0)], [], []
+    nfev, steps, rejected = 2, 0, 0
+    while d * (t - t1) < 0.0 and not guard_row:
         min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False
@@ -230,16 +239,19 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
         else:
             break   # the step size underflowed
         steps += 1
-        nfev += 3
-        pieces.append(_dense(rhs, t, h, v, w, vs, ws, *ks))
         if abs(vs) >= guard:
-            Fv = pieces[-1][4:11]
+            nfev += 3
+            guard_row = [_dense(rhs, t, h, v, w, vs, ws, *ks)]
+            Fv, Fw = guard_row[0][4:11], guard_row[0][11:18]
             t_new = _brent(lambda x: guard - abs(_interpolate(
                 (x - t) / h, Fv, v)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
-            diverged = True
-        ts.append(t_new)
+            x = (t_new - t) / h     # the step ends at the guard's time
+            vs, ws = _interpolate(x, Fv, v), _interpolate(x, Fw, w)
+        else:
+            kept.append((t, h, v, w, vs, ws, *ks))
+        ends.append((t_new, vs, ws))
         t, v, w, (fv, fw) = t_new, vs, ws, ks[-2:]  # stage 12: next stage 0
-    return _Trajectory(ts, pieces, diverged, nfev, steps, rejected)
+    return _Trajectory(rhs, ends, kept, guard_row, nfev, steps, rejected)
 
 
 def _brent(f, a, b, xtol=1e-12, rtol=4 * _EPS):

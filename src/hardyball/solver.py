@@ -107,9 +107,9 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
           p: float, r0: float = None, num: int = 3000,
           rtol: float = 1e-11, atol_scale: float = 1e-13) -> SolutionProfile:
     """Integrate the radial equation outward from the singular-end jet and
-    return the (un-matched) trajectory, sampled at num log-uniform radii.
-    Its meta counts the right-hand side evaluations and the accepted and
-    rejected steps."""
+    return the (un-matched) trajectory, sampled at num log-uniform radii or,
+    for num = None, at the step ends (no dense output).  Its meta counts the
+    right-hand side evaluations and the accepted and rejected steps."""
     R = problem.domain_radius
     if r0 is None:
         r0 = 1e-5 * R
@@ -125,10 +125,10 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
 
 def _sampled(sol, params: ProblemParams, K: float, p: float, r0: float,
              R: float, num: int) -> SolutionProfile:
-    """The shoot of K whose dense output is sol, sampled at num log-uniform
-    radii from r0 to where the integration ended."""
-    t = np.linspace(math.log(r0), sol.t_end, num)
-    v, vt = sol(t)
+    """The shoot of K whose integration is sol, sampled at num log-uniform
+    radii from r0 to where the integration ended, or at its step ends."""
+    t = sol.ts if num is None else np.linspace(math.log(r0), sol.t_end, num)
+    v, vt = (sol.v_ends, sol.w_ends) if num is None else sol(t)
     r = np.exp(t)
     data = ProfileData(r=r, v=v, dv=vt / r)
     return SolutionProfile(
@@ -223,15 +223,15 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     zero crosses R.  Steps of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... walk out
     from K_start, or from the scaling estimate (the K at which
     b v^{q-2-p} r^{2-s} balances (n-2)^2/4 - gamma at r = R/2), both
-    clamped into K_range, until the count crosses node_target; a
-    continuation starts at its previous root times the ratio of the two
-    defects' estimates.  The bracket is bisected until its ends read
-    node_target and node_target + 1; Brent's method [Brent 1973] then finds
-    the root of v(R)/sup|v| in log K, stopping at the first shoot below a
-    tenth of boundary_tol (the integrator's noise floor).  Brent's root is
-    a point already shot; the profile samples that shoot's trajectory
-    finely.  meta counts the shoots per phase, and their RHS evaluations
-    and steps."""
+    clamped into K_range, until the count crosses node_target (a
+    continuation starts where the scaling law's residual extrapolates).
+    The bracket is bisected until its ends read node_target and
+    node_target + 1; Brent's method [Brent 1973] then finds the root of
+    v(R)/sup|v| in log K, stopping at the first shoot below a tenth of
+    boundary_tol (the integrator's noise floor).  Shoots are read at their
+    step ends.  Brent's root is a point already shot; the profile samples
+    its trajectory finely, the one dense output a solve builds.  meta
+    counts the shoots per phase, and their RHS evaluations and steps."""
     check_defect(params.n, params.s, p)
     if node_target == 0 and not problem.coercive():
         raise NotCoercive("the quadratic form is not coercive "
@@ -239,19 +239,19 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     R = problem.domain_radius
     r0 = 1e-5 * R if r0 is None else r0
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
-    # every shoot, in order: log K -> (K, node count, v(R) / sup|v|, the
-    # shoot's meta, its dense output)
+    # every shoot, in order: log K -> (K, node count, v(R) / sup|v|, its
+    # integration), read off the integrator's step ends
     seen = {}
 
     def shoot_at(x):
         K = math.exp(x)
-        prof = shoot(params, problem, K, p, r0=r0, num=1200, rtol=rtol)
+        prof = shoot(params, problem, K, p, r0=r0, num=None, rtol=rtol)
         v = prof.data.v
         sup = np.max(np.abs(v))
         vR = v[-1] / sup  # reads 0 below the noise floor: Brent stops
         seen[x] = (K, _sign_changes(v, sup),
                    0.0 if abs(vR) <= max(1e-13, 0.1 * boundary_tol) else vR,
-                   prof.meta, prof.trajectory)
+                   prof.trajectory)
         return seen[x][1]
 
     def no_bracket(message):
@@ -291,7 +291,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     bisect = len(seen) - walk
     x_root = _brent(boundary, x_lo, x_hi, xtol=1e-12)
     K_root = math.exp(x_root)
-    best = _sampled(seen[x_root][4], params, K_root, p, r0, R, 3000)
+    best = _sampled(seen[x_root][3], params, K_root, p, r0, R, 3000)
     shoots = len(seen)
     sup = np.max(np.abs(best.data.v))
     if abs(best.boundary_value) > boundary_tol * sup:
@@ -304,8 +304,10 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     best.energy, best.nonlinear_mass = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
-    best.meta.update({key: sum(shot[3][key] for shot in seen.values())
-                      for key in ("rhs_evals", "steps", "rejected_steps")},
+    sols = [shot[3] for shot in seen.values()]
+    best.meta.update(rhs_evals=sum(sol.nfev for sol in sols),
+                     steps=sum(sol.steps for sol in sols),
+                     rejected_steps=sum(sol.rejected for sol in sols),
                      K_shoot=K_root, boundary_tol=boundary_tol,
                      shoots=shoots, shoots_walk=walk, shoots_bisect=bisect,
                      shoots_brent=shoots - walk - bisect)
@@ -324,6 +326,7 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     grids.thomas_solve.  Raises NotConverged after _NEWTON_STEPS steps,
     SolverError for a noded root."""
     n, s = params.n, params.s
+    check_defect(n, s, p)
     pf = critical_exponent(n, s) - p
     R = problem.domain_radius
     r0 = 1e-5 * R if r0 is None else r0
@@ -406,17 +409,18 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
                              node_target: int = 0,
                              K_range: tuple = (1e-4, 1e6)) -> list:
     """Warm-started solves along the decreasing defect schedule; records the
-    Cauchy increments and the weighted sup norms used by the blow-up lab."""
-    out = []
-    K_start = prev = None
+    Cauchy increments and the weighted sup norms used by the blow-up lab.
+    A step starts at the scaling estimate E(p) times exp(g), g the residual
+    log K_root - log E of the last two roots, extrapolated linearly in p."""
+    out, fits = [], []  # fits: (p, log K_root - log E(p)) of each step
+    r0 = 1e-5 * problem.domain_radius   # the solves' default start radius
+    K_start = None
     for idx, p in enumerate(schedule.p_values):
-        if prev is not None:
-            # the previous root, moved as the scaling law moves K with p
-            r0 = prev.meta["r0"]
-            K_start = (prev.meta["K_shoot"]
-                       * _scaling_estimate(params, problem, p, r0)
-                       / _scaling_estimate(params, problem, prev.p_defect,
-                                           r0))
+        estimate = _scaling_estimate(params, problem, p, r0)
+        if fits:
+            (pa, ga), (pb, gb) = fits[-2:] if len(fits) > 1 else fits * 2
+            g = gb if pa == pb else gb + (gb - ga) * (p - pb) / (pb - pa)
+            K_start = estimate * math.exp(g)
         try:
             prof = solve_dirichlet_shooting(params, problem, p,
                                             node_target=node_target,
@@ -426,13 +430,12 @@ def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
                 sp.meta["truncated_at"] = idx
                 sp.meta["failure"] = str(exc)
             return out
+        fits.append((p, math.log(prof.meta["K_shoot"]) - math.log(estimate)))
         prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof, p)))
         prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
         prof.meta["nonlinear_mass"] = prof.nonlinear_mass
-        if prev is not None:
-            sup_inc = _sup_diff(prev, prof)
-            prof.meta["sup_increment"] = sup_inc
-        prev = prof
+        if out:
+            prof.meta["sup_increment"] = _sup_diff(out[-1], prof)
         out.append(prof)
     return out
 

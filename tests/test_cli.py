@@ -440,7 +440,7 @@ def test_solve_writes_checked_artifacts(solved_dir, tmp_path, capsys):
     assert len(_check_manifest(str(tmp_path / "continue"))) == 15
     doc = json.load(open(os.path.join(out, "profile.json")))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
-    assert doc["meta"]["shoots"] == 9
+    assert doc["meta"]["shoots"] == 10
     capsys.readouterr()
 
 

@@ -135,17 +135,22 @@ def test_overflow_in_a_stage_counts_the_stages_reached(stage):
     sol = ode._dop853(_overflowing(2 + stage), 0.0, 5.0, 1.0, 0.0,
                       rtol=1e-12, atol=1e-14)
     assert sol.t_end == 5.0 and sol.rejected >= 1
-    assert sol.nfev == 2 + reached + 12 * (sol.steps + sol.rejected - 1) \
-        + 3 * sol.steps
+    assert sol.nfev == 2 + reached + 12 * (sol.steps + sol.rejected - 1)
 
 
 @pytest.mark.parametrize("at, name", [(3, "attempt"), (14, "dense")])
 def test_a_traceback_shows_the_stage_source(at, name):
-    # the generated functions have their source in linecache; stage 14 is
-    # in the dense output of the first step, which is accepted
+    # the generated functions have their source in linecache; stage 3 is in
+    # the first attempt, after the 2 start evaluations, and stage 14 in the
+    # interpolant row of the first step, which the first sampling builds
+    # after every evaluation of the integration
+    integration = ode._dop853(_cosh_rhs, 0.0, 5.0, 1.0, 0.0, rtol=1e-12,
+                              atol=1e-14).nfev
+    before = {"attempt": 2, "dense": integration - 12}[name]
     with pytest.raises(ArithmeticError) as err:
-        ode._dop853(_overflowing(2 + at, ArithmeticError), 0.0, 5.0, 1.0,
-                    0.0, rtol=1e-12, atol=1e-14)
+        sol = ode._dop853(_overflowing(before + at, ArithmeticError), 0.0,
+                          5.0, 1.0, 0.0, rtol=1e-12, atol=1e-14)
+        sol(np.array([1.0]))
     frame = traceback.extract_tb(err.value.__traceback__)[-2]
     assert frame.filename == f"<dop853-{name}>"
     assert frame.line.startswith(f"k{at}v, k{at}w = rhs(t + ")
@@ -160,12 +165,21 @@ def test_dense_output_reproduces_cosh_and_sinh(t1):
     # v'' = v from (1, 0): v = cosh t, v' = sinh t, forward and backward
     sol = ode._dop853(_cosh_rhs, 0.0, t1, 1.0, 0.0, rtol=1e-12, atol=1e-14)
     assert sol.t_end == t1 and not sol.diverged
+    # the start makes 2 evaluations and every attempt 12; the interpolant
+    # is not built yet, but the step ends are the solution's
+    assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected)
+    assert len(sol.ts) == len(sol.v_ends) == len(sol.w_ends) == sol.steps + 1
+    assert np.max(np.abs(sol.v_ends - np.cosh(sol.ts))
+                  / np.cosh(sol.ts)) <= 1e-10
+    assert np.max(np.abs(sol.w_ends - np.sinh(sol.ts))
+                  / np.cosh(sol.ts)) <= 1e-10
     t = np.linspace(0.0, t1, 1001)
     v, w = sol(t)
     assert np.max(np.abs(v - np.cosh(t)) / np.cosh(t)) <= 1e-10
     assert np.max(np.abs(w - np.sinh(t)) / np.cosh(t)) <= 1e-10
-    # every attempt makes 12 evaluations, every accepted step 3 more for
-    # its interpolant; the start makes 2
+    # the first sampling builds the rows, 3 evaluations per accepted step
+    assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected) + 3 * sol.steps
+    sol(t)
     assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected) + 3 * sol.steps
 
 
@@ -175,8 +189,14 @@ def test_guard_stops_where_v_reaches_it():
                       atol=1e-15, guard=guard)
     assert sol.diverged
     assert sol.t_end == pytest.approx(math.acosh(guard), abs=1e-12)
-    v, _ = sol(np.array([sol.t_end]))
+    # the guard's Brent reads the last step's row, built at once; the step
+    # ends there, on its interpolant
+    assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected) + 3
+    assert sol.v_ends[-1] == pytest.approx(guard, rel=1e-11)
+    v, w = sol(np.array([sol.t_end]))
     assert v[0] == pytest.approx(guard, rel=1e-11)
+    assert (v[0], w[0]) == (sol.v_ends[-1], sol.w_ends[-1])
+    assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected) + 3 * sol.steps
 
 
 def _scipy_shoot(params, problem, K, p, num=1200, rtol=1e-11,

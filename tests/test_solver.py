@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hardyball import bridge, solver
+from hardyball import bridge, ode, solver
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
                                  critical_exponent)
-from hardyball.grids import (GridError, ProfileData,
+from hardyball.grids import (GridError, ProfileData, _sign_changes,
                              log_derivative_matrix_apply, spline_integral)
 from hardyball.kernel import sphere_area
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
@@ -221,11 +221,11 @@ def test_brent_root_meets_the_shooting_conditions(ground_shoot):
 
 def test_cold_solve_shoot_count(ground_shoot):
     # the scaling estimate (K ~ 1901) and three steps outward (the third
-    # crosses), five for Brent's root, whose last shoot is the profile
+    # crosses), six for Brent's root, whose last shoot is the profile
     meta = ground_shoot.meta
-    assert meta["shoots"] == 9
+    assert meta["shoots"] == 10
     assert [meta[f"shoots_{phase}"] for phase in
-            ("walk", "bisect", "brent")] == [4, 0, 5]
+            ("walk", "bisect", "brent")] == [4, 0, 6]
 
 
 def test_solver_counters_repeat_exactly(ref_params, ref_problem,
@@ -238,10 +238,13 @@ def test_solver_counters_repeat_exactly(ref_params, ref_problem,
     assert all(type(value) is int for value in counters.values())
     assert counters["shoots"] == sum(counters[f"shoots_{phase}"] for phase
                                      in ("walk", "bisect", "brent"))
-    # the totals are the sums over the shoots: 12 evaluations per attempted
-    # step, 3 more per accepted one, 2 at each start
-    assert counters["rhs_evals"] == 2 * counters["shoots"] + 15 * \
-        counters["steps"] + 12 * counters["rejected_steps"]
+    # the totals are the sums over the shoots: 2 evaluations at each start
+    # and 12 per attempted step, and 3 per accepted step of the one shoot
+    # whose interpolant is built, the root's
+    root = ground_shoot.trajectory
+    assert root.nfev == 2 + 15 * root.steps + 12 * root.rejected
+    assert counters["rhs_evals"] == 2 * counters["shoots"] + 12 * (
+        counters["steps"] + counters["rejected_steps"]) + 3 * root.steps
 
 
 def test_solve_profile_is_the_root_shoot(ref_params, ref_problem,
@@ -263,12 +266,62 @@ def test_solve_profile_is_the_root_shoot(ref_params, ref_problem,
         assert prof.meta["nonlinear_mass"] == mass
 
 
+@pytest.mark.parametrize("n, s", [(5, 1.0), (6, 1.5)])
+def test_step_ends_give_the_sampled_bracket_data(n, s):
+    # a solve reads each shoot's node count, sup|v| and v(R) at the
+    # integrator's step ends; over K from 1e-2 to 1e12, at p = 0 and half
+    # way to q - 2, they give the node count and the sign of v(R) of 1200
+    # samples of the same integration
+    params = ProblemParams(n=n, s=s, gamma=-2.0, lam=10.0)
+    problem = EuclideanProblem(params, domain_radius=0.5)
+    r0, R = 1e-5 * 0.5, 0.5
+    counts = set()
+    for p in (0.0, 0.5 * (critical_exponent(n, s) - 2.0)):
+        for K in np.geomspace(1e-2, 1e12, 29).tolist():
+            ends = shoot(params, problem, K, p, num=None)
+            sampled = solver._sampled(ends.trajectory, params, K, p, r0, R,
+                                      1200)
+            (v, sup), (w, wsup) = ((prof.data.v, np.max(np.abs(prof.data.v)))
+                                   for prof in (ends, sampled))
+            assert _sign_changes(v, sup) == _sign_changes(w, wsup)
+            assert np.sign(v[-1]) == np.sign(w[-1]) != 0.0
+            # the step ends miss the peak by less than 0.5 %, the samples
+            # by less than 1e-4
+            assert 0.995 * wsup <= sup <= 1.0001 * wsup
+            counts.add(_sign_changes(v, sup))
+    # the grid crosses at least the ground state's root
+    assert {0, 1} <= counts
+
+
+def test_a_bracket_shoot_builds_no_interpolant(ref_params, ref_problem):
+    # sampled at its step ends a shoot makes 2 start evaluations and 12
+    # per attempt; its first sampling adds 3 per accepted step, for rows
+    # equal to _dense on the kept stage values, here through a fresh RHS
+    prof = shoot(ref_params, ref_problem, 7116.94, 0.2, num=None)
+    sol = prof.trajectory
+    assert prof.meta["rhs_evals"] == sol.nfev == \
+        2 + 12 * (sol.steps + sol.rejected)
+    assert np.array_equal(prof.data.r, np.exp(sol.ts))
+    assert np.array_equal(prof.data.v, sol.v_ends)
+    assert prof.boundary_value == sol.v_ends[-1]
+    solver._sampled(sol, ref_params, 7116.94, 0.2, 5e-6, 0.5, 1200)
+    assert sol.nfev == 2 + 15 * sol.steps + 12 * sol.rejected
+    rhs = solver._rhs_factory(ref_params, ref_problem, 0.2)
+    rows = [ode._dense(rhs, *step) for step in sol._kept]
+    assert np.array_equal(sol.pieces, np.array(rows))
+    # each row starts at a step end
+    assert np.array_equal(sol.pieces[:, 0], sol.ts[:-1])
+    assert np.array_equal(sol.pieces[:, 2], sol.v_ends[:-1])
+    assert np.array_equal(sol.pieces[:, 3], sol.w_ends[:-1])
+
+
 def test_continuation_shoot_total(continuation):
-    # one cold solve, then walks outward from the previous K rescaled by
-    # the ratio of the scaling estimates
+    # one cold solve, then walks outward from the scaling estimate times
+    # the scaling law's residual, extrapolated from the last two roots
     shoots = [prof.meta["shoots"] for prof in continuation]
-    assert shoots == [7, 7, 6, 6, 6, 6, 6]
-    assert sum(shoots) == 44
+    assert shoots == [7, 7, 6, 6, 5, 5, 5]
+    assert sum(shoots) == 41
+    assert sum(prof.meta["rhs_evals"] for prof in continuation) == 55369
 
 
 def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
@@ -298,7 +351,7 @@ def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
     # 2 nodes, and one bisection narrows the bracket
     split = [prof.meta[f"shoots_{phase}"] for phase in
              ("walk", "bisect", "brent")]
-    assert split == {7.0: [6, 1, 6], 7.0e6: [6, 0, 10]}[K_start]
+    assert split == {7.0: [6, 1, 6], 7.0e6: [6, 0, 12]}[K_start]
     assert sum(split) == prof.meta["shoots"]
 
 
@@ -398,10 +451,12 @@ def test_inline_b_shoot_is_the_generic_shoot(ref_params, ref_problem, K, p):
                                      (5, 1.0, -0.01)])
 def test_defect_checked_at_solver_entry(n, s, p):
     # p = q - 2 exactly at n = 7, s = 1.5 (linear equation), p > q - 2 at
-    # n = 5, s = 1.9, and a negative p are all refused before any shoot
+    # n = 5, s = 1.9, and a negative p are all refused by both solvers
+    # before any shoot or descent step
     params = ProblemParams(n=n, s=s, gamma=-2.0, lam=10.0)
-    with pytest.raises(AdmissibilityError):
-        solve_dirichlet_shooting(params, EuclideanProblem(params), p=p)
+    for solve in (solve_dirichlet_shooting, solve_variational):
+        with pytest.raises(AdmissibilityError):
+            solve(params, EuclideanProblem(params), p=p)
 
 
 def test_bracket_not_found_reports_counts():
