@@ -28,6 +28,10 @@ from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
 # on the Newton steps that follow them
 _DESCENT_STEPS = 20
 _NEWTON_STEPS = 20
+# the walk and bisection read only a node count and the sign of v(R): they
+# shoot at a loose rtol, and again at the solve's if |v(R)|/sup lies within
+# the band, 22x the loose shoots' largest error in it over 600 shoots
+_BRACKET_RTOL, _REDO_BAND = 1e-6, 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class ContinuationSchedule:
 
 
 def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
-                   K: float, r0: float, p: float):
+                   K: float, r0: float):
     """Leading jet v = K r^{-beta_minus} (1 + a1 r^2) at the singular end;
     the first correction balances the (locally constant) linear potential."""
     n, gamma = params.n, params.gamma
@@ -113,7 +117,7 @@ def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
     R = problem.domain_radius
     if r0 is None:
         r0 = 1e-5 * R
-    v0, dv0 = frobenius_init(params, problem, K, r0, p)
+    v0, dv0 = frobenius_init(params, problem, K, r0)
     guard = 1e12 * max(abs(K), abs(v0), 1.0)
     scale = max(abs(v0), abs(K))
     # v_t = r v'
@@ -214,8 +218,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
                              r0: float = None,
                              rtol: float = 1e-11,
                              K_start: float = None) -> SolutionProfile:
-    """Find K > 0 with v(R) = 0 and exactly node_target interior sign
-    changes.
+    """Find K > 0 with v(R) = 0 and node_target interior sign changes.
 
     A ground state needs a coercive form [Brezis-Nirenberg 1983]: with
     node_target = 0, a pencil eigenvalue below -1e-3 raises NotCoercive.
@@ -227,11 +230,12 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     continuation starts where the scaling law's residual extrapolates).
     The bracket is bisected until its ends read node_target and
     node_target + 1; Brent's method [Brent 1973] then finds the root of
-    v(R)/sup|v| in log K, stopping at the first shoot below a tenth of
-    boundary_tol (the integrator's noise floor).  Shoots are read at their
-    step ends.  Brent's root is a point already shot; the profile samples
-    its trajectory finely, the one dense output a solve builds.  meta
-    counts the shoots per phase, and their RHS evaluations and steps."""
+    v(R)/sup|v| in log K, stopping at the first shoot within half of
+    boundary_tol, so that its root passes the profile's check.  Shoots are
+    read at their step ends: the walk and bisection shoot at a loose rtol
+    (at rtol again inside the redo band), Brent at rtol.  The profile
+    samples the root's trajectory (a solve's one dense output).  meta counts
+    the shoots per phase, the loose ones, their RHS evaluations and steps."""
     check_defect(params.n, params.s, p)
     if node_target == 0 and not problem.coercive():
         raise NotCoercive("the quadratic form is not coercive "
@@ -239,25 +243,29 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     R = problem.domain_radius
     r0 = 1e-5 * R if r0 is None else r0
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
-    # every shoot, in order: log K -> (K, node count, v(R) / sup|v|, its
-    # integration), read off the integrator's step ends
-    seen = {}
+    # log K -> (K, node count, v(R)/sup|v|, integration, rtol) of each K
+    # shot, at its step ends; runs: (rtol, integration) of every integration
+    seen, runs = {}, []
 
-    def shoot_at(x):
+    def shoot_at(x, tol=max(rtol, _BRACKET_RTOL)):
         K = math.exp(x)
-        prof = shoot(params, problem, K, p, r0=r0, num=None, rtol=rtol)
+        prof = shoot(params, problem, K, p, r0=r0, num=None, rtol=tol)
+        runs.append((tol, prof.trajectory))
         v = prof.data.v
         sup = np.max(np.abs(v))
-        vR = v[-1] / sup  # reads 0 below the noise floor: Brent stops
+        vR = v[-1] / sup
+        if tol > rtol and abs(vR) <= _REDO_BAND:
+            return shoot_at(x, rtol)
+        # within half the profile's own bound v(R)/sup reads 0: Brent stops
         seen[x] = (K, _sign_changes(v, sup),
-                   0.0 if abs(vR) <= max(1e-13, 0.1 * boundary_tol) else vR,
-                   prof.trajectory)
+                   0.0 if abs(vR) <= max(1e-13, 0.5 * boundary_tol) else vR,
+                   prof.trajectory, tol)
         return seen[x][1]
 
     def no_bracket(message):
         return BracketNotFound(
             message, node_counts={K: nc for K, nc, *_ in seen.values()},
-            shoots=len(seen))
+            shoots=len(runs))
 
     if K_start is None:
         K_start = _scaling_estimate(params, problem, p, r0)
@@ -272,7 +280,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
         if (shoot_at(nxt) > node_target) == up:
             break
         x, step = nxt, 2.0 * step
-    walk = len(seen)
+    walk = len(runs)
     x_lo, x_hi = sorted((x, nxt))
     while not (seen[x_lo][1] == node_target
                and seen[x_hi][1] == node_target + 1):
@@ -285,14 +293,16 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
 
     def boundary(x):
         if x not in seen:
-            shoot_at(x)
+            shoot_at(x, rtol)
         return seen[x][2]
 
-    bisect = len(seen) - walk
+    bisect = len(runs) - walk
     x_root = _brent(boundary, x_lo, x_hi, xtol=1e-12)
+    if seen[x_root][4] > rtol:   # the profile is sampled from a tight shoot
+        shoot_at(x_root, rtol)
     K_root = math.exp(x_root)
     best = _sampled(seen[x_root][3], params, K_root, p, r0, R, 3000)
-    shoots = len(seen)
+    shoots = len(runs)
     sup = np.max(np.abs(best.data.v))
     if abs(best.boundary_value) > boundary_tol * sup:
         raise SolverError(
@@ -304,13 +314,13 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     best.energy, best.nonlinear_mass = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
-    sols = [shot[3] for shot in seen.values()]
-    best.meta.update(rhs_evals=sum(sol.nfev for sol in sols),
-                     steps=sum(sol.steps for sol in sols),
-                     rejected_steps=sum(sol.rejected for sol in sols),
+    best.meta.update(rhs_evals=sum(sol.nfev for _, sol in runs),
+                     steps=sum(sol.steps for _, sol in runs),
+                     rejected_steps=sum(sol.rejected for _, sol in runs),
                      K_shoot=K_root, boundary_tol=boundary_tol,
                      shoots=shoots, shoots_walk=walk, shoots_bisect=bisect,
-                     shoots_brent=shoots - walk - bisect)
+                     shoots_brent=shoots - walk - bisect,
+                     shoots_loose=sum(tol > rtol for tol, _ in runs))
     return best
 
 

@@ -139,7 +139,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
         use_jet = a < 10.0 * d.r[0]
     if use_jet:
         from .solver import frobenius_init  # only the jet needs the solver
-        u_a, du_a = frobenius_init(params, problem, v.K0, a, v.p_defect)
+        u_a, du_a = frobenius_init(params, problem, v.K0, a)
     else:
         u_a, du_a = float(u[0]), float(du[0])
     flux_inner, mag_inner = _flux(a, u_a, du_a, problem, pf)

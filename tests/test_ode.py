@@ -204,7 +204,7 @@ def _scipy_shoot(params, problem, K, p, num=1200, rtol=1e-11,
     """The shoot as it ran on scipy's solve_ivp, for the comparison."""
     R = problem.domain_radius
     r0 = 1e-5 * R
-    v0, dv0 = solver.frobenius_init(params, problem, K, r0, p)
+    v0, dv0 = solver.frobenius_init(params, problem, K, r0)
     guard = 1e12 * max(abs(K), abs(v0), 1.0)
     rhs = solver._rhs_factory(params, problem, p)
 

@@ -30,13 +30,13 @@ def _zero(r):
 def test_frobenius_init_trivial_cases():
     params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=0.0)
     prob = EuclideanProblem(params, h_spec=_zero)
-    v, dv = frobenius_init(params, prob, K=1.0, r0=1e-5, p=0.2)
+    v, dv = frobenius_init(params, prob, K=1.0, r0=1e-5)
     assert v == pytest.approx(1.0, rel=1e-12)
     assert dv == pytest.approx(0.0, abs=1e-7)
     params2 = ProblemParams(n=5, s=1.0, gamma=-2.0)
     prob2 = EuclideanProblem(params2, h_spec=_zero)
     bm, _ = beta_pm(5, -2.0)
-    v2, _ = frobenius_init(params2, prob2, K=1.0, r0=1e-5, p=0.2)
+    v2, _ = frobenius_init(params2, prob2, K=1.0, r0=1e-5)
     assert v2 == pytest.approx(1e-5 ** -bm, rel=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_shoot_collocation_cross_check(ref_params, ref_problem):
                          - b * abs(v) ** (q - 2.0 - p) * v * r ** (2.0 - s)])
 
     from hardyball.solver import frobenius_init
-    v0, dv0 = frobenius_init(ref_params, ref_problem, K, r0, p)
+    v0, dv0 = frobenius_init(ref_params, ref_problem, K, r0)
     t = np.linspace(math.log(r0), math.log(0.5), 40001)
     ht = t[1] - t[0]
     y = np.array([v0, dv0 * r0])
@@ -221,17 +221,19 @@ def test_brent_root_meets_the_shooting_conditions(ground_shoot):
 
 def test_cold_solve_shoot_count(ground_shoot):
     # the scaling estimate (K ~ 1901) and three steps outward (the third
-    # crosses), six for Brent's root, whose last shoot is the profile
+    # crosses), all four loose, then five for Brent's root, whose last shoot
+    # is the profile
     meta = ground_shoot.meta
-    assert meta["shoots"] == 10
+    assert meta["shoots"] == 9
     assert [meta[f"shoots_{phase}"] for phase in
-            ("walk", "bisect", "brent")] == [4, 0, 6]
+            ("walk", "bisect", "brent", "loose")] == [4, 0, 5, 4]
+    assert meta["rhs_evals"] == 8169
 
 
 def test_solver_counters_repeat_exactly(ref_params, ref_problem,
                                         ground_shoot):
     keys = ("shoots", "shoots_walk", "shoots_bisect", "shoots_brent",
-            "rhs_evals", "steps", "rejected_steps")
+            "shoots_loose", "rhs_evals", "steps", "rejected_steps")
     again = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2)
     counters = {key: ground_shoot.meta[key] for key in keys}
     assert counters == {key: again.meta[key] for key in keys}
@@ -293,6 +295,50 @@ def test_step_ends_give_the_sampled_bracket_data(n, s):
     assert {0, 1} <= counts
 
 
+@pytest.mark.parametrize("n, s", [(5, 1.0), (6, 1.5)])
+def test_loose_shoots_outside_the_band_give_the_bracket_data(n, s):
+    # the walk and bisection shoot at the loose rtol; wherever |v(R)|/sup
+    # lies outside the redo band, their step ends give the node count and
+    # the sign of v(R) of 1200 samples of the shoot at the solve's rtol, and
+    # v(R) differs by less than a tenth of the band times sup
+    params = ProblemParams(n=n, s=s, gamma=-2.0, lam=10.0)
+    problem = EuclideanProblem(params, domain_radius=0.5)
+    outside = 0
+    for p in (0.0, 0.5 * (critical_exponent(n, s) - 2.0)):
+        for K in np.geomspace(1e-2, 1e12, 29).tolist():
+            loose = shoot(params, problem, K, p, num=None,
+                          rtol=solver._BRACKET_RTOL)
+            tight = shoot(params, problem, K, p, num=1200)
+            (v, sup), (w, wsup) = ((prof.data.v, np.max(np.abs(prof.data.v)))
+                                   for prof in (loose, tight))
+            assert abs(v[-1] - w[-1]) < 0.1 * solver._REDO_BAND * wsup
+            if abs(v[-1]) <= solver._REDO_BAND * sup:
+                continue
+            outside += 1
+            assert _sign_changes(v, sup) == _sign_changes(w, wsup)
+            assert np.sign(v[-1]) == np.sign(w[-1])
+    # inside the band: the concentrated profiles of p = 0 above K ~ 1e7
+    assert outside >= 45
+
+
+def test_a_loose_shoot_near_the_root_is_shot_again(ref_params, ref_problem,
+                                                   ground_shoot, monkeypatch):
+    # a walk that starts on the root: its loose first shoot reads v(R)/sup
+    # inside the band and is shot again at the solve's rtol, which reads 0,
+    # so Brent returns that shoot; both integrations are counted
+    calls = []
+    monkeypatch.setattr(solver, "shoot", lambda *args, **kw: (
+        calls.append((args[2], kw["rtol"])) or shoot(*args, **kw)))
+    K = ground_shoot.meta["K_shoot"]
+    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2, K_start=K)
+    assert calls[:2] == [(K, solver._BRACKET_RTOL), (K, 1e-11)]
+    assert prof.meta["K_shoot"] == K and prof.K0 == ground_shoot.K0
+    assert prof.meta["shoots"] == len(calls) == 3
+    assert prof.meta["shoots_loose"] == 2
+    assert [prof.meta[f"shoots_{phase}"] for phase in
+            ("walk", "bisect", "brent")] == [3, 0, 0]
+
+
 def test_a_bracket_shoot_builds_no_interpolant(ref_params, ref_problem):
     # sampled at its step ends a shoot makes 2 start evaluations and 12
     # per attempt; its first sampling adds 3 per accepted step, for rows
@@ -318,10 +364,14 @@ def test_a_bracket_shoot_builds_no_interpolant(ref_params, ref_problem):
 def test_continuation_shoot_total(continuation):
     # one cold solve, then walks outward from the scaling estimate times
     # the scaling law's residual, extrapolated from the last two roots
+    # the walk shoots loosely (3 at p = 0.4 and 0.2, then 2), and none of
+    # them lands near enough to a root to be shot again
     shoots = [prof.meta["shoots"] for prof in continuation]
-    assert shoots == [7, 7, 6, 6, 5, 5, 5]
-    assert sum(shoots) == 41
-    assert sum(prof.meta["rhs_evals"] for prof in continuation) == 55369
+    assert shoots == [7, 7, 5, 5, 5, 5, 5]
+    assert sum(shoots) == 39
+    assert [prof.meta["shoots_loose"] for prof in continuation] == \
+        [3, 3, 2, 2, 2, 2, 2]
+    assert sum(prof.meta["rhs_evals"] for prof in continuation) == 37662
 
 
 def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
@@ -351,7 +401,7 @@ def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
     # 2 nodes, and one bisection narrows the bracket
     split = [prof.meta[f"shoots_{phase}"] for phase in
              ("walk", "bisect", "brent")]
-    assert split == {7.0: [6, 1, 6], 7.0e6: [6, 0, 12]}[K_start]
+    assert split == {7.0: [6, 1, 5], 7.0e6: [6, 0, 8]}[K_start]
     assert sum(split) == prof.meta["shoots"]
 
 
