@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ProblemParams, critical_exponent, h_origin
+from .constants import (AdmissibilityError, ProblemParams,
+                        critical_exponent, h_origin)
 from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 from .kernel import DomainError, weight_V_p
 
@@ -23,23 +24,6 @@ def phi(r, n: int):
     if np.any(r >= 1.0) or np.any(r < 0.0):
         raise DomainError("radius must lie in [0, 1)")
     out = (2.0 / (1.0 - r * r)) ** ((n - 2.0) / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def h_gamma_lambda(r, params: ProblemParams):
-    """Leading behavior of the induced linear potential.
-
-    For n >= 5 this is the constant h(0) of constants.h_origin; for n = 3, 4
-    only the leading singular term is known (its free additive constant is
-    taken as zero), so those runs are qualitative."""
-    n, gamma = params.n, params.gamma
-    r = np.asarray(r, dtype=float)
-    if n >= 5:
-        out = np.full_like(r, h_origin(params), dtype=float)
-    elif n == 3:
-        out = 4.0 * gamma / r
-    else:  # n == 4
-        out = 8.0 * gamma * np.log(1.0 / r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -79,13 +63,16 @@ def b_origin(n: int, s: float) -> float:
 
 @dataclass
 class EuclideanProblem:
-    """Flat Dirichlet problem on the centered ball of radius R < 1."""
+    """The paper's flat Dirichlet problem on the centered ball of radius
+    R < 1, for n >= 5: its lower-order coefficient is the constant
+    h0 = constants.h_origin, and b is the table of the induced weight
+    b_weight, its samples multiplied by b_scale."""
 
     params: ProblemParams
     domain_radius: float = 0.5
-    h_spec: object = "paper"     # "paper" | callable h(r)
-    b_spec: object = "paper"     # "paper" | positive float | callable b(r)
+    b_scale: float = 1.0
 
+    h0: float = field(init=False)
     _b_spline: CubicSpline = field(default=None, init=False, repr=False,
                                    compare=False)
     _b_table: tuple = field(default=None, init=False, repr=False,
@@ -94,36 +81,20 @@ class EuclideanProblem:
                             compare=False)
 
     def __post_init__(self):
+        if self.params.n < 5:
+            raise AdmissibilityError(
+                "the flat problem needs n >= 5, where h is the constant h(0)")
         if not (0.0 < self.domain_radius < 1.0):
             raise DomainError("domain radius must lie in (0, 1)")
-
-    def h(self, r):
-        if self.h_spec == "paper":
-            return h_gamma_lambda(r, self.params)
-        return self.h_spec(r)
-
-    def h_radial_slope(self, r):
-        """r -> dh/dr; zero for the constant (n >= 5) branch."""
-        r = np.asarray(r, dtype=float)
-        if self.h_spec == "paper":
-            n = self.params.n
-            if n >= 5:
-                out = np.zeros_like(r)
-            elif n == 3:
-                out = -4.0 * self.params.gamma / r ** 2
-            else:
-                out = -8.0 * self.params.gamma / r
-            return float(out) if out.ndim == 0 else out
-        # centered difference for user-supplied tables
-        dr = 1e-6 * r
-        return (self.h(r + dr) - self.h(r - dr)) / (2.0 * dr)
+        self.h0 = h_origin(self.params)
 
     def b_table(self):
-        """The paper's b table in plain floats: its knots in log r, then per
+        """The b table in plain floats: its knots in log r, then per
         interval the coefficients of d^3, d^2, d and 1 (d from its knot)."""
         if self._b_table is None:
             t = np.linspace(math.log(1e-8), math.log(self.domain_radius), 400)
-            vals = b_weight(np.exp(t), self.params.n, self.params.s)
+            vals = self.b_scale * b_weight(np.exp(t), self.params.n,
+                                           self.params.s)
             self._b_spline = CubicSpline(t, vals)
             self._b_table = (self._b_spline.x.tolist(),
                              *self._b_spline.c.tolist())
@@ -138,36 +109,23 @@ class EuclideanProblem:
         return self._coercive
 
     def b(self, r):
-        if self.b_spec == "paper":
-            knots, c0, c1, c2, c3 = self.b_table()
-            if isinstance(r, float):
-                # the spline's own evaluation in plain floats: the end
-                # pieces extrapolate, c3 + c2 d + c1 d^2 + c0 d^3 in order
-                t = math.log(r)
-                i = bisect_right(knots, t, 1, len(knots) - 1) - 1
-                d = t - knots[i]
-                d2 = d * d
-                return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
-            out = self._b_spline(np.log(np.asarray(r, dtype=float)))
-            return float(out) if np.ndim(out) == 0 else out
-        if callable(self.b_spec):
-            out = self.b_spec(r)
-            return float(out) if np.ndim(out) == 0 else out
-        r = np.asarray(r, dtype=float)
-        out = np.full_like(r, float(self.b_spec), dtype=float)
-        return float(out) if out.ndim == 0 else out
+        knots, c0, c1, c2, c3 = self.b_table()
+        if isinstance(r, float):
+            # the spline's own evaluation in plain floats: the end pieces
+            # extrapolate, c3 + c2 d + c1 d^2 + c0 d^3 in order
+            t = math.log(r)
+            i = bisect_right(knots, t, 1, len(knots) - 1) - 1
+            d = t - knots[i]
+            d2 = d * d
+            return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+        out = self._b_spline(np.log(np.asarray(r, dtype=float)))
+        return float(out) if np.ndim(out) == 0 else out
 
     def b_radial_slope(self, r):
         r = np.asarray(r, dtype=float)
-        if self.b_spec == "paper":
-            self.b_table()
-            out = self._b_spline(np.log(r), 1) / r
-            return float(out) if np.ndim(out) == 0 else out
-        if callable(self.b_spec):
-            dr = 1e-6 * r
-            return (self.b(r + dr) - self.b(r - dr)) / (2.0 * dr)
-        out = np.zeros_like(r)
-        return float(out) if out.ndim == 0 else out
+        self.b_table()
+        out = self._b_spline(np.log(r), 1) / r
+        return float(out) if np.ndim(out) == 0 else out
 
 
 class CoercivityFailure(RuntimeError):
@@ -200,7 +158,7 @@ def _quadratic_form_diagonals(problem: EuclideanProblem, r0: float,
     lump[:-1] += 0.5 * ht
     lump[1:] += 0.5 * ht
     form = (energy - gamma * (lump * r ** (n - 2.0))
-            - lump * problem.h(r) * r ** float(n))
+            - lump * problem.h0 * r ** float(n))
     return form[:-1], energy[:-1], off[:-1]
 
 

@@ -395,7 +395,7 @@ def cmd_bridge(cfg: dict, args) -> int:
     R = problem.domain_radius
     r = np.geomspace(1e-6, R, cfg["solver"]["grid_num"])
     table = csv_text(("r", "h", "b", "W"), np.column_stack((
-        r, problem.h(r), problem.b(r),
+        r, np.full_like(r, problem.h0), problem.b(r),
         euclidean_potential(r, params.n, params.gamma, params.lam))))
     doc = {
         "b_origin": b_origin(params.n, params.s),

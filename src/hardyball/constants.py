@@ -93,9 +93,10 @@ def exponent_set(n: int, s: float, gamma: float) -> ExponentSet:
 
 def h_origin(params: ProblemParams) -> float:
     """h(0) = 4(n-2)/(n-4) gamma + 4 lam - n(n-2), the constant lower-order
-    coefficient of the flat problem for n >= 5; h(0) > 0 is the paper's
-    hypothesis lam > (n-2)/(n-4) (n(n-4)/4 - gamma).  NaN for n = 3, 4,
-    where h is singular at the origin."""
+    coefficient of the flat problem for n >= 5 (bridge.EuclideanProblem's
+    h0); h(0) > 0 is the paper's hypothesis lam > (n-2)/(n-4)
+    (n(n-4)/4 - gamma).  NaN for n = 3, 4, where h is singular at the
+    origin and the flat problem is not defined."""
     n, gamma, lam = params.n, params.gamma, params.lam
     if n < 5:
         return math.nan
@@ -143,7 +144,7 @@ def best_constant_estimate(n: int, s: float, gamma: float) -> dict:
     omega = sphere_area(n)
     value = math.exp(math.log(omega) * (1.0 - 2.0 / q) + log_num
                      - log_den * 2.0 / q)
-    return {"value": value, "alpha": alpha, "converged": True}
+    return {"value": value, "alpha": alpha}
 
 
 def radial_hardy_ode_residual(n: int, gamma: float, beta: float,

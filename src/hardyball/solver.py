@@ -48,43 +48,28 @@ class ContinuationSchedule:
 def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
                    K: float, r0: float):
     """Leading jet v = K r^{-beta_minus} (1 + a1 r^2) at the singular end;
-    the first correction balances the (locally constant) linear potential."""
+    the first correction balances the constant linear potential h0."""
     n, gamma = params.n, params.gamma
     bm, _ = beta_pm(n, gamma)
     sigma = -bm
-    h0 = float(problem.h(r0))
     denom = (sigma + 2.0) * (sigma + n) + gamma
-    a1 = -h0 / denom if abs(denom) > 1e-12 else 0.0
+    a1 = -problem.h0 / denom if abs(denom) > 1e-12 else 0.0
     v = K * r0 ** sigma * (1.0 + a1 * r0 ** 2)
     dv = K * (sigma * r0 ** (sigma - 1.0) + a1 * (sigma + 2.0) * r0 ** (sigma + 1.0))
     return v, dv
 
 
 def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
-    """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h r^2) v - b |v|^{q-2-p} v r^{2-s}.
-    With the paper's b and a constant h, it evaluates the b table inline."""
+    """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h0 r^2) v - b |v|^{q-2-p} v r^{2-s},
+    with problem.b's evaluation of its table inline, keeping the current
+    piece (its bounds in log r, left knot and coefficients) until log r
+    leaves it."""
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
     expo = q - 2.0 - p
     nm2, r_expo = n - 2.0, 2.0 - s
-    # h as one float where it is constant (the paper's h at n >= 5), so
-    # that the right-hand side need not call it
-    constant = problem.h_spec == "paper" and problem.params.n >= 5
-    h_const = float(problem.h(0.1)) if constant else None
-
+    h0 = problem.h0
     exp, log = math.exp, math.log
-    if h_const is None or problem.b_spec != "paper":
-        h_fun, b_fun = problem.h, problem.b
-
-        def rhs(t, v, vt):
-            r = exp(t)
-            h = h_const if h_const is not None else float(h_fun(r))
-            return (vt, -nm2 * vt - (gamma + h * r * r) * v
-                    - b_fun(r) * abs(v) ** expo * v * r ** r_expo)
-        return rhs
-
-    # problem.b's evaluation of its table, keeping the current piece (its
-    # bounds in log r, left knot and coefficients) until log r leaves it
     knots, c0, c1, c2, c3 = problem.b_table()
     inner = len(knots) - 1
     lo = hi = x0 = a0 = a1 = a2 = a3 = math.nan
@@ -101,7 +86,7 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
         d = x - x0
         d2 = d * d
         b = a3 + a2 * d + a1 * d2 + a0 * (d2 * d)
-        return (vt, -nm2 * vt - (gamma + h_const * r * r) * v
+        return (vt, -nm2 * vt - (gamma + h0 * r * r) * v
                 - b * abs(v) ** expo * v * r ** r_expo)
 
     return rhs
@@ -157,7 +142,7 @@ def euclidean_energy(profile: SolutionProfile,
     r = d.r
     omega = sphere_area(n)
     quad_part = (d.dv ** 2 - gamma * d.v ** 2 / r ** 2
-                 - problem.h(r) * d.v ** 2) * r ** float(n)
+                 - problem.h0 * d.v ** 2) * r ** float(n)
     nl_part = problem.b(r) * np.abs(d.v) ** pf * r ** (n - s)
     I_quad = spline_integral(t, quad_part)
     I_nl = spline_integral(t, nl_part)
@@ -192,7 +177,7 @@ def _pde_residual_norm(profile: SolutionProfile,
     vtt = log_derivative_matrix_apply(t, vt)
     r = d.r
     lap = (vtt + (n - 2.0) * vt) / r ** 2
-    res = (-lap - (gamma / r ** 2 + problem.h(r)) * d.v
+    res = (-lap - (gamma / r ** 2 + problem.h0) * d.v
            - problem.b(r) * np.abs(d.v) ** (q - 2.0 - profile.p_defect)
            * d.v / r ** s)
     scale = np.max(np.abs(lap)) + 1e-300

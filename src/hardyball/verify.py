@@ -31,7 +31,6 @@ class PohozaevBreakdown:
     for radial profiles, so they are not carried.)"""
 
     h_term: float
-    grad_h_term: float
     p_defect_term: float
     grad_b_term: float
     flux_outer: float
@@ -72,11 +71,10 @@ def _flux(rho: float, u: float, du: float, problem: EuclideanProblem,
     itself vanishes identically)."""
     params = problem.params
     n, gamma, s = params.n, params.gamma, params.s
-    h = float(problem.h(rho))
     b = float(problem.b(rho))
     kinetic = 0.5 * du * du
     hardy = 0.5 * gamma * u * u / rho ** 2
-    potential = 0.5 * h * u * u
+    potential = 0.5 * problem.h0 * u * u
     nonlinear = b * abs(u) ** pf / (pf * rho ** s)
     virial = rho * du + 0.5 * (n - 2.0) * u
     density = rho * (kinetic - hardy - potential - nonlinear) - virial * du
@@ -124,13 +122,10 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     def vol(vals):
         return omega * spline_integral(t, vals * r ** float(n))
 
-    h_vals = np.asarray(problem.h(r), dtype=float)
-    hs_vals = np.asarray(problem.h_radial_slope(r), dtype=float)
     b_vals = np.asarray(problem.b(r), dtype=float)
     bs_vals = np.asarray(problem.b_radial_slope(r), dtype=float)
     p = v.p_defect
-    h_term = -vol(h_vals * u ** 2)
-    grad_h_term = -0.5 * vol(hs_vals * r * u ** 2)
+    h_term = -vol(problem.h0 * u ** 2)
     p_defect_term = -(p / q) * ((n - s) / pf) * vol(
         b_vals * np.abs(u) ** pf / r ** s)
     grad_b_term = -(1.0 / pf) * vol(bs_vals * r * np.abs(u) ** pf / r ** s)
@@ -146,14 +141,13 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     flux_outer, mag_outer = _flux(b_out, float(u[-1]), float(du[-1]),
                                   problem, pf)
 
-    volume = h_term + grad_h_term + p_defect_term + grad_b_term
+    volume = h_term + p_defect_term + grad_b_term
     boundary = flux_outer - flux_inner
     total = volume - boundary
-    scale = max(abs(h_term), abs(grad_h_term), abs(p_defect_term),
-                abs(grad_b_term), mag_inner, mag_outer, 1e-300)
+    scale = max(abs(h_term), abs(p_defect_term), abs(grad_b_term),
+                mag_inner, mag_outer, 1e-300)
     return PohozaevBreakdown(
-        h_term=h_term, grad_h_term=grad_h_term,
-        p_defect_term=p_defect_term, grad_b_term=grad_b_term,
+        h_term=h_term, p_defect_term=p_defect_term, grad_b_term=grad_b_term,
         flux_outer=flux_outer, flux_inner=flux_inner, total=total,
         relative=abs(total) / scale)
 

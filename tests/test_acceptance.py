@@ -122,9 +122,7 @@ def test_criterion_05_solver_cross_validation(ref_params, ref_problem,
     assert ground_var.energy == pytest.approx(ground_shoot.energy, rel=1e-4)
     p, kappa = 0.2, 16.0
     q = critical_exponent(5, 1.0)
-    scaled = EuclideanProblem(
-        ref_params, domain_radius=0.5,
-        b_spec=lambda r: kappa * np.asarray(ref_problem.b(r)))
+    scaled = EuclideanProblem(ref_params, domain_radius=0.5, b_scale=kappa)
     prof = solve_dirichlet_shooting(ref_params, scaled, p=p)
     factor = kappa ** (-1.0 / (q - 2.0 - p))
     target = factor * ground_shoot.data.v
@@ -137,12 +135,7 @@ def test_criterion_05_solver_cross_validation(ref_params, ref_problem,
 class _ConstStub:
     b0: float
     params: ProblemParams
-
-    def h(self, r):
-        return 0.0 * np.asarray(r)
-
-    def h_radial_slope(self, r):
-        return 0.0 * np.asarray(r)
+    h0: float = 0.0
 
     def b(self, r):
         return self.b0 + 0.0 * np.asarray(r)

@@ -9,9 +9,8 @@ from scipy.linalg import eigh
 
 from hardyball.bridge import (EuclideanProblem, _count_eigs_below,
                               _quadratic_form_diagonals, b_origin, b_weight, coercivity_lambda0,
-                              h_conformal, h_gamma_lambda, phi,
-                              residual_equivalence_check)
-from hardyball.constants import ProblemParams, beta_pm
+                              h_conformal, phi, residual_equivalence_check)
+from hardyball.constants import AdmissibilityError, ProblemParams, beta_pm
 from hardyball.grids import ProfileData
 from hardyball.kernel import DomainError
 
@@ -25,20 +24,22 @@ def test_phi_values():
 
 
 def test_h_branch_values():
+    # h(0) = 4(n-2)/(n-4) gamma + 4 lam - n(n-2), one float per problem
     p = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
-    assert h_gamma_lambda(0.3, p) == pytest.approx(1.0, rel=1e-14)
+    assert EuclideanProblem(p).h0 == pytest.approx(1.0, rel=1e-14)
     p0 = ProblemParams(n=5, s=1.0, gamma=0.0, lam=0.0)
-    assert h_gamma_lambda(0.3, p0) == pytest.approx(-15.0, rel=1e-14)
-    p3 = ProblemParams(n=3, s=1.0, gamma=1.0)
-    assert h_gamma_lambda(0.01, p3) == pytest.approx(400.0, rel=1e-14)
-    # n = 4: h = 8 gamma ln(1/r)
-    p4 = ProblemParams(n=4, s=1.0, gamma=-1.0)
-    assert h_gamma_lambda(math.exp(-1.0), p4) == pytest.approx(-8.0,
-                                                               rel=1e-14)
-    # n >= 5 branch is exactly constant in r
-    r = np.geomspace(1e-6, 0.9, 50)
-    vals = h_gamma_lambda(r, p)
-    assert np.max(np.abs(vals - vals[0])) == 0.0
+    assert EuclideanProblem(p0).h0 == pytest.approx(-15.0, rel=1e-14)
+    p6 = ProblemParams(n=6, s=1.0, gamma=-2.0, lam=12.0)
+    assert EuclideanProblem(p6).h0 == pytest.approx(8.0, rel=1e-14)
+    assert type(EuclideanProblem(p).h0) is float
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_flat_problem_needs_n_at_least_5(n):
+    # below n = 5, h is singular at the origin: the flat problem is refused
+    params = ProblemParams(n=n, s=1.0, gamma=-1.0, lam=10.0)
+    with pytest.raises(AdmissibilityError, match="n >= 5"):
+        EuclideanProblem(params)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -102,9 +103,9 @@ def test_exact_potential_vs_truncated_h():
     # h_conformal subtracts two ~2e12 pieces (gamma V_2 conf^2 and gamma/r^2);
     # one float ulp there is 2.4e-4, so rounding leaves an error of a few
     # ulps (1.2e-3 measured), above the O(r) exact difference
-    assert exact_small == pytest.approx(h_gamma_lambda(1e-6, p), abs=2.5e-3)
-    assert abs(h_conformal(0.45, 5, -2.0, 10.0)
-               - h_gamma_lambda(0.45, p)) > 1.0
+    h0 = EuclideanProblem(p).h0
+    assert exact_small == pytest.approx(h0, abs=2.5e-3)
+    assert abs(h_conformal(0.45, 5, -2.0, 10.0) - h0) > 1.0
 
 
 def test_transport_round_trip_and_values():
@@ -131,19 +132,19 @@ def test_transport_maps_indicial_branches():
 
 
 def test_coercivity_pure_norm_is_one():
-    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=0.0)
-    prob = EuclideanProblem(params, domain_radius=0.5, h_spec=lambda r: 0.0 * np.asarray(r))
+    # lam = 3.75 gives h0 = 0 at gamma = 0
+    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75)
+    prob = EuclideanProblem(params, domain_radius=0.5)
     assert coercivity_lambda0(prob, num=800) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_coercivity_perturbation_by_small_constant():
-    # h = eps shifts Lambda_0 to about 1 - eps / lambda_1(ball)
-    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=0.0)
-    base = EuclideanProblem(params, domain_radius=0.5,
-                            h_spec=lambda r: 0.0 * np.asarray(r))
+    # h = eps shifts Lambda_0 to about 1 - eps / lambda_1(ball); at
+    # gamma = 0, lam = 3.875 gives h0 = eps = 0.5
     eps = 0.5
-    pert = EuclideanProblem(params, domain_radius=0.5,
-                            h_spec=lambda r: eps + 0.0 * np.asarray(r))
+    pert = EuclideanProblem(ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.875),
+                            domain_radius=0.5)
+    assert pert.h0 == eps
     # principal Dirichlet eigenvalue of the ball of radius 1/2 in 5d:
     # (j_{3/2,1} / R)^2 with j_{3/2,1} the first zero of J_{3/2}
     from scipy.optimize import brentq

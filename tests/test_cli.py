@@ -194,6 +194,44 @@ def test_exit_code_inadmissible(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["solve", "bridge", "continue"])
+def test_flat_problem_below_n_5_exits_2(tmp_path, capsys, command):
+    # at n = 4 h is singular at the origin: the commands that build the
+    # flat problem refuse it, and say why
+    cfg = _write_cfg(tmp_path / "n4.json",
+                     {"params": dict(REF_PARAMS, n=4)})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inadmissible parameters:") and "n >= 5" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_sweep_below_n_5_writes_inadmissible_rows(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "n4.json", {
+        "params": dict(REF_PARAMS, n=4), "sweep": {"gamma": [-2.0, -3.0]}})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+        table = list(csv.DictReader(fh))
+    assert [row["status"] for row in table] == ["inadmissible"] * 2
+    assert all(row["error_class"] == "AdmissibilityError"
+               and "n >= 5" in row["message"] and row["shoots"] == "0"
+               for row in table)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["constants", "weights", "bubble"])
+def test_commands_without_the_flat_problem_run_at_n_3(tmp_path, capsys,
+                                                      command):
+    cfg = _write_cfg(tmp_path / "n3.json", {
+        "params": {"n": 3, "s": 1.0, "gamma": -1.0, "lam": 10.0},
+        "solver": {"grid_num": 200}})
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+
+
 def test_exit_code_solver_failure(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "fail.json", {
         "params": dict(REF_PARAMS),

@@ -12,7 +12,7 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_dop853
 from scipy.optimize import brentq
 
 from hardyball import ode, solver
-from hardyball.bridge import EuclideanProblem
+from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.profiles import NoSignChange, NotConverged, SolverError
 
 
@@ -229,10 +229,10 @@ def test_shoot_matches_scipy_dop853(ref_params, ref_problem, K, p):
 
 
 def test_shoot_guard_matches_scipy_event(ref_params):
-    # with b = -10 the nonlinearity pushes v away from 0 and it blows up
-    # inside the ball: both integrators stop at the guard
+    # with b = -10 at the origin the nonlinearity pushes v away from 0 and
+    # it blows up inside the ball: both integrators stop at the guard
     problem = EuclideanProblem(ref_params, domain_radius=0.5,
-                               b_spec=lambda r: -10.0)
+                               b_scale=-10.0 / b_origin(5, 1.0))
     prof = solver.shoot(ref_params, problem, 1e4, 0.2, num=50)
     assert prof.diverged and prof.data.r[-1] < 0.1
     theirs = _scipy_shoot(ref_params, problem, 1e4, 0.2, num=50)

@@ -24,18 +24,17 @@ from hardyball.verify import (VerificationError, VerificationReport,
 # ---------------------------------------------------------------- Pohozaev
 
 def test_constant_profile_balances_exactly():
-    # gamma = 0, h = 0, b = 0, v = 1: every term vanishes identically
-    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=0.0)
-    prob = EuclideanProblem(params, domain_radius=0.5,
-                            h_spec=lambda r: 0.0 * np.asarray(r),
-                            b_spec=0.0)
+    # gamma = 0, h0 = 0 (lam = 3.75), b = 0, v = 1: every term vanishes
+    # identically
+    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75)
+    prob = EuclideanProblem(params, domain_radius=0.5, b_scale=0.0)
     r = np.geomspace(1e-4, 0.5, 600)
     prof = SolutionProfile(
         data=ProfileData(r=r, v=np.ones_like(r), dv=np.zeros_like(r)),
         params=params, p_defect=0.2, K0=1.0, node_count=0, energy=0.0,
         residual_norm=0.0, boundary_value=1.0)
     br = pohozaev_residual(prof, prob, (1e-3, 0.4), use_jet=False)
-    for name in ("h_term", "grad_h_term", "p_defect_term", "grad_b_term",
+    for name in ("h_term", "p_defect_term", "grad_b_term",
                  "flux_outer", "flux_inner", "total"):
         assert getattr(br, name) == 0.0
 
@@ -59,12 +58,7 @@ class _ConstStub:
     """Whole-space problem with a flat weight and no linear potential."""
     b0: float
     params: ProblemParams
-
-    def h(self, r):
-        return 0.0 * np.asarray(r)
-
-    def h_radial_slope(self, r):
-        return 0.0 * np.asarray(r)
+    h0: float = 0.0
 
     def b(self, r):
         return self.b0 + 0.0 * np.asarray(r)
@@ -81,7 +75,7 @@ def test_bubble_residual_small(bubble):
     br = pohozaev_residual(prof, _ConstStub(bubble.b0, params), (1e-2, 1e2),
                            use_jet=False)
     assert br.relative <= 1e-4
-    assert br.grad_h_term == 0.0 and br.grad_b_term == 0.0
+    assert br.grad_b_term == 0.0
 
 
 def test_pohozaev_annulus_validation(ref_problem, ground_shoot):
