@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import warnings
 
@@ -595,6 +596,85 @@ _SWEEP_COLUMNS = ["index", "gamma", "s", "lam", "p_defect", "node_target",
                   "message", "error_class", "shoots"]
 
 
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, run by min(workers, len(tasks))
+    forked children (in this process when that is 1).  Each child pulls
+    the next task index from one shared pipe as it comes free, and sends
+    back its results, pickled, when the pipe runs dry.  An exception of fn
+    is raised here, the one of the lowest index, as the serial map raises
+    it; a child that dies is a SolverError."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    # a child that flushed would otherwise write the parent's buffered text
+    sys.stdout.flush()
+    sys.stderr.flush()
+    index_r, index_w = os.pipe()
+    pipes = {}              # pid -> read end of the child's result pipe
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:                    # the child, which never returns
+                status = 1
+                try:
+                    for fd in (index_w, result_r, *pipes.values()):
+                        os.close(fd)
+                    done = []
+                    # the indices are written whole, 4 bytes each, so every
+                    # read of 4 returns one index (or b"" at EOF)
+                    while chunk := os.read(index_r, 4):
+                        index = int.from_bytes(chunk, "little")
+                        try:
+                            done.append((index, True, fn(tasks[index])))
+                        except Exception as exc:
+                            done.append((index, False, exc))
+                            break
+                    with open(result_w, "wb") as fh:
+                        pickle.dump(done, fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(result_w)
+            pipes[pid] = result_r
+        # without a read end here, a write that no child reads fails at once
+        os.close(index_r)
+        index_r = None
+        view = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
+        try:
+            while view:
+                view = view[os.write(index_w, view):]
+        except BrokenPipeError:     # every child is gone; their statuses say
+            pass
+        os.close(index_w)           # EOF, once each child has closed its copy
+        index_w = None
+        results = [None] * len(tasks)
+        for pid in list(pipes):
+            with open(pipes[pid], "rb", closefd=False) as fh:
+                blob = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(pipes.pop(pid))
+            if status:
+                raise SolverError(f"sweep worker {pid} died "
+                                  f"(wait status {status})")
+            for index, ok, value in pickle.loads(blob):
+                results[index] = ok, value
+        # a task no child ran comes after every failed one
+        for ok, value in results:
+            if not ok:
+                raise value
+        return [value for _, value in results]
+    finally:
+        if pipes:                   # left only by an error or an interrupt
+            import signal           # ~1 ms that no other path should pay
+            for pid in pipes:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+        for fd in (index_r, index_w, *pipes.values()):
+            if fd is not None:
+                os.close(fd)
+
+
 def cmd_sweep(cfg: dict, args) -> int:
     if not cfg["sweep"]:
         raise ConfigError("missing required section: sweep")
@@ -602,23 +682,24 @@ def cmd_sweep(cfg: dict, args) -> int:
     grid = itertools.product(*(cfg["sweep"][key] for key in keys))
     tasks = [(index, cfg, dict(zip(keys, combo)))
              for index, combo in enumerate(grid)]
-    # the solver and verify are imported before the pool forks, so that the
+    # the solver and verify are imported before the fork, so that the
     # workers inherit them instead of each importing them again
     from . import solver, verify  # noqa: F401
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(task) for task in tasks]
-    rows.sort(key=lambda row: row["index"])
+    rows = _fork_map(_sweep_row, tasks, args.workers)
     table = csv_text(_SWEEP_COLUMNS, ([row.get(col, "") for col in
                                        _SWEEP_COLUMNS] for row in rows))
     ok = sum(1 for row in rows if row["status"] == "ok")
+    inadmissible = sum(1 for row in rows if row["status"] == "inadmissible")
     doc = {"rows": len(rows), "succeeded": ok,
            "failed": len(rows) - ok}
     emit(cfg, args, {"sweep.csv": table, "sweep.json": doc}, doc)
-    return EXIT_OK if ok else EXIT_SOLVER
+    # the files are written either way; the exit code says why no cell solved
+    if not ok and inadmissible == len(rows):
+        raise AdmissibilityError(rows[0]["message"])
+    if not ok:
+        raise SolverError(f"no sweep cell solved ({len(rows) - inadmissible} "
+                          f"failed, {inadmissible} inadmissible)")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweeps")
+                        help="forked worker processes for sweeps "
+                             "(at least 1; above 1 needs os.fork)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks (u64)")
     return parser
@@ -659,6 +741,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if not (0 <= args.seed < 2 ** 64):
             raise ConfigError("--seed must fit in an unsigned 64-bit value")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, not "
+                              f"{args.workers}")
+        if args.workers > 1 and not hasattr(os, "fork"):
+            raise ConfigError("--workers above 1 needs os.fork, which this "
+                              "platform lacks")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

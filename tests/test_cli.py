@@ -5,9 +5,13 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 import hardyball
 from hardyball import cli, ode, solver
 from hardyball.blowup import plant_bubbles
-from hardyball.bridge import EuclideanProblem
+from hardyball.bridge import CoercivityFailure, EuclideanProblem
 from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
                            read_profile_csv, ConfigError)
 from hardyball.constants import critical_exponent
@@ -208,17 +212,20 @@ def test_flat_problem_below_n_5_exits_2(tmp_path, capsys, command):
 
 
 def test_sweep_below_n_5_writes_inadmissible_rows(tmp_path, capsys):
+    # every row inadmissible: the files are written, and the sweep exits as
+    # solve does, with the first row's cause on stderr
     cfg = _write_cfg(tmp_path / "n4.json", {
         "params": dict(REF_PARAMS, n=4), "sweep": {"gamma": [-2.0, -3.0]}})
     out = str(tmp_path / "out")
-    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
     with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
         table = list(csv.DictReader(fh))
     assert [row["status"] for row in table] == ["inadmissible"] * 2
     assert all(row["error_class"] == "AdmissibilityError"
                and "n >= 5" in row["message"] and row["shoots"] == "0"
                for row in table)
-    capsys.readouterr()
+    assert capsys.readouterr().err == \
+        f"inadmissible parameters: {table[0]['message']}\n"
 
 
 @pytest.mark.parametrize("command", ["constants", "weights", "bubble"])
@@ -352,45 +359,42 @@ def test_no_command_loads_scipy(tmp_path):
         assert json.load(fh)["meta"]["converged"] is True
 
 
-_POOL_PROBE = """
-import concurrent.futures, json, sys
+_FORK_PROBE = """
+import json, os, sys
 seen = []
+fork = os.fork
 
 def loaded():
     return ["hardyball.solver" in sys.modules,
             "hardyball.verify" in sys.modules]
 
-class Probe:
-    def __init__(self, max_workers):
-        seen.append(loaded())
+def probe():
+    seen.append(loaded())
+    return fork()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-concurrent.futures.ProcessPoolExecutor = Probe
+os.fork = probe
 from hardyball.cli import main
 before = loaded()
-main(sys.argv[1:])
-print(json.dumps([before, seen]))
+code = main(sys.argv[1:])
+print(json.dumps([before, seen, [m for m in ("concurrent.futures",
+                                             "multiprocessing")
+                                 if m in sys.modules]]))
+sys.exit(code)
 """
 
 
 def test_sweep_imports_solver_before_the_pool(tmp_path):
-    # forked workers inherit the solver and verify instead of importing
-    # them
+    # the forked workers inherit the solver and verify instead of importing
+    # them, and the sweep loads no process pool
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.9, 1.0]}})
-    _, (before, seen) = _finish(_launch(
-        _POOL_PROBE, ["sweep", "--config", cfg, "--out",
+    code, (before, seen, pools) = _finish(_launch(
+        _FORK_PROBE, ["sweep", "--config", cfg, "--out",
                       str(tmp_path / "out"), "--workers", "2"]))
+    assert code == 2                    # both cells are inadmissible
     assert before == [False, False]
-    assert seen == [[True, True]]
+    assert seen == [[True, True]] * 2
+    assert pools == []
 
 
 _AUDITS_AFTER_MAIN = """
@@ -744,7 +748,7 @@ def test_every_write_goes_through_write_text(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     for command, code in [("solve", 0), ("verify", 0), ("weights", 0),
                           ("bridge", 0), ("continue", 0), ("blowup", 0),
-                          ("sweep", 3)]:
+                          ("sweep", 2)]:
         # age every file, so that any file the command writes is new or
         # carries a fresh modification time
         for path in out.glob("*") if out.exists() else []:
@@ -800,12 +804,12 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
         "sweep": {"gamma": [-2.0, -3.0]},
     })
     blobs = []
-    for workers in ("1", "3"):
+    for workers in ("1", "2", "3"):
         out = str(tmp_path / f"w{workers}")
         assert main(["sweep", "--config", cfg, "--out", out,
                      "--workers", workers]) == 0
         blobs.append(open(os.path.join(out, "sweep.csv"), "rb").read())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
     capsys.readouterr()
 
 
@@ -858,3 +862,104 @@ def test_sweep_requires_section(cfg_path, tmp_path, capsys):
     assert main(["sweep", "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers, fork", [("0", True), ("-3", True),
+                                           ("2", False)])
+def test_workers_are_checked_at_the_entry_point(tmp_path, monkeypatch, capsys,
+                                                workers, fork):
+    # below 1, or above 1 on a platform without os.fork
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.9, 1.0]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--workers", workers]) == 1
+    assert capsys.readouterr().err.startswith("config error: --workers")
+    assert not out.exists()
+
+
+# ------------------------------------------------------- forked sweep map
+
+@pytest.fixture()
+def deadline():
+    """Fail, instead of hanging, a test whose fork map has not returned
+    within 60 s; the map's own cleanup then stops its children."""
+    def expire(signum, frame):
+        raise TimeoutError("the fork map ran for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_exception_exits_as_the_serial_sweep(tmp_path, monkeypatch,
+                                                      capsys, deadline):
+    # an exception that escapes _sweep_row in a child is raised in the
+    # parent, the one of the lowest cell, as the serial loop raises it
+    def fail(cfg, params, problem):
+        raise CoercivityFailure(f"no form at p = {params.p_defect}")
+
+    monkeypatch.setattr(cli, "_solve_one", fail)
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.1, 0.2]}})
+    seen = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        seen.append(main(["sweep", "--config", cfg, "--out", str(out),
+                          "--workers", workers]))
+        captured = capsys.readouterr()
+        seen.append(captured.err)
+        assert captured.out == "" and not out.exists()
+    assert seen == [3, "solver failure: no form at p = 0.1\n"] * 2
+    _no_children_left()
+
+
+def test_a_dead_worker_is_a_typed_failure(tmp_path, monkeypatch, capsys,
+                                          deadline):
+    monkeypatch.setattr(cli, "_sweep_row", lambda task: os._exit(7))
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.1, 0.2]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver failure: sweep worker \d+ died "
+                        r"\(wait status 1792\)\n", err), err   # exit 7
+    assert not (out / "sweep.csv").exists()
+    _no_children_left()
+
+
+def test_fork_map_returns_20000_tasks_in_order(deadline):
+    # 80 KB of indices, more than a pipe holds, handed out to two children
+    tasks = list(range(20_000))
+    fds = os.listdir("/proc/self/fd")
+    assert cli._fork_map(operator.neg, tasks, 2) == [-i for i in tasks]
+    assert os.listdir("/proc/self/fd") == fds          # every pipe closed
+    _no_children_left()
+
+
+def test_an_interrupted_fork_map_stops_its_children():
+    def interrupt(signum, frame):
+        raise TimeoutError("interrupted")
+
+    # the children are terminated, not waited for through their 60 s tasks
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            cli._fork_map(time.sleep, [60, 60], 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    _no_children_left()
