@@ -5,7 +5,7 @@ compactness verdict."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,10 @@ class BubbleFamily:
     """A stack of concentration scales.
 
     mu: increasing positive scales; t_limits[i] in (0, 1] approximates
-    lim mu_i^p."""
+    lim mu_i^p, p the defect of params."""
 
     mu: np.ndarray
     t_limits: np.ndarray
-    p_defect: float
     params: ProblemParams
 
     def __post_init__(self):
@@ -53,12 +52,11 @@ class BubbleFamily:
         return len(self.mu)
 
     @classmethod
-    def from_scales(cls, mu, p: float,
-                    params: ProblemParams) -> "BubbleFamily":
+    def from_scales(cls, mu, params: ProblemParams) -> "BubbleFamily":
         """Build the family from raw scales; t_i is estimated by mu_i^p."""
         mu = np.asarray(mu, dtype=float)
-        t = np.clip(mu ** p, 1e-300, 1.0)
-        return cls(mu=mu, t_limits=t, p_defect=p, params=params)
+        t = np.clip(mu ** params.p_defect, 1e-300, 1.0)
+        return cls(mu=mu, t_limits=t, params=params)
 
 
 @dataclass
@@ -67,7 +65,7 @@ class EnvelopeReport:
     annuli: list                 # per-decade (r_lo, r_hi, max_ratio)
 
 
-def detect_scales(u: SolutionProfile, p: float) -> list:
+def detect_scales(u: SolutionProfile) -> list:
     """Concentration scales of a profile, as (mu, location) pairs sorted
     by increasing mu.
 
@@ -78,9 +76,9 @@ def detect_scales(u: SolutionProfile, p: float) -> list:
     zoom factor (r* within a factor 10 of k = mu^{1-p/(q-2)}); together
     these distinguish a concentrating core from the broad interior maximum
     every smooth profile has."""
-    n = u.params.n
+    n, p = u.params.n, u.params.p_defect
     q = critical_exponent(n, u.params.s)
-    w = weighted_profile(u, p)
+    w = weighted_profile(u)
     r = u.data.r
     floor = 1e-10 * np.max(w)
     # strict interior local maxima of the weighted profile
@@ -122,11 +120,12 @@ def calibrated_bubble(bubble: EntireBubble, x=None) -> ProfileData:
                        dv=dw / (bubble.psi_peak * lam))
 
 
-def plant_bubbles(bubble: EntireBubble, scales, p: float,
-                  params: ProblemParams, radii) -> SolutionProfile:
+def plant_bubbles(bubble: EntireBubble, scales, params: ProblemParams,
+                  radii) -> SolutionProfile:
     """Synthetic superposition of calibrated bubbles at the given scales,
-    sampled on the given radii; used to validate the detectors."""
-    n = params.n
+    zoomed for the defect of params and sampled on the given radii; used
+    to validate the detectors."""
+    n, p = params.n, params.p_defect
     q = critical_exponent(n, params.s)
     radii = np.asarray(radii, dtype=float)
     v = np.zeros_like(radii)
@@ -137,11 +136,9 @@ def plant_bubbles(bubble: EntireBubble, scales, p: float,
         cal = calibrated_bubble(bubble, radii / k)
         v += amp * cal.v
         dv += amp * cal.dv / k
-    data = ProfileData(r=radii, v=v, dv=dv)
-    return SolutionProfile(data=data, params=replace(params, p_defect=p),
-                           p_defect=p, K0=0.0,
-                           node_count=data.node_count(), energy=math.nan,
-                           residual_norm=math.nan, boundary_value=v[-1],
+    return SolutionProfile(data=ProfileData(r=radii, v=v, dv=dv),
+                           params=params, K0=0.0, energy=math.nan,
+                           residual_norm=math.nan,
                            meta={"synthetic_scales": [float(m) for m in scales]})
 
 

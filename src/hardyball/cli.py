@@ -305,20 +305,20 @@ def emit(cfg: dict, args, files: dict, summary) -> int:
 def _sidecar(stem: str, profile: SolutionProfile,
              problem: EuclideanProblem) -> dict:
     """The two files of a stored profile: its samples and its sidecar."""
+    d = profile.data
     doc = {
         "params": profile.params.as_dict(),
-        "p_defect": profile.p_defect,
+        "p_defect": profile.params.p_defect,
         "K0": profile.K0,
-        "node_count": profile.node_count,
+        "node_count": d.node_count(),
         "energy": profile.energy,
         "residual_norm": profile.residual_norm,
-        "boundary_value": profile.boundary_value,
+        "boundary_value": d.v[-1],
         "diverged": profile.diverged,
         "meta": {k: v for k, v in profile.meta.items()
                  if isinstance(v, (int, float, str, bool))},
         "domain_radius": problem.domain_radius,
     }
-    d = profile.data
     table = csv_text(("r", "v", "dv"), np.column_stack((d.r, d.v, d.dv)))
     return {stem + ".csv": table, stem + ".json": doc}
 
@@ -338,21 +338,20 @@ def _stored_json(outdir: str, name: str) -> dict:
 
 def read_profile(outdir: str, stem: str) -> tuple:
     """Rebuild (SolutionProfile, EuclideanProblem) from a CSV + sidecar
-    written by an earlier command in the same directory."""
+    written by an earlier command in the same directory: the samples give
+    the node count and boundary value, the sidecar's params the defect."""
     doc = _stored_json(outdir, stem + ".json")
     _check_keys(doc["params"], _PARAM_KEYS, f"{stem}.json params")
     data = read_profile_csv(_stored(outdir, stem + ".csv"))
-    params = ProblemParams(**{**doc["params"], "p_defect": doc["p_defect"]})
+    params = ProblemParams(**doc["params"])
     problem = EuclideanProblem(params,
                                domain_radius=doc.get("domain_radius",
                                                      float(data.r[-1])))
     prof = SolutionProfile(
-        data=data, params=params, p_defect=doc["p_defect"], K0=doc["K0"],
-        node_count=doc["node_count"], energy=doc["energy"],
+        data=data, params=params, K0=doc["K0"], energy=doc["energy"],
         residual_norm=(doc["residual_norm"]
                        if doc["residual_norm"] is not None else math.nan),
-        boundary_value=doc["boundary_value"], diverged=doc["diverged"],
-        meta=dict(doc.get("meta", {})))
+        diverged=doc["diverged"], meta=dict(doc.get("meta", {})))
     return prof, problem
 
 
@@ -410,26 +409,28 @@ def cmd_bridge(cfg: dict, args) -> int:
     return emit(cfg, args, {"bridge.csv": table, "bridge.json": doc}, doc)
 
 
-def _solve_one(cfg: dict, params: ProblemParams,
-               problem: EuclideanProblem) -> SolutionProfile:
+def _solve_one(cfg: dict, problem: EuclideanProblem, p: float,
+               K_start: float = None) -> SolutionProfile:
+    """The solve at p that the config's solver section sets, from K_start
+    if given: the one map of that section to the solvers."""
     from .solver import solve_dirichlet_shooting, solve_variational
     sol = cfg["solver"]
     if sol["method"] == "variational":
-        return solve_variational(params, problem, params.p_defect,
-                                 r0=sol["r0"], num=sol["grid_num"])
+        return solve_variational(problem, p, r0=sol["r0"],
+                                 num=sol["grid_num"])
     return solve_dirichlet_shooting(
-        params, problem, params.p_defect, node_target=sol["node_target"],
-        K_range=sol["K_range"], boundary_tol=sol["boundary_tol"],
-        r0=sol["r0"], rtol=sol["rtol"])
+        problem, p, node_target=sol["node_target"], K_range=sol["K_range"],
+        boundary_tol=sol["boundary_tol"], r0=sol["r0"], rtol=sol["rtol"],
+        K_start=K_start)
 
 
 def cmd_solve(cfg: dict, args) -> int:
     params = make_params(cfg)
     problem = make_problem(cfg, params)
-    prof = _solve_one(cfg, params, problem)
+    prof = _solve_one(cfg, problem, params.p_defect)
     return emit(cfg, args, _sidecar("profile", prof, problem),
                 {"energy": prof.energy, "K0": prof.K0,
-                 "node_count": prof.node_count,
+                 "node_count": prof.data.node_count(),
                  "residual_norm": prof.residual_norm})
 
 
@@ -449,12 +450,14 @@ def cmd_bubble(cfg: dict, args) -> int:
 
 def cmd_continue(cfg: dict, args) -> int:
     from .solver import ContinuationSchedule, continuation_to_critical
+    if cfg["solver"]["method"] != "shooting":
+        raise ConfigError("solver.method must be shooting for continue")
     params = make_params(cfg)
     problem = make_problem(cfg, params)
     schedule = ContinuationSchedule(cfg["solver"]["schedule"])
     profiles = continuation_to_critical(
-        params, problem, schedule, node_target=cfg["solver"]["node_target"],
-        K_range=cfg["solver"]["K_range"])
+        problem, schedule,
+        lambda p, K_start: _solve_one(cfg, problem, p, K_start=K_start))
     if not profiles:
         raise SolverError("continuation produced no profiles")
     files = {}
@@ -462,7 +465,7 @@ def cmd_continue(cfg: dict, args) -> int:
     for idx, prof in enumerate(profiles):
         stem = f"continuation_{idx:02d}"
         files.update(_sidecar(stem, prof, problem))
-        steps.append({"p_defect": prof.p_defect, "stem": stem,
+        steps.append({"p_defect": prof.params.p_defect, "stem": stem,
                       "energy": prof.energy,
                       "weighted_sup": prof.meta.get("weighted_sup"),
                       "sup_increment": prof.meta.get("sup_increment"),
@@ -485,12 +488,12 @@ def cmd_blowup(cfg: dict, args) -> int:
     # the verdict reads the stored steps, the scales the last step's samples
     last = read_profile(out, steps[-1]["stem"])[0]
     verdict = blowup_mod.compactness_verdict(steps, params)
-    scales = blowup_mod.detect_scales(last, last.p_defect)
+    scales = blowup_mod.detect_scales(last)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}
     if scales:
-        fam = blowup_mod.BubbleFamily.from_scales(
-            [mu for mu, _ in scales], last.p_defect, params)
+        fam = blowup_mod.BubbleFamily.from_scales([mu for mu, _ in scales],
+                                                  last.params)
         rep = blowup_mod.envelope_check(last, fam)
         verdict["envelope_constant"] = rep.worst_ratio
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
@@ -569,12 +572,12 @@ def _sweep_row(task: tuple) -> dict:
     try:
         problem_params = make_params(cfg)
         problem = make_problem(cfg, problem_params)
-        prof = _solve_one(cfg, problem_params, problem)
+        prof = _solve_one(cfg, problem, problem_params.p_defect)
         row["shoots"] = prof.meta.get("shoots", 0)
         po, slope, stderr, target, checks = audit_profile(
             prof, problem, solver["annulus"], solver["fit_window"])
         row.update({"energy": prof.energy, "K0": prof.K0,
-                    "node_count": prof.node_count, "slope": slope,
+                    "node_count": prof.data.node_count(), "slope": slope,
                     "slope_target": target, "slope_stderr": stderr,
                     "pohozaev_relative": po.relative})
         failed = [name for name, value, tolerance in checks

@@ -39,14 +39,13 @@ class NotCoercive(SolverError):
 
 @dataclass
 class SolutionProfile:
+    """A radial profile and the params it solves, the defect p among them;
+    its node count and boundary value are read from its samples."""
     data: ProfileData
     params: ProblemParams
-    p_defect: float
     K0: float
-    node_count: int
     energy: float
     residual_norm: float
-    boundary_value: float
     diverged: bool = False
     meta: dict = field(default_factory=dict)
     # kept in memory only, never written: a shoot's dense output, and the
@@ -55,10 +54,10 @@ class SolutionProfile:
     nonlinear_mass: float = field(default=float("nan"), compare=False)
 
 
-def weighted_profile(u: SolutionProfile, p: float) -> np.ndarray:
-    """w(r) = r^{(n-2)/2} |v|^{1 - p/(q-2)}, the profile in the scaling
-    that a concentrating core keeps as p -> 0."""
-    n = u.params.n
+def weighted_profile(u: SolutionProfile) -> np.ndarray:
+    """w(r) = r^{(n-2)/2} |v|^{1 - p/(q-2)}, p the profile's defect: the
+    profile in the scaling that a concentrating core keeps as p -> 0."""
+    n, p = u.params.n, u.params.p_defect
     q = critical_exponent(n, u.params.s)
     return u.data.r ** ((n - 2.0) / 2.0) * \
         np.abs(u.data.v) ** (1.0 - p / (q - 2.0))

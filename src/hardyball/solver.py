@@ -12,8 +12,7 @@ import numpy as np
 
 from .bridge import (EuclideanProblem, _quadratic_form_diagonals,
                      _tridiagonal_product)
-from .constants import (ProblemParams, beta_pm, check_defect,
-                        critical_exponent)
+from .constants import beta_pm, check_defect, critical_exponent
 from .grids import (GridError, ProfileData, _sign_changes,
                     log_derivative_matrix_apply, spline_integral,
                     thomas_solve)
@@ -45,11 +44,15 @@ class ContinuationSchedule:
             raise ValueError("schedule must be strictly decreasing")
 
 
-def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
-                   K: float, r0: float):
+def _start_radius(problem: EuclideanProblem, r0: float) -> float:
+    """The radius r0 at which the solvers start, 1e-5 R unless given."""
+    return 1e-5 * problem.domain_radius if r0 is None else r0
+
+
+def frobenius_init(problem: EuclideanProblem, K: float, r0: float):
     """Leading jet v = K r^{-beta_minus} (1 + a1 r^2) at the singular end;
     the first correction balances the constant linear potential h0."""
-    n, gamma = params.n, params.gamma
+    n, gamma = problem.params.n, problem.params.gamma
     bm, _ = beta_pm(n, gamma)
     sigma = -bm
     denom = (sigma + 2.0) * (sigma + n) + gamma
@@ -59,11 +62,12 @@ def frobenius_init(params: ProblemParams, problem: EuclideanProblem,
     return v, dv
 
 
-def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
+def _rhs_factory(problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h0 r^2) v - b |v|^{q-2-p} v r^{2-s},
     with problem.b's evaluation of its table inline, keeping the current
     piece (its bounds in log r, left knot and coefficients) until log r
     leaves it."""
+    params = problem.params
     n, gamma, s = params.n, params.gamma, params.s
     q = critical_exponent(n, s)
     expo = q - 2.0 - p
@@ -92,41 +96,37 @@ def _rhs_factory(params: ProblemParams, problem: EuclideanProblem, p: float):
     return rhs
 
 
-def shoot(params: ProblemParams, problem: EuclideanProblem, K: float,
-          p: float, r0: float = None, num: int = 3000,
-          rtol: float = 1e-11, atol_scale: float = 1e-13) -> SolutionProfile:
+def shoot(problem: EuclideanProblem, K: float, p: float, r0: float = None,
+          num: int = 3000, rtol: float = 1e-11,
+          atol_scale: float = 1e-13) -> SolutionProfile:
     """Integrate the radial equation outward from the singular-end jet and
     return the (un-matched) trajectory, sampled at num log-uniform radii or,
     for num = None, at the step ends (no dense output).  Its meta counts the
     right-hand side evaluations and the accepted and rejected steps."""
-    R = problem.domain_radius
-    if r0 is None:
-        r0 = 1e-5 * R
-    v0, dv0 = frobenius_init(params, problem, K, r0)
+    r0 = _start_radius(problem, r0)
+    v0, dv0 = frobenius_init(problem, K, r0)
     guard = 1e12 * max(abs(K), abs(v0), 1.0)
     scale = max(abs(v0), abs(K))
     # v_t = r v'
-    sol = _dop853(_rhs_factory(params, problem, p), math.log(r0),
-                  math.log(R), v0, dv0 * r0, rtol=rtol,
+    sol = _dop853(_rhs_factory(problem, p), math.log(r0),
+                  math.log(problem.domain_radius), v0, dv0 * r0, rtol=rtol,
                   atol=atol_scale * scale, guard=guard)
-    return _sampled(sol, params, K, p, r0, R, num)
+    return _sampled(sol, problem, K, p, r0, num)
 
 
-def _sampled(sol, params: ProblemParams, K: float, p: float, r0: float,
-             R: float, num: int) -> SolutionProfile:
+def _sampled(sol, problem: EuclideanProblem, K: float, p: float, r0: float,
+             num: int) -> SolutionProfile:
     """The shoot of K whose integration is sol, sampled at num log-uniform
     radii from r0 to where the integration ended, or at its step ends."""
     t = sol.ts if num is None else np.linspace(math.log(r0), sol.t_end, num)
     v, vt = (sol.v_ends, sol.w_ends) if num is None else sol(t)
     r = np.exp(t)
-    data = ProfileData(r=r, v=v, dv=vt / r)
     return SolutionProfile(
-        data=data, params=replace(params, p_defect=p), p_defect=p, K0=K,
-        node_count=data.node_count(), energy=math.nan,
-        residual_norm=math.nan, boundary_value=float(v[-1]),
-        diverged=sol.diverged, trajectory=sol,
-        meta={"r0": r0, "R": R, "rhs_evals": sol.nfev, "steps": sol.steps,
-              "rejected_steps": sol.rejected})
+        data=ProfileData(r=r, v=v, dv=vt / r),
+        params=replace(problem.params, p_defect=p), K0=K, energy=math.nan,
+        residual_norm=math.nan, diverged=sol.diverged, trajectory=sol,
+        meta={"r0": r0, "R": problem.domain_radius, "rhs_evals": sol.nfev,
+              "steps": sol.steps, "rejected_steps": sol.rejected})
 
 
 def euclidean_energy(profile: SolutionProfile,
@@ -136,7 +136,7 @@ def euclidean_energy(profile: SolutionProfile,
     b |v|^{q-p} / |x|^s over the ball), by spline quadrature."""
     params = profile.params
     n, gamma, s = params.n, params.gamma, params.s
-    pf = critical_exponent(n, s) - profile.p_defect
+    pf = critical_exponent(n, s) - params.p_defect
     d = profile.data
     t = np.log(d.r)
     r = d.r
@@ -178,17 +178,18 @@ def _pde_residual_norm(profile: SolutionProfile,
     r = d.r
     lap = (vtt + (n - 2.0) * vt) / r ** 2
     res = (-lap - (gamma / r ** 2 + problem.h0) * d.v
-           - problem.b(r) * np.abs(d.v) ** (q - 2.0 - profile.p_defect)
+           - problem.b(r) * np.abs(d.v) ** (q - 2.0 - params.p_defect)
            * d.v / r ** s)
     scale = np.max(np.abs(lap)) + 1e-300
     # skip a few nodes at each end (one-sided stencils)
     return float(np.max(np.abs(res[4:-4])) / scale)
 
 
-def _scaling_estimate(params: ProblemParams, problem: EuclideanProblem,
-                     p: float, r0: float) -> float:
+def _scaling_estimate(problem: EuclideanProblem, p: float,
+                      r0: float) -> float:
     """The K at which b(r0) v^{q-2-p} r^{2-s} balances (n-2)^2/4 - gamma
     at r = R/2, for v = K r^{beta_-}: amp^{1/(q-2-p)} (R/2)^{beta_-}."""
+    params = problem.params
     n, s, r = params.n, params.s, 0.5 * problem.domain_radius
     amp = ((n - 2.0) ** 2 / 4.0 - params.gamma) / (float(problem.b(r0))
                                                    * r ** (2.0 - s))
@@ -196,8 +197,8 @@ def _scaling_estimate(params: ProblemParams, problem: EuclideanProblem,
             * r ** beta_pm(n, params.gamma)[0])
 
 
-def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
-                             p: float, node_target: int = 0,
+def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
+                             node_target: int = 0,
                              K_range: tuple = (1e-4, 1e6),
                              boundary_tol: float = 1e-8,
                              r0: float = None,
@@ -221,12 +222,11 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     (at rtol again inside the redo band), Brent at rtol.  The profile
     samples the root's trajectory (a solve's one dense output).  meta counts
     the shoots per phase, the loose ones, their RHS evaluations and steps."""
-    check_defect(params.n, params.s, p)
+    check_defect(problem.params.n, problem.params.s, p)
     if node_target == 0 and not problem.coercive():
         raise NotCoercive("the quadratic form is not coercive "
                           "(Lambda0 < -1e-3): no positive solution")
-    R = problem.domain_radius
-    r0 = 1e-5 * R if r0 is None else r0
+    r0 = _start_radius(problem, r0)
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
     # log K -> (K, node count, v(R)/sup|v|, integration, rtol) of each K
     # shot, at its step ends; runs: (rtol, integration) of every integration
@@ -234,7 +234,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
 
     def shoot_at(x, tol=max(rtol, _BRACKET_RTOL)):
         K = math.exp(x)
-        prof = shoot(params, problem, K, p, r0=r0, num=None, rtol=tol)
+        prof = shoot(problem, K, p, r0=r0, num=None, rtol=tol)
         runs.append((tol, prof.trajectory))
         v = prof.data.v
         sup = np.max(np.abs(v))
@@ -253,7 +253,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
             shoots=len(runs))
 
     if K_start is None:
-        K_start = _scaling_estimate(params, problem, p, r0)
+        K_start = _scaling_estimate(problem, p, r0)
     x = min(max(math.log(K_start), x_min), x_max)
     up = shoot_at(x) <= node_target
     step = (1.0 if up else -1.0) * math.log(10.0) / 6.0
@@ -286,16 +286,17 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     if seen[x_root][4] > rtol:   # the profile is sampled from a tight shoot
         shoot_at(x_root, rtol)
     K_root = math.exp(x_root)
-    best = _sampled(seen[x_root][3], params, K_root, p, r0, R, 3000)
+    best = _sampled(seen[x_root][3], problem, K_root, p, r0, 3000)
     shoots = len(runs)
     sup = np.max(np.abs(best.data.v))
-    if abs(best.boundary_value) > boundary_tol * sup:
+    if abs(best.data.v[-1]) > boundary_tol * sup:
         raise SolverError(
-            f"boundary value {best.boundary_value:.3e} above tolerance "
+            f"boundary value {best.data.v[-1]:.3e} above tolerance "
             f"{boundary_tol:g} * sup {sup:.3e}", shoots=shoots)
-    if best.node_count != node_target:
-        raise SolverError(f"root at K = {K_root:.6g} has {best.node_count} "
-                          f"nodes, not {node_target}", shoots=shoots)
+    nodes = best.data.node_count()
+    if nodes != node_target:
+        raise SolverError(f"root at K = {K_root:.6g} has {nodes} nodes, "
+                          f"not {node_target}", shoots=shoots)
     best.energy, best.nonlinear_mass = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
@@ -309,8 +310,7 @@ def solve_dirichlet_shooting(params: ProblemParams, problem: EuclideanProblem,
     return best
 
 
-def solve_variational(params: ProblemParams, problem: EuclideanProblem,
-                      p: float, r0: float = None,
+def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
                       num: int = 1600) -> SolutionProfile:
     """Ground state as a critical point of the action discretized on the
     tridiagonal form A of bridge._quadratic_form_diagonals: _DESCENT_STEPS
@@ -320,11 +320,11 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
     half the one before (the round-off floor), both solved by
     grids.thomas_solve.  Raises NotConverged after _NEWTON_STEPS steps,
     SolverError for a noded root."""
-    n, s = params.n, params.s
+    n, s = problem.params.n, problem.params.s
     check_defect(n, s, p)
     pf = critical_exponent(n, s) - p
     R = problem.domain_radius
-    r0 = 1e-5 * R if r0 is None else r0
+    r0 = _start_radius(problem, r0)
     form, _, off = _quadratic_form_diagonals(problem, r0, num)
     t = np.linspace(math.log(r0), math.log(R), num)
     r = np.exp(t)
@@ -386,47 +386,46 @@ def solve_variational(params: ProblemParams, problem: EuclideanProblem,
                            f"max|u| after {_NEWTON_STEPS} steps")
     v = np.concatenate([u, [0.0]])
     dv = log_derivative_matrix_apply(t, v) / r
-    data = ProfileData(r=r, v=v, dv=dv)
     prof = SolutionProfile(
-        data=data, params=replace(params, p_defect=p), p_defect=p, K0=0.0,
-        node_count=data.node_count(), energy=energy(u),
-        residual_norm=math.nan, boundary_value=0.0,
+        data=ProfileData(r=r, v=v, dv=dv),
+        params=replace(problem.params, p_defect=p), K0=0.0,
+        energy=energy(u), residual_norm=math.nan,
         meta={"newton_steps": newton, "newton_change": change,
               "converged": True})
-    if prof.node_count != 0:
-        raise SolverError(f"variational root has {prof.node_count} nodes")
+    if prof.data.node_count() != 0:
+        raise SolverError(f"variational root has {prof.data.node_count()} "
+                          "nodes")
     prof.K0 = fit_K0(prof)
     return prof
 
 
-def continuation_to_critical(params: ProblemParams, problem: EuclideanProblem,
-                             schedule: ContinuationSchedule,
-                             node_target: int = 0,
-                             K_range: tuple = (1e-4, 1e6)) -> list:
+def continuation_to_critical(problem: EuclideanProblem,
+                             schedule: ContinuationSchedule, solve) -> list:
     """Warm-started solves along the decreasing defect schedule; records the
     Cauchy increments and the weighted sup norms used by the blow-up lab.
-    A step starts at the scaling estimate E(p) times exp(g), g the residual
-    log K_root - log E of the last two roots, extrapolated linearly in p."""
+    solve(p, K_start) is a step's shooting solve (from the scaling
+    estimate for K_start None, the first step's), whose meta gives K_shoot
+    and r0.  A later step starts at the scaling estimate E(p) at the last
+    r0, times exp(g), g the residual log K_root - log E of the last two
+    roots, extrapolated linearly in p."""
     out, fits = [], []  # fits: (p, log K_root - log E(p)) of each step
-    r0 = 1e-5 * problem.domain_radius   # the solves' default start radius
-    K_start = None
     for idx, p in enumerate(schedule.p_values):
-        estimate = _scaling_estimate(params, problem, p, r0)
+        K_start = None
         if fits:
             (pa, ga), (pb, gb) = fits[-2:] if len(fits) > 1 else fits * 2
             g = gb if pa == pb else gb + (gb - ga) * (p - pb) / (pb - pa)
-            K_start = estimate * math.exp(g)
+            K_start = (_scaling_estimate(problem, p, out[-1].meta["r0"])
+                       * math.exp(g))
         try:
-            prof = solve_dirichlet_shooting(params, problem, p,
-                                            node_target=node_target,
-                                            K_range=K_range, K_start=K_start)
+            prof = solve(p, K_start)
         except SolverError as exc:
             for sp in out:
                 sp.meta["truncated_at"] = idx
                 sp.meta["failure"] = str(exc)
             return out
+        estimate = _scaling_estimate(problem, p, prof.meta["r0"])
         fits.append((p, math.log(prof.meta["K_shoot"]) - math.log(estimate)))
-        prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof, p)))
+        prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof)))
         prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
         prof.meta["nonlinear_mass"] = prof.nonlinear_mass
         if out:

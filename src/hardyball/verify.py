@@ -100,7 +100,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
     params = v.params
     n, s = params.n, params.s
     q = critical_exponent(n, s)
-    pf = q - v.p_defect
+    pf = q - params.p_defect
     d = v.data
     if not (0.0 < a < b_out):
         raise VerificationError("annulus must satisfy 0 < a < b")
@@ -124,7 +124,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
 
     b_vals = np.asarray(problem.b(r), dtype=float)
     bs_vals = np.asarray(problem.b_radial_slope(r), dtype=float)
-    p = v.p_defect
+    p = params.p_defect
     h_term = -vol(problem.h0 * u ** 2)
     p_defect_term = -(p / q) * ((n - s) / pf) * vol(
         b_vals * np.abs(u) ** pf / r ** s)
@@ -134,7 +134,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
         use_jet = a < 10.0 * d.r[0]
     if use_jet:
         from .solver import frobenius_init  # only the jet needs the solver
-        u_a, du_a = frobenius_init(params, problem, v.K0, a)
+        u_a, du_a = frobenius_init(problem, v.K0, a)
     else:
         u_a, du_a = float(u[0]), float(du[0])
     flux_inner, mag_inner = _flux(a, u_a, du_a, problem, pf)

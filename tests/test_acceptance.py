@@ -7,7 +7,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,8 @@ from hardyball.solver import (SolutionProfile, shoot,
                               solve_dirichlet_shooting)
 from hardyball.verify import (asymptotic_exponent, hardy_check,
                               hardy_sobolev_check, pohozaev_residual)
+
+from conftest import ConstStub
 
 
 def _report(num, label):
@@ -123,7 +125,7 @@ def test_criterion_05_solver_cross_validation(ref_params, ref_problem,
     p, kappa = 0.2, 16.0
     q = critical_exponent(5, 1.0)
     scaled = EuclideanProblem(ref_params, domain_radius=0.5, b_scale=kappa)
-    prof = solve_dirichlet_shooting(ref_params, scaled, p=p)
+    prof = solve_dirichlet_shooting(scaled, p=p)
     factor = kappa ** (-1.0 / (q - 2.0 - p))
     target = factor * ground_shoot.data.v
     assert np.max(np.abs(prof.data.v - target)) \
@@ -131,36 +133,20 @@ def test_criterion_05_solver_cross_validation(ref_params, ref_problem,
     _report(5, "solver cross-validation")
 
 
-@dataclass
-class _ConstStub:
-    b0: float
-    params: ProblemParams
-    h0: float = 0.0
-
-    def b(self, r):
-        return self.b0 + 0.0 * np.asarray(r)
-
-    def b_radial_slope(self, r):
-        return 0.0 * np.asarray(r)
-
-
-def test_criterion_06_pohozaev_identity(ref_params, ref_problem,
-                                        ground_shoot, bubble):
+def test_criterion_06_pohozaev_identity(ref_problem, ground_shoot, bubble):
     K = ground_shoot.meta["K_shoot"]
     rels = []
     for num in (400, 800, 1600):
-        prof = shoot(ref_params, ref_problem, K, 0.2, num=num,
-                     rtol=1e-13, atol_scale=1e-15)
+        prof = shoot(ref_problem, K, 0.2, num=num, rtol=1e-13,
+                     atol_scale=1e-15)
         br = pohozaev_residual(prof, ref_problem, (5e-4, 0.5))
         rels.append(br.relative)
     assert rels[0] <= 1e-4
     assert rels[0] / rels[1] >= 8.0 and rels[1] / rels[2] >= 8.0
     params = ProblemParams(n=5, s=1.0, gamma=-2.0)
-    bprof = SolutionProfile(
-        data=bubble.data, params=params, p_defect=0.0, K0=bubble.K_minus,
-        node_count=0, energy=1.0, residual_norm=0.0,
-        boundary_value=bubble.data.v[-1])
-    bres = pohozaev_residual(bprof, _ConstStub(bubble.b0, params),
+    bprof = SolutionProfile(data=bubble.data, params=params,
+                            K0=bubble.K_minus, energy=1.0, residual_norm=0.0)
+    bres = pohozaev_residual(bprof, ConstStub(bubble.b0, params),
                              (1e-2, 1e2), use_jet=False)
     assert bres.relative <= 1e-4
     _report(6, "annulus momentum identity")
@@ -197,16 +183,15 @@ def test_criterion_08_compactness_witness(continuation, continuation_steps,
 
 def test_criterion_09_blowup_machinery(ref_params, bubble):
     radii = np.geomspace(1e-7, 0.5, 6000)
-    one = blowup_mod.plant_bubbles(bubble, [1e-3], 0.0, ref_params, radii)
-    got = blowup_mod.detect_scales(one, 0.0)
+    one = blowup_mod.plant_bubbles(bubble, [1e-3], ref_params, radii)
+    got = blowup_mod.detect_scales(one)
     assert len(got) == 1 and got[0][0] == pytest.approx(1e-3, rel=0.10)
-    two = blowup_mod.plant_bubbles(bubble, [1e-4, 1e-2], 0.0, ref_params,
-                                   radii)
-    got2 = blowup_mod.detect_scales(two, 0.0)
+    two = blowup_mod.plant_bubbles(bubble, [1e-4, 1e-2], ref_params, radii)
+    got2 = blowup_mod.detect_scales(two)
     assert len(got2) == 2
     assert got2[0][0] == pytest.approx(1e-4, rel=0.10)
     assert got2[1][0] == pytest.approx(1e-2, rel=0.10)
-    fam = blowup_mod.BubbleFamily.from_scales([1e-3], 0.0, ref_params)
+    fam = blowup_mod.BubbleFamily.from_scales([1e-3], ref_params)
     rep = blowup_mod.envelope_check(one, fam)
     assert 0.0 < rep.worst_ratio < math.inf
     cal = blowup_mod.calibrated_bubble(bubble)
@@ -216,7 +201,7 @@ def test_criterion_09_blowup_machinery(ref_params, bubble):
     for mu in (1e-2, 1e-3, 1e-4):
         p = A * mu ** 2
         seq.append((p, blowup_mod.BubbleFamily.from_scales(
-            [mu], abs(p), ref_params)))
+            [mu], replace(ref_params, p_defect=abs(p)))))
     out = blowup_mod.rate_check(seq, ref_params, [ints])
     assert out["applicable"]
     assert out["measured_limit"] == pytest.approx(A, rel=0.02)
@@ -257,7 +242,8 @@ def test_criterion_11_determinism(tmp_path, capsys):
         out = str(tmp_path / tag)
         assert main(["sweep", "--config", cfg_path, "--out", out,
                      "--seed", "7"]) == 0
-        blob = open(os.path.join(out, "sweep.csv"), "rb").read()
+        with open(os.path.join(out, "sweep.csv"), "rb") as fh:
+            blob = fh.read()
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
     capsys.readouterr()

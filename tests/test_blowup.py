@@ -2,6 +2,7 @@
 envelopes, the rate formula, and the verdict logic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hardyball.constants import ProblemParams, beta_pm
 from hardyball.solver import (ContinuationSchedule, ProfileData,
                               SolutionProfile, continuation_to_critical)
 
+from conftest import warm
+
 
 @pytest.fixture(scope="module")
 def params():
@@ -22,32 +25,31 @@ def params():
 
 
 def test_family_invariants(params):
-    fam = BubbleFamily.from_scales([1e-4, 1e-2], 0.1, params)
+    fam = BubbleFamily.from_scales([1e-4, 1e-2],
+                                   replace(params, p_defect=0.1))
     assert len(fam) == 2
     assert np.all((fam.t_limits > 0.0) & (fam.t_limits <= 1.0))
     with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2, 1e-4], t_limits=[1.0, 1.0],
-                     p_defect=0.0, params=params)
+        BubbleFamily(mu=[1e-2, 1e-4], t_limits=[1.0, 1.0], params=params)
     with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2], t_limits=[1.5], p_defect=0.0, params=params)
+        BubbleFamily(mu=[1e-2], t_limits=[1.5], params=params)
     with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2], t_limits=[1.0, 1.0], p_defect=0.0,
-                     params=params)
+        BubbleFamily(mu=[1e-2], t_limits=[1.0, 1.0], params=params)
 
 
 def test_detect_single_scale(params, bubble):
     radii = np.geomspace(1e-7, 0.5, 4000)
     mu = 1e-3
-    prof = plant_bubbles(bubble, [mu], 0.0, params, radii)
-    found = detect_scales(prof, 0.0)
+    prof = plant_bubbles(bubble, [mu], params, radii)
+    found = detect_scales(prof)
     assert len(found) == 1
     assert found[0][0] == pytest.approx(mu, rel=0.05)
 
 
 def test_detect_two_separated_scales(params, bubble):
     radii = np.geomspace(1e-7, 0.5, 6000)
-    prof = plant_bubbles(bubble, [1e-4, 1e-2], 0.0, params, radii)
-    found = detect_scales(prof, 0.0)
+    prof = plant_bubbles(bubble, [1e-4, 1e-2], params, radii)
+    found = detect_scales(prof)
     assert len(found) == 2
     assert found[0][0] == pytest.approx(1e-4, rel=0.10)
     assert found[1][0] == pytest.approx(1e-2, rel=0.10)
@@ -55,14 +57,14 @@ def test_detect_two_separated_scales(params, bubble):
 
 def test_detect_nothing_on_compact_profile(continuation):
     last = continuation[-1]
-    assert detect_scales(last, last.p_defect) == []
+    assert detect_scales(last) == []
 
 
 def test_envelope_on_single_bubble(params, bubble):
     radii = np.geomspace(1e-7, 0.5, 4000)
     mu = 1e-3
-    prof = plant_bubbles(bubble, [mu], 0.0, params, radii)
-    fam = BubbleFamily.from_scales([mu], 0.0, params)
+    prof = plant_bubbles(bubble, [mu], params, radii)
+    fam = BubbleFamily.from_scales([mu], params)
     rep = envelope_check(prof, fam)
     bm, bp = beta_pm(5, -2.0)
     cal = calibrated_bubble(bubble)
@@ -75,18 +77,17 @@ def test_envelope_zero_profile(params):
     r = np.geomspace(1e-5, 0.5, 500)
     prof = SolutionProfile(
         data=ProfileData(r=r, v=np.zeros_like(r), dv=np.zeros_like(r)),
-        params=params, p_defect=0.0, K0=0.0, node_count=0, energy=0.0,
-        residual_norm=0.0, boundary_value=0.0)
-    fam = BubbleFamily.from_scales([1e-3], 0.0, params)
+        params=params, K0=0.0, energy=0.0, residual_norm=0.0)
+    fam = BubbleFamily.from_scales([1e-3], params)
     rep = envelope_check(prof, fam)
     assert rep.worst_ratio == 0.0
 
 
-def test_envelope_bounded_along_continuation(continuation, params):
+def test_envelope_bounded_along_continuation(continuation):
     # the constant stabilizes only once the defect is small
     consts = []
     for prof in continuation[-3:]:
-        fam = BubbleFamily.from_scales([1e-3], prof.p_defect, params)
+        fam = BubbleFamily.from_scales([1e-3], prof.params)
         consts.append(envelope_check(prof, fam).worst_ratio)
     assert max(consts) < 2.0 * min(consts)
 
@@ -103,7 +104,7 @@ def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
         p = A * mu ** 2
         # a blow-up family carries nonnegative defects only when A < 0
         # flips sign; here feed |p| and test pure recovery of the constant
-        fam = BubbleFamily.from_scales([mu], abs(p), params)
+        fam = BubbleFamily.from_scales([mu], replace(params, p_defect=abs(p)))
         seq.append((p, fam))
     rep = rate_check(seq, params, [integrals])
     assert rep["applicable"]
@@ -120,7 +121,7 @@ def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
 def test_rate_formula_uses_only_last_scale_in_numerator(params, bubble):
     cal = calibrated_bubble(bubble)
     ints = bubble_weighted_integrals(cal, 5, 1.0)
-    fam = BubbleFamily.from_scales([1e-4, 1e-2], 0.0, params)
+    fam = BubbleFamily.from_scales([1e-4, 1e-2], params)
     base = rate_formula(params, fam, [ints, ints])
     # doubling the inner bubble's square mass must not move the rate
     inner_bumped = dict(ints)
@@ -133,15 +134,15 @@ def test_rate_formula_is_proportional_to_h_origin(params, bubble):
     # h(0) = 4 lam - 39 at n = 5, gamma = -2: 1 at lam = 10, 2 at 10.25,
     # 0 at the threshold 9.75 and -3 at 9
     ints = bubble_weighted_integrals(calibrated_bubble(bubble), 5, 1.0)
-    fam = BubbleFamily.from_scales([1e-3], 0.0, params)
+    fam = BubbleFamily.from_scales([1e-3], params)
     base = rate_formula(params, fam, [ints])
     for lam, h0 in ((10.25, 2.0), (9.75, 0.0), (9.0, -3.0)):
         other = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=lam)
         assert rate_formula(other, fam, [ints]) == pytest.approx(
             h0 * base, rel=1e-14, abs=0.0)
         # nonnegative defects contradict the formula only when h(0) > 0
-        seq = [(mu ** 2, BubbleFamily.from_scales([mu], mu ** 2, other))
-               for mu in (1e-2, 1e-3)]
+        seq = [(mu ** 2, BubbleFamily.from_scales(
+            [mu], replace(other, p_defect=mu ** 2))) for mu in (1e-2, 1e-3)]
         assert rate_check(seq, other,
                           [ints])["sign_contradiction"] is (h0 > 0.0)
 
@@ -170,9 +171,11 @@ def test_verdict_does_not_depend_on_the_schedule(continuation_steps,
     # step on the first and by 4 % on the second, while the increment per
     # unit decrease of p stays between 4.9 and 6.7 on both
     uniform = continuation_to_critical(
-        params, ref_problem,
-        ContinuationSchedule((0.06, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)))
-    steps = [{"p_defect": prof.p_defect, **prof.meta} for prof in uniform]
+        ref_problem,
+        ContinuationSchedule((0.06, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)),
+        warm(ref_problem))
+    steps = [{"p_defect": prof.params.p_defect, **prof.meta}
+             for prof in uniform]
     for run in (continuation_steps, steps):
         rep = compactness_verdict(run, params)
         assert rep["verdict"] == COMPACT

@@ -112,3 +112,27 @@ def test_every_default_is_passed_somewhere():
     assert _knobs() == [], (
         "defaulted parameters that no call in src/ or tests/ passes (make "
         "them constants, or pass them): " + ", ".join(_knobs()))
+
+
+def _takes_params_and_problem() -> list:
+    """'module.function' for every function or method in src/ with one
+    parameter annotated ProblemParams and another EuclideanProblem."""
+    both = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            kinds = {ast.unparse(arg.annotation) for arg in args
+                     if arg.annotation is not None}
+            if {"ProblemParams", "EuclideanProblem"} <= kinds:
+                both.append(f"{path.stem}.{fn.name}")
+    return both
+
+
+def test_no_function_takes_both_the_params_and_the_problem():
+    # the problem carries its params: a function handed both could read n,
+    # s and gamma from one and h0 and b from the other, built from another
+    assert _takes_params_and_problem() == [], (
+        "functions taking both a ProblemParams and an EuclideanProblem "
+        "(read problem.params): " + ", ".join(_takes_params_and_problem()))

@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import os
+import pathlib
 import re
 import signal
 import subprocess
@@ -27,6 +28,14 @@ from hardyball.constants import critical_exponent
 from hardyball.solver import ProfileData
 
 REF_PARAMS = {"n": 5, "s": 1.0, "gamma": -2.0, "lam": 10.0, "p_defect": 0.2}
+
+
+def _json(path):
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+
+
+def _bytes(path):
+    return pathlib.Path(path).read_bytes()
 
 
 def _write_cfg(path, doc):
@@ -280,7 +289,7 @@ def test_bridge_coercivity_reports_negative_lambda0(tmp_path, capsys):
         "params": dict(REF_PARAMS, gamma=2.2), "solver": {"coercivity": True}})
     out = str(tmp_path / "out")
     assert main(["bridge", "--config", cfg, "--out", out]) == 0
-    doc = json.load(open(os.path.join(out, "bridge.json")))
+    doc = _json(os.path.join(out, "bridge.json"))
     assert doc["coercivity_lambda0"] < 0.0
     capsys.readouterr()
 
@@ -423,10 +432,10 @@ def test_only_the_audits_import_verify_and_blowup(tmp_path):
 def _check_manifest(out):
     """The manifest's entries: one for every file in ``out``, each with the
     checksum and size of the file on disk."""
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _json(os.path.join(out, "manifest.json"))
     assert set(manifest["files"]) == set(os.listdir(out)) - {"manifest.json"}
     for name, entry in manifest["files"].items():
-        blob = open(os.path.join(out, name), "rb").read()
+        blob = _bytes(os.path.join(out, name))
         assert entry == {"sha256": hashlib.sha256(blob).hexdigest(),
                          "bytes": len(blob)}, name
     return manifest["files"]
@@ -456,8 +465,7 @@ def test_exit_freezes_the_heap_and_keeps_the_outputs(tmp_path):
         _FREEZE_AT_EXIT, ["weights", "--config", cfg, "--out", out]))
     assert code == 0
     assert frozen > 10_000
-    assert json.loads(summary) == json.load(open(os.path.join(out,
-                                                              "weights.json")))
+    assert json.loads(summary) == _json(os.path.join(out, "weights.json"))
     assert set(_check_manifest(out)) == {"weights.csv", "weights.json"}
 
 
@@ -480,7 +488,7 @@ def test_solve_writes_checked_artifacts(solved_dir, tmp_path, capsys):
     assert main(["continue", "--config", cfg, "--out",
                  str(tmp_path / "continue")]) == 0
     assert len(_check_manifest(str(tmp_path / "continue"))) == 15
-    doc = json.load(open(os.path.join(out, "profile.json")))
+    doc = _json(os.path.join(out, "profile.json"))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
     assert doc["meta"]["shoots"] == 9
     capsys.readouterr()
@@ -491,8 +499,8 @@ def test_solve_rerun_is_byte_identical(solved_dir, tmp_path, capsys):
     out2 = str(tmp_path / "again")
     assert main(["solve", "--config", cfg, "--out", out2]) == 0
     for name in ("profile.csv", "profile.json"):
-        assert open(os.path.join(out, name), "rb").read() == \
-            open(os.path.join(out2, name), "rb").read()
+        assert _bytes(os.path.join(out, name)) == \
+            _bytes(os.path.join(out2, name))
     capsys.readouterr()
 
 
@@ -504,7 +512,7 @@ def test_verify_on_stored_profile(solved_dir, capsys):
                      "--seed", "42"]) == 0
     # numerical warnings go into the report, not to stderr
     assert [str(w.message) for w in caught] == []
-    doc = json.load(open(os.path.join(out, "verify.json")))
+    doc = _json(os.path.join(out, "verify.json"))
     assert doc["passed"] is True
     assert doc["provenance"]["hardy_warnings"] == 0
     assert doc["provenance"]["hardy_first_warning"] is None
@@ -524,8 +532,7 @@ def test_verify_reports_a_window_or_annulus_off_the_grid(solved_dir, tmp_path,
     out = tmp_path / "out"
     out.mkdir()
     for name in ("profile.csv", "profile.json"):
-        (out / name).write_bytes(open(os.path.join(solved_dir[1], name),
-                                      "rb").read())
+        (out / name).write_bytes(_bytes(os.path.join(solved_dir[1], name)))
     annulus = _write_cfg(tmp_path / "a.json", {
         "params": dict(REF_PARAMS), "solver": {"annulus": [1e-9, 0.5]}})
     capsys.readouterr()
@@ -534,7 +541,7 @@ def test_verify_reports_a_window_or_annulus_off_the_grid(solved_dir, tmp_path,
     window = _write_cfg(tmp_path / "w.json", {
         "params": dict(REF_PARAMS), "solver": {"fit_window": [0.4, 0.401]}})
     assert main(["verify", "--config", window, "--out", str(out)]) == 0
-    doc = json.load(open(out / "verify.json"))
+    doc = _json(out / "verify.json")
     slope = [c for c in doc["checks"]
              if c["name"] == "asymptotic_slope_error"]
     assert slope == [{"name": "asymptotic_slope_error", "value": None,
@@ -551,15 +558,15 @@ def test_constants_and_weights_and_bridge(tmp_path, capsys):
     assert main(["constants", "--config", cfg, "--out", out]) == 0
     assert main(["weights", "--config", cfg, "--out", out]) == 0
     assert main(["bridge", "--config", cfg, "--out", out]) == 0
-    cdoc = json.load(open(os.path.join(out, "constants.json")))
+    cdoc = _json(os.path.join(out, "constants.json"))
     assert cdoc["admissibility"]["hardy_subcritical"] is True
-    wdoc = json.load(open(os.path.join(out, "weights.json")))
+    wdoc = _json(os.path.join(out, "weights.json"))
     assert wdoc["origin_limit_4r2_V2"] == pytest.approx(1.0, rel=1e-10)
-    bdoc = json.load(open(os.path.join(out, "bridge.json")))
+    bdoc = _json(os.path.join(out, "bridge.json"))
     assert bdoc["b_origin"] == pytest.approx(3.0 ** (1.0 / 3.0) / 2.0,
                                              rel=1e-12)
     # the manifest accumulates entries from all three commands
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _json(os.path.join(out, "manifest.json"))
     for name in ("constants.json", "weights.csv", "bridge.csv"):
         assert name in manifest["files"]
     capsys.readouterr()
@@ -571,7 +578,7 @@ def test_manifest_bytes_identical_across_reruns(tmp_path, capsys):
     for tag in ("a", "b"):
         out = str(tmp_path / tag)
         assert main(["weights", "--config", cfg, "--out", out]) == 0
-        blobs.append(open(os.path.join(out, "manifest.json"), "rb").read())
+        blobs.append(_bytes(os.path.join(out, "manifest.json")))
     assert blobs[0] == blobs[1]
     capsys.readouterr()
 
@@ -582,7 +589,7 @@ def test_bubble_command(tmp_path, capsys):
                       "solver": {"bubble_decades": 6.0}})
     out = str(tmp_path / "out")
     assert main(["bubble", "--config", cfg, "--out", out]) == 0
-    doc = json.load(open(os.path.join(out, "bubble.json")))
+    doc = _json(os.path.join(out, "bubble.json"))
     assert doc["psi_peak"] > 0.0
     # the exact indicial limits of the closed form
     q = critical_exponent(doc["n"], doc["s"])
@@ -600,22 +607,71 @@ def test_continue_then_blowup(tmp_path, capsys):
                       "solver": {"schedule": [0.05, 0.025, 0.0125]}})
     out = str(tmp_path / "out")
     assert main(["continue", "--config", cfg, "--out", out]) == 0
-    summary = json.load(open(os.path.join(out, "continuation.json")))
+    summary = _json(os.path.join(out, "continuation.json"))
     assert summary["completed"] is True
     assert len(summary["steps"]) == 3
     # each sidecar's params carry the defect its profile was solved for,
     # not the config's p_defect = 0.2
     for step in summary["steps"]:
-        doc = json.load(open(os.path.join(out, step["stem"] + ".json")))
+        doc = _json(os.path.join(out, step["stem"] + ".json"))
         assert doc["params"]["p_defect"] == doc["p_defect"] == step["p_defect"]
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
-    verdict = json.load(open(os.path.join(out, "blowup.json")))
+    verdict = _json(os.path.join(out, "blowup.json"))
     assert verdict["verdict"] in ("COMPACT", "BLOWUP", "INCONCLUSIVE")
     assert verdict["flags"] == {"hardy_subcritical": True,
                                 "multiplicity_regime": True,
                                 "lambda_threshold_met": True}
     assert verdict["theory_compact"] is True
     capsys.readouterr()
+
+
+def test_continue_writes_the_library_continuation(tmp_path, continuation,
+                                                 ref_problem, capsys):
+    # the reference config's solver section maps onto the solvers'
+    # defaults: each step's two files are those of the library's
+    # continuation, byte for byte
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    out = tmp_path / "out"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    for idx, prof in enumerate(continuation):
+        stem = f"continuation_{idx:02d}"
+        files = cli._sidecar(stem, prof, ref_problem)
+        files[stem + ".json"]["meta"].pop("fixture_build_seconds", None)
+        assert (out / (stem + ".csv")).read_text() == files[stem + ".csv"]
+        assert (out / (stem + ".json")).read_text() == \
+            dumps17(files[stem + ".json"]) + "\n"
+    capsys.readouterr()
+
+
+def test_continue_reads_the_solver_settings(tmp_path, ref_problem, capsys):
+    # r0, rtol and boundary_tol reach every step, as they reach solve, and
+    # the warm starts' scaling estimate uses the same r0
+    settings = {"r0": 5e-7, "rtol": 1e-10, "boundary_tol": 1e-9}
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": dict(settings, schedule=[0.4, 0.2])})
+    out = tmp_path / "out"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    steps = solver.continuation_to_critical(
+        ref_problem, solver.ContinuationSchedule((0.4, 0.2)),
+        lambda p, K_start: solver.solve_dirichlet_shooting(
+            ref_problem, p, boundary_tol=1e-9, r0=5e-7, rtol=1e-10,
+            K_start=K_start))
+    for idx, prof in enumerate(steps):
+        doc = _json(out / f"continuation_{idx:02d}.json")
+        assert doc["meta"]["r0"] == 5e-7
+        assert doc["meta"]["boundary_tol"] == 1e-9
+        assert doc["K0"] == prof.K0
+        assert doc["meta"]["K_shoot"] == prof.meta["K_shoot"]
+    # a continuation shoots: the variational method is a config error
+    variational = _write_cfg(tmp_path / "variational.json", {
+        "params": dict(REF_PARAMS), "solver": {"method": "variational"}})
+    capsys.readouterr()
+    assert main(["continue", "--config", variational,
+                 "--out", str(tmp_path / "variational")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: solver.method must be shooting for continue\n"
+    assert not (tmp_path / "variational").exists()
 
 
 def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):
@@ -626,7 +682,7 @@ def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["continue", "--config", cfg, "--out", out]) == 0
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
-    verdict = json.load(open(os.path.join(out, "blowup.json")))
+    verdict = _json(os.path.join(out, "blowup.json"))
     assert verdict["flags"] == {"hardy_subcritical": True,
                                 "multiplicity_regime": True,
                                 "lambda_threshold_met": False}
@@ -676,11 +732,11 @@ def test_a_stale_sidecar_is_a_config_error(solved_dir, tmp_path, capsys):
     cfg, out = solved_dir
     stale = tmp_path / "stale"
     stale.mkdir()
-    doc = json.load(open(os.path.join(out, "profile.json")))
+    doc = _json(os.path.join(out, "profile.json"))
     doc["params"].update(theta=0.0, c=1.0)
     (stale / "profile.json").write_text(dumps17(doc) + "\n")
     (stale / "profile.csv").write_bytes(
-        open(os.path.join(out, "profile.csv"), "rb").read())
+        _bytes(os.path.join(out, "profile.csv")))
     assert main(["verify", "--config", cfg, "--out", str(stale)]) == 1
     assert capsys.readouterr().err == \
         "config error: unknown key(s) in profile.json params: c, theta\n"
@@ -704,7 +760,7 @@ def test_blowup_writes_the_envelope(tmp_path, bubble, ref_params, capsys):
     # that blowup detects a scale and writes the per-decade envelope
     out = tmp_path / "out"
     out.mkdir()
-    prof = plant_bubbles(bubble, [1e-3], 0.0, ref_params,
+    prof = plant_bubbles(bubble, [1e-3], ref_params,
                          np.geomspace(1e-7, 0.5, 3000))
     files = cli._sidecar("continuation_00", prof,
                          EuclideanProblem(ref_params, domain_radius=0.5))
@@ -719,11 +775,11 @@ def test_blowup_writes_the_envelope(tmp_path, bubble, ref_params, capsys):
     assert rows[0] == ["r_lo", "r_hi", "max_ratio"]
     decades = [round(np.log10(float(row[0]))) for row in rows[1:]]
     assert decades == list(range(-7, 0))         # one row per decade
-    verdict = json.load(open(out / "blowup.json"))
+    verdict = _json(out / "blowup.json")
     assert len(verdict["detected_scales"]) == 1
     assert verdict["envelope_constant"] == max(float(row[2])
                                                for row in rows[1:])
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = _json(out / "manifest.json")
     blob = (out / "envelope.csv").read_bytes()
     assert manifest["files"]["envelope.csv"] == {
         "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
@@ -777,7 +833,7 @@ def test_sweep_grid_and_determinism(tmp_path, capsys, workers):
         assert main(["sweep", "--config", cfg, "--out", out,
                      "--workers", workers]) == 0
         outs.append(out)
-    rows = open(os.path.join(outs[0], "sweep.csv")).read().splitlines()
+    rows = _bytes(os.path.join(outs[0], "sweep.csv")).decode().splitlines()
     assert len(rows) == 7                       # header + 3x2 grid
     assert rows[0].split(",")[0] == "index"
     statuses = [line.split(",")[6] for line in rows[1:]]
@@ -790,11 +846,11 @@ def test_sweep_grid_and_determinism(tmp_path, capsys, workers):
     assert all(int(row["shoots"]) > 0 for row in table[:4])
     assert [row["shoots"] for row in table[4:]] == ["0", "0"]
     # rerun in a fresh directory is byte-identical
-    assert open(os.path.join(outs[0], "sweep.csv"), "rb").read() == \
-        open(os.path.join(outs[1], "sweep.csv"), "rb").read()
+    assert _bytes(os.path.join(outs[0], "sweep.csv")) == \
+        _bytes(os.path.join(outs[1], "sweep.csv"))
     capsys.readouterr()
     (tmp_path / "keep_sweep.csv").write_bytes(
-        open(os.path.join(outs[0], "sweep.csv"), "rb").read())
+        _bytes(os.path.join(outs[0], "sweep.csv")))
 
 
 def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
@@ -808,7 +864,7 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
         out = str(tmp_path / f"w{workers}")
         assert main(["sweep", "--config", cfg, "--out", out,
                      "--workers", workers]) == 0
-        blobs.append(open(os.path.join(out, "sweep.csv"), "rb").read())
+        blobs.append(_bytes(os.path.join(out, "sweep.csv")))
     assert blobs[0] == blobs[1] == blobs[2]
     capsys.readouterr()
 
@@ -905,8 +961,8 @@ def test_a_worker_exception_exits_as_the_serial_sweep(tmp_path, monkeypatch,
                                                       capsys, deadline):
     # an exception that escapes _sweep_row in a child is raised in the
     # parent, the one of the lowest cell, as the serial loop raises it
-    def fail(cfg, params, problem):
-        raise CoercivityFailure(f"no form at p = {params.p_defect}")
+    def fail(cfg, problem, p):
+        raise CoercivityFailure(f"no form at p = {p}")
 
     monkeypatch.setattr(cli, "_solve_one", fail)
     cfg = _write_cfg(tmp_path / "run.json", {

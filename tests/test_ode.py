@@ -199,14 +199,13 @@ def test_guard_stops_where_v_reaches_it():
     assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected) + 3 * sol.steps
 
 
-def _scipy_shoot(params, problem, K, p, num=1200, rtol=1e-11,
-                 atol_scale=1e-13):
+def _scipy_shoot(problem, K, p, num=1200, rtol=1e-11, atol_scale=1e-13):
     """The shoot as it ran on scipy's solve_ivp, for the comparison."""
     R = problem.domain_radius
     r0 = 1e-5 * R
-    v0, dv0 = solver.frobenius_init(params, problem, K, r0)
+    v0, dv0 = solver.frobenius_init(problem, K, r0)
     guard = 1e12 * max(abs(K), abs(v0), 1.0)
-    rhs = solver._rhs_factory(params, problem, p)
+    rhs = solver._rhs_factory(problem, p)
 
     def blow_event(t, y):
         return guard - abs(y[0])
@@ -222,9 +221,9 @@ def _scipy_shoot(params, problem, K, p, num=1200, rtol=1e-11,
 
 @pytest.mark.parametrize("K, p", [(7116.94, 0.2), (733645.9, 0.4),
                                   (1e4, 0.0), (1e6, 0.0)])
-def test_shoot_matches_scipy_dop853(ref_params, ref_problem, K, p):
-    mine = solver.shoot(ref_params, ref_problem, K, p, num=1200).data.v
-    theirs = _scipy_shoot(ref_params, ref_problem, K, p)
+def test_shoot_matches_scipy_dop853(ref_problem, K, p):
+    mine = solver.shoot(ref_problem, K, p, num=1200).data.v
+    theirs = _scipy_shoot(ref_problem, K, p)
     assert np.max(np.abs(mine - theirs)) <= 1e-8 * np.max(np.abs(theirs))
 
 
@@ -233,9 +232,9 @@ def test_shoot_guard_matches_scipy_event(ref_params):
     # it blows up inside the ball: both integrators stop at the guard
     problem = EuclideanProblem(ref_params, domain_radius=0.5,
                                b_scale=-10.0 / b_origin(5, 1.0))
-    prof = solver.shoot(ref_params, problem, 1e4, 0.2, num=50)
+    prof = solver.shoot(problem, 1e4, 0.2, num=50)
     assert prof.diverged and prof.data.r[-1] < 0.1
-    theirs = _scipy_shoot(ref_params, problem, 1e4, 0.2, num=50)
+    theirs = _scipy_shoot(problem, 1e4, 0.2, num=50)
     assert np.max(np.abs(prof.data.v - theirs)) <= \
         1e-8 * np.max(np.abs(theirs))
 

@@ -22,20 +22,22 @@ from hardyball.solver import (BracketNotFound, ContinuationSchedule,
                               solve_variational)
 from hardyball.verify import asymptotic_exponent
 
+from conftest import warm
+
 
 def test_frobenius_init_trivial_cases():
     # lam = 3.75 at gamma = 0 and lam = 9.75 at gamma = -2 give h0 = 0
     params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75)
     prob = EuclideanProblem(params)
     assert prob.h0 == 0.0
-    v, dv = frobenius_init(params, prob, K=1.0, r0=1e-5)
+    v, dv = frobenius_init(prob, K=1.0, r0=1e-5)
     assert v == pytest.approx(1.0, rel=1e-12)
     assert dv == pytest.approx(0.0, abs=1e-7)
     params2 = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=9.75)
     prob2 = EuclideanProblem(params2)
     assert prob2.h0 == 0.0
     bm, _ = beta_pm(5, -2.0)
-    v2, _ = frobenius_init(params2, prob2, K=1.0, r0=1e-5)
+    v2, _ = frobenius_init(prob2, K=1.0, r0=1e-5)
     assert v2 == pytest.approx(1e-5 ** -bm, rel=1e-12)
 
 
@@ -64,9 +66,9 @@ def test_frobenius_jet_residual_improves_with_r0():
 def test_shoot_constant_solution():
     params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75)
     prob = EuclideanProblem(params, b_scale=0.0)
-    prof = shoot(params, prob, K=1.0, p=0.2)
+    prof = shoot(prob, K=1.0, p=0.2)
     assert np.max(np.abs(prof.data.v - 1.0)) < 1e-9
-    assert prof.boundary_value == pytest.approx(1.0, rel=1e-9)
+    assert prof.data.v[-1] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_shoot_singular_linear_branch():
@@ -79,17 +81,17 @@ def test_shoot_singular_linear_branch():
     prob = EuclideanProblem(params, b_scale=0.0)
     assert abs(prob.h0) <= 1e-14
     bm, bp = beta_pm(n, gamma)
-    prof = shoot(params, prob, K=1.0, p=0.2, r0=1e-4)
+    prof = shoot(prob, K=1.0, p=0.2, r0=1e-4)
     # beta_- ~ 0: the solution stays near the constant branch
     assert np.max(np.abs(prof.data.v - 1.0)) < 1e-5
 
 
-def test_shoot_collocation_cross_check(ref_params, ref_problem):
+def test_shoot_collocation_cross_check(ref_problem):
     # independent fixed-step RK4 integration of the same initial-value
     # problem in log radius
     K, p = 1.0, 0.2
     r0 = 1e-5 * 0.5
-    prof = shoot(ref_params, ref_problem, K, p, num=2001)
+    prof = shoot(ref_problem, K, p, num=2001)
     n, gamma, s = 5, -2.0, 1.0
     q = critical_exponent(n, s)
     h = ref_problem.h0
@@ -102,7 +104,7 @@ def test_shoot_collocation_cross_check(ref_params, ref_problem):
                          - b * abs(v) ** (q - 2.0 - p) * v * r ** (2.0 - s)])
 
     from hardyball.solver import frobenius_init
-    v0, dv0 = frobenius_init(ref_params, ref_problem, K, r0)
+    v0, dv0 = frobenius_init(ref_problem, K, r0)
     t = np.linspace(math.log(r0), math.log(0.5), 40001)
     ht = t[1] - t[0]
     y = np.array([v0, dv0 * r0])
@@ -112,15 +114,15 @@ def test_shoot_collocation_cross_check(ref_params, ref_problem):
         k3 = rhs(t[k] + 0.5 * ht, y + 0.5 * ht * k2)
         k4 = rhs(t[k] + ht, y + ht * k3)
         y = y + ht / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert prof.boundary_value == pytest.approx(float(y[0]), rel=1e-6)
+    assert prof.data.v[-1] == pytest.approx(float(y[0]), rel=1e-6)
 
 
 def test_ground_state_basic_properties(ground_shoot):
     prof = ground_shoot
-    assert prof.node_count == 0
+    assert prof.data.node_count() == 0
     assert np.all(prof.data.v[:-1] > 0.0)
     sup = np.max(np.abs(prof.data.v))
-    assert abs(prof.boundary_value) <= 1e-8 * sup
+    assert abs(prof.data.v[-1]) <= 1e-8 * sup
     assert prof.energy > 0.0
     assert prof.residual_norm < 1e-5
 
@@ -143,7 +145,7 @@ def test_scaling_symmetry_b_times_16(ref_params, ref_problem, ground_shoot):
     kappa = 16.0
     scaled_prob = EuclideanProblem(ref_params, domain_radius=0.5,
                                    b_scale=kappa)
-    prof = solve_dirichlet_shooting(ref_params, scaled_prob, p=p)
+    prof = solve_dirichlet_shooting(scaled_prob, p=p)
     factor = kappa ** (-1.0 / (q - 2.0 - p))
     base = ground_shoot.data.v
     assert np.max(np.abs(prof.data.v - factor * base)) \
@@ -158,32 +160,30 @@ def test_variational_agrees_with_shooting(ground_shoot, ground_var):
     assert ground_var.energy > 0.0
 
 
-def test_variational_newton_converges_at_second_order(ref_params,
-                                                      ref_problem,
+def test_variational_newton_converges_at_second_order(ref_problem,
                                                       ground_shoot,
                                                       ground_var):
     # Newton converges in a few steps on every grid, and the energy gap to
     # shooting is the discretization's, falling ~4x per grid doubling
-    profs = [solve_variational(ref_params, ref_problem, p=0.2, num=num)
+    profs = [solve_variational(ref_problem, p=0.2, num=num)
              for num in (400, 800)] + [ground_var]
     gaps = []
     for prof in profs:
         assert prof.meta["converged"] is True
         assert prof.meta["newton_steps"] <= 6
         assert prof.meta["newton_change"] <= 1e-12
-        assert prof.node_count == 0
+        assert prof.data.node_count() == 0
         gaps.append(abs(prof.energy - ground_shoot.energy))
     assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2]
 
 
-def test_variational_newton_stops_at_its_round_off_floor(ref_params,
-                                                         ref_problem,
+def test_variational_newton_stops_at_its_round_off_floor(ref_problem,
                                                          ground_shoot,
                                                          ground_var):
     # at num = 12,800 the relative steps stall between 1e-12 and 6e-12 from
     # the fifth on, so the 1e-12 rule alone runs to the step cap; a step
     # below 1e-9 that does not halve ends the solve as converged
-    prof = solve_variational(ref_params, ref_problem, p=0.2, num=12800)
+    prof = solve_variational(ref_problem, p=0.2, num=12800)
     assert prof.meta["converged"] is True
     assert prof.meta["newton_steps"] < 10
     assert prof.meta["newton_change"] <= 1e-9
@@ -193,19 +193,16 @@ def test_variational_newton_stops_at_its_round_off_floor(ref_params,
     assert ground_var.meta["newton_change"] <= 1e-12
 
 
-def test_variational_raises_not_converged_at_the_newton_cap(ref_params,
-                                                            ref_problem,
+def test_variational_raises_not_converged_at_the_newton_cap(ref_problem,
                                                             monkeypatch):
     monkeypatch.setattr(solver, "_NEWTON_STEPS", 1)
     with pytest.raises(NotConverged):
-        solve_variational(ref_params, ref_problem, p=0.2, num=400)
+        solve_variational(ref_problem, p=0.2, num=400)
 
 
-def test_excited_state_has_one_node_and_higher_energy(ref_params,
-                                                      ref_problem,
+def test_excited_state_has_one_node_and_higher_energy(ref_problem,
                                                       ground_shoot):
-    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
-                                    node_target=1)
+    prof = solve_dirichlet_shooting(ref_problem, p=0.2, node_target=1)
     assert prof.data.node_count() == 1
     assert prof.energy > ground_shoot.energy
 
@@ -213,7 +210,7 @@ def test_excited_state_has_one_node_and_higher_energy(ref_params,
 def test_brent_root_meets_the_shooting_conditions(ground_shoot):
     prof = ground_shoot
     sup = np.max(np.abs(prof.data.v))
-    assert abs(prof.boundary_value) <= prof.meta["boundary_tol"] * sup
+    assert abs(prof.data.v[-1]) <= prof.meta["boundary_tol"] * sup
     assert prof.data.node_count() == 0
     # K0 of the same solve by node-count bisection to 1e-15 in K
     assert prof.K0 == pytest.approx(7116.944437322512, rel=1e-7)
@@ -230,11 +227,10 @@ def test_cold_solve_shoot_count(ground_shoot):
     assert meta["rhs_evals"] == 8169
 
 
-def test_solver_counters_repeat_exactly(ref_params, ref_problem,
-                                        ground_shoot):
+def test_solver_counters_repeat_exactly(ref_problem, ground_shoot):
     keys = ("shoots", "shoots_walk", "shoots_bisect", "shoots_brent",
             "shoots_loose", "rhs_evals", "steps", "rejected_steps")
-    again = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2)
+    again = solve_dirichlet_shooting(ref_problem, p=0.2)
     counters = {key: ground_shoot.meta[key] for key in keys}
     assert counters == {key: again.meta[key] for key in keys}
     assert all(type(value) is int for value in counters.values())
@@ -253,15 +249,14 @@ def test_solve_profile_is_the_root_shoot(ref_params, ref_problem,
                                         ground_shoot, continuation):
     # the solve samples the trajectory of Brent's last shoot at 3000 radii,
     # bit for bit what a fresh shoot at that K gives
-    again = shoot(ref_params, ref_problem, ground_shoot.meta["K_shoot"],
-                  0.2, num=3000)
+    again = shoot(ref_problem, ground_shoot.meta["K_shoot"], 0.2, num=3000)
     for name in ("r", "v", "dv"):
         assert np.array_equal(getattr(ground_shoot.data, name),
                               getattr(again.data, name))
     # the nonlinear mass is the integral the energy already took
     for prof in continuation:
         d, n, s = prof.data, ref_params.n, ref_params.s
-        pf = critical_exponent(n, s) - prof.p_defect
+        pf = critical_exponent(n, s) - prof.params.p_defect
         mass = sphere_area(n) * spline_integral(
             np.log(d.r),
             ref_problem.b(d.r) * np.abs(d.v) ** pf * d.r ** (n - s))
@@ -276,12 +271,12 @@ def test_step_ends_give_the_sampled_bracket_data(n, s):
     # samples of the same integration
     params = ProblemParams(n=n, s=s, gamma=-2.0, lam=10.0)
     problem = EuclideanProblem(params, domain_radius=0.5)
-    r0, R = 1e-5 * 0.5, 0.5
+    r0 = 1e-5 * 0.5
     counts = set()
     for p in (0.0, 0.5 * (critical_exponent(n, s) - 2.0)):
         for K in np.geomspace(1e-2, 1e12, 29).tolist():
-            ends = shoot(params, problem, K, p, num=None)
-            sampled = solver._sampled(ends.trajectory, params, K, p, r0, R,
+            ends = shoot(problem, K, p, num=None)
+            sampled = solver._sampled(ends.trajectory, problem, K, p, r0,
                                       1200)
             (v, sup), (w, wsup) = ((prof.data.v, np.max(np.abs(prof.data.v)))
                                    for prof in (ends, sampled))
@@ -306,9 +301,8 @@ def test_loose_shoots_outside_the_band_give_the_bracket_data(n, s):
     outside = 0
     for p in (0.0, 0.5 * (critical_exponent(n, s) - 2.0)):
         for K in np.geomspace(1e-2, 1e12, 29).tolist():
-            loose = shoot(params, problem, K, p, num=None,
-                          rtol=solver._BRACKET_RTOL)
-            tight = shoot(params, problem, K, p, num=1200)
+            loose = shoot(problem, K, p, num=None, rtol=solver._BRACKET_RTOL)
+            tight = shoot(problem, K, p, num=1200)
             (v, sup), (w, wsup) = ((prof.data.v, np.max(np.abs(prof.data.v)))
                                    for prof in (loose, tight))
             assert abs(v[-1] - w[-1]) < 0.1 * solver._REDO_BAND * wsup
@@ -321,16 +315,16 @@ def test_loose_shoots_outside_the_band_give_the_bracket_data(n, s):
     assert outside >= 45
 
 
-def test_a_loose_shoot_near_the_root_is_shot_again(ref_params, ref_problem,
-                                                   ground_shoot, monkeypatch):
+def test_a_loose_shoot_near_the_root_is_shot_again(ref_problem, ground_shoot,
+                                                   monkeypatch):
     # a walk that starts on the root: its loose first shoot reads v(R)/sup
     # inside the band and is shot again at the solve's rtol, which reads 0,
     # so Brent returns that shoot; both integrations are counted
     calls = []
     monkeypatch.setattr(solver, "shoot", lambda *args, **kw: (
-        calls.append((args[2], kw["rtol"])) or shoot(*args, **kw)))
+        calls.append((args[1], kw["rtol"])) or shoot(*args, **kw)))
     K = ground_shoot.meta["K_shoot"]
-    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2, K_start=K)
+    prof = solve_dirichlet_shooting(ref_problem, p=0.2, K_start=K)
     assert calls[:2] == [(K, solver._BRACKET_RTOL), (K, 1e-11)]
     assert prof.meta["K_shoot"] == K and prof.K0 == ground_shoot.K0
     assert prof.meta["shoots"] == len(calls) == 3
@@ -339,20 +333,20 @@ def test_a_loose_shoot_near_the_root_is_shot_again(ref_params, ref_problem,
             ("walk", "bisect", "brent")] == [3, 0, 0]
 
 
-def test_a_bracket_shoot_builds_no_interpolant(ref_params, ref_problem):
+def test_a_bracket_shoot_builds_no_interpolant(ref_problem):
     # sampled at its step ends a shoot makes 2 start evaluations and 12
     # per attempt; its first sampling adds 3 per accepted step, for rows
     # equal to _dense on the kept stage values, here through a fresh RHS
-    prof = shoot(ref_params, ref_problem, 7116.94, 0.2, num=None)
+    prof = shoot(ref_problem, 7116.94, 0.2, num=None)
     sol = prof.trajectory
     assert prof.meta["rhs_evals"] == sol.nfev == \
         2 + 12 * (sol.steps + sol.rejected)
     assert np.array_equal(prof.data.r, np.exp(sol.ts))
     assert np.array_equal(prof.data.v, sol.v_ends)
-    assert prof.boundary_value == sol.v_ends[-1]
-    solver._sampled(sol, ref_params, 7116.94, 0.2, 5e-6, 0.5, 1200)
+    assert prof.data.v[-1] == sol.v_ends[-1]
+    solver._sampled(sol, ref_problem, 7116.94, 0.2, 5e-6, 1200)
     assert sol.nfev == 2 + 15 * sol.steps + 12 * sol.rejected
-    rhs = solver._rhs_factory(ref_params, ref_problem, 0.2)
+    rhs = solver._rhs_factory(ref_problem, 0.2)
     rows = [ode._dense(rhs, *step) for step in sol._kept]
     assert np.array_equal(sol.pieces, np.array(rows))
     # each row starts at a step end
@@ -374,16 +368,15 @@ def test_continuation_shoot_total(continuation):
     assert sum(prof.meta["rhs_evals"] for prof in continuation) == 37662
 
 
-def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
-                                        ground_shoot):
+def test_walk_clamps_onto_the_range_end(ref_problem, ground_shoot):
     # from K = 1 the walk reaches 316; its next step (to 10^{31/6}) is
     # clamped onto the range end, which lies above the root (K ~ 7117)
-    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
+    prof = solve_dirichlet_shooting(ref_problem, p=0.2,
                                     K_range=(1e-4, 8000.0), K_start=1.0)
     assert prof.K0 == pytest.approx(ground_shoot.K0, rel=1e-7)
     # a range that ends below the root still has no bracket
     with pytest.raises(BracketNotFound) as err:
-        solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
+        solve_dirichlet_shooting(ref_problem, p=0.2,
                                  K_range=(1e-4, 5000.0), K_start=1.0)
     assert max(err.value.node_counts) == pytest.approx(5000.0)
     assert set(err.value.node_counts.values()) == {0}
@@ -391,12 +384,12 @@ def test_walk_clamps_onto_the_range_end(ref_params, ref_problem,
 
 
 @pytest.mark.parametrize("K_start", [7.0, 7.0e6])
-def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
-                                                     ground_shoot, K_start):
-    prof = solve_dirichlet_shooting(ref_params, ref_problem, p=0.2,
+def test_warm_start_three_decades_off_finds_the_root(ref_problem, ground_shoot,
+                                                     K_start):
+    prof = solve_dirichlet_shooting(ref_problem, p=0.2,
                                     K_range=(1e-4, 1e8), K_start=K_start)
     assert prof.K0 == pytest.approx(ground_shoot.K0, rel=1e-7)
-    assert prof.node_count == 0
+    assert prof.data.node_count() == 0
     # walk, bisect, Brent: from K = 7 the walk's last step jumps from 0 to
     # 2 nodes, and one bisection narrows the bracket
     split = [prof.meta[f"shoots_{phase}"] for phase in
@@ -405,15 +398,15 @@ def test_warm_start_three_decades_off_finds_the_root(ref_params, ref_problem,
     assert sum(split) == prof.meta["shoots"]
 
 
-def test_continuation_walk_clamps_onto_the_range_end(ref_params,
-                                                     ref_problem):
+def test_continuation_walk_clamps_onto_the_range_end(ref_problem):
     # the walk for p = 0.1 steps from K ~ 7117 to 4849, then is clamped
     # onto the range's lower end 2300, below the root (K ~ 2633); the cold
     # solve walks up from the clamped estimate to the same root
-    seq = continuation_to_critical(ref_params, ref_problem,
-                                   ContinuationSchedule((0.2, 0.1)),
-                                   K_range=(2300.0, 1e6))
-    cold = solve_dirichlet_shooting(ref_params, ref_problem, p=0.1,
+    seq = continuation_to_critical(
+        ref_problem, ContinuationSchedule((0.2, 0.1)),
+        lambda p, K_start: solve_dirichlet_shooting(
+            ref_problem, p, K_range=(2300.0, 1e6), K_start=K_start))
+    cold = solve_dirichlet_shooting(ref_problem, p=0.1,
                                     K_range=(2300.0, 1e6))
     assert len(seq) == 2
     assert seq[1].K0 == pytest.approx(cold.K0, rel=1e-7)
@@ -423,7 +416,7 @@ def test_not_coercive_raises_before_shooting():
     # at gamma = 2.2 the principal eigenvalue of the form is about -0.18
     params = ProblemParams(n=5, s=1.0, gamma=2.2, lam=10.0)
     with pytest.raises(NotCoercive) as err:
-        solve_dirichlet_shooting(params, EuclideanProblem(params), p=0.03)
+        solve_dirichlet_shooting(EuclideanProblem(params), p=0.03)
     assert err.value.shoots == 0
 
 
@@ -439,7 +432,7 @@ def test_not_coercive_verdict_is_kept(monkeypatch):
     monkeypatch.setattr(solver, "shoot", None)
     for p in (0.03, 0.01):
         with pytest.raises(NotCoercive) as err:
-            solve_dirichlet_shooting(params, problem, p=p)
+            solve_dirichlet_shooting(problem, p=p)
         assert err.value.shoots == 0
     assert counts == [-1e-3]
 
@@ -452,8 +445,8 @@ def test_continuation_counts_the_pencil_once(ref_params, monkeypatch):
     monkeypatch.setattr(bridge, "_count_eigs_below", lambda *args: (
         counts.append(args[0]) or count_eigs_below(*args)))
     schedule = ContinuationSchedule((0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0))
-    profiles = continuation_to_critical(
-        ref_params, EuclideanProblem(ref_params, domain_radius=0.5), schedule)
+    problem = EuclideanProblem(ref_params, domain_radius=0.5)
+    profiles = continuation_to_critical(problem, schedule, warm(problem))
     assert len(profiles) == 7
     assert counts == [-1e-3]
 
@@ -466,7 +459,7 @@ def test_inline_b_rhs_is_the_generic_rhs_bit_for_bit(ref_params, rng):
     # and descending
     R, p = 0.5, 0.2
     paper = EuclideanProblem(ref_params, domain_radius=R)
-    inline = solver._rhs_factory(ref_params, paper, p)
+    inline = solver._rhs_factory(paper, p)
     assert "knots" in inline.__code__.co_freevars
     n, gamma, s = ref_params.n, ref_params.gamma, ref_params.s
     expo = critical_exponent(n, s) - 2.0 - p
@@ -499,22 +492,21 @@ def test_defect_checked_at_solver_entry(n, s, p):
     params = ProblemParams(n=n, s=s, gamma=-2.0, lam=10.0)
     for solve in (solve_dirichlet_shooting, solve_variational):
         with pytest.raises(AdmissibilityError):
-            solve(params, EuclideanProblem(params), p=p)
+            solve(EuclideanProblem(params), p=p)
 
 
 def test_bracket_not_found_reports_counts():
     params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
     prob = EuclideanProblem(params)
     with pytest.raises(BracketNotFound) as err:
-        solve_dirichlet_shooting(params, prob, p=0.2, node_target=50,
+        solve_dirichlet_shooting(prob, p=0.2, node_target=50,
                                  K_range=(1e-2, 1e0))
     assert err.value.node_counts
 
 
-def test_continuation_single_step_matches_direct(ref_params, ref_problem,
-                                                 ground_shoot):
-    seq = continuation_to_critical(ref_params, ref_problem,
-                                   ContinuationSchedule((0.2,)))
+def test_continuation_single_step_matches_direct(ref_problem, ground_shoot):
+    seq = continuation_to_critical(ref_problem, ContinuationSchedule((0.2,)),
+                                   warm(ref_problem))
     assert len(seq) == 1
     assert seq[0].energy == pytest.approx(ground_shoot.energy, rel=1e-10)
 

@@ -2,7 +2,6 @@
 inequalities, and exponent extraction."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,32 +19,32 @@ from hardyball.verify import (VerificationError, VerificationReport,
                               hardy_sharpness_error, hardy_sobolev_check,
                               pohozaev_residual)
 
+from conftest import ConstStub
+
 
 # ---------------------------------------------------------------- Pohozaev
 
 def test_constant_profile_balances_exactly():
     # gamma = 0, h0 = 0 (lam = 3.75), b = 0, v = 1: every term vanishes
     # identically
-    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75)
+    params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75, p_defect=0.2)
     prob = EuclideanProblem(params, domain_radius=0.5, b_scale=0.0)
     r = np.geomspace(1e-4, 0.5, 600)
     prof = SolutionProfile(
         data=ProfileData(r=r, v=np.ones_like(r), dv=np.zeros_like(r)),
-        params=params, p_defect=0.2, K0=1.0, node_count=0, energy=0.0,
-        residual_norm=0.0, boundary_value=1.0)
+        params=params, K0=1.0, energy=0.0, residual_norm=0.0)
     br = pohozaev_residual(prof, prob, (1e-3, 0.4), use_jet=False)
     for name in ("h_term", "p_defect_term", "grad_b_term",
                  "flux_outer", "flux_inner", "total"):
         assert getattr(br, name) == 0.0
 
 
-def test_ground_state_residual_and_refinement(ref_params, ref_problem,
-                                              ground_shoot):
+def test_ground_state_residual_and_refinement(ref_problem, ground_shoot):
     K = ground_shoot.meta["K_shoot"]
     rels = []
     for num in (400, 800, 1600):
-        prof = shoot(ref_params, ref_problem, K, 0.2, num=num,
-                     rtol=1e-13, atol_scale=1e-15)
+        prof = shoot(ref_problem, K, 0.2, num=num, rtol=1e-13,
+                     atol_scale=1e-15)
         br = pohozaev_residual(prof, ref_problem, (5e-4, 0.5))
         rels.append(br.relative)
     assert rels[0] <= 1e-4
@@ -53,26 +52,11 @@ def test_ground_state_residual_and_refinement(ref_params, ref_problem,
     assert rels[1] / rels[2] >= 8.0
 
 
-@dataclass
-class _ConstStub:
-    """Whole-space problem with a flat weight and no linear potential."""
-    b0: float
-    params: ProblemParams
-    h0: float = 0.0
-
-    def b(self, r):
-        return self.b0 + 0.0 * np.asarray(r)
-
-    def b_radial_slope(self, r):
-        return 0.0 * np.asarray(r)
-
-
 def test_bubble_residual_small(bubble):
     params = ProblemParams(n=5, s=1.0, gamma=-2.0)
-    prof = SolutionProfile(data=bubble.data, params=params, p_defect=0.0,
-                           K0=bubble.K_minus, node_count=0, energy=1.0,
-                           residual_norm=0.0, boundary_value=bubble.data.v[-1])
-    br = pohozaev_residual(prof, _ConstStub(bubble.b0, params), (1e-2, 1e2),
+    prof = SolutionProfile(data=bubble.data, params=params, K0=bubble.K_minus,
+                           energy=1.0, residual_norm=0.0)
+    br = pohozaev_residual(prof, ConstStub(bubble.b0, params), (1e-2, 1e2),
                            use_jet=False)
     assert br.relative <= 1e-4
     assert br.grad_b_term == 0.0
@@ -175,8 +159,7 @@ def _power_profile(expo):
     params = ProblemParams(n=5, s=1.0, gamma=-2.0)
     return SolutionProfile(
         data=ProfileData(r=r, v=r ** expo, dv=expo * r ** (expo - 1.0)),
-        params=params, p_defect=0.0, K0=1.0, node_count=0, energy=1.0,
-        residual_norm=0.0, boundary_value=r[-1] ** expo)
+        params=params, K0=1.0, energy=1.0, residual_norm=0.0)
 
 
 @pytest.mark.parametrize("expo", [-1.3, -0.5616, 0.0, 0.7])
