@@ -29,34 +29,24 @@ class FamilyError(ValueError):
 class BubbleFamily:
     """A stack of concentration scales.
 
-    mu: increasing positive scales; t_limits[i] in (0, 1] approximates
-    lim mu_i^p, p the defect of params."""
+    mu: increasing positive scales; t_limits[i] = mu_i^p, clipped to
+    [1e-300, 1], approximates lim mu_i^p, p the defect of params."""
 
     mu: np.ndarray
-    t_limits: np.ndarray
     params: ProblemParams
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
-        self.t_limits = np.asarray(self.t_limits, dtype=float)
-        if len(self.mu) != len(self.t_limits):
-            raise FamilyError("mu and t_limits must have equal length")
         if len(self.mu) and (np.any(self.mu <= 0)
                              or np.any(np.diff(self.mu) <= 0)):
             raise FamilyError("scales must be positive and increasing")
-        if len(self.mu) and (np.any(self.t_limits <= 0.0)
-                             or np.any(self.t_limits > 1.0)):
-            raise FamilyError("t limits must lie in (0, 1]")
 
     def __len__(self) -> int:
         return len(self.mu)
 
-    @classmethod
-    def from_scales(cls, mu, params: ProblemParams) -> "BubbleFamily":
-        """Build the family from raw scales; t_i is estimated by mu_i^p."""
-        mu = np.asarray(mu, dtype=float)
-        t = np.clip(mu ** params.p_defect, 1e-300, 1.0)
-        return cls(mu=mu, t_limits=t, params=params)
+    @property
+    def t_limits(self) -> np.ndarray:
+        return np.clip(self.mu ** self.params.p_defect, 1e-300, 1.0)
 
 
 @dataclass
@@ -94,10 +84,7 @@ def detect_scales(u: SolutionProfile) -> list:
             kept.append(i)
     out = []
     for i in kept:
-        amp = abs(u.data.v[i])
-        if amp <= 0.0:
-            continue
-        mu = amp ** (-2.0 / (n - 2.0))
+        mu = abs(u.data.v[i]) ** (-2.0 / (n - 2.0))
         k = mu ** (1.0 - p / (q - 2.0))
         if not 0.1 <= r[i] / k <= 10.0:
             continue
@@ -204,14 +191,14 @@ def rate_formula(params: ProblemParams, family: BubbleFamily,
     n, s = params.n, params.s
     q = critical_exponent(n, s)
     b0 = b_origin(n, s)
-    tN = family.t_limits[-1]
+    t = family.t_limits
     num = bubble_integrals[-1]["sq_mass"]
-    den = sum(b0 / family.t_limits[i] ** ((n - 2.0) / (q - 2.0))
+    den = sum(b0 / t[i] ** ((n - 2.0) / (q - 2.0))
               * bubble_integrals[i]["crit_mass"]
               for i in range(len(family)))
     if den <= 0.0:
         raise FamilyError("degenerate critical mass in the rate formula")
-    return (-h_origin(params) / tN ** (n / (q - 2.0))
+    return (-h_origin(params) / t[-1] ** (n / (q - 2.0))
             * 4.0 * (n - s) / (n - 2.0) ** 2 * num / den)
 
 

@@ -5,7 +5,6 @@ and an exactness check of the correspondence."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +72,8 @@ class EuclideanProblem:
     b_scale: float = 1.0
 
     h0: float = field(init=False)
-    _b_spline: CubicSpline = field(default=None, init=False, repr=False,
-                                   compare=False)
-    _b_table: tuple = field(default=None, init=False, repr=False,
-                            compare=False)
+    _b_spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _b_table: tuple = field(init=False, repr=False, compare=False)
     _coercive: bool = field(default=None, init=False, repr=False,
                             compare=False)
 
@@ -87,17 +84,16 @@ class EuclideanProblem:
         if not (0.0 < self.domain_radius < 1.0):
             raise DomainError("domain radius must lie in (0, 1)")
         self.h0 = h_origin(self.params)
+        t = np.linspace(math.log(1e-8), math.log(self.domain_radius), 400)
+        self._b_spline = CubicSpline(
+            t, self.b_scale * b_weight(np.exp(t), self.params.n,
+                                       self.params.s))
+        self._b_table = (self._b_spline.x.tolist(),
+                         *self._b_spline.c.tolist())
 
     def b_table(self):
         """The b table in plain floats: its knots in log r, then per
         interval the coefficients of d^3, d^2, d and 1 (d from its knot)."""
-        if self._b_table is None:
-            t = np.linspace(math.log(1e-8), math.log(self.domain_radius), 400)
-            vals = self.b_scale * b_weight(np.exp(t), self.params.n,
-                                           self.params.s)
-            self._b_spline = CubicSpline(t, vals)
-            self._b_table = (self._b_spline.x.tolist(),
-                             *self._b_spline.c.tolist())
         return self._b_table
 
     def coercive(self) -> bool:
@@ -109,21 +105,12 @@ class EuclideanProblem:
         return self._coercive
 
     def b(self, r):
-        knots, c0, c1, c2, c3 = self.b_table()
-        if isinstance(r, float):
-            # the spline's own evaluation in plain floats: the end pieces
-            # extrapolate, c3 + c2 d + c1 d^2 + c0 d^3 in order
-            t = math.log(r)
-            i = bisect_right(knots, t, 1, len(knots) - 1) - 1
-            d = t - knots[i]
-            d2 = d * d
-            return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+        """b at the radii r, a float for a float."""
         out = self._b_spline(np.log(np.asarray(r, dtype=float)))
         return float(out) if np.ndim(out) == 0 else out
 
     def b_radial_slope(self, r):
         r = np.asarray(r, dtype=float)
-        self.b_table()
         out = self._b_spline(np.log(r), 1) / r
         return float(out) if np.ndim(out) == 0 else out
 

@@ -1,9 +1,9 @@
 """Command-line entry point: configuration ingestion, run orchestration,
 deterministic persistence, and sweep parallelism.
 
-Only the commands that shoot (solve, continue, bubble, sweep) import the
-solver, and only those that audit (blowup, verify, sweep) import their
-module; no command loads scipy.
+Only the commands that solve (solve, continue, sweep) import the solver
+and its integrator, and only those that audit (blowup, verify, sweep)
+import their module; no command loads scipy.
 
 Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 3 solver failure."""
@@ -32,7 +32,7 @@ from .constants import (AdmissibilityError, ProblemParams, admissibility,
                         exponent_set)
 from .grids import ProfileData
 from .kernel import green_density, green_G, sphere_area, weight_V_p
-from .profiles import SolutionProfile, SolverError
+from .profiles import EntireBubble, SolutionProfile, SolverError
 
 __version__ = "0.1.0"
 
@@ -314,7 +314,6 @@ def _sidecar(stem: str, profile: SolutionProfile,
         "energy": profile.energy,
         "residual_norm": profile.residual_norm,
         "boundary_value": d.v[-1],
-        "diverged": profile.diverged,
         "meta": {k: v for k, v in profile.meta.items()
                  if isinstance(v, (int, float, str, bool))},
         "domain_radius": problem.domain_radius,
@@ -351,7 +350,7 @@ def read_profile(outdir: str, stem: str) -> tuple:
         data=data, params=params, K0=doc["K0"], energy=doc["energy"],
         residual_norm=(doc["residual_norm"]
                        if doc["residual_norm"] is not None else math.nan),
-        diverged=doc["diverged"], meta=dict(doc.get("meta", {})))
+        meta=dict(doc.get("meta", {})))
     return prof, problem
 
 
@@ -416,6 +415,9 @@ def _solve_one(cfg: dict, problem: EuclideanProblem, p: float,
     from .solver import solve_dirichlet_shooting, solve_variational
     sol = cfg["solver"]
     if sol["method"] == "variational":
+        if sol["node_target"] != 0:
+            raise ConfigError("solver.node_target must be 0 for the "
+                              "variational method (ground states only)")
         return solve_variational(problem, p, r0=sol["r0"],
                                  num=sol["grid_num"])
     return solve_dirichlet_shooting(
@@ -435,14 +437,12 @@ def cmd_solve(cfg: dict, args) -> int:
 
 
 def cmd_bubble(cfg: dict, args) -> int:
-    from .solver import solve_limit_equation
     params = make_params(cfg)
-    bub = solve_limit_equation(params.n, params.s, params.gamma,
-                               b_origin(params.n, params.s),
-                               decades=cfg["solver"]["bubble_decades"])
+    bub = EntireBubble(params.n, params.s, params.gamma,
+                       b_origin(params.n, params.s),
+                       cfg["solver"]["bubble_decades"])
     doc = {"n": bub.n, "s": bub.s, "gamma": bub.gamma, "b0": bub.b0,
-           "K_minus": bub.K_minus, "K_plus": bub.K_plus,
-           "psi_peak": bub.psi_peak}
+           "K_minus": bub.K, "K_plus": bub.K, "psi_peak": bub.psi_peak}
     d = bub.data
     table = csv_text(("r", "v", "dv"), np.column_stack((d.r, d.v, d.dv)))
     return emit(cfg, args, {"bubble.csv": table, "bubble.json": doc}, doc)
@@ -492,8 +492,7 @@ def cmd_blowup(cfg: dict, args) -> int:
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}
     if scales:
-        fam = blowup_mod.BubbleFamily.from_scales([mu for mu, _ in scales],
-                                                  last.params)
+        fam = blowup_mod.BubbleFamily([mu for mu, _ in scales], last.params)
         rep = blowup_mod.envelope_check(last, fam)
         verdict["envelope_constant"] = rep.worst_ratio
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),

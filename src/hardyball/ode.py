@@ -177,8 +177,7 @@ class _Trajectory:
     def __call__(self, t):
         """(v, w) at the times t, in one vectorised pass (as OdeSolution)."""
         t = np.asarray(t, dtype=float)
-        sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
-        seg = np.searchsorted(sign * self.ts, sign * t) - 1
+        seg = np.searchsorted(self.ts, t) - 1
         p = self.pieces[np.clip(seg, 0, len(self.pieces) - 1)]
         x = (t - p[:, 0]) / p[:, 1]
         return (_interpolate(x, p[:, 4:11].T, p[:, 2]),
@@ -186,18 +185,17 @@ class _Trajectory:
 
 
 def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
-    """Integrate from (v0, w0) at t0 to t1, forward or backward.  Stop where
-    |v| reaches ``guard`` (on the step's interpolant) or, as scipy does, when
+    """Integrate from (v0, w0) at t0 forward to t1 > t0.  Stop where |v|
+    reaches ``guard`` (on the step's interpolant) or, as scipy does, when
     the step falls below 10 ulp of t (short of t1, not diverged)."""
-    d = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
+    span = t1 - t0
     fv, fw = rhs(t0, v0, w0)
     # the initial step of scipy's select_initial_step (RMS norms)
     sv, sw = atol + abs(v0) * rtol, atol + abs(w0) * rtol
     d0 = math.sqrt(((v0 / sv) ** 2 + (w0 / sw) ** 2) / 2.0)
     d1 = math.sqrt(((fv / sv) ** 2 + (fw / sw) ** 2) / 2.0)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    gv, gw = rhs(t0 + h0 * d, v0 + h0 * d * fv, w0 + h0 * d * fw)
+    gv, gw = rhs(t0 + h0, v0 + h0 * fv, w0 + h0 * fw)
     d2 = math.sqrt((((gv - fv) / sv) ** 2 + ((gw - fw) / sw) ** 2) / 2.0) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else
           (0.01 / max(d1, d2)) ** (1.0 / 8.0))
@@ -205,16 +203,13 @@ def _dop853(rhs, t0, t1, v0, w0, rtol, atol, guard=math.inf):
 
     t, v, w, ends, kept, guard_row = t0, v0, w0, [(t0, v0, w0)], [], []
     nfev, steps, rejected = 2, 0, 0
-    while d * (t - t1) < 0.0 and not guard_row:
-        min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
+    while t < t1 and not guard_row:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False
         while h_abs >= min_step:
-            t_new = t + h_abs * d
-            if d * (t_new - t1) > 0.0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
             try:
                 vs, ws, e5v, e5w, e3v, e3w, ks = _attempt(rhs, t, h, v, w,
                                                           fv, fw)

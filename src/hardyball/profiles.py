@@ -1,6 +1,7 @@
 """Solution records and solver errors: the solutions the solvers return
-and the audits, the blow-up lab and the CLI read, free of the integrator
-so that reading a stored profile does not load the solver."""
+and the audits, the blow-up lab and the CLI read, and the entire-space
+bubble in closed form, free of the integrator so that reading a stored
+profile or building the bubble does not load the solver."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ProblemParams, critical_exponent
+from .constants import ProblemParams, beta_pm, critical_exponent
 from .grids import ProfileData
 
 
@@ -46,7 +47,6 @@ class SolutionProfile:
     K0: float
     energy: float
     residual_norm: float
-    diverged: bool = False
     meta: dict = field(default_factory=dict)
     # kept in memory only, never written: a shoot's dense output, and the
     # nonlinear mass that a solve integrates with the energy
@@ -69,16 +69,36 @@ class EntireBubble:
     -Delta w - gamma w / r^2 = b0 w^{q-1} / r^s on (0, inf), in closed form
     [Catrina & Wang, CPAM 54 (2001)]:
     w(r) = r^{-(n-2)/2} psi_peak sech(alpha ln r)^{2/(q-2)}, with
-    alpha = sqrt(a) (q-2)/2 and a = (n-2)^2/4 - gamma.  data samples it;
-    w ~ K_minus r^{-beta_-} at 0 and w ~ K_plus r^{-beta_+} at infinity."""
+    alpha = sqrt(a) (q-2)/2 and a = (n-2)^2/4 - gamma.  data samples it,
+    with its exact derivative, at 4001 log-uniform radii over the given
+    decades, centred on r = 1, where r^{(n-2)/2} w peaks; w ~ K r^{-beta_-}
+    at 0 and w ~ K r^{-beta_+} at infinity, with one coefficient K."""
     n: int
     s: float
     gamma: float
     b0: float
-    K_minus: float
-    K_plus: float
-    psi_peak: float
-    data: ProfileData = None
+    decades: float
+    data: ProfileData = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        beta_pm(self.n, self.gamma)     # raises above the Hardy threshold
+        T_half = self.decades * math.log(10.0) / 2.0
+        r = np.exp(np.linspace(-T_half, T_half, 4001))
+        self.data = ProfileData(r, *self.at(r))
+
+    @property
+    def psi_peak(self) -> float:
+        """The peak of r^{(n-2)/2} w, at r = 1."""
+        q = critical_exponent(self.n, self.s)
+        nu = (self.n - 2.0) / 2.0
+        return ((nu * nu - self.gamma) * q / (2.0 * self.b0)) \
+            ** (1.0 / (q - 2.0))
+
+    @property
+    def K(self) -> float:
+        """The indicial coefficient at both ends: psi_peak 2^{2/(q-2)}."""
+        q = critical_exponent(self.n, self.s)
+        return self.psi_peak * 2.0 ** (2.0 / (q - 2.0))
 
     def at(self, r) -> tuple:
         """w and dw/dr = (w/r)(-(n-2)/2 - sqrt(a) tanh(alpha ln r)) at the

@@ -1,6 +1,6 @@
 """Radial solvers for the flat singular Dirichlet problem: outward shooting
 with a singular-endpoint jet, nodal targeting, a variational cross-check,
-subcritical continuation, and the entire-space limit profile."""
+and subcritical continuation."""
 
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from .grids import (GridError, ProfileData, _sign_changes,
 from .kernel import sphere_area
 from .ode import _brent, _dop853
 # the records and errors, re-exported for the solver's callers
-from .profiles import (BracketNotFound, EntireBubble,  # noqa: F401
-                       NotCoercive, NotConverged, SolutionProfile,
-                       SolverError, weighted_profile)
+from .profiles import (BracketNotFound, NotCoercive,  # noqa: F401
+                       NotConverged, SolutionProfile, SolverError,
+                       weighted_profile)
 
 # solve_variational's fixed count of projected descent steps, and its cap
 # on the Newton steps that follow them
@@ -124,7 +124,7 @@ def _sampled(sol, problem: EuclideanProblem, K: float, p: float, r0: float,
     return SolutionProfile(
         data=ProfileData(r=r, v=v, dv=vt / r),
         params=replace(problem.params, p_defect=p), K0=K, energy=math.nan,
-        residual_norm=math.nan, diverged=sol.diverged, trajectory=sol,
+        residual_norm=math.nan, trajectory=sol,
         meta={"r0": r0, "R": problem.domain_radius, "rhs_evals": sol.nfev,
               "steps": sol.steps, "rejected_steps": sol.rejected})
 
@@ -442,22 +442,3 @@ def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:
     return float(np.max(np.abs(a.data.v - b.data.v))
                  / max(np.max(np.abs(a.data.v)), np.max(np.abs(b.data.v))))
 
-
-def solve_limit_equation(n: int, s: float, gamma: float,
-                         b0: float, decades: float = 6.0) -> EntireBubble:
-    """Entire positive radial profile connecting the two indicial branches,
-    sampled with its exact derivative (EntireBubble.at) at 4001
-    log-uniform radii over the given decades, centred on r = 1, where
-    r^{(n-2)/2} w peaks.  The indicial coefficients are the exact limits
-    K_- = K_+ = psi_peak 2^{2/(q-2)} of the closed form."""
-    beta_pm(n, gamma)                   # raises above the Hardy threshold
-    q = critical_exponent(n, s)
-    nu = (n - 2.0) / 2.0
-    psi_max = ((nu * nu - gamma) * q / (2.0 * b0)) ** (1.0 / (q - 2.0))
-    K = psi_max * 2.0 ** (2.0 / (q - 2.0))
-    bubble = EntireBubble(n=n, s=s, gamma=gamma, b0=b0, K_minus=K, K_plus=K,
-                          psi_peak=psi_max)
-    T_half = decades * math.log(10.0) / 2.0
-    r = np.exp(np.linspace(-T_half, T_half, 4001))
-    bubble.data = ProfileData(r, *bubble.at(r))
-    return bubble

@@ -85,17 +85,15 @@ def _flux(rho: float, u: float, du: float, problem: EuclideanProblem,
 
 
 def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
-                      annulus: tuple,
-                      use_jet: bool = None) -> PohozaevBreakdown:
+                      annulus: tuple) -> PohozaevBreakdown:
     """Evaluate every term of the annulus momentum identity for a radial
     profile and return the breakdown.
 
     The annulus endpoints are snapped to the nearest grid nodes so that
     every term is built from exact samples (the identity holds on any
     annulus); the relative residual is normalized by the largest
-    cancellation-free term magnitude.  Near the singular end the inner
-    flux can optionally be taken from the leading jet instead of the
-    sampled derivative."""
+    cancellation-free term magnitude.  Both fluxes are read from the
+    samples."""
     a, b_out = annulus
     params = v.params
     n, s = params.n, params.s
@@ -130,14 +128,7 @@ def pohozaev_residual(v: SolutionProfile, problem: EuclideanProblem,
         b_vals * np.abs(u) ** pf / r ** s)
     grad_b_term = -(1.0 / pf) * vol(bs_vals * r * np.abs(u) ** pf / r ** s)
 
-    if use_jet is None:
-        use_jet = a < 10.0 * d.r[0]
-    if use_jet:
-        from .solver import frobenius_init  # only the jet needs the solver
-        u_a, du_a = frobenius_init(problem, v.K0, a)
-    else:
-        u_a, du_a = float(u[0]), float(du[0])
-    flux_inner, mag_inner = _flux(a, u_a, du_a, problem, pf)
+    flux_inner, mag_inner = _flux(a, float(u[0]), float(du[0]), problem, pf)
     flux_outer, mag_outer = _flux(b_out, float(u[-1]), float(du[-1]),
                                   problem, pf)
 

@@ -10,9 +10,9 @@ import pytest
 
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import ProblemParams
+from hardyball.profiles import EntireBubble
 from hardyball.solver import (ContinuationSchedule, continuation_to_critical,
-                              solve_dirichlet_shooting, solve_limit_equation,
-                              solve_variational)
+                              solve_dirichlet_shooting, solve_variational)
 
 REF = dict(n=5, s=1.0, gamma=-2.0, lam=10.0)
 
@@ -63,9 +63,8 @@ def ground_var(ref_problem):
 @pytest.fixture(scope="session")
 def bubble(ref_params):
     """Entire-space limit profile over ten decades."""
-    return solve_limit_equation(ref_params.n, ref_params.s, ref_params.gamma,
-                                b_origin(ref_params.n, ref_params.s),
-                                decades=10.0)
+    return EntireBubble(ref_params.n, ref_params.s, ref_params.gamma,
+                        b_origin(ref_params.n, ref_params.s), decades=10.0)
 
 
 @pytest.fixture(scope="session")

@@ -145,9 +145,9 @@ def test_criterion_06_pohozaev_identity(ref_problem, ground_shoot, bubble):
     assert rels[0] / rels[1] >= 8.0 and rels[1] / rels[2] >= 8.0
     params = ProblemParams(n=5, s=1.0, gamma=-2.0)
     bprof = SolutionProfile(data=bubble.data, params=params,
-                            K0=bubble.K_minus, energy=1.0, residual_norm=0.0)
+                            K0=bubble.K, energy=1.0, residual_norm=0.0)
     bres = pohozaev_residual(bprof, ConstStub(bubble.b0, params),
-                             (1e-2, 1e2), use_jet=False)
+                             (1e-2, 1e2))
     assert bres.relative <= 1e-4
     _report(6, "annulus momentum identity")
 
@@ -191,7 +191,7 @@ def test_criterion_09_blowup_machinery(ref_params, bubble):
     assert len(got2) == 2
     assert got2[0][0] == pytest.approx(1e-4, rel=0.10)
     assert got2[1][0] == pytest.approx(1e-2, rel=0.10)
-    fam = blowup_mod.BubbleFamily.from_scales([1e-3], ref_params)
+    fam = blowup_mod.BubbleFamily([1e-3], ref_params)
     rep = blowup_mod.envelope_check(one, fam)
     assert 0.0 < rep.worst_ratio < math.inf
     cal = blowup_mod.calibrated_bubble(bubble)
@@ -200,7 +200,7 @@ def test_criterion_09_blowup_machinery(ref_params, bubble):
     seq = []
     for mu in (1e-2, 1e-3, 1e-4):
         p = A * mu ** 2
-        seq.append((p, blowup_mod.BubbleFamily.from_scales(
+        seq.append((p, blowup_mod.BubbleFamily(
             [mu], replace(ref_params, p_defect=abs(p)))))
     out = blowup_mod.rate_check(seq, ref_params, [ints])
     assert out["applicable"]

@@ -25,16 +25,11 @@ def params():
 
 
 def test_family_invariants(params):
-    fam = BubbleFamily.from_scales([1e-4, 1e-2],
-                                   replace(params, p_defect=0.1))
+    fam = BubbleFamily([1e-4, 1e-2], replace(params, p_defect=0.1))
     assert len(fam) == 2
     assert np.all((fam.t_limits > 0.0) & (fam.t_limits <= 1.0))
     with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2, 1e-4], t_limits=[1.0, 1.0], params=params)
-    with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2], t_limits=[1.5], params=params)
-    with pytest.raises(FamilyError):
-        BubbleFamily(mu=[1e-2], t_limits=[1.0, 1.0], params=params)
+        BubbleFamily(mu=[1e-2, 1e-4], params=params)
 
 
 def test_detect_single_scale(params, bubble):
@@ -64,7 +59,7 @@ def test_envelope_on_single_bubble(params, bubble):
     radii = np.geomspace(1e-7, 0.5, 4000)
     mu = 1e-3
     prof = plant_bubbles(bubble, [mu], params, radii)
-    fam = BubbleFamily.from_scales([mu], params)
+    fam = BubbleFamily([mu], params)
     rep = envelope_check(prof, fam)
     bm, bp = beta_pm(5, -2.0)
     cal = calibrated_bubble(bubble)
@@ -78,7 +73,7 @@ def test_envelope_zero_profile(params):
     prof = SolutionProfile(
         data=ProfileData(r=r, v=np.zeros_like(r), dv=np.zeros_like(r)),
         params=params, K0=0.0, energy=0.0, residual_norm=0.0)
-    fam = BubbleFamily.from_scales([1e-3], params)
+    fam = BubbleFamily([1e-3], params)
     rep = envelope_check(prof, fam)
     assert rep.worst_ratio == 0.0
 
@@ -87,7 +82,7 @@ def test_envelope_bounded_along_continuation(continuation):
     # the constant stabilizes only once the defect is small
     consts = []
     for prof in continuation[-3:]:
-        fam = BubbleFamily.from_scales([1e-3], prof.params)
+        fam = BubbleFamily([1e-3], prof.params)
         consts.append(envelope_check(prof, fam).worst_ratio)
     assert max(consts) < 2.0 * min(consts)
 
@@ -104,7 +99,7 @@ def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
         p = A * mu ** 2
         # a blow-up family carries nonnegative defects only when A < 0
         # flips sign; here feed |p| and test pure recovery of the constant
-        fam = BubbleFamily.from_scales([mu], replace(params, p_defect=abs(p)))
+        fam = BubbleFamily([mu], replace(params, p_defect=abs(p)))
         seq.append((p, fam))
     rep = rate_check(seq, params, [integrals])
     assert rep["applicable"]
@@ -121,7 +116,7 @@ def test_rate_formula_sign_and_synthetic_recovery(params, bubble):
 def test_rate_formula_uses_only_last_scale_in_numerator(params, bubble):
     cal = calibrated_bubble(bubble)
     ints = bubble_weighted_integrals(cal, 5, 1.0)
-    fam = BubbleFamily.from_scales([1e-4, 1e-2], params)
+    fam = BubbleFamily([1e-4, 1e-2], params)
     base = rate_formula(params, fam, [ints, ints])
     # doubling the inner bubble's square mass must not move the rate
     inner_bumped = dict(ints)
@@ -134,14 +129,14 @@ def test_rate_formula_is_proportional_to_h_origin(params, bubble):
     # h(0) = 4 lam - 39 at n = 5, gamma = -2: 1 at lam = 10, 2 at 10.25,
     # 0 at the threshold 9.75 and -3 at 9
     ints = bubble_weighted_integrals(calibrated_bubble(bubble), 5, 1.0)
-    fam = BubbleFamily.from_scales([1e-3], params)
+    fam = BubbleFamily([1e-3], params)
     base = rate_formula(params, fam, [ints])
     for lam, h0 in ((10.25, 2.0), (9.75, 0.0), (9.0, -3.0)):
         other = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=lam)
         assert rate_formula(other, fam, [ints]) == pytest.approx(
             h0 * base, rel=1e-14, abs=0.0)
         # nonnegative defects contradict the formula only when h(0) > 0
-        seq = [(mu ** 2, BubbleFamily.from_scales(
+        seq = [(mu ** 2, BubbleFamily(
             [mu], replace(other, p_defect=mu ** 2))) for mu in (1e-2, 1e-3)]
         assert rate_check(seq, other,
                           [ints])["sign_contradiction"] is (h0 > 0.0)

@@ -62,8 +62,7 @@ def test_b_positive_and_flat_at_origin():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_b_float_path_matches_spline(n):
-    # a Python-float radius evaluates the b table's pieces in plain floats;
-    # it must give the spline's value (only numpy's log may differ by 1 ulp)
+    # a Python-float radius gives a float, the spline's value at it
     R = 0.5
     prob = EuclideanProblem(ProblemParams(n=n, s=1.0, gamma=-2.0, lam=10.0),
                             domain_radius=R)
@@ -77,8 +76,8 @@ def test_b_float_path_matches_spline(n):
 
 
 def test_b_same_bits_on_float_float64_and_array():
-    # the plain-float path serves floats and np.float64, from the first
-    # call on; the array path differs only where numpy's log does
+    # floats and np.float64 give floats, from the first call on, with the
+    # bits of the array path
     R = 0.5
     params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=10.0)
     r = np.geomspace(1e-9, R, 2001)

@@ -406,14 +406,19 @@ def test_sweep_imports_solver_before_the_pool(tmp_path):
     assert pools == []
 
 
-_AUDITS_AFTER_MAIN = """
+def _loaded_after_main(*modules):
+    """A script that runs the CLI and prints which of the modules it has
+    loaded."""
+    return f"""
 import json, sys
 from hardyball.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([m for m in ("hardyball.verify", "hardyball.blowup")
-                  if m in sys.modules]))
+print(json.dumps([m for m in {modules!r} if m in sys.modules]))
 sys.exit(code)
 """
+
+
+_AUDITS_AFTER_MAIN = _loaded_after_main("hardyball.verify", "hardyball.blowup")
 
 
 def test_only_the_audits_import_verify_and_blowup(tmp_path):
@@ -427,6 +432,37 @@ def test_only_the_audits_import_verify_and_blowup(tmp_path):
              for c in commands]
     finished = [(command, *_finish(proc)) for command, proc in procs]
     assert finished == [(command, 0, []) for command in commands]
+
+
+def test_only_the_solves_import_the_solver_and_ode(tmp_path):
+    # solve, continue and sweep integrate; the closed-form bubble and the
+    # audits of stored profiles, verify on an annulus inside 10 r0 among
+    # them, load neither the solver nor its integrator
+    script = _loaded_after_main("hardyball.solver", "hardyball.ode")
+    base = {"params": dict(REF_PARAMS),
+            "solver": {"grid_num": 200, "coercivity": True,
+                       "schedule": [0.05]},
+            "sweep": {"p_defect": [0.2]}}
+    cfg = _write_cfg(tmp_path / "run.json", base)
+    inner = _write_cfg(tmp_path / "inner.json", dict(
+        base, solver=dict(base["solver"], annulus=[1e-5, 0.25])))
+
+    def run(runs):
+        procs = [(c, _launch(script, [c, "--config", config, "--out",
+                                      str(tmp_path / out)]))
+                 for c, config, out in runs]
+        return [(command, *_finish(proc)) for command, proc in procs]
+
+    solves = (("solve", cfg, "solve"), ("continue", cfg, "continue"),
+              ("sweep", cfg, "sweep"))
+    assert run(solves) == [(command, 0, ["hardyball.solver", "hardyball.ode"])
+                           for command, *_ in solves]
+    # r0 = 1e-5 R = 5e-6, so the inner annulus starts at 2 r0
+    others = (("bubble", cfg, "bubble"), ("weights", cfg, "weights"),
+              ("bridge", cfg, "bridge"), ("constants", cfg, "constants"),
+              ("verify", cfg, "solve"), ("verify", inner, "solve"),
+              ("blowup", cfg, "continue"))
+    assert run(others) == [(command, 0, []) for command, *_ in others]
 
 
 def _check_manifest(out):
@@ -572,6 +608,16 @@ def test_constants_and_weights_and_bridge(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_constants_without_out_prints_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
+    monkeypatch.chdir(tmp_path)
+    assert main(["constants", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["n"] == 5 and doc["best_constant"]["value"] > 0.0
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_manifest_bytes_identical_across_reruns(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
     blobs = []
@@ -672,6 +718,47 @@ def test_continue_reads_the_solver_settings(tmp_path, ref_problem, capsys):
     assert capsys.readouterr().err == \
         "config error: solver.method must be shooting for continue\n"
     assert not (tmp_path / "variational").exists()
+
+
+def test_variational_solve_rejects_a_node_target(tmp_path, capsys):
+    # the variational method finds the ground state only
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"method": "variational", "node_target": 1}})
+    assert main(["solve", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: solver.node_target must be 0 for the variational "
+        "method (ground states only)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
+    # above K = 3000 the range holds p = 0.2's root but not p = 0.1's: the
+    # first step is written, marked with where and why the run stopped
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"schedule": [0.2, 0.1], "K_range": [3000, 1e6]}})
+    out = tmp_path / "out"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    summary = _json(out / "continuation.json")
+    assert summary["completed"] is False
+    assert [step["stem"] for step in summary["steps"]] == ["continuation_00"]
+    meta = _json(out / "continuation_00.json")["meta"]
+    assert meta["truncated_at"] == 1
+    assert meta["failure"].startswith("no node-count transition through 0")
+    assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
+    assert _json(out / "blowup.json")["verdict"] == "INCONCLUSIVE"
+    # a run whose first step fails has nothing to write
+    first = _write_cfg(tmp_path / "first.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"schedule": [0.1], "K_range": [3000, 1e6]}})
+    capsys.readouterr()
+    assert main(["continue", "--config", first,
+                 "--out", str(tmp_path / "first")]) == 3
+    assert capsys.readouterr().err == \
+        "solver failure: continuation produced no profiles\n"
+    assert not (tmp_path / "first").exists()
 
 
 def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):

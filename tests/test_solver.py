@@ -14,12 +14,12 @@ from hardyball.constants import (AdmissibilityError, ProblemParams, beta_pm,
 from hardyball.grids import (GridError, ProfileData, _sign_changes,
                              log_derivative_matrix_apply, spline_integral)
 from hardyball.kernel import sphere_area
+from hardyball.profiles import EntireBubble
 from hardyball.solver import (BracketNotFound, ContinuationSchedule,
                               NotCoercive, NotConverged,
                               continuation_to_critical,
                               dirichlet_norm_sq, frobenius_init, shoot,
-                              solve_dirichlet_shooting, solve_limit_equation,
-                              solve_variational)
+                              solve_dirichlet_shooting, solve_variational)
 from hardyball.verify import asymptotic_exponent
 
 from conftest import warm
@@ -565,7 +565,7 @@ def test_bubble_residual_converges_at_fourth_order():
     q = critical_exponent(n, s)
     res, dv_err = [], []
     for decades in (32.0, 16.0, 8.0):
-        d = solve_limit_equation(n, s, gamma, b0, decades=decades).data
+        d = EntireBubble(n, s, gamma, b0, decades=decades).data
         t = np.log(d.r)
         wt = log_derivative_matrix_apply(t, d.v)
         wtt = log_derivative_matrix_apply(t, wt)
@@ -583,13 +583,13 @@ def test_bubble_residual_converges_at_fourth_order():
 
 def test_bubble_indicial_limits_over_600_decades():
     # the closed form in log form samples r = 1e-300 without overflow, and
-    # w r^{beta_-} there is the exact indicial coefficient K_-
+    # w r^{beta_-} there is the exact indicial coefficient K
     n, s, gamma = 5, 1.0, -2.0
-    bub = solve_limit_equation(n, s, gamma, b_origin(n, s), decades=600.0)
+    bub = EntireBubble(n, s, gamma, b_origin(n, s), decades=600.0)
     bm, _ = beta_pm(n, gamma)
     d = bub.data
     assert d.r[0] < 1e-299
-    assert d.v[0] * d.r[0] ** bm == pytest.approx(bub.K_minus, rel=1e-12)
+    assert d.v[0] * d.r[0] ** bm == pytest.approx(bub.K, rel=1e-12)
 
 
 def test_bubble_tail_slopes_and_global_bound(bubble):

@@ -33,7 +33,7 @@ def test_constant_profile_balances_exactly():
     prof = SolutionProfile(
         data=ProfileData(r=r, v=np.ones_like(r), dv=np.zeros_like(r)),
         params=params, K0=1.0, energy=0.0, residual_norm=0.0)
-    br = pohozaev_residual(prof, prob, (1e-3, 0.4), use_jet=False)
+    br = pohozaev_residual(prof, prob, (1e-3, 0.4))
     for name in ("h_term", "p_defect_term", "grad_b_term",
                  "flux_outer", "flux_inner", "total"):
         assert getattr(br, name) == 0.0
@@ -54,10 +54,9 @@ def test_ground_state_residual_and_refinement(ref_problem, ground_shoot):
 
 def test_bubble_residual_small(bubble):
     params = ProblemParams(n=5, s=1.0, gamma=-2.0)
-    prof = SolutionProfile(data=bubble.data, params=params, K0=bubble.K_minus,
+    prof = SolutionProfile(data=bubble.data, params=params, K0=bubble.K,
                            energy=1.0, residual_norm=0.0)
-    br = pohozaev_residual(prof, ConstStub(bubble.b0, params), (1e-2, 1e2),
-                           use_jet=False)
+    br = pohozaev_residual(prof, ConstStub(bubble.b0, params), (1e-2, 1e2))
     assert br.relative <= 1e-4
     assert br.grad_b_term == 0.0
 
