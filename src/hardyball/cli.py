@@ -336,22 +336,19 @@ def _stored_json(outdir: str, name: str) -> dict:
 
 
 def read_profile(outdir: str, stem: str) -> tuple:
-    """Rebuild (SolutionProfile, EuclideanProblem) from a CSV + sidecar
+    """Rebuild (SolutionProfile, domain radius) from a CSV + sidecar
     written by an earlier command in the same directory: the samples give
     the node count and boundary value, the sidecar's params the defect."""
     doc = _stored_json(outdir, stem + ".json")
     _check_keys(doc["params"], _PARAM_KEYS, f"{stem}.json params")
     data = read_profile_csv(_stored(outdir, stem + ".csv"))
-    params = ProblemParams(**doc["params"])
-    problem = EuclideanProblem(params,
-                               domain_radius=doc.get("domain_radius",
-                                                     float(data.r[-1])))
     prof = SolutionProfile(
-        data=data, params=params, K0=doc["K0"], energy=doc["energy"],
+        data=data, params=ProblemParams(**doc["params"]), K0=doc["K0"],
+        energy=doc["energy"],
         residual_norm=(doc["residual_norm"]
                        if doc["residual_norm"] is not None else math.nan),
         meta=dict(doc.get("meta", {})))
-    return prof, problem
+    return prof, doc.get("domain_radius", float(data.r[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +446,12 @@ def cmd_bubble(cfg: dict, args) -> int:
 
 
 def cmd_continue(cfg: dict, args) -> int:
-    from .solver import ContinuationSchedule, continuation_to_critical
+    from .solver import continuation_to_critical
     if cfg["solver"]["method"] != "shooting":
         raise ConfigError("solver.method must be shooting for continue")
     params = make_params(cfg)
     problem = make_problem(cfg, params)
-    schedule = ContinuationSchedule(cfg["solver"]["schedule"])
+    schedule = cfg["solver"]["schedule"]
     profiles = continuation_to_critical(
         problem, schedule,
         lambda p, K_start: _solve_one(cfg, problem, p, K_start=K_start))
@@ -472,7 +469,7 @@ def cmd_continue(cfg: dict, args) -> int:
                       "h1_norm_sq": prof.meta.get("h1_norm_sq")})
     summary = {"params": params.as_dict(), "steps": steps,
                "domain_radius": problem.domain_radius,
-               "completed": len(profiles) == len(schedule.p_values)}
+               "completed": len(profiles) == len(schedule)}
     files["continuation.json"] = summary
     return emit(cfg, args, files,
                 {"steps": len(steps), "completed": summary["completed"]})
@@ -507,7 +504,8 @@ def cmd_verify(cfg: dict, args) -> int:
                          hardy_check, hardy_sharpness_error)
     params = make_params(cfg)
     out = _outdir(cfg, args)
-    prof, problem = read_profile(out, "profile")
+    prof, radius = read_profile(out, "profile")
+    problem = EuclideanProblem(prof.params, domain_radius=radius)
     report = VerificationReport(
         provenance={"stem": "profile", "directory": out,
                     "seed": int(args.seed)})

@@ -21,9 +21,7 @@ class SolverError(RuntimeError):
 
 
 class BracketNotFound(SolverError):
-    def __init__(self, message, node_counts=None, shoots=0):
-        super().__init__(message, shoots)
-        self.node_counts = node_counts or {}
+    """A walk that reached the end of its range with no sign change."""
 
 
 class NoSignChange(SolverError, ValueError):

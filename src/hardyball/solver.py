@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,21 +27,10 @@ from .profiles import (BracketNotFound, NotCoercive,  # noqa: F401
 # on the Newton steps that follow them
 _DESCENT_STEPS = 20
 _NEWTON_STEPS = 20
-# the walk and bisection read only a node count and the sign of v(R): they
-# shoot at a loose rtol, and again at the solve's if |v(R)|/sup lies within
-# the band, 22x the loose shoots' largest error in it over 600 shoots
+# the walk reads only the sign of the phase f: it shoots at a loose rtol, and
+# again at the solve's if |f| lies within the band (radians), 21x the loose
+# shoots' largest phase error over 120 shoots near the roots of k = 0 and 1
 _BRACKET_RTOL, _REDO_BAND = 1e-6, 1e-4
-
-
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    p_values: tuple
-
-    def __post_init__(self):
-        ps = tuple(float(p) for p in self.p_values)
-        object.__setattr__(self, "p_values", ps)
-        if any(b >= a for a, b in zip(ps, ps[1:])):
-            raise ValueError("schedule must be strictly decreasing")
 
 
 def _start_radius(problem: EuclideanProblem, r0: float) -> float:
@@ -64,8 +53,8 @@ def frobenius_init(problem: EuclideanProblem, K: float, r0: float):
 
 def _rhs_factory(problem: EuclideanProblem, p: float):
     """ODE in log radius t: v_tt = -(n-2) v_t - (gamma + h0 r^2) v - b |v|^{q-2-p} v r^{2-s},
-    with problem.b's evaluation of its table inline, keeping the current
-    piece (its bounds in log r, left knot and coefficients) until log r
+    with problem.b's evaluation of its table inline at t = log r, keeping
+    the current piece (its bounds, left knot and coefficients) until t
     leaves it."""
     params = problem.params
     n, gamma, s = params.n, params.gamma, params.s
@@ -73,7 +62,7 @@ def _rhs_factory(problem: EuclideanProblem, p: float):
     expo = q - 2.0 - p
     nm2, r_expo = n - 2.0, 2.0 - s
     h0 = problem.h0
-    exp, log = math.exp, math.log
+    exp = math.exp
     knots, c0, c1, c2, c3 = problem.b_table()
     inner = len(knots) - 1
     lo = hi = x0 = a0 = a1 = a2 = a3 = math.nan
@@ -81,13 +70,12 @@ def _rhs_factory(problem: EuclideanProblem, p: float):
     def rhs(t, v, vt):
         nonlocal lo, hi, x0, a0, a1, a2, a3
         r = exp(t)
-        x = log(r)
-        if not lo <= x < hi:
-            i = bisect_right(knots, x, 1, inner) - 1
+        if not lo <= t < hi:
+            i = bisect_right(knots, t, 1, inner) - 1
             lo = knots[i] if i > 0 else -math.inf
             hi = knots[i + 1] if i < inner - 1 else math.inf
             x0, a0, a1, a2, a3 = knots[i], c0[i], c1[i], c2[i], c3[i]
-        d = x - x0
+        d = t - x0
         d2 = d * d
         b = a3 + a2 * d + a1 * d2 + a0 * (d2 * d)
         return (vt, -nm2 * vt - (gamma + h0 * r * r) * v
@@ -197,6 +185,17 @@ def _scaling_estimate(problem: EuclideanProblem, p: float,
             * r ** beta_pm(n, params.gamma)[0])
 
 
+def _prufer_phase(v: np.ndarray, vt: np.ndarray) -> float:
+    """The Prufer angle theta of (v, v_t) = rho (sin theta, cos theta)
+    [Prufer, Math. Ann. 95 (1926)] at the last sample: m pi for the m sign
+    changes of v[:-1] (node_count's rule), plus the angle of (s v, s v_t)
+    in [0, 2 pi), s = (-1)^m.  theta' = 1 at a zero of v, so theta(R)
+    passes each multiple of pi as a zero enters at R."""
+    m = _sign_changes(v[:-1], np.max(np.abs(v)))
+    s = -1.0 if m % 2 else 1.0
+    return m * math.pi + math.atan2(s * v[-1], s * vt[-1]) % (2.0 * math.pi)
+
+
 def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
                              node_target: int = 0,
                              K_range: tuple = (1e-4, 1e6),
@@ -208,85 +207,67 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
 
     A ground state needs a coercive form [Brezis-Nirenberg 1983]: with
     node_target = 0, a pencil eigenvalue below -1e-3 raises NotCoercive.
-    The node count, boundary sample included, rises with K and jumps when a
-    zero crosses R.  Steps of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... walk out
-    from K_start, or from the scaling estimate (the K at which
+    The root is the zero of f = theta(R) - (node_target + 1) pi in log K,
+    theta the Prufer phase, which rises with K and stays continuous where
+    the node count jumps.  Steps of 10^{1/6}, 10^{2/6}, 10^{4/6}, ... walk
+    out from K_start, or from the scaling estimate (the K at which
     b v^{q-2-p} r^{2-s} balances (n-2)^2/4 - gamma at r = R/2), both
-    clamped into K_range, until the count crosses node_target (a
-    continuation starts where the scaling law's residual extrapolates).
-    The bracket is bisected until its ends read node_target and
-    node_target + 1; Brent's method [Brent 1973] then finds the root of
-    v(R)/sup|v| in log K, stopping at the first shoot within half of
-    boundary_tol, so that its root passes the profile's check.  Shoots are
-    read at their step ends: the walk and bisection shoot at a loose rtol
-    (at rtol again inside the redo band), Brent at rtol.  The profile
-    samples the root's trajectory (a solve's one dense output).  meta counts
-    the shoots per phase, the loose ones, their RHS evaluations and steps."""
+    clamped into K_range, until f changes sign (a continuation starts
+    where the scaling law's residual extrapolates).  Brent's method
+    [Brent 1973] then runs on f, which reads 0 within half of boundary_tol
+    in v(R)/sup|v|, and the root is the tight shoot of least |f|, so that
+    it passes the profile's check.  Shoots are read at their step ends:
+    the walk shoots at a loose rtol (at rtol again inside the redo band),
+    Brent at rtol.  The profile samples the root's trajectory (a solve's
+    one dense output).  meta counts the shoots per phase, the loose ones,
+    their RHS evaluations and steps."""
     check_defect(problem.params.n, problem.params.s, p)
     if node_target == 0 and not problem.coercive():
         raise NotCoercive("the quadratic form is not coercive "
                           "(Lambda0 < -1e-3): no positive solution")
     r0 = _start_radius(problem, r0)
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
-    # log K -> (K, node count, v(R)/sup|v|, integration, rtol) of each K
-    # shot, at its step ends; runs: (rtol, integration) of every integration
+    # f reads 0 within half the profile's own bound on v(R)/sup: Brent stops
+    stop, target = max(1e-13, 0.5 * boundary_tol), (node_target + 1) * math.pi
+    # log K -> (f, integration, rtol) of each K shot, at its step ends;
+    # runs: (rtol, integration) of every integration
     seen, runs = {}, []
 
-    def shoot_at(x, tol=max(rtol, _BRACKET_RTOL)):
-        K = math.exp(x)
-        prof = shoot(problem, K, p, r0=r0, num=None, rtol=tol)
-        runs.append((tol, prof.trajectory))
-        v = prof.data.v
-        sup = np.max(np.abs(v))
-        vR = v[-1] / sup
-        if tol > rtol and abs(vR) <= _REDO_BAND:
-            return shoot_at(x, rtol)
-        # within half the profile's own bound v(R)/sup reads 0: Brent stops
-        seen[x] = (K, _sign_changes(v, sup),
-                   0.0 if abs(vR) <= max(1e-13, 0.5 * boundary_tol) else vR,
-                   prof.trajectory, tol)
-        return seen[x][1]
-
-    def no_bracket(message):
-        return BracketNotFound(
-            message, node_counts={K: nc for K, nc, *_ in seen.values()},
-            shoots=len(runs))
+    def phase_at(x, tol=max(rtol, _BRACKET_RTOL)):
+        sol = shoot(problem, math.exp(x), p, r0=r0, num=None,
+                    rtol=tol).trajectory
+        runs.append((tol, sol))
+        v = sol.v_ends
+        f = (0.0 if abs(v[-1] / np.max(np.abs(v))) <= stop else
+             _prufer_phase(v, sol.w_ends) - target)
+        if tol > rtol and abs(f) <= _REDO_BAND:
+            return phase_at(x, rtol)
+        seen[x] = (f, sol, tol)
+        return f
 
     if K_start is None:
         K_start = _scaling_estimate(problem, p, r0)
     x = min(max(math.log(K_start), x_min), x_max)
-    up = shoot_at(x) <= node_target
+    up = phase_at(x) <= 0.0
     step = (1.0 if up else -1.0) * math.log(10.0) / 6.0
     while True:
         nxt = min(max(x + step, x_min), x_max)
         if nxt == x:
-            raise no_bracket(f"no node-count transition through {node_target}"
-                             f" from K = {K_start:.6g} within the range")
-        if (shoot_at(nxt) > node_target) == up:
+            raise BracketNotFound(
+                f"no node-count transition through {node_target} from "
+                f"K = {K_start:.6g} within the range", shoots=len(runs))
+        if (phase_at(nxt) > 0.0) == up:
             break
         x, step = nxt, 2.0 * step
     walk = len(runs)
-    x_lo, x_hi = sorted((x, nxt))
-    while not (seen[x_lo][1] == node_target
-               and seen[x_hi][1] == node_target + 1):
-        mid = 0.5 * (x_lo + x_hi)
-        if not x_lo < mid < x_hi:
-            raise no_bracket(f"the node count jumps past {node_target} + 1 "
-                             f"at K = {seen[x_hi][0]:.6g}")
-        x_lo, x_hi = ((x_lo, mid) if shoot_at(mid) > node_target
-                      else (mid, x_hi))
-
-    def boundary(x):
-        if x not in seen:
-            shoot_at(x, rtol)
-        return seen[x][2]
-
-    bisect = len(runs) - walk
-    x_root = _brent(boundary, x_lo, x_hi, xtol=1e-12)
-    if seen[x_root][4] > rtol:   # the profile is sampled from a tight shoot
-        shoot_at(x_root, rtol)
+    _brent(lambda x: seen[x][0] if x in seen else phase_at(x, rtol),
+           *sorted((x, nxt)), xtol=1e-12)
+    # integration noise in v(R)/sup can exceed the stop, and Brent's bracket
+    # then closes on an iterate that is not the best one
+    x_root = min((x for x in seen if seen[x][2] == rtol),
+                 key=lambda x: abs(seen[x][0]))
     K_root = math.exp(x_root)
-    best = _sampled(seen[x_root][3], problem, K_root, p, r0, 3000)
+    best = _sampled(seen[x_root][1], problem, K_root, p, r0, 3000)
     shoots = len(runs)
     sup = np.max(np.abs(best.data.v))
     if abs(best.data.v[-1]) > boundary_tol * sup:
@@ -304,8 +285,8 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
                      steps=sum(sol.steps for _, sol in runs),
                      rejected_steps=sum(sol.rejected for _, sol in runs),
                      K_shoot=K_root, boundary_tol=boundary_tol,
-                     shoots=shoots, shoots_walk=walk, shoots_bisect=bisect,
-                     shoots_brent=shoots - walk - bisect,
+                     shoots=shoots, shoots_walk=walk,
+                     shoots_brent=shoots - walk,
                      shoots_loose=sum(tol > rtol for tol, _ in runs))
     return best
 
@@ -399,17 +380,18 @@ def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
     return prof
 
 
-def continuation_to_critical(problem: EuclideanProblem,
-                             schedule: ContinuationSchedule, solve) -> list:
-    """Warm-started solves along the decreasing defect schedule; records the
-    Cauchy increments and the weighted sup norms used by the blow-up lab.
+def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
+                             solve) -> list:
+    """Warm-started solves along schedule, a decreasing tuple of defects
+    (cli._type_solver checks the order); records the Cauchy increments and
+    the weighted sup norms used by the blow-up lab.
     solve(p, K_start) is a step's shooting solve (from the scaling
     estimate for K_start None, the first step's), whose meta gives K_shoot
     and r0.  A later step starts at the scaling estimate E(p) at the last
     r0, times exp(g), g the residual log K_root - log E of the last two
     roots, extrapolated linearly in p."""
     out, fits = [], []  # fits: (p, log K_root - log E(p)) of each step
-    for idx, p in enumerate(schedule.p_values):
+    for idx, p in enumerate(schedule):
         K_start = None
         if fits:
             (pa, ga), (pb, gb) = fits[-2:] if len(fits) > 1 else fits * 2

@@ -11,7 +11,7 @@ import pytest
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import ProblemParams
 from hardyball.profiles import EntireBubble
-from hardyball.solver import (ContinuationSchedule, continuation_to_critical,
+from hardyball.solver import (continuation_to_critical,
                               solve_dirichlet_shooting, solve_variational)
 
 REF = dict(n=5, s=1.0, gamma=-2.0, lam=10.0)
@@ -71,11 +71,11 @@ def bubble(ref_params):
 def continuation(ref_problem):
     """Warm-started family down to the critical exponent."""
     import time
-    schedule = ContinuationSchedule((0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0))
+    schedule = (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0)
     start = time.perf_counter()
     profiles = continuation_to_critical(ref_problem, schedule,
                                         warm(ref_problem))
-    assert len(profiles) == len(schedule.p_values)
+    assert len(profiles) == len(schedule)
     profiles[0].meta["fixture_build_seconds"] = time.perf_counter() - start
     return profiles
 

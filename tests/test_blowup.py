@@ -13,8 +13,8 @@ from hardyball.blowup import (BLOWUP, COMPACT, INCONCLUSIVE, BubbleFamily,
                               detect_scales, envelope_check, plant_bubbles,
                               rate_check, rate_formula, scale_count_bound)
 from hardyball.constants import ProblemParams, beta_pm
-from hardyball.solver import (ContinuationSchedule, ProfileData,
-                              SolutionProfile, continuation_to_critical)
+from hardyball.solver import (ProfileData, SolutionProfile,
+                              continuation_to_critical)
 
 from conftest import warm
 
@@ -166,8 +166,7 @@ def test_verdict_does_not_depend_on_the_schedule(continuation_steps,
     # step on the first and by 4 % on the second, while the increment per
     # unit decrease of p stays between 4.9 and 6.7 on both
     uniform = continuation_to_critical(
-        ref_problem,
-        ContinuationSchedule((0.06, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0)),
+        ref_problem, (0.06, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0),
         warm(ref_problem))
     steps = [{"p_defect": prof.params.p_defect, **prof.meta}
              for prof in uniform]

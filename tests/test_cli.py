@@ -526,7 +526,7 @@ def test_solve_writes_checked_artifacts(solved_dir, tmp_path, capsys):
     assert len(_check_manifest(str(tmp_path / "continue"))) == 15
     doc = _json(os.path.join(out, "profile.json"))
     assert doc["node_count"] == 0 and doc["energy"] > 0.0
-    assert doc["meta"]["shoots"] == 9
+    assert doc["meta"]["shoots"] == 8
     capsys.readouterr()
 
 
@@ -699,7 +699,7 @@ def test_continue_reads_the_solver_settings(tmp_path, ref_problem, capsys):
     out = tmp_path / "out"
     assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
     steps = solver.continuation_to_critical(
-        ref_problem, solver.ContinuationSchedule((0.4, 0.2)),
+        ref_problem, (0.4, 0.2),
         lambda p, K_start: solver.solve_dirichlet_shooting(
             ref_problem, p, boundary_tol=1e-9, r0=5e-7, rtol=1e-10,
             K_start=K_start))
@@ -811,6 +811,27 @@ def test_blowup_reads_the_samples_of_the_last_step_only(
         os.rename(out / name, out / "moved")
         assert main(argv) == 1
         os.rename(out / "moved", out / name)
+    capsys.readouterr()
+
+
+def test_only_verify_builds_the_problem_of_a_stored_profile(
+        tmp_path, monkeypatch, capsys):
+    # blowup reads the stored samples and never evaluates b, so it builds
+    # no EuclideanProblem (nor its b table); verify builds one and runs
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "solver": {"schedule": [0.05, 0.025]}})
+    out = str(tmp_path / "out")
+    for command in ("continue", "solve"):
+        assert main([command, "--config", cfg, "--out", out]) == 0
+
+    def refuse(problem):
+        raise AssertionError("an EuclideanProblem was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(EuclideanProblem, "__post_init__", refuse)
+        assert main(["blowup", "--config", cfg, "--out", out]) == 0
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    assert _json(os.path.join(out, "verify.json"))["passed"] is True
     capsys.readouterr()
 
 
