@@ -39,17 +39,14 @@ class NotCoercive(SolverError):
 @dataclass
 class SolutionProfile:
     """A radial profile and the params it solves, the defect p among them;
-    its node count and boundary value are read from its samples."""
+    its node count and boundary value are read from its samples.  It holds
+    what its two stored files hold (cli._sidecar, cli.read_profile)."""
     data: ProfileData
     params: ProblemParams
     K0: float
     energy: float
     residual_norm: float
     meta: dict = field(default_factory=dict)
-    # kept in memory only, never written: a shoot's dense output, and the
-    # nonlinear mass that a solve integrates with the energy
-    trajectory: object = field(default=None, repr=False, compare=False)
-    nonlinear_mass: float = field(default=float("nan"), compare=False)
 
 
 def weighted_profile(u: SolutionProfile) -> np.ndarray:

@@ -17,7 +17,7 @@ from .grids import (GridError, ProfileData, _sign_changes,
                     log_derivative_matrix_apply, spline_integral,
                     thomas_solve)
 from .kernel import sphere_area
-from .ode import _brent, _dop853
+from .ode import _brent, _dop853, _Trajectory
 # the records and errors, re-exported for the solver's callers
 from .profiles import (BracketNotFound, NotCoercive,  # noqa: F401
                        NotConverged, SolutionProfile, SolverError,
@@ -85,36 +85,31 @@ def _rhs_factory(problem: EuclideanProblem, p: float):
 
 
 def shoot(problem: EuclideanProblem, K: float, p: float, r0: float = None,
-          num: int = 3000, rtol: float = 1e-11,
-          atol_scale: float = 1e-13) -> SolutionProfile:
+          rtol: float = 1e-11, atol_scale: float = 1e-13) -> _Trajectory:
     """Integrate the radial equation outward from the singular-end jet and
-    return the (un-matched) trajectory, sampled at num log-uniform radii or,
-    for num = None, at the step ends (no dense output).  Its meta counts the
-    right-hand side evaluations and the accepted and rejected steps."""
+    return the (un-matched) integration: its step ends, its counters of
+    right-hand side evaluations and of accepted and rejected steps, and its
+    dense output."""
     r0 = _start_radius(problem, r0)
     v0, dv0 = frobenius_init(problem, K, r0)
-    guard = 1e12 * max(abs(K), abs(v0), 1.0)
-    scale = max(abs(v0), abs(K))
     # v_t = r v'
-    sol = _dop853(_rhs_factory(problem, p), math.log(r0),
-                  math.log(problem.domain_radius), v0, dv0 * r0, rtol=rtol,
-                  atol=atol_scale * scale, guard=guard)
-    return _sampled(sol, problem, K, p, r0, num)
+    return _dop853(_rhs_factory(problem, p), math.log(r0),
+                   math.log(problem.domain_radius), v0, dv0 * r0, rtol=rtol,
+                   atol=atol_scale * max(abs(v0), abs(K)),
+                   guard=1e12 * max(abs(K), abs(v0), 1.0))
 
 
-def _sampled(sol, problem: EuclideanProblem, K: float, p: float, r0: float,
-             num: int) -> SolutionProfile:
+def _sampled(sol: _Trajectory, problem: EuclideanProblem, K: float, p: float,
+             r0: float, num: int) -> SolutionProfile:
     """The shoot of K whose integration is sol, sampled at num log-uniform
-    radii from r0 to where the integration ended, or at its step ends."""
-    t = sol.ts if num is None else np.linspace(math.log(r0), sol.t_end, num)
-    v, vt = (sol.v_ends, sol.w_ends) if num is None else sol(t)
+    radii from r0 to where the integration ended."""
+    t = np.linspace(math.log(r0), sol.t_end, num)
+    v, vt = sol(t)
     r = np.exp(t)
     return SolutionProfile(
         data=ProfileData(r=r, v=v, dv=vt / r),
         params=replace(problem.params, p_defect=p), K0=K, energy=math.nan,
-        residual_norm=math.nan, trajectory=sol,
-        meta={"r0": r0, "R": problem.domain_radius, "rhs_evals": sol.nfev,
-              "steps": sol.steps, "rejected_steps": sol.rejected})
+        residual_norm=math.nan, meta={"r0": r0})
 
 
 def euclidean_energy(profile: SolutionProfile,
@@ -213,14 +208,15 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
     out from K_start, or from the scaling estimate (the K at which
     b v^{q-2-p} r^{2-s} balances (n-2)^2/4 - gamma at r = R/2), both
     clamped into K_range, until f changes sign (a continuation starts
-    where the scaling law's residual extrapolates).  Brent's method
+    where the scaling law's residual extrapolates); a start that reads
+    f = 0 is the root, with no walk and no Brent.  Brent's method
     [Brent 1973] then runs on f, which reads 0 within half of boundary_tol
     in v(R)/sup|v|, and the root is the tight shoot of least |f|, so that
     it passes the profile's check.  Shoots are read at their step ends:
     the walk shoots at a loose rtol (at rtol again inside the redo band),
-    Brent at rtol.  The profile samples the root's trajectory (a solve's
+    Brent at rtol.  The profile samples the root's integration (a solve's
     one dense output).  meta counts the shoots per phase, the loose ones,
-    their RHS evaluations and steps."""
+    their RHS evaluations and steps, and holds the nonlinear mass."""
     check_defect(problem.params.n, problem.params.s, p)
     if node_target == 0 and not problem.coercive():
         raise NotCoercive("the quadratic form is not coercive "
@@ -229,65 +225,63 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
     x_min, x_max = math.log(K_range[0]), math.log(K_range[1])
     # f reads 0 within half the profile's own bound on v(R)/sup: Brent stops
     stop, target = max(1e-13, 0.5 * boundary_tol), (node_target + 1) * math.pi
-    # log K -> (f, integration, rtol) of each K shot, at its step ends;
-    # runs: (rtol, integration) of every integration
-    seen, runs = {}, []
+    # the ledger: (log K, rtol, f, integration) of every shoot, in order
+    shots = []
 
     def phase_at(x, tol=max(rtol, _BRACKET_RTOL)):
-        sol = shoot(problem, math.exp(x), p, r0=r0, num=None,
-                    rtol=tol).trajectory
-        runs.append((tol, sol))
+        sol = shoot(problem, math.exp(x), p, r0=r0, rtol=tol)
         v = sol.v_ends
         f = (0.0 if abs(v[-1] / np.max(np.abs(v))) <= stop else
              _prufer_phase(v, sol.w_ends) - target)
+        shots.append((x, tol, f, sol))
         if tol > rtol and abs(f) <= _REDO_BAND:
             return phase_at(x, rtol)
-        seen[x] = (f, sol, tol)
         return f
 
     if K_start is None:
         K_start = _scaling_estimate(problem, p, r0)
     x = min(max(math.log(K_start), x_min), x_max)
-    up = phase_at(x) <= 0.0
-    step = (1.0 if up else -1.0) * math.log(10.0) / 6.0
-    while True:
+    f = phase_at(x)
+    step = math.copysign(math.log(10.0) / 6.0, -f)
+    while f != 0.0:     # a start that reads 0 is the root: no walk, no Brent
         nxt = min(max(x + step, x_min), x_max)
         if nxt == x:
             raise BracketNotFound(
                 f"no node-count transition through {node_target} from "
-                f"K = {K_start:.6g} within the range", shoots=len(runs))
-        if (phase_at(nxt) > 0.0) == up:
+                f"K = {K_start:.6g} within the range", shoots=len(shots))
+        if (phase_at(nxt) > 0.0) != (f > 0.0):
             break
         x, step = nxt, 2.0 * step
-    walk = len(runs)
-    _brent(lambda x: seen[x][0] if x in seen else phase_at(x, rtol),
-           *sorted((x, nxt)), xtol=1e-12)
+    walk = len(shots)
+    if f != 0.0:    # Brent's f: the last shoot of x, or a new one at rtol
+        _brent(lambda y: ([g for xs, _, g, _ in shots if xs == y]
+                          or [phase_at(y, rtol)])[-1],
+               *sorted((x, nxt)), xtol=1e-12)
     # integration noise in v(R)/sup can exceed the stop, and Brent's bracket
     # then closes on an iterate that is not the best one
-    x_root = min((x for x in seen if seen[x][2] == rtol),
-                 key=lambda x: abs(seen[x][0]))
+    x_root, _, _, sol = min((shot for shot in shots if shot[1] == rtol),
+                            key=lambda shot: abs(shot[2]))
     K_root = math.exp(x_root)
-    best = _sampled(seen[x_root][1], problem, K_root, p, r0, 3000)
-    shoots = len(runs)
+    best = _sampled(sol, problem, K_root, p, r0, 3000)
     sup = np.max(np.abs(best.data.v))
     if abs(best.data.v[-1]) > boundary_tol * sup:
         raise SolverError(
             f"boundary value {best.data.v[-1]:.3e} above tolerance "
-            f"{boundary_tol:g} * sup {sup:.3e}", shoots=shoots)
+            f"{boundary_tol:g} * sup {sup:.3e}", shoots=len(shots))
     nodes = best.data.node_count()
     if nodes != node_target:
         raise SolverError(f"root at K = {K_root:.6g} has {nodes} nodes, "
-                          f"not {node_target}", shoots=shoots)
-    best.energy, best.nonlinear_mass = euclidean_energy(best, problem)
+                          f"not {node_target}", shoots=len(shots))
+    best.energy, mass = euclidean_energy(best, problem)
     best.K0 = fit_K0(best)
     best.residual_norm = _pde_residual_norm(best, problem)
-    best.meta.update(rhs_evals=sum(sol.nfev for _, sol in runs),
-                     steps=sum(sol.steps for _, sol in runs),
-                     rejected_steps=sum(sol.rejected for _, sol in runs),
+    best.meta.update(rhs_evals=sum(shot[3].nfev for shot in shots),
+                     steps=sum(shot[3].steps for shot in shots),
+                     rejected_steps=sum(shot[3].rejected for shot in shots),
                      K_shoot=K_root, boundary_tol=boundary_tol,
-                     shoots=shoots, shoots_walk=walk,
-                     shoots_brent=shoots - walk,
-                     shoots_loose=sum(tol > rtol for tol, _ in runs))
+                     nonlinear_mass=mass, shoots=len(shots),
+                     shoots_walk=walk, shoots_brent=len(shots) - walk,
+                     shoots_loose=sum(tol > rtol for _, tol, _, _ in shots))
     return best
 
 
@@ -409,7 +403,6 @@ def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
         fits.append((p, math.log(prof.meta["K_shoot"]) - math.log(estimate)))
         prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof)))
         prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
-        prof.meta["nonlinear_mass"] = prof.nonlinear_mass
         if out:
             prof.meta["sup_increment"] = _sup_diff(out[-1], prof)
         out.append(prof)

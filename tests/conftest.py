@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from hardyball import solver
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.constants import ProblemParams
 from hardyball.profiles import EntireBubble
-from hardyball.solver import (continuation_to_critical,
+from hardyball.solver import (continuation_to_critical, shoot,
                               solve_dirichlet_shooting, solve_variational)
 
 REF = dict(n=5, s=1.0, gamma=-2.0, lam=10.0)
@@ -22,6 +23,14 @@ def warm(problem):
     the default settings, from the step's K_start."""
     return lambda p, K_start: solve_dirichlet_shooting(problem, p,
                                                        K_start=K_start)
+
+
+def sampled_shoot(problem, K, p, num=3000, r0=None, **kw):
+    """The shoot of K from r0 (the solvers' default if None), sampled at
+    num log-uniform radii; kw are shoot's tolerances."""
+    r0 = solver._start_radius(problem, r0)
+    return solver._sampled(shoot(problem, K, p, r0=r0, **kw), problem, K, p,
+                           r0, num)
 
 
 @dataclass

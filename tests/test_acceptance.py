@@ -22,12 +22,11 @@ from hardyball.grids import ProfileData
 from hardyball.kernel import (green_G, hyperbolic_dirichlet_energy,
                               hyperbolic_integral, hyperbolic_scaling,
                               weight_V_p)
-from hardyball.solver import (SolutionProfile, shoot,
-                              solve_dirichlet_shooting)
+from hardyball.solver import SolutionProfile, solve_dirichlet_shooting
 from hardyball.verify import (asymptotic_exponent, hardy_check,
                               hardy_sobolev_check, pohozaev_residual)
 
-from conftest import ConstStub
+from conftest import ConstStub, sampled_shoot
 
 
 def _report(num, label):
@@ -137,8 +136,8 @@ def test_criterion_06_pohozaev_identity(ref_problem, ground_shoot, bubble):
     K = ground_shoot.meta["K_shoot"]
     rels = []
     for num in (400, 800, 1600):
-        prof = shoot(ref_problem, K, 0.2, num=num, rtol=1e-13,
-                     atol_scale=1e-15)
+        prof = sampled_shoot(ref_problem, K, 0.2, num=num, rtol=1e-13,
+                             atol_scale=1e-15)
         br = pohozaev_residual(prof, ref_problem, (5e-4, 0.5))
         rels.append(br.relative)
     assert rels[0] <= 1e-4

@@ -2,6 +2,7 @@
 deterministic artifacts, and sweep parallelism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -687,6 +688,32 @@ def test_continue_writes_the_library_continuation(tmp_path, continuation,
         assert (out / (stem + ".json")).read_text() == \
             dumps17(files[stem + ".json"]) + "\n"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("solved", ["ground_shoot", "ground_var",
+                                    "continuation"])
+def test_a_stored_profile_reads_back_equal(tmp_path, request, ref_problem,
+                                          solved):
+    # a shooting solve, a variational solve and a continue step: each
+    # field of the profile is what read_profile rebuilds from the two files
+    # that _sidecar writes (arrays bit for bit, a NaN residual as NaN)
+    prof = request.getfixturevalue(solved)
+    if solved == "continuation":
+        prof = prof[1]
+    for name, body in cli._sidecar("stored", prof, ref_problem).items():
+        (tmp_path / name).write_text(
+            body if isinstance(body, str) else dumps17(body) + "\n")
+    back, radius = cli.read_profile(str(tmp_path), "stored")
+    assert radius == ref_problem.domain_radius
+    for field in dataclasses.fields(prof):
+        mine, theirs = getattr(prof, field.name), getattr(back, field.name)
+        if field.name == "data":
+            assert all(np.array_equal(getattr(mine, key), getattr(theirs, key))
+                       for key in ("r", "v", "dv"))
+        elif isinstance(mine, float) and math.isnan(mine):
+            assert math.isnan(theirs)
+        else:
+            assert mine == theirs, field.name
 
 
 def test_continue_reads_the_solver_settings(tmp_path, ref_problem, capsys):

@@ -15,6 +15,8 @@ from hardyball import ode, solver
 from hardyball.bridge import EuclideanProblem, b_origin
 from hardyball.profiles import NoSignChange, NotConverged, SolverError
 
+from conftest import sampled_shoot
+
 
 def _dense(rows, width):
     """A matrix from rows of (column, value) pairs."""
@@ -222,7 +224,7 @@ def _scipy_shoot(problem, K, p, num=1200, rtol=1e-11, atol_scale=1e-13):
 @pytest.mark.parametrize("K, p", [(7116.94, 0.2), (733645.9, 0.4),
                                   (1e4, 0.0), (1e6, 0.0)])
 def test_shoot_matches_scipy_dop853(ref_problem, K, p):
-    mine = solver.shoot(ref_problem, K, p, num=1200).data.v
+    mine = sampled_shoot(ref_problem, K, p, num=1200).data.v
     theirs = _scipy_shoot(ref_problem, K, p)
     assert np.max(np.abs(mine - theirs)) <= 1e-8 * np.max(np.abs(theirs))
 
@@ -232,8 +234,9 @@ def test_shoot_guard_matches_scipy_event(ref_params):
     # it blows up inside the ball: both integrators stop at the guard
     problem = EuclideanProblem(ref_params, domain_radius=0.5,
                                b_scale=-10.0 / b_origin(5, 1.0))
-    prof = solver.shoot(problem, 1e4, 0.2, num=50)
-    assert prof.trajectory.diverged and prof.data.r[-1] < 0.1
+    sol = solver.shoot(problem, 1e4, 0.2)
+    prof = solver._sampled(sol, problem, 1e4, 0.2, 5e-6, 50)
+    assert sol.diverged and prof.data.r[-1] < 0.1
     theirs = _scipy_shoot(problem, 1e4, 0.2, num=50)
     assert np.max(np.abs(prof.data.v - theirs)) <= \
         1e-8 * np.max(np.abs(theirs))

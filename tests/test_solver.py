@@ -21,7 +21,7 @@ from hardyball.solver import (BracketNotFound, NotCoercive, NotConverged,
                               solve_dirichlet_shooting, solve_variational)
 from hardyball.verify import asymptotic_exponent
 
-from conftest import warm
+from conftest import sampled_shoot, warm
 
 
 def test_frobenius_init_trivial_cases():
@@ -65,7 +65,7 @@ def test_frobenius_jet_residual_improves_with_r0():
 def test_shoot_constant_solution():
     params = ProblemParams(n=5, s=1.0, gamma=0.0, lam=3.75)
     prob = EuclideanProblem(params, b_scale=0.0)
-    prof = shoot(prob, K=1.0, p=0.2)
+    prof = sampled_shoot(prob, K=1.0, p=0.2)
     assert np.max(np.abs(prof.data.v - 1.0)) < 1e-9
     assert prof.data.v[-1] == pytest.approx(1.0, rel=1e-9)
 
@@ -80,7 +80,7 @@ def test_shoot_singular_linear_branch():
     prob = EuclideanProblem(params, b_scale=0.0)
     assert abs(prob.h0) <= 1e-14
     bm, bp = beta_pm(n, gamma)
-    prof = shoot(prob, K=1.0, p=0.2, r0=1e-4)
+    prof = sampled_shoot(prob, K=1.0, p=0.2, r0=1e-4)
     # beta_- ~ 0: the solution stays near the constant branch
     assert np.max(np.abs(prof.data.v - 1.0)) < 1e-5
 
@@ -90,7 +90,7 @@ def test_shoot_collocation_cross_check(ref_problem):
     # problem in log radius
     K, p = 1.0, 0.2
     r0 = 1e-5 * 0.5
-    prof = shoot(ref_problem, K, p, num=2001)
+    prof = sampled_shoot(ref_problem, K, p, num=2001)
     n, gamma, s = 5, -2.0, 1.0
     q = critical_exponent(n, s)
     h = ref_problem.h0
@@ -226,6 +226,21 @@ def test_cold_solve_shoot_count(ground_shoot):
     assert meta["rhs_evals"] == 6868
 
 
+def test_a_solve_builds_one_profile(ref_problem, monkeypatch):
+    # the shoots stay integrations: only the root is sampled, into the
+    # solve's one SolutionProfile and its one ProfileData
+    built = []
+
+    def counted(cls):
+        return lambda *args, **kw: (built.append(cls.__name__)
+                                    or cls(*args, **kw))
+    for cls in (ProfileData, solver.SolutionProfile):
+        monkeypatch.setattr(solver, cls.__name__, counted(cls))
+    prof = solve_dirichlet_shooting(ref_problem, p=0.2)
+    assert built == ["ProfileData", "SolutionProfile"]
+    assert prof.meta["shoots"] == 8
+
+
 def test_solver_counters_repeat_exactly(ref_problem, ground_shoot):
     keys = ("shoots", "shoots_walk", "shoots_brent", "shoots_loose",
             "rhs_evals", "steps", "rejected_steps")
@@ -238,7 +253,9 @@ def test_solver_counters_repeat_exactly(ref_problem, ground_shoot):
     # the totals are the sums over the shoots: 2 evaluations at each start
     # and 12 per attempted step, and 3 per accepted step of the one shoot
     # whose interpolant is built, the root's
-    root = ground_shoot.trajectory
+    K = ground_shoot.meta["K_shoot"]
+    root = shoot(ref_problem, K, 0.2)
+    solver._sampled(root, ref_problem, K, 0.2, ground_shoot.meta["r0"], 3000)
     assert root.nfev == 2 + 15 * root.steps + 12 * root.rejected
     assert counters["rhs_evals"] == 2 * counters["shoots"] + 12 * (
         counters["steps"] + counters["rejected_steps"]) + 3 * root.steps
@@ -246,9 +263,10 @@ def test_solver_counters_repeat_exactly(ref_problem, ground_shoot):
 
 def test_solve_profile_is_the_root_shoot(ref_params, ref_problem,
                                         ground_shoot, continuation):
-    # the solve samples the trajectory of Brent's last shoot at 3000 radii,
+    # the solve samples the integration of Brent's last shoot at 3000 radii,
     # bit for bit what a fresh shoot at that K gives
-    again = shoot(ref_problem, ground_shoot.meta["K_shoot"], 0.2, num=3000)
+    again = sampled_shoot(ref_problem, ground_shoot.meta["K_shoot"], 0.2,
+                          num=3000)
     for name in ("r", "v", "dv"):
         assert np.array_equal(getattr(ground_shoot.data, name),
                               getattr(again.data, name))
@@ -274,14 +292,13 @@ def test_step_ends_give_the_sampled_bracket_data(n, s):
     counts = set()
     for p in (0.0, 0.5 * (critical_exponent(n, s) - 2.0)):
         for K in np.geomspace(1e-2, 1e12, 29).tolist():
-            ends = shoot(problem, K, p, num=None)
-            sampled = solver._sampled(ends.trajectory, problem, K, p, r0,
-                                      1200)
-            (v, sup), (w, wsup) = ((prof.data.v, np.max(np.abs(prof.data.v)))
-                                   for prof in (ends, sampled))
+            sol = shoot(problem, K, p)
+            sampled = solver._sampled(sol, problem, K, p, r0, 1200)
+            (v, sup), (w, wsup) = ((x, np.max(np.abs(x)))
+                                   for x in (sol.v_ends, sampled.data.v))
             assert _sign_changes(v, sup) == _sign_changes(w, wsup)
             assert np.sign(v[-1]) == np.sign(w[-1]) != 0.0
-            assert solver._prufer_phase(v, ends.trajectory.w_ends) == \
+            assert solver._prufer_phase(v, sol.w_ends) == \
                 pytest.approx(solver._prufer_phase(w, sampled.data.dv
                                                    * sampled.data.r),
                               rel=0.0, abs=1e-12)
@@ -298,6 +315,11 @@ def _phase(prof):
     return solver._prufer_phase(prof.data.v, prof.data.dv * prof.data.r)
 
 
+def _ends_phase(sol):
+    """The Prufer phase of an integration, at its step ends."""
+    return solver._prufer_phase(sol.v_ends, sol.w_ends)
+
+
 @pytest.mark.parametrize("n, s", [(5, 1.0), (6, 1.5)])
 def test_loose_shoots_outside_the_band_give_the_bracket_data(n, s):
     # the walk shoots at the loose rtol; wherever its phase lies more than
@@ -309,9 +331,9 @@ def test_loose_shoots_outside_the_band_give_the_bracket_data(n, s):
     outside = 0
     for p in (0.0, 0.5 * (critical_exponent(n, s) - 2.0)):
         for K in np.geomspace(1e-2, 1e12, 29).tolist():
-            loose = _phase(shoot(problem, K, p, num=None,
-                                 rtol=solver._BRACKET_RTOL))
-            tight = _phase(shoot(problem, K, p, num=1200))
+            loose = _ends_phase(shoot(problem, K, p,
+                                      rtol=solver._BRACKET_RTOL))
+            tight = _phase(sampled_shoot(problem, K, p, num=1200))
             k = max(round(loose / math.pi), 1)
             if abs(loose - k * math.pi) <= solver._REDO_BAND:
                 continue
@@ -339,8 +361,8 @@ def test_loose_phases_near_the_roots_are_within_the_band(ref_problem,
         p, K = root.params.p_defect, root.meta["K_shoot"]
         for delta in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
             for factor in (1.0 - delta, 1.0 + delta):
-                loose, tight = (_phase(shoot(ref_problem, K * factor, p,
-                                             num=None, rtol=rtol))
+                loose, tight = (_ends_phase(shoot(ref_problem, K * factor,
+                                                  p, rtol=rtol))
                                 for rtol in (solver._BRACKET_RTOL, 1e-11))
                 assert abs(loose - tight) < 0.1 * solver._REDO_BAND
 
@@ -353,19 +375,20 @@ def test_the_root_is_the_tight_shoot_of_least_phase(ref_problem,
     # least |f| instead, which passes it
     shots, roots = [], []
     monkeypatch.setattr(solver, "shoot", lambda *args, **kw: (
-        shots.append((kw["rtol"], shoot(*args, **kw))) or shots[-1][1]))
+        shots.append((args[1], kw["rtol"], shoot(*args, **kw)))
+        or shots[-1][2]))
     monkeypatch.setattr(solver, "_brent", lambda *args, **kw: (
         roots.append(ode._brent(*args, **kw)) or roots[-1]))
     prof = solve_dirichlet_shooting(ref_problem, p=0.4, r0=5e-7, rtol=1e-10,
                                     boundary_tol=1e-9)
-    tight = {shot.K0: shot for rtol, shot in shots if rtol == 1e-10}
+    tight = {K: sol for K, rtol, sol in shots if rtol == 1e-10}
     # no shoot reaches the stop, so f is the phase less pi at each
-    assert all(abs(shot.data.v[-1]) > 5e-10 * np.max(np.abs(shot.data.v))
-               for shot in tight.values())
-    least = min(tight, key=lambda K: abs(_phase(tight[K]) - math.pi))
+    assert all(abs(sol.v_ends[-1]) > 5e-10 * np.max(np.abs(sol.v_ends))
+               for sol in tight.values())
+    least = min(tight, key=lambda K: abs(_ends_phase(tight[K]) - math.pi))
     assert prof.meta["K_shoot"] == least != math.exp(roots[0])
     for K, passes in ((least, True), (math.exp(roots[0]), False)):
-        v = tight[K].data.v
+        v = tight[K].v_ends
         assert (abs(v[-1]) <= 1e-9 * np.max(np.abs(v))) == passes
     assert abs(prof.data.v[-1]) <= 1e-9 * np.max(np.abs(prof.data.v))
 
@@ -374,31 +397,27 @@ def test_a_loose_shoot_near_the_root_is_shot_again(ref_problem, ground_shoot,
                                                    monkeypatch):
     # a walk that starts on the root: its loose first shoot reads a phase
     # f inside the band and is shot again at the solve's rtol, which reads
-    # 0, so Brent returns that shoot; both integrations are counted
+    # 0, so that shoot is the root, with no walk step and no Brent; both
+    # integrations are counted
     calls = []
     monkeypatch.setattr(solver, "shoot", lambda *args, **kw: (
         calls.append((args[1], kw["rtol"])) or shoot(*args, **kw)))
     K = ground_shoot.meta["K_shoot"]
     prof = solve_dirichlet_shooting(ref_problem, p=0.2, K_start=K)
-    assert calls[:2] == [(K, solver._BRACKET_RTOL), (K, 1e-11)]
+    assert calls == [(K, solver._BRACKET_RTOL), (K, 1e-11)]
     assert prof.meta["K_shoot"] == K and prof.K0 == ground_shoot.K0
-    assert prof.meta["shoots"] == len(calls) == 3
-    assert prof.meta["shoots_loose"] == 2
+    assert prof.meta["shoots"] == len(calls) == 2
+    assert prof.meta["shoots_loose"] == 1
     assert [prof.meta[f"shoots_{phase}"] for phase in
-            ("walk", "brent")] == [3, 0]
+            ("walk", "brent")] == [2, 0]
 
 
 def test_a_bracket_shoot_builds_no_interpolant(ref_problem):
-    # sampled at its step ends a shoot makes 2 start evaluations and 12
-    # per attempt; its first sampling adds 3 per accepted step, for rows
-    # equal to _dense on the kept stage values, here through a fresh RHS
-    prof = shoot(ref_problem, 7116.94, 0.2, num=None)
-    sol = prof.trajectory
-    assert prof.meta["rhs_evals"] == sol.nfev == \
-        2 + 12 * (sol.steps + sol.rejected)
-    assert np.array_equal(prof.data.r, np.exp(sol.ts))
-    assert np.array_equal(prof.data.v, sol.v_ends)
-    assert prof.data.v[-1] == sol.v_ends[-1]
+    # read at its step ends a shoot makes 2 start evaluations and 12 per
+    # attempt; its first sampling adds 3 per accepted step, for rows equal
+    # to _dense on the kept stage values, here through a fresh RHS
+    sol = shoot(ref_problem, 7116.94, 0.2)
+    assert sol.nfev == 2 + 12 * (sol.steps + sol.rejected)
     solver._sampled(sol, ref_problem, 7116.94, 0.2, 5e-6, 1200)
     assert sol.nfev == 2 + 15 * sol.steps + 12 * sol.rejected
     rhs = solver._rhs_factory(ref_problem, 0.2)

@@ -13,13 +13,13 @@ from hardyball.grids import ProfileData
 from hardyball.kernel import (hyperbolic_dirichlet_energy,
                               hyperbolic_integral, hyperbolic_scaling,
                               weight_V_p)
-from hardyball.solver import ProfileData, SolutionProfile, shoot
+from hardyball.solver import ProfileData, SolutionProfile
 from hardyball.verify import (VerificationError, VerificationReport,
                               asymptotic_exponent, hardy_check,
                               hardy_sharpness_error, hardy_sobolev_check,
                               pohozaev_residual)
 
-from conftest import ConstStub
+from conftest import ConstStub, sampled_shoot
 
 
 # ---------------------------------------------------------------- Pohozaev
@@ -43,8 +43,8 @@ def test_ground_state_residual_and_refinement(ref_problem, ground_shoot):
     K = ground_shoot.meta["K_shoot"]
     rels = []
     for num in (400, 800, 1600):
-        prof = shoot(ref_problem, K, 0.2, num=num, rtol=1e-13,
-                     atol_scale=1e-15)
+        prof = sampled_shoot(ref_problem, K, 0.2, num=num, rtol=1e-13,
+                             atol_scale=1e-15)
         br = pohozaev_residual(prof, ref_problem, (5e-4, 0.5))
         rels.append(br.relative)
     assert rels[0] <= 1e-4
