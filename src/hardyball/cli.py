@@ -28,8 +28,8 @@ import numpy as np
 from .bridge import (EuclideanProblem, b_origin, b_weight, coercivity_lambda0,
                      euclidean_potential, h_conformal, CoercivityFailure)
 from .constants import (AdmissibilityError, ProblemParams, admissibility,
-                        best_constant_estimate, beta_pm, critical_exponent,
-                        exponent_set)
+                        best_constant_estimate, beta_pm, check_defect,
+                        critical_exponent)
 from .grids import ProfileData
 from .kernel import green_density, green_G, sphere_area, weight_V_p
 from .profiles import EntireBubble, SolutionProfile, SolverError
@@ -356,13 +356,17 @@ def read_profile(outdir: str, stem: str) -> tuple:
 
 def cmd_constants(cfg: dict, args) -> int:
     params = make_params(cfg)
-    exps = exponent_set(params.n, params.s, params.gamma)
+    n, gamma = params.n, params.gamma
+    bm, bp = beta_pm(n, gamma)
     doc = {
         "params": params.as_dict(),
-        "exponents": exps.as_dict(),
+        "exponents": {
+            "beta_minus": bm, "beta_plus": bp,
+            "alpha_minus": 0.5 - math.sqrt(0.25 - gamma / (n - 2.0) ** 2),
+            "two_star_s": critical_exponent(n, params.s),
+            "tau_range": [bm, (bm + bp) / 2.0]},
         "admissibility": admissibility(params),
-        "best_constant": best_constant_estimate(params.n, params.s,
-                                                params.gamma),
+        "best_constant": best_constant_estimate(n, params.s, gamma),
     }
     if args.out:
         return emit(cfg, args, {"constants.json": doc}, doc)
@@ -386,7 +390,6 @@ def cmd_weights(cfg: dict, args) -> int:
 
 def cmd_bridge(cfg: dict, args) -> int:
     params = make_params(cfg)
-    beta_pm(params.n, params.gamma)     # raises above the threshold
     problem = make_problem(cfg, params)
     R = problem.domain_radius
     r = np.geomspace(1e-6, R, cfg["solver"]["grid_num"])
@@ -452,6 +455,8 @@ def cmd_continue(cfg: dict, args) -> int:
     params = make_params(cfg)
     problem = make_problem(cfg, params)
     schedule = cfg["solver"]["schedule"]
+    for p in schedule:                  # every step is admissible, or none runs
+        check_defect(params.n, params.s, p)
     profiles = continuation_to_critical(
         problem, schedule,
         lambda p, K_start: _solve_one(cfg, problem, p, K_start=K_start))
@@ -500,24 +505,29 @@ def cmd_blowup(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    from .verify import (VerificationError, VerificationReport, audit_profile,
-                         hardy_check, hardy_sharpness_error)
+    from .verify import (VerificationError, audit_profile, hardy_check,
+                         hardy_sharpness_error)
     params = make_params(cfg)
     out = _outdir(cfg, args)
     prof, radius = read_profile(out, "profile")
     problem = EuclideanProblem(prof.params, domain_radius=radius)
-    report = VerificationReport(
-        provenance={"stem": "profile", "directory": out,
-                    "seed": int(args.seed)})
+    provenance = {"stem": "profile", "directory": out, "seed": int(args.seed)}
+    checks = []
+
+    def add(name, value, tolerance, passed=None):
+        checks.append({"name": name, "value": float(value),
+                       "tolerance": float(tolerance),
+                       "passed": bool(abs(value) <= tolerance
+                                      if passed is None else passed)})
+
     try:
-        *_, checks = audit_profile(prof, problem, cfg["solver"]["annulus"],
+        *_, audits = audit_profile(prof, problem, cfg["solver"]["annulus"],
                                    cfg["solver"]["fit_window"])
     except VerificationError as exc:        # the annulus misses the grid
         raise ConfigError(f"solver.annulus: {exc}") from exc
-    for check in checks:
-        report.add(*check)
-    report.add("energy_positive", prof.energy, math.inf,
-               passed=prof.energy > 0.0)
+    for audit in audits:
+        add(*audit)
+    add("energy_positive", prof.energy, math.inf, passed=prof.energy > 0.0)
     # sampled hyperbolic Hardy margins, and the margins of near-extremal
     # profiles against their exact values
     rng = np.random.default_rng(int(args.seed))
@@ -536,18 +546,19 @@ def cmd_verify(cfg: dict, args) -> int:
             bumps.append(ProfileData(r, vals))
         worst_rel = min(math.inf, *hardy_check(bumps, params.n))
         sharpness = hardy_sharpness_error(params.n)
-    report.provenance["hardy_warnings"] = len(caught)
-    report.provenance["hardy_first_warning"] = (
+    provenance["hardy_warnings"] = len(caught)
+    provenance["hardy_first_warning"] = (
         " ".join(str(caught[0].message).split()) if caught else None)
-    report.add("hardy_margin_min_relative", worst_rel, math.inf,
-               passed=worst_rel >= -1e-8)
-    report.add("hardy_sharpness_relative_error", sharpness, 1e-4)
-    doc = report.as_dict()
+    add("hardy_margin_min_relative", worst_rel, math.inf,
+        passed=worst_rel >= -1e-8)
+    add("hardy_sharpness_relative_error", sharpness, 1e-4)
+    passed = all(check["passed"] for check in checks)
     columns = ("name", "value", "tolerance", "passed")
     table = csv_text(columns, ([check[col] for col in columns]
-                               for check in doc["checks"]))
+                               for check in checks))
+    doc = {"provenance": provenance, "checks": checks, "passed": passed}
     return emit(cfg, args, {"verify.json": doc, "verify.csv": table},
-                {"passed": doc["passed"], "checks": len(doc["checks"])})
+                {"passed": passed, "checks": len(checks)})
 
 
 # ---------------------------------------------------------------------------

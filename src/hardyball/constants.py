@@ -28,28 +28,11 @@ class ProblemParams:
             raise AdmissibilityError("dimension must be >= 3")
         if not (0.0 < self.s < 2.0):
             raise AdmissibilityError("s must lie in (0, 2)")
+        beta_pm(self.n, self.gamma)
         check_defect(self.n, self.s, self.p_defect)
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class ExponentSet:
-    beta_minus: float
-    beta_plus: float
-    alpha_minus: float
-    two_star_s: float
-
-    @property
-    def tau_range(self) -> tuple:
-        n_minus_2 = self.beta_minus + self.beta_plus
-        return (self.beta_minus, n_minus_2 / 2.0)
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["tau_range"] = list(self.tau_range)
-        return d
 
 
 def critical_exponent(n: int, s: float) -> float:
@@ -77,20 +60,6 @@ def beta_pm(n: int, gamma: float) -> tuple:
     return half - root, half + root
 
 
-def alpha_minus(n: int, gamma: float) -> float:
-    disc = 0.25 - gamma / (n - 2.0) ** 2
-    if disc < 0.0:
-        raise AdmissibilityError("discriminant negative: gamma too large")
-    return 0.5 - math.sqrt(disc)
-
-
-def exponent_set(n: int, s: float, gamma: float) -> ExponentSet:
-    bm, bp = beta_pm(n, gamma)
-    return ExponentSet(beta_minus=bm, beta_plus=bp,
-                       alpha_minus=alpha_minus(n, gamma),
-                       two_star_s=critical_exponent(n, s))
-
-
 def h_origin(params: ProblemParams) -> float:
     """h(0) = 4(n-2)/(n-4) gamma + 4 lam - n(n-2), the constant lower-order
     coefficient of the flat problem for n >= 5 (bridge.EuclideanProblem's
@@ -107,6 +76,8 @@ def admissibility(params: ProblemParams) -> dict:
     """Regime report: which of the strict parameter conditions hold.
 
     Reports, never raises; boundary equalities count as inadmissible.
+    ProblemParams refuses gamma at or above the Hardy threshold, so
+    hardy_subcritical reads true; constants.json and blowup.json keep it.
     """
     hardy_cap = (params.n - 2.0) ** 2 / 4.0
     return {

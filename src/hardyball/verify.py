@@ -5,7 +5,7 @@ extraction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,29 +37,6 @@ class PohozaevBreakdown:
     flux_inner: float
     total: float
     relative: float
-
-
-@dataclass
-class VerificationReport:
-    provenance: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-
-    def add(self, name: str, value: float, tolerance: float,
-            passed: bool = None):
-        if passed is None:
-            passed = abs(value) <= tolerance
-        self.checks.append({"name": name, "value": float(value),
-                            "tolerance": float(tolerance),
-                            "passed": bool(passed)})
-
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {"provenance": dict(self.provenance),
-                "checks": [dict(c) for c in self.checks],
-                "passed": self.passed}
 
 
 def _flux(rho: float, u: float, du: float, problem: EuclideanProblem,

@@ -117,12 +117,12 @@ def test_transport_round_trip_and_values():
 
 
 def test_transport_maps_indicial_branches():
-    # u ~ K G^{alpha_-} near 0 corresponds to v ~ K' r^{-beta_-}
-    from hardyball.constants import alpha_minus
+    # u ~ K G^{alpha_-} near 0 corresponds to v ~ K' r^{-beta_-}, where
+    # alpha_- = beta_-/(n-2)
     from hardyball.kernel import green_G
     n, gamma = 5, -2.0
     bm, _ = beta_pm(n, gamma)
-    am = alpha_minus(n, gamma)
+    am = bm / (n - 2.0)
     r = np.geomspace(1e-6, 1e-3, 200)
     u = ProfileData(r, green_G(r, n) ** am)
     v = u.v * phi(r, n)

@@ -208,6 +208,50 @@ def test_exit_code_inadmissible(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, node_target", [
+    ("constants", 0), ("weights", 0), ("bridge", 0), ("bubble", 0),
+    ("solve", 0), ("solve", 1), ("continue", 0), ("verify", 0),
+    ("blowup", 0), ("sweep", 0)])
+def test_the_hardy_threshold_exits_2_everywhere(tmp_path, capsys, command,
+                                                node_target):
+    # gamma = 3 lies above (n-2)^2/4 = 2.25 at n = 5: ProblemParams refuses
+    # it, so every command exits 2 with the cause before it writes a file
+    # (a sweep writes its rows, each inadmissible)
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS, gamma=3.0),
+        "solver": {"node_target": node_target},
+        "sweep": {"gamma": [3.0]}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "inadmissible parameters: gamma must be strictly below the Hardy "
+        "threshold (n-2)^2/4\n")
+    if command != "sweep":
+        assert not out.exists()
+        return
+    with open(out / "sweep.csv", encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["status"], row["error_class"], row["shoots"]) == (
+        "inadmissible", "AdmissibilityError", "0")
+
+
+def test_continue_checks_its_schedule_before_it_solves(tmp_path, monkeypatch,
+                                                       capsys):
+    # p = -0.1 is the third step: the run exits 2 before its first shoot,
+    # and writes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("shoot called")
+
+    monkeypatch.setattr(solver, "shoot", refuse)
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "solver": {"schedule": [0.4, 0.2, -0.1]}})
+    out = tmp_path / "out"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("inadmissible parameters: subcritical "
+                                       "defect must lie in [0, 0.666667)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "bridge", "continue"])
 def test_flat_problem_below_n_5_exits_2(tmp_path, capsys, command):
     # at n = 4 h is singular at the origin: the commands that build the

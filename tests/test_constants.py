@@ -1,17 +1,30 @@
 """Closed-form exponents, regime predicates, and the best-constant
 estimate, including algebraic property tests."""
 
+import argparse
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardyball import cli
 from hardyball.constants import (AdmissibilityError, ProblemParams,
-                                 admissibility, alpha_minus,
-                                 best_constant_estimate, beta_pm,
-                                 critical_exponent, exponent_set, h_origin,
+                                 admissibility, best_constant_estimate,
+                                 beta_pm, critical_exponent, h_origin,
                                  radial_hardy_ode_residual)
+
+
+def _exponents(n, gamma, s=1.0):
+    """The exponents block that the constants command prints."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.cmd_constants({"params": {"n": n, "s": s, "gamma": gamma}},
+                                 argparse.Namespace(out=None, seed=0)) == 0
+    return json.loads(text.getvalue())["exponents"]
 
 
 def test_critical_exponent_values():
@@ -36,8 +49,9 @@ def test_beta_rejects_supercritical_gamma():
 
 
 def test_alpha_minus_values():
-    assert alpha_minus(5, 0.0) == 0.0
-    assert alpha_minus(5, -7.0 / 4.0) == pytest.approx(-1.0 / 6.0, rel=1e-14)
+    assert _exponents(5, 0.0)["alpha_minus"] == 0.0
+    assert _exponents(5, -7.0 / 4.0)["alpha_minus"] == pytest.approx(
+        -1.0 / 6.0, rel=1e-14)
 
 
 @settings(deadline=None, max_examples=200)
@@ -52,8 +66,10 @@ def test_beta_vieta_identities(n, gamma):
     assert bm + bp == pytest.approx(n - 2.0, abs=1e-12)
     assert bm * bp == pytest.approx(gamma, abs=1e-10 * max(1.0, abs(gamma)))
     assert bm < (n - 2.0) / 2.0 < bp
-    # the two indicial conventions agree
-    assert (n - 2.0) * alpha_minus(n, gamma) == pytest.approx(bm, abs=1e-10)
+    # the two indicial conventions that constants.json writes agree
+    exps = _exponents(n, gamma)
+    assert (exps["beta_minus"], exps["beta_plus"]) == (bm, bp)
+    assert (n - 2.0) * exps["alpha_minus"] == pytest.approx(bm, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=100)
@@ -65,11 +81,12 @@ def test_power_solutions_solve_hardy_ode(gamma):
         assert radial_hardy_ode_residual(5, gamma, beta, radii) < 1e-10
 
 
-def test_exponent_set_tau_range():
-    exps = exponent_set(5, 1.0, -2.0)
-    lo, hi = exps.tau_range
+def test_constants_tau_range():
+    exps = _exponents(5, -2.0)
+    lo, hi = exps["tau_range"]
     assert lo == pytest.approx(beta_pm(5, -2.0)[0])
     assert hi == pytest.approx(1.5)
+    assert exps["two_star_s"] == critical_exponent(5, 1.0)
 
 
 def test_admissibility_reference_flags():
@@ -130,6 +147,8 @@ def test_params_validation():
         ProblemParams(n=5, s=2.5, gamma=0.0)
     with pytest.raises(AdmissibilityError):
         ProblemParams(n=5, s=1.0, gamma=0.0, p_defect=1.0)  # cap is 2/3
+    with pytest.raises(AdmissibilityError, match="Hardy threshold"):
+        ProblemParams(n=5, s=1.0, gamma=2.25)     # boundary equality is out
 
 
 def test_best_constant_sobolev_limit():

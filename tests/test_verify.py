@@ -1,12 +1,14 @@
 """Identity audits: the annulus momentum balance, the two hyperbolic
 inequalities, and exponent extraction."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from hardyball import verify
+from hardyball import cli, verify
 from hardyball.bridge import EuclideanProblem
 from hardyball.constants import ProblemParams, beta_pm
 from hardyball.grids import ProfileData
@@ -14,10 +16,9 @@ from hardyball.kernel import (hyperbolic_dirichlet_energy,
                               hyperbolic_integral, hyperbolic_scaling,
                               weight_V_p)
 from hardyball.solver import ProfileData, SolutionProfile
-from hardyball.verify import (VerificationError, VerificationReport,
-                              asymptotic_exponent, hardy_check,
-                              hardy_sharpness_error, hardy_sobolev_check,
-                              pohozaev_residual)
+from hardyball.verify import (VerificationError, asymptotic_exponent,
+                              hardy_check, hardy_sharpness_error,
+                              hardy_sobolev_check, pohozaev_residual)
 
 from conftest import ConstStub, sampled_shoot
 
@@ -186,14 +187,44 @@ def test_exponent_guards():
 
 # ------------------------------------------------------------ reports etc.
 
-def test_verification_report():
-    rep = VerificationReport(provenance={"case": "unit"})
-    rep.add("small", 1e-9, 1e-6)
-    rep.add("flagged", 2.0, 1.0)
-    assert not rep.passed
-    d = rep.as_dict()
-    assert d["provenance"] == {"case": "unit"}
-    assert [c["passed"] for c in d["checks"]] == [True, False]
-    rep2 = VerificationReport()
-    rep2.add("forced", 5.0, 1.0, passed=True)
-    assert rep2.passed
+def test_verification_report(tmp_path, monkeypatch, capsys, ref_problem,
+                             ground_shoot):
+    # verify.json holds each check with its pass: |value| <= tolerance, unless
+    # the check states its own (energy_positive passes on the sign alone);
+    # the report passes when every check does.  Here the stored energy is
+    # negated and the Pohozaev residual raised past its tolerance.
+    residual = verify.pohozaev_residual
+
+    def loose(*args):
+        po = residual(*args)
+        po.relative = 2e-4
+        return po
+
+    monkeypatch.setattr(verify, "pohozaev_residual", loose)
+    out = str(tmp_path)
+    files = cli._sidecar("profile", ground_shoot, ref_problem)
+    files["profile.json"]["energy"] = -ground_shoot.energy
+    for name, body in files.items():
+        cli.write_text(os.path.join(out, name), body if isinstance(body, str)
+                       else cli.dumps17(body))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"params": ground_shoot.params.as_dict()}))
+    assert cli.main(["verify", "--config", str(cfg), "--out", out,
+                     "--seed", "7"]) == 0
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    assert doc["provenance"] == {"stem": "profile", "directory": out,
+                                 "seed": 7, "hardy_warnings": 0,
+                                 "hardy_first_warning": None}
+    assert [(c["name"], c["passed"]) for c in doc["checks"]] == [
+        ("pohozaev_relative_residual", False),
+        ("asymptotic_slope_error", True),
+        ("energy_positive", False),
+        ("hardy_margin_min_relative", True),
+        ("hardy_sharpness_relative_error", True)]
+    assert doc["checks"][0]["value"] == 2e-4
+    assert doc["checks"][0]["tolerance"] == 1e-4
+    assert doc["checks"][2]["value"] == -ground_shoot.energy < 0.0
+    assert doc["checks"][2]["tolerance"] is None        # inf is written null
+    assert doc["passed"] is False
+    assert json.loads(capsys.readouterr().out) == {"passed": False,
+                                                   "checks": 5}
