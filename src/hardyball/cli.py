@@ -270,6 +270,10 @@ def load_config(path: str) -> dict:
                        _number("sweep." + key, value, low=-math.inf)
                        for value in grid]
                  for key, grid in sweep.items()}
+    targets = [solver["node_target"], *(sweep or {}).get("node_target", ())]
+    if solver["method"] == "variational" and any(targets):
+        raise ConfigError("solver.node_target must be 0 for the "
+                          "variational method (ground states only)")
     return {"params": params, "solver": solver, "output": output,
             "sweep": sweep}
 
@@ -415,9 +419,6 @@ def _solve_one(cfg: dict, problem: EuclideanProblem, p: float,
     from .solver import solve_dirichlet_shooting, solve_variational
     sol = cfg["solver"]
     if sol["method"] == "variational":
-        if sol["node_target"] != 0:
-            raise ConfigError("solver.node_target must be 0 for the "
-                              "variational method (ground states only)")
         return solve_variational(problem, p, r0=sol["r0"],
                                  num=sol["grid_num"])
     return solve_dirichlet_shooting(
@@ -608,38 +609,34 @@ _SWEEP_COLUMNS = ["index", "gamma", "s", "lam", "p_defect", "node_target",
 
 
 def _fork_map(fn, tasks: list, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, run by min(workers, len(tasks))
-    forked children (in this process when that is 1).  Each child pulls
-    the next task index from one shared pipe as it comes free, and sends
-    back its results, pickled, when the pipe runs dry.  An exception of fn
-    is raised here, the one of the lowest index, as the serial map raises
-    it; a child that dies is a SolverError."""
+    """``[fn(task) for task in tasks]``, run by w = min(workers, len(tasks))
+    forked children (in this process when that is 1).  Child i runs
+    tasks[i::w] in order, stops at its first exception, and sends back its
+    results, pickled, through its own pipe.  An exception of fn is raised
+    here, the one of the lowest index, as the serial map raises it; a child
+    that dies is a SolverError."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
     # a child that flushed would otherwise write the parent's buffered text
     sys.stdout.flush()
     sys.stderr.flush()
-    index_r, index_w = os.pipe()
-    pipes = {}              # pid -> read end of the child's result pipe
+    pipes = {}              # pid -> its result pipe's read end, in fork order
     try:
-        for _ in range(workers):
+        for first in range(workers):
             result_r, result_w = os.pipe()
             pid = os.fork()
             if pid == 0:                    # the child, which never returns
                 status = 1
                 try:
-                    for fd in (index_w, result_r, *pipes.values()):
+                    for fd in (result_r, *pipes.values()):
                         os.close(fd)
                     done = []
-                    # the indices are written whole, 4 bytes each, so every
-                    # read of 4 returns one index (or b"" at EOF)
-                    while chunk := os.read(index_r, 4):
-                        index = int.from_bytes(chunk, "little")
+                    for task in tasks[first::workers]:
                         try:
-                            done.append((index, True, fn(tasks[index])))
+                            done.append((True, fn(task)))
                         except Exception as exc:
-                            done.append((index, False, exc))
+                            done.append((False, exc))
                             break
                     with open(result_w, "wb") as fh:
                         pickle.dump(done, fh)
@@ -648,19 +645,8 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
                     os._exit(status)
             os.close(result_w)
             pipes[pid] = result_r
-        # without a read end here, a write that no child reads fails at once
-        os.close(index_r)
-        index_r = None
-        view = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
-        try:
-            while view:
-                view = view[os.write(index_w, view):]
-        except BrokenPipeError:     # every child is gone; their statuses say
-            pass
-        os.close(index_w)           # EOF, once each child has closed its copy
-        index_w = None
         results = [None] * len(tasks)
-        for pid in list(pipes):
+        for first, pid in enumerate(list(pipes)):
             with open(pipes[pid], "rb", closefd=False) as fh:
                 blob = fh.read()
             status = os.waitpid(pid, 0)[1]
@@ -668,8 +654,9 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
             if status:
                 raise SolverError(f"sweep worker {pid} died "
                                   f"(wait status {status})")
-            for index, ok, value in pickle.loads(blob):
-                results[index] = ok, value
+            for index, result in zip(range(first, len(tasks), workers),
+                                     pickle.loads(blob)):
+                results[index] = result
         # a task no child ran comes after every failed one
         for ok, value in results:
             if not ok:
@@ -681,9 +668,8 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
             for pid in pipes:
                 os.kill(pid, signal.SIGTERM)
                 os.waitpid(pid, 0)
-        for fd in (index_r, index_w, *pipes.values()):
-            if fd is not None:
-                os.close(fd)
+        for fd in pipes.values():
+            os.close(fd)
 
 
 def cmd_sweep(cfg: dict, args) -> int:

@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from .kernel import sphere_area
 
 
@@ -76,13 +74,12 @@ def admissibility(params: ProblemParams) -> dict:
     """Regime report: which of the strict parameter conditions hold.
 
     Reports, never raises; boundary equalities count as inadmissible.
-    ProblemParams refuses gamma at or above the Hardy threshold, so
-    hardy_subcritical reads true; constants.json and blowup.json keep it.
+    ProblemParams refuses gamma at or above the Hardy threshold, so that
+    condition holds for every params and is not reported.
     """
-    hardy_cap = (params.n - 2.0) ** 2 / 4.0
+    multiplicity_cap = (params.n - 2.0) ** 2 / 4.0 - 4.0
     return {
-        "hardy_subcritical": params.gamma < hardy_cap,
-        "multiplicity_regime": params.gamma < hardy_cap - 4.0,
+        "multiplicity_regime": params.gamma < multiplicity_cap,
         "lambda_threshold_met": h_origin(params) > 0.0,
     }
 
@@ -116,14 +113,3 @@ def best_constant_estimate(n: int, s: float, gamma: float) -> dict:
     value = math.exp(math.log(omega) * (1.0 - 2.0 / q) + log_num
                      - log_den * 2.0 / q)
     return {"value": value, "alpha": alpha}
-
-
-def radial_hardy_ode_residual(n: int, gamma: float, beta: float,
-                              radii) -> float:
-    """Max residual of r^{-beta} in the linear radial equation
-    -v'' - (n-1) v'/r - gamma v / r^2 = 0, normalized per node."""
-    radii = np.asarray(radii, dtype=float)
-    # v = r^-beta: v'' = beta(beta+1) r^{-beta-2}, v' = -beta r^{-beta-1}
-    res = (-beta * (beta + 1.0) + (n - 1.0) * beta - gamma) * radii ** (-beta - 2.0)
-    scale = radii ** (-beta - 2.0) * max(1.0, abs(gamma) + beta * beta)
-    return float(np.max(np.abs(res) / scale))

@@ -12,7 +12,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hardyball"
 # gate
 ORACLES = ("plant_bubbles", "rate_check", "bubble_weighted_integrals",
            "hyperbolic_scaling", "residual_equivalence_check",
-           "hardy_sobolev_check", "radial_hardy_ode_residual")
+           "hardy_sobolev_check")
 
 
 def _public_names_without_caller() -> dict:

@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import os
 import pathlib
 import re
@@ -640,7 +639,8 @@ def test_constants_and_weights_and_bridge(tmp_path, capsys):
     assert main(["weights", "--config", cfg, "--out", out]) == 0
     assert main(["bridge", "--config", cfg, "--out", out]) == 0
     cdoc = _json(os.path.join(out, "constants.json"))
-    assert cdoc["admissibility"]["hardy_subcritical"] is True
+    assert cdoc["admissibility"] == {"multiplicity_regime": True,
+                                     "lambda_threshold_met": True}
     wdoc = _json(os.path.join(out, "weights.json"))
     assert wdoc["origin_limit_4r2_V2"] == pytest.approx(1.0, rel=1e-10)
     bdoc = _json(os.path.join(out, "bridge.json"))
@@ -709,8 +709,7 @@ def test_continue_then_blowup(tmp_path, capsys):
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
     verdict = _json(os.path.join(out, "blowup.json"))
     assert verdict["verdict"] in ("COMPACT", "BLOWUP", "INCONCLUSIVE")
-    assert verdict["flags"] == {"hardy_subcritical": True,
-                                "multiplicity_regime": True,
+    assert verdict["flags"] == {"multiplicity_regime": True,
                                 "lambda_threshold_met": True}
     assert verdict["theory_compact"] is True
     capsys.readouterr()
@@ -804,6 +803,24 @@ def test_variational_solve_rejects_a_node_target(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_variational_sweep_checks_its_node_targets_first(
+        tmp_path, monkeypatch, capsys):
+    # the config is refused before any cell is solved
+    def fail(*args, **kwargs):
+        raise AssertionError("a variational solve ran")
+
+    monkeypatch.setattr(solver, "solve_variational", fail)
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "solver": {"method": "variational"},
+        "sweep": {"node_target": [0, 1]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: solver.node_target must be 0 for the variational "
+        "method (ground states only)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
     # above K = 3000 the range holds p = 0.2's root but not p = 0.1's: the
     # first step is written, marked with where and why the run stopped
@@ -841,8 +858,7 @@ def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):
     assert main(["continue", "--config", cfg, "--out", out]) == 0
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
     verdict = _json(os.path.join(out, "blowup.json"))
-    assert verdict["flags"] == {"hardy_subcritical": True,
-                                "multiplicity_regime": True,
+    assert verdict["flags"] == {"multiplicity_regime": True,
                                 "lambda_threshold_met": False}
     assert verdict["theory_compact"] is False
     assert verdict["verdict"] == "COMPACT"
@@ -1173,11 +1189,37 @@ def test_a_dead_worker_is_a_typed_failure(tmp_path, monkeypatch, capsys,
     _no_children_left()
 
 
+@pytest.mark.parametrize("failing", [(), (0,), (5,), (2, 5), (6,)])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fork_map_is_the_serial_map(deadline, workers, failing):
+    # each child takes its stride of the 7 tasks; the rows, or the error of
+    # the lowest failing task, are those of the serial map
+    def fn(task):
+        if task in failing:
+            raise ValueError(f"task {task} failed")
+        return task * task
+
+    def outcome(run):
+        try:
+            return run()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    tasks = list(range(7))
+    assert (outcome(lambda: cli._fork_map(fn, tasks, workers))
+            == outcome(lambda: [fn(task) for task in tasks]))
+    _no_children_left()
+
+
 def test_fork_map_returns_20000_tasks_in_order(deadline):
-    # 80 KB of indices, more than a pipe holds, handed out to two children
+    # each child pickles 10,000 results of 100 bytes, ~1 MB, far more than a
+    # 64 KiB pipe holds: the parent reads each pipe to EOF before it reaps
+    def fn(task):
+        return task.to_bytes(100, "little")
+
     tasks = list(range(20_000))
     fds = os.listdir("/proc/self/fd")
-    assert cli._fork_map(operator.neg, tasks, 2) == [-i for i in tasks]
+    assert cli._fork_map(fn, tasks, 2) == [fn(task) for task in tasks]
     assert os.listdir("/proc/self/fd") == fds          # every pipe closed
     _no_children_left()
 
