@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import b_origin
-from .constants import (ProblemParams, admissibility, best_constant_estimate,
-                        beta_pm, critical_exponent, h_origin)
+from .constants import (ProblemParams, admissibility, beta_pm,
+                        critical_exponent, h_origin)
 from .grids import ProfileData, spline_integral
 from .kernel import sphere_area
 from .profiles import EntireBubble, SolutionProfile, weighted_profile
@@ -47,12 +47,6 @@ class BubbleFamily:
     @property
     def t_limits(self) -> np.ndarray:
         return np.clip(self.mu ** self.params.p_defect, 1e-300, 1.0)
-
-
-@dataclass
-class EnvelopeReport:
-    worst_ratio: float           # smallest C with |u| <= C * envelope
-    annuli: list                 # per-decade (r_lo, r_hi, max_ratio)
 
 
 def detect_scales(u: SolutionProfile) -> list:
@@ -141,9 +135,10 @@ def envelope_values(r, family: BubbleFamily):
     return env
 
 
-def envelope_check(u: SolutionProfile, family: BubbleFamily) -> EnvelopeReport:
-    """Fit the smallest constant C with |u| <= C * envelope on the grid,
-    and the largest ratio |u| / envelope on each decade of radii."""
+def envelope_check(u: SolutionProfile, family: BubbleFamily) -> tuple:
+    """The smallest constant C with |u| <= C * envelope on the grid, and
+    the largest ratio |u| / envelope on each decade of radii, as a list of
+    (r_lo, r_hi, max_ratio)."""
     r = u.data.r
     env = envelope_values(r, family)
     absu = np.abs(u.data.v)
@@ -161,7 +156,7 @@ def envelope_check(u: SolutionProfile, family: BubbleFamily) -> EnvelopeReport:
             continue
         band_max = float(np.max(ratio[mask]))
         annuli.append((10.0 ** d, 10.0 ** (d + 1), band_max))
-    return EnvelopeReport(worst_ratio=worst, annuli=annuli)
+    return worst, annuli
 
 
 def bubble_weighted_integrals(bubble_data: ProfileData, n: int,
@@ -234,19 +229,10 @@ def rate_check(family_over_p, params: ProblemParams,
     }
 
 
-def scale_count_bound(params: ProblemParams, energy_budget: float) -> float:
-    """Upper bound on the number of concentration scales a family with the
-    given energy budget can carry, from the best-constant estimate."""
-    n, s = params.n, params.s
-    q = critical_exponent(n, s)
-    best = best_constant_estimate(n, s, params.gamma)["value"]
-    return energy_budget * (b_origin(n, s) / best) ** (q / (q - 2.0))
-
-
 def compactness_verdict(steps: list, params: ProblemParams) -> dict:
     """Classify a continuation run, from its steps in order (each a dict of
-    p_defect, weighted_sup, sup_increment and h1_norm_sq, as in
-    continuation.json), as COMPACT, BLOWUP, or INCONCLUSIVE.
+    p_defect, weighted_sup and sup_increment, as in continuation.json), as
+    COMPACT, BLOWUP, or INCONCLUSIVE.
 
     COMPACT requires at least two increments, and both the weighted sups
     and the increments per unit decrease of p (sup_increment over the
@@ -273,10 +259,6 @@ def compactness_verdict(steps: list, params: ProblemParams) -> dict:
     rates = [i / (a - b) for i, a, b in zip(incs, ps, ps[1:])]
     report.update(weighted_sups=sups, sup_increments=incs,
                   increments_per_unit_p=rates)
-    energies = [step.get("h1_norm_sq") for step in steps]
-    if None not in energies:
-        report["scale_count_bound"] = scale_count_bound(params,
-                                                        max(energies))
     diverging = (len(sups) >= 3 and np.all(np.diff(sups) > 0.0)
                  and sups[-1] > 10.0 * sups[0])
     if len(rates) >= 2 and all(max(xs) <= 10.0 * min(xs)

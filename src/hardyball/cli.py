@@ -496,10 +496,10 @@ def cmd_blowup(cfg: dict, args) -> int:
     files = {}
     if scales:
         fam = blowup_mod.BubbleFamily([mu for mu, _ in scales], last.params)
-        rep = blowup_mod.envelope_check(last, fam)
-        verdict["envelope_constant"] = rep.worst_ratio
+        worst, annuli = blowup_mod.envelope_check(last, fam)
+        verdict["envelope_constant"] = worst
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
-                                         np.reshape(rep.annuli, (-1, 3)))
+                                         np.reshape(annuli, (-1, 3)))
     files["blowup.json"] = verdict
     return emit(cfg, args, files,
                 {"verdict": verdict["verdict"], "scales": len(scales)})

@@ -247,7 +247,7 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
         nxt = min(max(x + step, x_min), x_max)
         if nxt == x:
             raise BracketNotFound(
-                f"no node-count transition through {node_target} from "
+                f"no sign change of theta(R) - {node_target + 1} pi from "
                 f"K = {K_start:.6g} within the range", shoots=len(shots))
         if (phase_at(nxt) > 0.0) != (f > 0.0):
             break

@@ -834,7 +834,7 @@ def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
     assert [step["stem"] for step in summary["steps"]] == ["continuation_00"]
     meta = _json(out / "continuation_00.json")["meta"]
     assert meta["truncated_at"] == 1
-    assert meta["failure"].startswith("no node-count transition through 0")
+    assert meta["failure"].startswith("no sign change of theta(R) - 1 pi")
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     assert _json(out / "blowup.json")["verdict"] == "INCONCLUSIVE"
     # a run whose first step fails has nothing to write

@@ -16,7 +16,7 @@ from hardyball.grids import (GridError, ProfileData, _sign_changes,
 from hardyball.kernel import sphere_area
 from hardyball.profiles import EntireBubble
 from hardyball.solver import (BracketNotFound, NotCoercive, NotConverged,
-                              continuation_to_critical,
+                              SolverError, continuation_to_critical,
                               dirichlet_norm_sq, frobenius_init, shoot,
                               solve_dirichlet_shooting, solve_variational)
 from hardyball.verify import asymptotic_exponent
@@ -570,6 +570,24 @@ def test_bracket_not_found_reports_counts():
     with pytest.raises(BracketNotFound):
         solve_dirichlet_shooting(prob, p=0.2, node_target=50,
                                  K_range=(1e-2, 1e0))
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="v(R)/sup reads 0 on a concentrated tail while "
+                          "theta(R)/pi reads 1.0042: the root has 1 node")
+def test_a_concentrated_ground_state_is_accepted_by_its_phase():
+    # lambda = -2 concentrates at the origin as p -> 0; at p = 0.2 * 2^-11
+    # (mu ~ 90 r0) v(R)/sup of a shoot with one node near R is -1.2e-9,
+    # inside the sup-relative stop, so the cold solve takes it for a root
+    params = ProblemParams(n=5, s=1.0, gamma=-2.0, lam=-2.0)
+    prob = EuclideanProblem(params, domain_radius=0.5)
+    p = 0.2 * 2.0 ** -11
+    cold = solve_dirichlet_shooting(prob, p, K_range=(1e-4, 1e40))
+    assert cold.data.node_count() == 0
+    warm_start = solve_dirichlet_shooting(prob, p, K_range=(1e-4, 1e40),
+                                          K_start=1e7)
+    assert warm_start.meta["K_shoot"] == pytest.approx(
+        cold.meta["K_shoot"], rel=1e-8)
 
 
 def test_continuation_single_step_matches_direct(ref_problem, ground_shoot):
