@@ -14,7 +14,7 @@ from .constants import (ProblemParams, admissibility, beta_pm,
                         critical_exponent, h_origin)
 from .grids import ProfileData, spline_integral
 from .kernel import sphere_area
-from .profiles import EntireBubble, SolutionProfile, weighted_profile
+from .profiles import EntireBubble, SolutionProfile
 
 COMPACT = "COMPACT"
 BLOWUP = "BLOWUP"
@@ -62,8 +62,8 @@ def detect_scales(u: SolutionProfile) -> list:
     every smooth profile has."""
     n, p = u.params.n, u.params.p_defect
     q = critical_exponent(n, u.params.s)
-    w = weighted_profile(u)
     r = u.data.r
+    w = r ** ((n - 2.0) / 2.0) * np.abs(u.data.v) ** (1.0 - p / (q - 2.0))
     floor = 1e-10 * np.max(w)
     # strict interior local maxima of the weighted profile
     r_cap = 0.25 * r[-1]
@@ -231,16 +231,16 @@ def rate_check(family_over_p, params: ProblemParams,
 
 def compactness_verdict(steps: list, params: ProblemParams) -> dict:
     """Classify a continuation run, from its steps in order (each a dict of
-    p_defect, weighted_sup and sup_increment, as in continuation.json), as
-    COMPACT, BLOWUP, or INCONCLUSIVE.
+    p_defect and sup_increment, as in continuation.json), as COMPACT,
+    BLOWUP, or INCONCLUSIVE, by the increments per unit decrease of p
+    (sup_increment over the step's drop in p_defect), which do not depend
+    on how the schedule spaces p.
 
-    COMPACT requires at least two increments, and both the weighted sups
-    and the increments per unit decrease of p (sup_increment over the
-    step's drop in p_defect) to stay within a factor 10 of their smallest,
-    so that the verdict does not depend on how the schedule spaces p;
-    BLOWUP requires the sups to grow monotonically past that factor.  Only
-    a BLOWUP verdict contradicts the regime flags, whose conditions are
-    sufficient for compactness, not necessary."""
+    COMPACT requires at least two increments per unit p, all within a
+    factor 10 of the smallest; BLOWUP requires at least three, rising
+    strictly and ending above 10 times the first.  Only a BLOWUP verdict
+    contradicts the regime flags, whose conditions are sufficient for
+    compactness, not necessary."""
     flags = admissibility(params)
     theory_compact = (flags["multiplicity_regime"]
                       and flags["lambda_threshold_met"])
@@ -249,22 +249,18 @@ def compactness_verdict(steps: list, params: ProblemParams) -> dict:
         report.update({"verdict": INCONCLUSIVE,
                        "reason": "empty continuation"})
         return report
-    sups = [step.get("weighted_sup") for step in steps]
     incs = [step.get("sup_increment") for step in steps[1:]]
     ps = [step.get("p_defect") for step in steps]
-    if None in sups + incs + ps:
+    if None in incs + ps:
         report.update({"verdict": INCONCLUSIVE,
                        "reason": "missing step data"})
         return report
     rates = [i / (a - b) for i, a, b in zip(incs, ps, ps[1:])]
-    report.update(weighted_sups=sups, sup_increments=incs,
-                  increments_per_unit_p=rates)
-    diverging = (len(sups) >= 3 and np.all(np.diff(sups) > 0.0)
-                 and sups[-1] > 10.0 * sups[0])
-    if len(rates) >= 2 and all(max(xs) <= 10.0 * min(xs)
-                               for xs in (sups, rates)):
+    report.update(sup_increments=incs, increments_per_unit_p=rates)
+    if len(rates) >= 2 and max(rates) <= 10.0 * min(rates):
         verdict = COMPACT
-    elif diverging:
+    elif (len(rates) >= 3 and np.all(np.diff(rates) > 0.0)
+          and rates[-1] > 10.0 * rates[0]):
         verdict = BLOWUP
     else:
         verdict = INCONCLUSIVE

@@ -470,9 +470,7 @@ def cmd_continue(cfg: dict, args) -> int:
         files.update(_sidecar(stem, prof, problem))
         steps.append({"p_defect": prof.params.p_defect, "stem": stem,
                       "energy": prof.energy,
-                      "weighted_sup": prof.meta.get("weighted_sup"),
-                      "sup_increment": prof.meta.get("sup_increment"),
-                      "h1_norm_sq": prof.meta.get("h1_norm_sq")})
+                      "sup_increment": prof.meta.get("sup_increment")})
     summary = {"params": params.as_dict(), "steps": steps,
                "domain_radius": problem.domain_radius,
                "completed": len(profiles) == len(schedule)}
@@ -483,14 +481,18 @@ def cmd_continue(cfg: dict, args) -> int:
 
 def cmd_blowup(cfg: dict, args) -> int:
     from . import blowup as blowup_mod
-    params = make_params(cfg)
+    make_params(cfg)            # the config is checked like any other
     out = _outdir(cfg, args)
-    steps = _stored_json(out, "continuation.json")["steps"]
+    run = _stored_json(out, "continuation.json")
+    steps = run["steps"]
     if not steps:
         raise ConfigError(f"no steps in the stored continuation in {out}")
-    # the verdict reads the stored steps, the scales the last step's samples
+    # the verdict judges the stored run, by its params and its steps; the
+    # scales are read off the last step's samples
+    _check_keys(run["params"], _PARAM_KEYS, "continuation.json params")
     last = read_profile(out, steps[-1]["stem"])[0]
-    verdict = blowup_mod.compactness_verdict(steps, params)
+    verdict = blowup_mod.compactness_verdict(steps,
+                                             ProblemParams(**run["params"]))
     scales = blowup_mod.detect_scales(last)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}

@@ -49,15 +49,6 @@ class SolutionProfile:
     meta: dict = field(default_factory=dict)
 
 
-def weighted_profile(u: SolutionProfile) -> np.ndarray:
-    """w(r) = r^{(n-2)/2} |v|^{1 - p/(q-2)}, p the profile's defect: the
-    profile in the scaling that a concentrating core keeps as p -> 0."""
-    n, p = u.params.n, u.params.p_defect
-    q = critical_exponent(n, u.params.s)
-    return u.data.r ** ((n - 2.0) / 2.0) * \
-        np.abs(u.data.v) ** (1.0 - p / (q - 2.0))
-
-
 @dataclass
 class EntireBubble:
     """Positive entire radial solution of the limit equation

@@ -20,8 +20,7 @@ from .kernel import sphere_area
 from .ode import _brent, _dop853, _Trajectory
 # the records and errors, re-exported for the solver's callers
 from .profiles import (BracketNotFound, NotCoercive,  # noqa: F401
-                       NotConverged, SolutionProfile, SolverError,
-                       weighted_profile)
+                       NotConverged, SolutionProfile, SolverError)
 
 # solve_variational's fixed count of projected descent steps, and its cap
 # on the Newton steps that follow them
@@ -130,13 +129,6 @@ def euclidean_energy(profile: SolutionProfile,
     I_quad = spline_integral(t, quad_part)
     I_nl = spline_integral(t, nl_part)
     return omega * (0.5 * I_quad - I_nl / pf), omega * I_nl
-
-
-def dirichlet_norm_sq(profile: SolutionProfile) -> float:
-    d = profile.data
-    t = np.log(d.r)
-    integ = d.dv ** 2 * d.r ** profile.params.n
-    return sphere_area(profile.params.n) * spline_integral(t, integ)
 
 
 def fit_K0(profile: SolutionProfile) -> float:
@@ -377,8 +369,8 @@ def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
 def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
                              solve) -> list:
     """Warm-started solves along schedule, a decreasing tuple of defects
-    (cli._type_solver checks the order); records the Cauchy increments and
-    the weighted sup norms used by the blow-up lab.
+    (cli._type_solver checks the order); records the Cauchy increments
+    that the blow-up lab reads.
     solve(p, K_start) is a step's shooting solve (from the scaling
     estimate for K_start None, the first step's), whose meta gives K_shoot
     and r0.  A later step starts at the scaling estimate E(p) at the last
@@ -401,8 +393,6 @@ def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
             return out
         estimate = _scaling_estimate(problem, p, prof.meta["r0"])
         fits.append((p, math.log(prof.meta["K_shoot"]) - math.log(estimate)))
-        prof.meta["weighted_sup"] = float(np.max(weighted_profile(prof)))
-        prof.meta["h1_norm_sq"] = dirichlet_norm_sq(prof)
         if out:
             prof.meta["sup_increment"] = _sup_diff(out[-1], prof)
         out.append(prof)

@@ -173,8 +173,6 @@ def test_criterion_08_compactness_witness(continuation, continuation_steps,
     rep = blowup_mod.compactness_verdict(continuation_steps, ref_params)
     assert rep["verdict"] == blowup_mod.COMPACT
     assert all(rep["flags"].values())
-    sups = rep["weighted_sups"]
-    assert max(sups) <= 10.0 * min(sups)
     incs = rep["sup_increments"]
     ratios = [b / a for a, b in zip(incs, incs[1:])]
     assert float(np.exp(np.mean(np.log(ratios)))) < 0.9

@@ -172,12 +172,12 @@ def test_verdict_does_not_depend_on_the_schedule(continuation_steps,
 
 def test_verdict_rejects_increments_that_do_not_shrink_with_dp(params):
     # constant increments over a schedule that halves dp: the increment per
-    # unit dp doubles at every step, which no Lipschitz family shows
+    # unit dp doubles at every step, which no Lipschitz family shows, and
+    # which a family that concentrates as p -> 0 does
     ps = [0.8 * 0.5 ** i for i in range(7)]
-    steps = [{"p_defect": p, "weighted_sup": 1.0, "sup_increment": 0.06}
-             for p in ps]
+    steps = [{"p_defect": p, "sup_increment": 0.06} for p in ps]
     rep = compactness_verdict(steps, params)
-    assert rep["verdict"] == INCONCLUSIVE
+    assert rep["verdict"] == BLOWUP
     assert rep["increments_per_unit_p"][-1] == pytest.approx(
         32.0 * rep["increments_per_unit_p"][0])
     # the same increments on a uniform schedule are bounded per unit dp
@@ -193,13 +193,14 @@ def test_verdict_empty_is_inconclusive(params):
     assert rep["verdict"] == INCONCLUSIVE
 
 
-def test_verdict_blowup_on_diverging_sups(params):
-    # synthetic run whose weighted sup norms grow without bound
-    steps = [{"p_defect": 0.4 / (i + 1.0), "weighted_sup": sup,
-              "sup_increment": sup}
-             for i, sup in enumerate((1.0, 6.0, 60.0, 700.0))]
+def test_verdict_blowup_on_diverging_increments(params):
+    # synthetic run whose increments per unit p grow without bound
+    steps = [{"p_defect": 0.4 / (i + 1.0), "sup_increment": inc}
+             for i, inc in enumerate((1.0, 6.0, 60.0, 700.0))]
     rep = compactness_verdict(steps, params)
     assert rep["verdict"] == BLOWUP
+    assert rep["increments_per_unit_p"][-1] == pytest.approx(
+        700.0 * rep["increments_per_unit_p"][0])
     assert rep["consistent_with_theory"] is False
     # the flags are sufficient for compactness, not necessary: below the
     # lambda threshold a blow-up verdict contradicts nothing

@@ -706,7 +706,10 @@ def test_continue_then_blowup(tmp_path, capsys):
     for step in summary["steps"]:
         doc = _json(os.path.join(out, step["stem"] + ".json"))
         assert doc["params"]["p_defect"] == doc["p_defect"] == step["p_defect"]
-    assert main(["blowup", "--config", cfg, "--out", out]) == 0
+    # blowup judges the stored run at lam = 10, not the config it is given
+    other = _write_cfg(tmp_path / "other.json",
+                       {"params": dict(REF_PARAMS, lam=9.0)})
+    assert main(["blowup", "--config", other, "--out", out]) == 0
     verdict = _json(os.path.join(out, "blowup.json"))
     assert verdict["verdict"] in ("COMPACT", "BLOWUP", "INCONCLUSIVE")
     assert verdict["flags"] == {"multiplicity_regime": True,
@@ -866,14 +869,33 @@ def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lam, expected", [(-5.0, "BLOWUP"),
+                                           (3.0, "COMPACT")])
+def test_ground_state_families_either_side_of_lambda_zero(
+        tmp_path, capsys, lam, expected):
+    # n = 5, s = 1, gamma = -2: below lam = 0 the ground state concentrates
+    # at the origin as p -> 0, and its increments per unit p climb; above it
+    # the family converges
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": {"n": 5, "s": 1.0, "gamma": -2.0, "lam": lam},
+        "solver": {"schedule": [0.2 * 2.0 ** -k for k in range(7)],
+                   "K_range": [1e-4, 1e40]}})
+    out = str(tmp_path / "out")
+    assert main(["continue", "--config", cfg, "--out", out]) == 0
+    assert _json(os.path.join(out, "continuation.json"))["completed"] is True
+    assert main(["blowup", "--config", cfg, "--out", out]) == 0
+    assert _json(os.path.join(out, "blowup.json"))["verdict"] == expected
+    capsys.readouterr()
+
+
 def test_blowup_reads_the_samples_of_the_last_step_only(
         tmp_path, continuation, continuation_steps, ref_problem, capsys):
     # the verdict reads the steps of continuation.json, the scales the last
     # step's samples
     out = tmp_path / "out"
     out.mkdir()
-    keys = ("p_defect", "weighted_sup", "sup_increment", "h1_norm_sq")
-    files = {"continuation.json": {"steps": [
+    keys = ("p_defect", "sup_increment")
+    files = {"continuation.json": {"params": dict(REF_PARAMS), "steps": [
         {"stem": f"continuation_{idx:02d}",
          **{key: step.get(key) for key in keys}}
         for idx, step in enumerate(continuation_steps)]}}
@@ -942,7 +964,8 @@ def test_blowup_on_an_empty_continuation_is_a_config_error(tmp_path,
                                                             capsys):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "continuation.json").write_text('{"steps": []}\n')
+    (out / "continuation.json").write_text(
+        dumps17({"params": dict(REF_PARAMS), "steps": []}) + "\n")
     cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
@@ -959,7 +982,8 @@ def test_blowup_writes_the_envelope(tmp_path, bubble, ref_params, capsys):
                          np.geomspace(1e-7, 0.5, 3000))
     files = cli._sidecar("continuation_00", prof,
                          EuclideanProblem(ref_params, domain_radius=0.5))
-    files["continuation.json"] = {"steps": [{"stem": "continuation_00"}]}
+    files["continuation.json"] = {"params": dict(REF_PARAMS),
+                                  "steps": [{"stem": "continuation_00"}]}
     for name, body in files.items():
         (out / name).write_text(
             body if isinstance(body, str) else dumps17(body) + "\n")

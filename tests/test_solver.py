@@ -17,8 +17,8 @@ from hardyball.kernel import sphere_area
 from hardyball.profiles import EntireBubble
 from hardyball.solver import (BracketNotFound, NotCoercive, NotConverged,
                               SolverError, continuation_to_critical,
-                              dirichlet_norm_sq, frobenius_init, shoot,
-                              solve_dirichlet_shooting, solve_variational)
+                              frobenius_init, shoot, solve_dirichlet_shooting,
+                              solve_variational)
 from hardyball.verify import asymptotic_exponent
 
 from conftest import sampled_shoot, warm
@@ -598,7 +598,11 @@ def test_continuation_single_step_matches_direct(ref_problem, ground_shoot):
 
 
 def test_continuation_compact_regime(continuation):
-    sups = [prof.meta["weighted_sup"] for prof in continuation]
+    # the weighted sup r^{(n-2)/2} |v|^{1 - p/(q-2)} of each profile
+    q = critical_exponent(5, 1.0)
+    sups = [np.max(prof.data.r ** 1.5 * np.abs(prof.data.v)
+                   ** (1.0 - prof.params.p_defect / (q - 2.0)))
+            for prof in continuation]
     assert max(sups) <= 10.0 * min(sups)
     incs = [prof.meta["sup_increment"] for prof in continuation[1:]]
     ratios = [b / a for a, b in zip(incs, incs[1:])]
@@ -608,7 +612,11 @@ def test_continuation_compact_regime(continuation):
     masses = [prof.meta["nonlinear_mass"] for prof in continuation]
     assert all(a >= b for a, b in zip(masses, masses[1:]))
     assert masses[-3] <= 2.0 * masses[-1]
-    norms = [prof.meta["h1_norm_sq"] for prof in continuation]
+    # the H^1 norms omega int v'^2 r^{n-1} dr, in log r
+    norms = [sphere_area(5) * spline_integral(np.log(prof.data.r),
+                                              prof.data.dv ** 2
+                                              * prof.data.r ** 5)
+             for prof in continuation]
     assert max(norms[-3:]) <= 2.0 * min(norms[-3:])
 
 
