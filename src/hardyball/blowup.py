@@ -5,15 +5,13 @@ compactness verdict."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bridge import b_origin
 from .constants import (ProblemParams, admissibility, beta_pm,
                         critical_exponent, h_origin)
-from .grids import ProfileData, spline_integral
-from .kernel import sphere_area
+from .grids import ProfileData
 from .profiles import EntireBubble, SolutionProfile
 
 COMPACT = "COMPACT"
@@ -23,30 +21,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 class FamilyError(ValueError):
     pass
-
-
-@dataclass
-class BubbleFamily:
-    """A stack of concentration scales.
-
-    mu: increasing positive scales; t_limits[i] = mu_i^p, clipped to
-    [1e-300, 1], approximates lim mu_i^p, p the defect of params."""
-
-    mu: np.ndarray
-    params: ProblemParams
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if len(self.mu) and (np.any(self.mu <= 0)
-                             or np.any(np.diff(self.mu) <= 0)):
-            raise FamilyError("scales must be positive and increasing")
-
-    def __len__(self) -> int:
-        return len(self.mu)
-
-    @property
-    def t_limits(self) -> np.ndarray:
-        return np.clip(self.mu ** self.params.p_defect, 1e-300, 1.0)
 
 
 def detect_scales(u: SolutionProfile) -> list:
@@ -87,15 +61,13 @@ def detect_scales(u: SolutionProfile) -> list:
     return out
 
 
-def calibrated_bubble(bubble: EntireBubble, x=None) -> ProfileData:
+def calibrated_bubble(bubble: EntireBubble, x) -> ProfileData:
     """Representative of the bubble's scaling orbit whose value equals one
     at the maximum of the weighted profile, from the closed form at the
-    radii x (by default the bubble's own samples, rescaled); with this
-    normalization the scale read off by detect_scales is exactly the
-    planted one."""
+    radii x; with this normalization the scale read off by detect_scales
+    is exactly the planted one."""
     # peak of x^{nu} |B(x)| sits at the peak amplitude psi_peak
     lam = bubble.psi_peak ** (2.0 / (bubble.n - 2.0))
-    x = bubble.data.r * lam if x is None else np.asarray(x, dtype=float)
     w, dw = bubble.at(x / lam)
     return ProfileData(r=x, v=w / bubble.psi_peak,
                        dv=dw / (bubble.psi_peak * lam))
@@ -123,24 +95,16 @@ def plant_bubbles(bubble: EntireBubble, scales, params: ProblemParams,
                            meta={"synthetic_scales": [float(m) for m in scales]})
 
 
-def envelope_values(r, family: BubbleFamily):
-    """Pointwise value of the two-sided envelope, summed over the bubble
-    stack."""
-    n, gamma = family.params.n, family.params.gamma
-    bm, bp = beta_pm(n, gamma)
-    r = np.asarray(r, dtype=float)
-    env = np.zeros_like(r)
-    for mu in family.mu:
-        env += mu ** ((bp - bm) / 2.0) / (mu ** (bp - bm) * r ** bm + r ** bp)
-    return env
-
-
-def envelope_check(u: SolutionProfile, family: BubbleFamily) -> tuple:
-    """The smallest constant C with |u| <= C * envelope on the grid, and
-    the largest ratio |u| / envelope on each decade of radii, as a list of
+def envelope_check(u: SolutionProfile, mus) -> tuple:
+    """The smallest constant C with |u| <= C * envelope on the grid, the
+    two-sided envelope summed over the bubbles at the scales mus, and the
+    largest ratio |u| / envelope on each decade of radii, as a list of
     (r_lo, r_hi, max_ratio)."""
+    bm, bp = beta_pm(u.params.n, u.params.gamma)
     r = u.data.r
-    env = envelope_values(r, family)
+    env = np.zeros_like(r)
+    for mu in mus:
+        env += mu ** ((bp - bm) / 2.0) / (mu ** (bp - bm) * r ** bm + r ** bp)
     absu = np.abs(u.data.v)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(env > 0.0, absu / env,
@@ -159,61 +123,60 @@ def envelope_check(u: SolutionProfile, family: BubbleFamily) -> tuple:
     return worst, annuli
 
 
-def bubble_weighted_integrals(bubble_data: ProfileData, n: int,
-                              s: float) -> dict:
-    """Quadrature of the two bubble integrals entering the rate formula:
-    the square mass and the critical singular mass."""
-    q = critical_exponent(n, s)
-    t = np.log(bubble_data.r)
-    omega = sphere_area(n)
-    sq = bubble_data.v ** 2 * bubble_data.r ** n
-    crit = np.abs(bubble_data.v) ** q * bubble_data.r ** (n - s)
-    return {
-        "sq_mass": omega * spline_integral(t, sq),
-        "crit_mass": omega * spline_integral(t, crit),
-    }
+def rate_formula(params: ProblemParams, p: float, mus) -> float:
+    """Closed-form limit of p / mu_N^2 predicted for a blow-up family at
+    the defect p with the increasing scales mus, with h(0)
+    (constants.h_origin) the lower-order coefficient and t_i = mu_i^|p|,
+    clipped to [1e-300, 1]; strictly negative whenever h(0) > 0.
 
-
-def rate_formula(params: ProblemParams, family: BubbleFamily,
-                 bubble_integrals: list) -> float:
-    """Closed-form limit of p / mu_N^2 predicted for a blow-up family, with
-    h(0) (constants.h_origin) the lower-order coefficient; strictly
-    negative whenever h(0) > 0 and the integrals are positive."""
-    if len(family) == 0:
+    Each scale carries the calibrated bubble U, whose square mass
+    A = int U^2 and critical mass B = int U^q |x|^{-s} are Beta functions
+    of the closed form [Catrina & Wang, CPAM 54 (2001)]: with m = 2/(q-2),
+    a = (n-2)^2/4 - gamma, c = m/sqrt(a) and l = psi_peak^{2/(n-2)},
+    A/B = (l^s/4) G(m+c) G(m-c) G(2m+2) / (G(2m) G(m+1)^2).  A is finite
+    only for a > 1; below that U is not square integrable."""
+    mus = np.asarray(mus, dtype=float)
+    if len(mus) == 0:
         raise FamilyError("empty family has no rate")
-    if len(bubble_integrals) != len(family):
-        raise FamilyError("need one integral record per scale")
+    if np.any(mus <= 0.0) or np.any(np.diff(mus) <= 0.0):
+        raise FamilyError("scales must be positive and increasing")
     n, s = params.n, params.s
+    bm, bp = beta_pm(n, params.gamma)
+    root_a = (bp - bm) / 2.0
+    if root_a <= 1.0:
+        raise FamilyError("the bubble is not square integrable for a <= 1")
     q = critical_exponent(n, s)
+    m = 2.0 / (q - 2.0)
+    c = m / root_a
     b0 = b_origin(n, s)
-    t = family.t_limits
-    num = bubble_integrals[-1]["sq_mass"]
-    den = sum(b0 / t[i] ** ((n - 2.0) / (q - 2.0))
-              * bubble_integrals[i]["crit_mass"]
-              for i in range(len(family)))
-    if den <= 0.0:
-        raise FamilyError("degenerate critical mass in the rate formula")
-    return (-h_origin(params) / t[-1] ** (n / (q - 2.0))
-            * 4.0 * (n - s) / (n - 2.0) ** 2 * num / den)
+    # log(4 A/B), with log l = m/(n-2) log(a q / (2 b0))
+    log_4ab = (s * m / (n - 2.0) * math.log(root_a ** 2 * q / (2.0 * b0))
+               + math.lgamma(m + c) + math.lgamma(m - c)
+               + math.lgamma(2.0 * m + 2.0) - math.lgamma(2.0 * m)
+               - 2.0 * math.lgamma(m + 1.0))
+    t = np.clip(mus ** abs(p), 1e-300, 1.0)
+    den = b0 * t[-1] ** (n / (q - 2.0)) * np.sum(t ** (-(n - 2.0) / (q - 2.0)))
+    return float(-h_origin(params) * (n - s) / (n - 2.0) ** 2
+                 * math.exp(log_4ab) / den)
 
 
-def rate_check(family_over_p, params: ProblemParams,
-               bubble_integrals: list) -> dict:
-    """Compare the measured p / mu_N^2 along a sequence of families against
-    the closed formula, and flag the sign obstruction: for h(0) > 0 the
-    formula is negative while the defect is nonnegative, so no blow-up
-    family can exist in that regime.  They match within 2 %."""
+def rate_check(family_over_p, params: ProblemParams) -> dict:
+    """Compare the measured p / mu_N^2 along a sequence of families, each a
+    pair (p, increasing scales), against the closed formula, and flag the
+    sign obstruction: for h(0) > 0 the formula is negative while the
+    defect is nonnegative, so no blow-up family can exist in that regime.
+    They match within 2 %."""
     family_over_p = list(family_over_p)
     if not family_over_p:
         return {"applicable": False,
                 "reason": "no blow-up family exists (empty input)"}
     measured = []
-    for p, fam in family_over_p:
-        if len(fam) == 0:
+    for p, mus in family_over_p:
+        if len(mus) == 0:
             return {"applicable": False,
                     "reason": "family without scales in the sequence"}
-        measured.append(float(p) / fam.mu[-1] ** 2)
-    formula = rate_formula(params, family_over_p[-1][1], bubble_integrals)
+        measured.append(float(p) / mus[-1] ** 2)
+    formula = rate_formula(params, *family_over_p[-1])
     limit = measured[-1]
     gap = abs(limit - formula) / max(abs(formula), 1e-300)
     sign_contradiction = (h_origin(params) > 0.0 and formula < 0.0

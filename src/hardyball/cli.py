@@ -443,7 +443,7 @@ def cmd_bubble(cfg: dict, args) -> int:
                        b_origin(params.n, params.s),
                        cfg["solver"]["bubble_decades"])
     doc = {"n": bub.n, "s": bub.s, "gamma": bub.gamma, "b0": bub.b0,
-           "K_minus": bub.K, "K_plus": bub.K, "psi_peak": bub.psi_peak}
+           "K": bub.K, "psi_peak": bub.psi_peak}
     d = bub.data
     table = csv_text(("r", "v", "dv"), np.column_stack((d.r, d.v, d.dv)))
     return emit(cfg, args, {"bubble.csv": table, "bubble.json": doc}, doc)
@@ -471,7 +471,7 @@ def cmd_continue(cfg: dict, args) -> int:
         steps.append({"p_defect": prof.params.p_defect, "stem": stem,
                       "energy": prof.energy,
                       "sup_increment": prof.meta.get("sup_increment")})
-    summary = {"params": params.as_dict(), "steps": steps,
+    summary = {"params": profiles[-1].params.as_dict(), "steps": steps,
                "domain_radius": problem.domain_radius,
                "completed": len(profiles) == len(schedule)}
     files["continuation.json"] = summary
@@ -497,8 +497,8 @@ def cmd_blowup(cfg: dict, args) -> int:
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}
     if scales:
-        fam = blowup_mod.BubbleFamily([mu for mu, _ in scales], last.params)
-        worst, annuli = blowup_mod.envelope_check(last, fam)
+        worst, annuli = blowup_mod.envelope_check(last,
+                                                  [mu for mu, _ in scales])
         verdict["envelope_constant"] = worst
         files["envelope.csv"] = csv_text(("r_lo", "r_hi", "max_ratio"),
                                          np.reshape(annuli, (-1, 3)))

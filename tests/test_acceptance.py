@@ -7,7 +7,6 @@ import json
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,24 +188,20 @@ def test_criterion_09_blowup_machinery(ref_params, bubble):
     assert len(got2) == 2
     assert got2[0][0] == pytest.approx(1e-4, rel=0.10)
     assert got2[1][0] == pytest.approx(1e-2, rel=0.10)
-    fam = blowup_mod.BubbleFamily([1e-3], ref_params)
-    worst, _ = blowup_mod.envelope_check(one, fam)
+    worst, _ = blowup_mod.envelope_check(one, [1e-3])
     assert 0.0 < worst < math.inf
-    cal = blowup_mod.calibrated_bubble(bubble)
-    ints = blowup_mod.bubble_weighted_integrals(cal, 5, 1.0)
     A = -0.37
     seq = []
     for mu in (1e-2, 1e-3, 1e-4):
         p = A * mu ** 2
-        seq.append((p, blowup_mod.BubbleFamily(
-            [mu], replace(ref_params, p_defect=abs(p)))))
-    out = blowup_mod.rate_check(seq, ref_params, [ints])
+        seq.append((p, [mu]))
+    out = blowup_mod.rate_check(seq, ref_params)
     assert out["applicable"]
     assert out["measured_limit"] == pytest.approx(A, rel=0.02)
     assert out["formula"] < 0.0
     seq_pos = [(abs(p), f) for p, f in seq]
-    assert blowup_mod.rate_check(seq_pos, ref_params,
-                                 [ints])["sign_contradiction"] is True
+    assert blowup_mod.rate_check(seq_pos,
+                                 ref_params)["sign_contradiction"] is True
     _report(9, "blow-up machinery")
 
 

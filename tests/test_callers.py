@@ -10,9 +10,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hardyball"
 
 # independent oracles that only tests call, all of them in the acceptance
 # gate
-ORACLES = ("plant_bubbles", "rate_check", "bubble_weighted_integrals",
-           "hyperbolic_scaling", "residual_equivalence_check",
-           "hardy_sobolev_check")
+ORACLES = ("plant_bubbles", "rate_check", "hyperbolic_scaling",
+           "residual_equivalence_check", "hardy_sobolev_check")
 
 
 def _public_names_without_caller() -> dict:

@@ -685,8 +685,8 @@ def test_bubble_command(tmp_path, capsys):
     # the exact indicial limits of the closed form
     q = critical_exponent(doc["n"], doc["s"])
     K = doc["psi_peak"] * 2.0 ** (2.0 / (q - 2.0))
-    assert doc["K_minus"] == pytest.approx(K, rel=1e-14)
-    assert doc["K_plus"] == pytest.approx(K, rel=1e-14)
+    assert doc["K"] == pytest.approx(K, rel=1e-14)
+    assert "K_minus" not in doc and "K_plus" not in doc
     data = read_profile_csv(os.path.join(out, "bubble.csv"))
     assert np.all(np.diff(data.r) > 0.0)
     capsys.readouterr()
@@ -701,6 +701,9 @@ def test_continue_then_blowup(tmp_path, capsys):
     summary = _json(os.path.join(out, "continuation.json"))
     assert summary["completed"] is True
     assert len(summary["steps"]) == 3
+    # the stored params are those of the last step solved, not the
+    # config's p_defect = 0.2
+    assert summary["params"] == dict(REF_PARAMS, p_defect=0.0125)
     # each sidecar's params carry the defect its profile was solved for,
     # not the config's p_defect = 0.2
     for step in summary["steps"]:
@@ -884,7 +887,13 @@ def test_ground_state_families_either_side_of_lambda_zero(
     assert main(["continue", "--config", cfg, "--out", out]) == 0
     assert _json(os.path.join(out, "continuation.json"))["completed"] is True
     assert main(["blowup", "--config", cfg, "--out", out]) == 0
-    assert _json(os.path.join(out, "blowup.json"))["verdict"] == expected
+    verdict = _json(os.path.join(out, "blowup.json"))
+    assert verdict["verdict"] == expected
+    # the family that blows up concentrates at one scale, and blowup writes
+    # its envelope; the family that converges has no core
+    blows_up = expected == "BLOWUP"
+    assert len(verdict["detected_scales"]) == blows_up
+    assert os.path.exists(os.path.join(out, "envelope.csv")) is blows_up
     capsys.readouterr()
 
 
