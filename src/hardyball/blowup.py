@@ -109,7 +109,7 @@ def envelope_check(u: SolutionProfile, mus) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(env > 0.0, absu / env,
                          np.where(absu > 0.0, math.inf, 0.0))
-    worst = float(np.max(ratio)) if len(ratio) else 0.0
+    worst = float(np.max(ratio))
     # per-decade breakdown
     annuli = []
     lo = math.floor(math.log10(r[0]))

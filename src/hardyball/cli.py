@@ -114,8 +114,9 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_profile_csv(path: str) -> ProfileData:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
+def read_profile_csv(source) -> ProfileData:
+    """The r,v,dv samples of a CSV, given by its path or as an open file."""
+    raw = np.loadtxt(source, delimiter=",", skiprows=1)
     return ProfileData(r=raw[:, 0], v=raw[:, 1], dv=raw[:, 2])
 
 
@@ -125,13 +126,10 @@ def update_manifest(outdir: str, files: dict, config_text: str,
     checksum; entries from earlier commands in the same directory are
     preserved."""
     path = os.path.join(outdir, "manifest.json")
-    entries = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                entries = json.load(fh).get("files", {})
-        except (json.JSONDecodeError, OSError):
-            entries = {}
+    try:
+        entries = _stored(outdir, "manifest.json", json.load).get("files", {})
+    except ConfigError:         # none yet, or unreadable: start afresh
+        entries = {}
     for name, text in files.items():
         blob = text.encode("utf-8")     # the bytes write_text wrote
         entries[name] = {"sha256": hashlib.sha256(blob).hexdigest(),
@@ -170,13 +168,16 @@ _OUTPUT_DEFAULTS = {"directory": "out"}
 _SWEEP_KEYS = ("gamma", "s", "lam", "p_defect", "node_target")  # axis order
 
 
-def _check_keys(block, allowed: set, name: str) -> None:
+def _check_keys(block, allowed: set, name: str, required=()) -> None:
+    """A ConfigError unless block is an object whose keys lie in allowed
+    and include required."""
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name}: "
-                          + ", ".join(sorted(unknown)))
+    for kind, keys in (("unknown", set(block) - allowed),
+                       ("missing required", set(required) - set(block))):
+        if keys:
+            raise ConfigError(f"{kind} key(s) in {name}: "
+                              + ", ".join(sorted(keys)))
 
 
 def _number(key: str, value, low: float = 0.0, high: float = math.inf,
@@ -243,11 +244,7 @@ def load_config(path: str) -> dict:
     params = cfg.get("params")
     if not isinstance(params, dict):
         raise ConfigError("missing required section: params")
-    _check_keys(params, _PARAM_KEYS, "params")
-    missing = _PARAM_REQUIRED - set(params)
-    if missing:
-        raise ConfigError("missing required params key(s): "
-                          + ", ".join(sorted(missing)))
+    _check_keys(params, _PARAM_KEYS, "params", _PARAM_REQUIRED)
     # the ranges are ProblemParams' own checks (exit code 2)
     params = {key: _number("params." + key, value, low=-math.inf,
                            integer=key == "n")
@@ -317,42 +314,51 @@ def _sidecar(stem: str, profile: SolutionProfile,
         "node_count": d.node_count(),
         "energy": profile.energy,
         "residual_norm": profile.residual_norm,
-        "boundary_value": d.v[-1],
-        "meta": {k: v for k, v in profile.meta.items()
-                 if isinstance(v, (int, float, str, bool))},
+        "meta": profile.meta,
         "domain_radius": problem.domain_radius,
     }
     table = csv_text(("r", "v", "dv"), np.column_stack((d.r, d.v, d.dv)))
     return {stem + ".csv": table, stem + ".json": doc}
 
 
-def _stored(outdir: str, name: str) -> str:
-    """The path of a file that an earlier command wrote to outdir."""
-    path = os.path.join(outdir, name)
-    if not os.path.exists(path):
-        raise ConfigError(f"no stored {name} in {outdir}")
-    return path
+def _stored(outdir: str, name: str, read):
+    """read(file) of the file name that an earlier command wrote to outdir;
+    a missing file, or one that read cannot parse, is a ConfigError."""
+    try:
+        with open(os.path.join(outdir, name), encoding="utf-8") as fh:
+            return read(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"no stored {name} in {outdir}") from None
+    except (ValueError, IndexError) as exc:     # JSON, loadtxt, ProfileData
+        raise ConfigError(f"stored {name} in {outdir} is malformed: "
+                          f"{exc}") from exc
 
 
-def _stored_json(outdir: str, name: str) -> dict:
-    with open(_stored(outdir, name)) as fh:
-        return json.load(fh)
+def _stored_run(outdir: str, name: str, keys: tuple) -> tuple:
+    """(document, ProblemParams of its params) of the JSON file name that an
+    earlier command wrote to outdir, which must hold params and keys."""
+    doc = _stored(outdir, name, json.load)
+    missing = {"params", *keys} - set(doc if isinstance(doc, dict) else ())
+    if missing:
+        raise ConfigError(f"stored {name} in {outdir} lacks key(s): "
+                          + ", ".join(sorted(missing)))
+    _check_keys(doc["params"], _PARAM_KEYS, f"{name} params", _PARAM_REQUIRED)
+    return doc, ProblemParams(**doc["params"])
 
 
 def read_profile(outdir: str, stem: str) -> tuple:
     """Rebuild (SolutionProfile, domain radius) from a CSV + sidecar
     written by an earlier command in the same directory: the samples give
-    the node count and boundary value, the sidecar's params the defect."""
-    doc = _stored_json(outdir, stem + ".json")
-    _check_keys(doc["params"], _PARAM_KEYS, f"{stem}.json params")
-    data = read_profile_csv(_stored(outdir, stem + ".csv"))
+    the node count, the sidecar's params the defect."""
+    doc, params = _stored_run(outdir, stem + ".json", (
+        "K0", "energy", "residual_norm", "meta", "domain_radius"))
     prof = SolutionProfile(
-        data=data, params=ProblemParams(**doc["params"]), K0=doc["K0"],
-        energy=doc["energy"],
+        data=_stored(outdir, stem + ".csv", read_profile_csv),
+        params=params, K0=doc["K0"], energy=doc["energy"],
         residual_norm=(doc["residual_norm"]
                        if doc["residual_norm"] is not None else math.nan),
-        meta=dict(doc.get("meta", {})))
-    return prof, doc.get("domain_radius", float(data.r[-1]))
+        meta=doc["meta"])
+    return prof, doc["domain_radius"]
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +403,11 @@ def cmd_bridge(cfg: dict, args) -> int:
     problem = make_problem(cfg, params)
     R = problem.domain_radius
     r = np.geomspace(1e-6, R, cfg["solver"]["grid_num"])
-    table = csv_text(("r", "h", "b", "W"), np.column_stack((
-        r, np.full_like(r, problem.h0), problem.b(r),
+    table = csv_text(("r", "b", "W"), np.column_stack((
+        r, problem.b(r),
         euclidean_potential(r, params.n, params.gamma, params.lam))))
     doc = {
+        "h0": problem.h0,
         "b_origin": b_origin(params.n, params.s),
         "h_exact_at_R_half": h_conformal(R * 0.5, params.n, params.gamma,
                                          params.lam),
@@ -458,11 +465,9 @@ def cmd_continue(cfg: dict, args) -> int:
     schedule = cfg["solver"]["schedule"]
     for p in schedule:                  # every step is admissible, or none runs
         check_defect(params.n, params.s, p)
-    profiles = continuation_to_critical(
+    profiles, failure = continuation_to_critical(
         problem, schedule,
         lambda p, K_start: _solve_one(cfg, problem, p, K_start=K_start))
-    if not profiles:
-        raise SolverError("continuation produced no profiles")
     files = {}
     steps = []
     for idx, prof in enumerate(profiles):
@@ -472,8 +477,7 @@ def cmd_continue(cfg: dict, args) -> int:
                       "energy": prof.energy,
                       "sup_increment": prof.meta.get("sup_increment")})
     summary = {"params": profiles[-1].params.as_dict(), "steps": steps,
-               "domain_radius": problem.domain_radius,
-               "completed": len(profiles) == len(schedule)}
+               "completed": failure is None, "failure": failure}
     files["continuation.json"] = summary
     return emit(cfg, args, files,
                 {"steps": len(steps), "completed": summary["completed"]})
@@ -483,16 +487,14 @@ def cmd_blowup(cfg: dict, args) -> int:
     from . import blowup as blowup_mod
     make_params(cfg)            # the config is checked like any other
     out = _outdir(cfg, args)
-    run = _stored_json(out, "continuation.json")
+    run, params = _stored_run(out, "continuation.json", ("steps",))
     steps = run["steps"]
     if not steps:
         raise ConfigError(f"no steps in the stored continuation in {out}")
     # the verdict judges the stored run, by its params and its steps; the
     # scales are read off the last step's samples
-    _check_keys(run["params"], _PARAM_KEYS, "continuation.json params")
     last = read_profile(out, steps[-1]["stem"])[0]
-    verdict = blowup_mod.compactness_verdict(steps,
-                                             ProblemParams(**run["params"]))
+    verdict = blowup_mod.compactness_verdict(steps, params)
     scales = blowup_mod.detect_scales(last)
     verdict["detected_scales"] = [list(pair) for pair in scales]
     files = {}
@@ -510,7 +512,7 @@ def cmd_blowup(cfg: dict, args) -> int:
 def cmd_verify(cfg: dict, args) -> int:
     from .verify import (VerificationError, audit_profile, hardy_check,
                          hardy_sharpness_error)
-    params = make_params(cfg)
+    make_params(cfg)            # the config is checked like any other
     out = _outdir(cfg, args)
     prof, radius = read_profile(out, "profile")
     problem = EuclideanProblem(prof.params, domain_radius=radius)
@@ -547,8 +549,8 @@ def cmd_verify(cfg: dict, args) -> int:
             vals = np.exp(-((np.log(r) - center) / width) ** 2)
             vals[vals < 1e-14] = 0.0
             bumps.append(ProfileData(r, vals))
-        worst_rel = min(math.inf, *hardy_check(bumps, params.n))
-        sharpness = hardy_sharpness_error(params.n)
+        worst_rel = min(math.inf, *hardy_check(bumps, prof.params.n))
+        sharpness = hardy_sharpness_error(prof.params.n)
     provenance["hardy_warnings"] = len(caught)
     provenance["hardy_first_warning"] = (
         " ".join(str(caught[0].message).split()) if caught else None)
@@ -556,11 +558,8 @@ def cmd_verify(cfg: dict, args) -> int:
         passed=worst_rel >= -1e-8)
     add("hardy_sharpness_relative_error", sharpness, 1e-4)
     passed = all(check["passed"] for check in checks)
-    columns = ("name", "value", "tolerance", "passed")
-    table = csv_text(columns, ([check[col] for col in columns]
-                               for check in checks))
     doc = {"provenance": provenance, "checks": checks, "passed": passed}
-    return emit(cfg, args, {"verify.json": doc, "verify.csv": table},
+    return emit(cfg, args, {"verify.json": doc},
                 {"passed": passed, "checks": len(checks)})
 
 

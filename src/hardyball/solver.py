@@ -44,7 +44,7 @@ def frobenius_init(problem: EuclideanProblem, K: float, r0: float):
     bm, _ = beta_pm(n, gamma)
     sigma = -bm
     denom = (sigma + 2.0) * (sigma + n) + gamma
-    a1 = -problem.h0 / denom if abs(denom) > 1e-12 else 0.0
+    a1 = -problem.h0 / denom    # = 4 (1 + sqrt((n-2)^2/4 - gamma)) >= 4
     v = K * r0 ** sigma * (1.0 + a1 * r0 ** 2)
     dv = K * (sigma * r0 ** (sigma - 1.0) + a1 * (sigma + 2.0) * r0 ** (sigma + 1.0))
     return v, dv
@@ -367,7 +367,7 @@ def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
 
 
 def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
-                             solve) -> list:
+                             solve) -> tuple:
     """Warm-started solves along schedule, a decreasing tuple of defects
     (cli._type_solver checks the order); records the Cauchy increments
     that the blow-up lab reads.
@@ -375,9 +375,11 @@ def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
     estimate for K_start None, the first step's), whose meta gives K_shoot
     and r0.  A later step starts at the scaling estimate E(p) at the last
     r0, times exp(g), g the residual log K_root - log E of the last two
-    roots, extrapolated linearly in p."""
+    roots, extrapolated linearly in p.  Returns the profiles solved and
+    the message of the SolverError that stopped a later step (None when
+    every step solved); the first step's error is raised."""
     out, fits = [], []  # fits: (p, log K_root - log E(p)) of each step
-    for idx, p in enumerate(schedule):
+    for p in schedule:
         K_start = None
         if fits:
             (pa, ga), (pb, gb) = fits[-2:] if len(fits) > 1 else fits * 2
@@ -387,16 +389,15 @@ def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
         try:
             prof = solve(p, K_start)
         except SolverError as exc:
-            for sp in out:
-                sp.meta["truncated_at"] = idx
-                sp.meta["failure"] = str(exc)
-            return out
+            if not out:
+                raise
+            return out, str(exc)
         estimate = _scaling_estimate(problem, p, prof.meta["r0"])
         fits.append((p, math.log(prof.meta["K_shoot"]) - math.log(estimate)))
         if out:
             prof.meta["sup_increment"] = _sup_diff(out[-1], prof)
         out.append(prof)
-    return out
+    return out, None
 
 
 def _sup_diff(a: SolutionProfile, b: SolutionProfile) -> float:

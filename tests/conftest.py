@@ -82,9 +82,9 @@ def continuation(ref_problem):
     import time
     schedule = (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0)
     start = time.perf_counter()
-    profiles = continuation_to_critical(ref_problem, schedule,
-                                        warm(ref_problem))
-    assert len(profiles) == len(schedule)
+    profiles, failure = continuation_to_critical(ref_problem, schedule,
+                                                 warm(ref_problem))
+    assert len(profiles) == len(schedule) and failure is None
     profiles[0].meta["fixture_build_seconds"] = time.perf_counter() - start
     return profiles
 

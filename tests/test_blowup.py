@@ -200,7 +200,7 @@ def test_verdict_does_not_depend_on_the_schedule(continuation_steps,
     # uniform one 0.06, 0.05, ..., 0: the increments fall by about half per
     # step on the first and by 4 % on the second, while the increment per
     # unit decrease of p stays between 4.9 and 6.7 on both
-    uniform = continuation_to_critical(
+    uniform, _ = continuation_to_critical(
         ref_problem, (0.06, 0.05, 0.04, 0.03, 0.02, 0.01, 0.0),
         warm(ref_problem))
     steps = [{"p_defect": prof.params.p_defect, **prof.meta}

@@ -600,8 +600,29 @@ def test_verify_on_stored_profile(solved_dir, capsys):
     assert "pohozaev_relative_residual" in names
     assert "hardy_margin_min_relative" in names
     assert "hardy_sharpness_relative_error" in names
-    with open(os.path.join(out, "verify.csv")) as fh:
-        assert fh.readline().strip() == "name,value,tolerance,passed"
+    # one report: the checks are written once, in verify.json
+    assert set(_check_manifest(out)) == {"profile.csv", "profile.json",
+                                         "verify.json"}
+    capsys.readouterr()
+
+
+def test_verify_judges_the_stored_profile_by_its_own_params(
+        solved_dir, tmp_path, capsys):
+    # the n = 5 profile verified through an n = 7 config: every check, the
+    # Hardy margins included, is the one its own config reads
+    cfg, out = solved_dir
+    other = tmp_path / "other"
+    other.mkdir()
+    for name in ("profile.csv", "profile.json"):
+        (other / name).write_bytes(_bytes(os.path.join(out, name)))
+    seven = _write_cfg(tmp_path / "seven.json",
+                       {"params": dict(REF_PARAMS, n=7)})
+    checks = []
+    for config, directory in ((cfg, out), (seven, str(other))):
+        assert main(["verify", "--config", config, "--out", directory,
+                     "--seed", "42"]) == 0
+        checks.append(_json(os.path.join(directory, "verify.json"))["checks"])
+    assert checks[0] == checks[1]
     capsys.readouterr()
 
 
@@ -646,6 +667,10 @@ def test_constants_and_weights_and_bridge(tmp_path, capsys):
     bdoc = _json(os.path.join(out, "bridge.json"))
     assert bdoc["b_origin"] == pytest.approx(3.0 ** (1.0 / 3.0) / 2.0,
                                              rel=1e-12)
+    # h is the constant h(0) = 12 gamma + 4 lam - 15: one key, no column
+    assert bdoc["h0"] == 1.0
+    with open(os.path.join(out, "bridge.csv")) as fh:
+        assert fh.readline() == "r,b,W\n"
     # the manifest accumulates entries from all three commands
     manifest = _json(os.path.join(out, "manifest.json"))
     for name in ("constants.json", "weights.csv", "bridge.csv"):
@@ -699,7 +724,8 @@ def test_continue_then_blowup(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["continue", "--config", cfg, "--out", out]) == 0
     summary = _json(os.path.join(out, "continuation.json"))
-    assert summary["completed"] is True
+    assert summary["completed"] is True and summary["failure"] is None
+    assert "domain_radius" not in summary
     assert len(summary["steps"]) == 3
     # the stored params are those of the last step solved, not the
     # config's p_defect = 0.2
@@ -774,7 +800,7 @@ def test_continue_reads_the_solver_settings(tmp_path, ref_problem, capsys):
         "solver": dict(settings, schedule=[0.4, 0.2])})
     out = tmp_path / "out"
     assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
-    steps = solver.continuation_to_critical(
+    steps, _ = solver.continuation_to_critical(
         ref_problem, (0.4, 0.2),
         lambda p, K_start: solver.solve_dirichlet_shooting(
             ref_problem, p, boundary_tol=1e-9, r0=5e-7, rtol=1e-10,
@@ -829,7 +855,7 @@ def test_a_variational_sweep_checks_its_node_targets_first(
 
 def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
     # above K = 3000 the range holds p = 0.2's root but not p = 0.1's: the
-    # first step is written, marked with where and why the run stopped
+    # first step is written, and continuation.json says why the run stopped
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"schedule": [0.2, 0.1], "K_range": [3000, 1e6]}})
@@ -838,21 +864,31 @@ def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
     summary = _json(out / "continuation.json")
     assert summary["completed"] is False
     assert [step["stem"] for step in summary["steps"]] == ["continuation_00"]
-    meta = _json(out / "continuation_00.json")["meta"]
-    assert meta["truncated_at"] == 1
-    assert meta["failure"].startswith("no sign change of theta(R) - 1 pi")
+    assert summary["failure"].startswith("no sign change of theta(R) - 1 pi")
+    sidecar = _json(out / "continuation_00.json")
+    assert "truncated_at" not in sidecar["meta"]
+    assert "failure" not in sidecar["meta"]
+    assert "boundary_value" not in sidecar
     assert main(["blowup", "--config", cfg, "--out", str(out)]) == 0
     assert _json(out / "blowup.json")["verdict"] == "INCONCLUSIVE"
-    # a run whose first step fails has nothing to write
+    # a run whose first step fails has nothing to write, and names the cause
     first = _write_cfg(tmp_path / "first.json", {
         "params": dict(REF_PARAMS),
         "solver": {"schedule": [0.1], "K_range": [3000, 1e6]}})
     capsys.readouterr()
     assert main(["continue", "--config", first,
                  "--out", str(tmp_path / "first")]) == 3
-    assert capsys.readouterr().err == \
-        "solver failure: continuation produced no profiles\n"
+    assert capsys.readouterr().err.startswith(
+        "solver failure: no sign change of theta(R) - 1 pi from K = ")
     assert not (tmp_path / "first").exists()
+    # a non-coercive form fails the first step as it fails solve
+    coercive = _write_cfg(tmp_path / "coercive.json", {
+        "params": dict(REF_PARAMS, gamma=2.2)})
+    assert main(["continue", "--config", coercive,
+                 "--out", str(tmp_path / "coercive")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver failure: the quadratic form is not coercive")
+    assert not (tmp_path / "coercive").exists()
 
 
 def test_blowup_flags_below_the_lambda_threshold(tmp_path, capsys):
@@ -967,6 +1003,48 @@ def test_a_stale_sidecar_is_a_config_error(solved_dir, tmp_path, capsys):
     assert capsys.readouterr().err == \
         "config error: unknown key(s) in profile.json params: c, theta\n"
     assert not (stale / "verify.json").exists()
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def test_a_malformed_stored_file_is_a_config_error(solved_dir, tmp_path,
+                                                   capsys):
+    # each stored file that verify or blowup reads back, broken one way at
+    # a time: the command exits 1 naming the file, with no traceback
+    cfg, out = solved_dir
+    sidecar = _json(os.path.join(out, "profile.json"))
+    samples = _bytes(os.path.join(out, "profile.csv"))
+    run = {"params": dict(REF_PARAMS), "steps": [{"stem": "profile"}]}
+    cases = [
+        ("verify", {"profile.json": dumps17(_without(sidecar, "K0"))},
+         "stored profile.json in {} lacks key(s): K0"),
+        ("verify", {"profile.json": dumps17(dict(
+            sidecar, params=_without(sidecar["params"], "n")))},
+         "missing required key(s) in profile.json params: n"),
+        ("verify", {"profile.csv": "r,v,dv\n1,2\n"},
+         "stored profile.csv in {} is malformed: "),
+        ("verify", {"profile.csv": "r,v,dv\nx,y,z\n"},
+         "stored profile.csv in {} is malformed: "),
+        ("blowup", {"continuation.json": "{\"steps\": ["},
+         "stored continuation.json in {} is malformed: "),
+        ("blowup", {"continuation.json": dumps17(_without(run, "params"))},
+         "stored continuation.json in {} lacks key(s): params"),
+    ]
+    for idx, (command, broken, message) in enumerate(cases):
+        case = tmp_path / f"case{idx}"
+        case.mkdir()
+        (case / "profile.json").write_text(dumps17(sidecar) + "\n")
+        (case / "profile.csv").write_bytes(samples)
+        (case / "continuation.json").write_text(dumps17(run) + "\n")
+        for name, text in broken.items():
+            (case / name).write_text(text)
+        assert main([command, "--config", cfg, "--out", str(case)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(case)), err
+        assert err.count("\n") == 1
+        assert not (case / "manifest.json").exists()
 
 
 def test_blowup_on_an_empty_continuation_is_a_config_error(tmp_path,

@@ -355,7 +355,7 @@ def test_loose_phases_near_the_roots_are_within_the_band(ref_problem,
         ref_problem, (0.1, 0.05, 0.025, 0.0125, 0.00625),
         lambda p, K_start: solve_dirichlet_shooting(
             ref_problem, p, node_target=1, K_range=(1e-4, 1e8),
-            K_start=K_start))
+            K_start=K_start))[0]
     assert len(roots) == (7, 5)[node_target]
     for root in roots:
         p, K = root.params.p_defect, root.meta["K_shoot"]
@@ -473,13 +473,13 @@ def test_continuation_walk_clamps_onto_the_range_end(ref_problem):
     # the walk for p = 0.1 steps from K ~ 7117 to 4849, then is clamped
     # onto the range's lower end 2300, below the root (K ~ 2633); the cold
     # solve walks up from the clamped estimate to the same root
-    seq = continuation_to_critical(
+    seq, failure = continuation_to_critical(
         ref_problem, (0.2, 0.1),
         lambda p, K_start: solve_dirichlet_shooting(
             ref_problem, p, K_range=(2300.0, 1e6), K_start=K_start))
     cold = solve_dirichlet_shooting(ref_problem, p=0.1,
                                     K_range=(2300.0, 1e6))
-    assert len(seq) == 2
+    assert len(seq) == 2 and failure is None
     assert seq[1].K0 == pytest.approx(cold.K0, rel=1e-7)
 
 
@@ -517,8 +517,9 @@ def test_continuation_counts_the_pencil_once(ref_params, monkeypatch):
         counts.append(args[0]) or count_eigs_below(*args)))
     schedule = (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0)
     problem = EuclideanProblem(ref_params, domain_radius=0.5)
-    profiles = continuation_to_critical(problem, schedule, warm(problem))
-    assert len(profiles) == 7
+    profiles, failure = continuation_to_critical(problem, schedule,
+                                                 warm(problem))
+    assert len(profiles) == 7 and failure is None
     assert counts == [-1e-3]
 
 
@@ -591,9 +592,9 @@ def test_a_concentrated_ground_state_is_accepted_by_its_phase():
 
 
 def test_continuation_single_step_matches_direct(ref_problem, ground_shoot):
-    seq = continuation_to_critical(ref_problem, (0.2,),
-                                   warm(ref_problem))
-    assert len(seq) == 1
+    seq, failure = continuation_to_critical(ref_problem, (0.2,),
+                                            warm(ref_problem))
+    assert len(seq) == 1 and failure is None
     assert seq[0].energy == pytest.approx(ground_shoot.energy, rel=1e-10)
 
 
