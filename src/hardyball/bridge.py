@@ -152,12 +152,12 @@ def _quadratic_form_diagonals(problem: EuclideanProblem, r0: float,
 def _count_eigs_below(lam: float, form, energy, off) -> int:
     """Number of pencil eigenvalues strictly below lam, from the inertia
     of the tridiagonal form - lam * energy (Sturm sequence of the LDL^T
-    pivots), run in plain floats."""
+    pivots), run in plain floats on the squares of the off-diagonal."""
     d = (form - lam * energy).tolist()
-    e = [0.0] + (off - lam * off).tolist()    # the first pivot is d[0]
+    e2 = [0.0] + ((off - lam * off) ** 2).tolist()    # the first pivot is d[0]
     count, prev = 0, 1.0
-    for dk, ek in zip(d, e):
-        piv = dk - ek ** 2 / prev
+    for dk, e2k in zip(d, e2):
+        piv = dk - e2k / prev
         if piv == 0.0:
             piv = -1e-300
         if piv < 0.0:

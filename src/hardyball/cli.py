@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 configuration error, 2 inadmissible parameters,
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import dataclasses
 import gc
@@ -20,8 +19,10 @@ import json
 import math
 import os
 import pickle
+import random
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,10 +78,7 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return format17(x)
+        return format17(obj) if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -125,7 +123,6 @@ def update_manifest(outdir: str, files: dict, config_text: str,
     """Record every output file, name -> the text written to it, with its
     checksum; entries from earlier commands in the same directory are
     preserved."""
-    path = os.path.join(outdir, "manifest.json")
     try:
         entries = _stored(outdir, "manifest.json", json.load).get("files", {})
     except ConfigError:         # none yet, or unreadable: start afresh
@@ -141,7 +138,7 @@ def update_manifest(outdir: str, files: dict, config_text: str,
         "seed": int(seed),
         "files": entries,
     }
-    write_text(path, dumps17(manifest) + "\n")
+    write_text(os.path.join(outdir, "manifest.json"), dumps17(manifest) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +246,11 @@ def load_config(path: str) -> dict:
     params = {key: _number("params." + key, value, low=-math.inf,
                            integer=key == "n")
               for key, value in params.items()}
-    solver = dict(_SOLVER_DEFAULTS)
     _check_keys(cfg.get("solver", {}), set(_SOLVER_DEFAULTS), "solver")
-    solver.update(cfg.get("solver", {}))
+    solver = {**_SOLVER_DEFAULTS, **cfg.get("solver", {})}
     _type_solver(solver)
-    output = dict(_OUTPUT_DEFAULTS)
     _check_keys(cfg.get("output", {}), set(_OUTPUT_DEFAULTS), "output")
-    output.update(cfg.get("output", {}))
+    output = {**_OUTPUT_DEFAULTS, **cfg.get("output", {})}
     sweep = cfg.get("sweep")
     if sweep is not None:
         _check_keys(sweep, set(_SWEEP_KEYS), "sweep")
@@ -468,13 +463,11 @@ def cmd_continue(cfg: dict, args) -> int:
     profiles, failure = continuation_to_critical(
         problem, schedule,
         lambda p, K_start: _solve_one(cfg, problem, p, K_start=K_start))
-    files = {}
-    steps = []
+    files, steps = {}, []
     for idx, prof in enumerate(profiles):
         stem = f"continuation_{idx:02d}"
         files.update(_sidecar(stem, prof, problem))
         steps.append({"p_defect": prof.params.p_defect, "stem": stem,
-                      "energy": prof.energy,
                       "sup_increment": prof.meta.get("sup_increment")})
     summary = {"params": profiles[-1].params.as_dict(), "steps": steps,
                "completed": failure is None, "failure": failure}
@@ -535,20 +528,18 @@ def cmd_verify(cfg: dict, args) -> int:
     add("energy_positive", prof.energy, math.inf, passed=prof.energy > 0.0)
     # sampled hyperbolic Hardy margins, and the margins of near-extremal
     # profiles against their exact values
-    rng = np.random.default_rng(int(args.seed))
+    rng = random.Random(int(args.seed))
     r = np.geomspace(1e-6, 0.99, 600)
-    # compactly supported samples: tails must clear the clipping level
-    # inside the grid, otherwise the truncated singular mass is meaningless.
-    # Numerical warnings are recorded in the report, not printed.
+    # 20 compactly supported bumps, one (center, width) draw each: their tails
+    # clear the clipping level inside the grid, or the truncated singular mass
+    # is meaningless.  Numerical warnings are recorded in the report.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bumps = []
-        for _ in range(20):
-            center = rng.uniform(math.log(1e-3), math.log(0.05))
-            width = rng.uniform(0.2, 0.5)
-            vals = np.exp(-((np.log(r) - center) / width) ** 2)
-            vals[vals < 1e-14] = 0.0
-            bumps.append(ProfileData(r, vals))
+        draws = np.array([(rng.uniform(math.log(1e-3), math.log(0.05)),
+                           rng.uniform(0.2, 0.5)) for _ in range(20)])
+        vals = np.exp(-((np.log(r) - draws[:, :1]) / draws[:, 1:]) ** 2)
+        vals[vals < 1e-14] = 0.0
+        bumps = [ProfileData(r, row) for row in vals]
         worst_rel = min(math.inf, *hardy_check(bumps, prof.params.n))
         sharpness = hardy_sharpness_error(prof.params.n)
     provenance["hardy_warnings"] = len(caught)
@@ -688,8 +679,7 @@ def cmd_sweep(cfg: dict, args) -> int:
                                        _SWEEP_COLUMNS] for row in rows))
     ok = sum(1 for row in rows if row["status"] == "ok")
     inadmissible = sum(1 for row in rows if row["status"] == "inadmissible")
-    doc = {"rows": len(rows), "succeeded": ok,
-           "failed": len(rows) - ok}
+    doc = {"rows": len(rows), "succeeded": ok, "failed": len(rows) - ok}
     emit(cfg, args, {"sweep.csv": table, "sweep.json": doc}, doc)
     # the files are written either way; the exit code says why no cell solved
     if not ok and inadmissible == len(rows):
@@ -715,37 +705,47 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hardyball",
-        description="Radial laboratory for a singular Dirichlet problem "
-                    "and its conformal reduction.")
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True,
-                        help="path to the JSON run configuration")
-    parser.add_argument("--out", default=None,
-                        help="output directory (overrides the config)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="forked worker processes for sweeps "
-                             "(at least 1; above 1 needs os.fork)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (u64)")
-    return parser
+_OPTIONS = ("--config", "--out", "--workers", "--seed")
+_USAGE = ("usage: hardyball {" + ",".join(_COMMANDS) + "} --config PATH "
+          "[--out DIR] [--workers N] [--seed U64]")
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """One command of _COMMANDS and the options, each followed by its value,
+    in any order: --config PATH (required), --out DIR, --workers N (default
+    1) and --seed U64 (default 0).  Anything else is a ConfigError."""
+    args, words = {"out": None, "workers": "1", "seed": "0"}, iter(argv)
+    for word in words:
+        key = word[2:] if word in _OPTIONS else "command"
+        value = next(words, "--") if word in _OPTIONS else word
+        if key == "command" and (word not in _COMMANDS or key in args):
+            raise ConfigError(f"unexpected argument {word!r}; {_USAGE}")
+        if value.startswith("--"):
+            raise ConfigError(f"{word} needs a value")
+        args[key] = value
+    if not {"command", "config"} <= set(args):
+        raise ConfigError(f"a command and --config are required; {_USAGE}")
+    for key, low in (("workers", 1), ("seed", 0)):
+        word = args[key]
+        if not (word.isdecimal() and len(word) <= 20
+                and low <= int(word) < 2 ** 64):
+            raise ConfigError(f"--{key} must be an integer from {low} to "
+                              f"2^64 - 1, not {word!r}")
+        args[key] = int(word)
+    if args["workers"] > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--workers above 1 needs os.fork, which this "
+                          "platform lacks")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return EXIT_OK
     try:
-        cfg = load_config(args.config)
-        if not (0 <= args.seed < 2 ** 64):
-            raise ConfigError("--seed must fit in an unsigned 64-bit value")
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, not "
-                              f"{args.workers}")
-        if args.workers > 1 and not hasattr(os, "fork"):
-            raise ConfigError("--workers above 1 needs os.fork, which this "
-                              "platform lacks")
-        return _COMMANDS[args.command](cfg, args)
+        args = parse_args(argv)
+        return _COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

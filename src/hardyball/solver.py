@@ -232,15 +232,15 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
 
     if K_start is None:
         K_start = _scaling_estimate(problem, p, r0)
-    x = min(max(math.log(K_start), x_min), x_max)
+    x = x_start = min(max(math.log(K_start), x_min), x_max)
     f = phase_at(x)
     step = math.copysign(math.log(10.0) / 6.0, -f)
     while f != 0.0:     # a start that reads 0 is the root: no walk, no Brent
         nxt = min(max(x + step, x_min), x_max)
         if nxt == x:
             raise BracketNotFound(
-                f"no sign change of theta(R) - {node_target + 1} pi from "
-                f"K = {K_start:.6g} within the range", shoots=len(shots))
+                f"no sign change of theta(R) - {node_target + 1} pi from K = "
+                f"{math.exp(x_start):.6g} within the range", shoots=len(shots))
         if (phase_at(nxt) > 0.0) != (f > 0.0):
             break
         x, step = nxt, 2.0 * step

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from hardyball import bridge
 from hardyball.bridge import (EuclideanProblem, _count_eigs_below,
                               _quadratic_form_diagonals, b_origin, b_weight, coercivity_lambda0,
                               h_conformal, phi, residual_equivalence_check)
@@ -192,6 +193,49 @@ def test_float_sturm_count_matches_numpy_scalars():
     counts = [_count_eigs_below(lam, *form) for lam in grid]
     assert counts == [_count_eigs_below_numpy(lam, *form) for lam in grid]
     assert len(set(counts)) > 3
+
+
+def _count_eigs_below_floats(lam, form, energy, off):
+    # the plain-float pivot loop that squared each off-diagonal entry in
+    # the loop, as the count was written before it read the squares from
+    # one numpy pass
+    d = (form - lam * energy).tolist()
+    e = [0.0] + (off - lam * off).tolist()
+    count, prev = 0, 1.0
+    for dk, ek in zip(d, e):
+        piv = dk - ek ** 2 / prev
+        if piv == 0.0:
+            piv = -1e-300
+        if piv < 0.0:
+            count += 1
+        prev = piv
+    return count
+
+
+# (n, gamma, lam, R): the configs of ROADMAP direction 13's probe table
+_PROBE_CONFIGS = [(5, -2.0, 10.0, 0.5), (5, 2.2, 10.0, 0.5),
+                  (5, 1.0, 10.0, 0.5), (6, -3.0, 10.0, 0.5),
+                  (5, -2.0, 60.0, 0.5), (7, -2.0, 30.0, 0.9),
+                  (5, 2.0, 5.0, 0.5)]
+
+
+@pytest.mark.parametrize("n, gamma, lam, R", _PROBE_CONFIGS)
+def test_sturm_count_from_squared_off_diagonal_keeps_every_count(
+        monkeypatch, n, gamma, lam, R):
+    # every count that coercivity_lambda0 and coercive() make, the bracket
+    # ends and each bisection midpoint, is the count of the loop that
+    # squared in place
+    problem = EuclideanProblem(ProblemParams(n=n, s=1.0, gamma=gamma,
+                                             lam=lam), domain_radius=R)
+    seen = []
+    count = bridge._count_eigs_below
+    monkeypatch.setattr(bridge, "_count_eigs_below", lambda *args: (
+        seen.append((count(*args), _count_eigs_below_floats(*args)))
+        or seen[-1][0]))
+    coercivity_lambda0(problem)
+    problem.coercive()
+    assert len(seen) > 30
+    assert [new for new, _ in seen] == [old for _, old in seen]
 
 
 def test_coercivity_reference_value_is_kept():

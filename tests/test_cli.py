@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import signal
 import subprocess
@@ -26,6 +27,7 @@ from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
                            read_profile_csv, ConfigError)
 from hardyball.constants import critical_exponent
 from hardyball.solver import ProfileData
+from hardyball.verify import hardy_check
 
 REF_PARAMS = {"n": 5, "s": 1.0, "gamma": -2.0, "lam": 10.0, "p_defect": 0.2}
 
@@ -198,6 +200,38 @@ def test_exit_code_config_errors(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", out]) == 1, doc
         assert capsys.readouterr().err.startswith("config error:")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "{out}"],
+    ["frobnicate", "--config", "{cfg}", "--out", "{out}"],
+    ["solve", "--config", "{cfg}", "--out", "{out}", "--verbose"],
+    ["solve", "--out", "{out}", "--config"],
+    ["solve", "--config", "{cfg}", "--out", "{out}", "--workers", "two"],
+    ["solve", "--config", "{cfg}", "--out", "{out}", "--seed", "x"],
+], ids=["no-config", "unknown-command", "unknown-option", "no-value",
+        "workers-two", "seed-x"])
+def test_usage_errors_exit_1_and_write_nothing(tmp_path, capsys, cfg_path,
+                                               argv):
+    # a malformed command line is a configuration error, as a malformed
+    # config is: exit 1, its cause on stderr, and no output directory
+    out = tmp_path / "out"
+    assert main([word.format(cfg=cfg_path, out=out) for word in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_line(tmp_path, capsys, cfg_path, flag):
+    out = tmp_path / "out"
+    assert main(["solve", flag, "--config", cfg_path, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == ("usage: hardyball {constants,weights,bridge,solve,"
+                       "bubble,continue,blowup,verify,sweep} --config PATH "
+                       "[--out DIR] [--workers N] [--seed U64]\n")
+    assert not out.exists()
 
 
 def test_exit_code_inadmissible(tmp_path, capsys):
@@ -377,8 +411,8 @@ import json, sys
 from hardyball.cli import main
 code = main(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "scipy"
-                        or m.startswith("numpy.polynomial"))))
+                        if m.split(".")[0] in ("scipy", "argparse", "gettext")
+                        or m.startswith(("numpy.polynomial", "numpy.random")))))
 sys.exit(code)
 """
 
@@ -386,7 +420,9 @@ sys.exit(code)
 def test_no_command_loads_scipy(tmp_path):
     # all nine commands, the shooting ones included, and a solve by the
     # variational method run on numpy alone, and none imports
-    # numpy.polynomial (kernel holds its Gauss-Legendre rules as literals)
+    # numpy.polynomial (kernel holds its Gauss-Legendre rules as literals),
+    # numpy.random (verify draws its bumps with the standard library's
+    # random), or argparse and the gettext it loads (main reads argv itself)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]},
@@ -606,6 +642,32 @@ def test_verify_on_stored_profile(solved_dir, capsys):
     capsys.readouterr()
 
 
+def test_verify_draws_its_bumps_from_the_seed(solved_dir, tmp_path, capsys):
+    # the Hardy margin is the least over 20 bumps, each from one (center,
+    # width) draw of random.Random(seed), against a bump-by-bump loop
+    cfg, out = solved_dir
+    directory = tmp_path / "out"
+    directory.mkdir()
+    for name in ("profile.csv", "profile.json"):
+        (directory / name).write_bytes(_bytes(os.path.join(out, name)))
+    assert main(["verify", "--config", cfg, "--out", str(directory),
+                 "--seed", "3"]) == 0
+    checks = _json(directory / "verify.json")["checks"]
+    rng = random.Random(3)
+    r = np.geomspace(1e-6, 0.99, 600)
+    bumps = []
+    for _ in range(20):
+        center = rng.uniform(math.log(1e-3), math.log(0.05))
+        width = rng.uniform(0.2, 0.5)
+        vals = np.exp(-((np.log(r) - center) / width) ** 2)
+        vals[vals < 1e-14] = 0.0
+        bumps.append(ProfileData(r, vals))
+    assert [c["value"] for c in checks
+            if c["name"] == "hardy_margin_min_relative"] == \
+        [min(hardy_check(bumps, REF_PARAMS["n"]))]
+    capsys.readouterr()
+
+
 def test_verify_judges_the_stored_profile_by_its_own_params(
         solved_dir, tmp_path, capsys):
     # the n = 5 profile verified through an n = 7 config: every check, the
@@ -747,6 +809,26 @@ def test_continue_then_blowup(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_continuation_step_holds_what_blowup_reads(tmp_path, capsys):
+    # a step of continuation.json holds its defect, the stem of its two
+    # files and its sup increment; its energy is in its sidecar alone
+    cfg = _write_cfg(tmp_path / "run.json",
+                     {"params": dict(REF_PARAMS),
+                      "solver": {"schedule": [0.05, 0.025]}})
+    out = tmp_path / "out"
+    assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+    steps = _json(out / "continuation.json")["steps"]
+    assert [sorted(step) for step in steps] == \
+        [["p_defect", "stem", "sup_increment"]] * 2
+    assert steps[0]["sup_increment"] is None and steps[1]["sup_increment"] > 0
+    for step in steps:
+        sidecar = _json(out / (step["stem"] + ".json"))
+        assert step["p_defect"] == sidecar["p_defect"]
+        assert step["sup_increment"] == sidecar["meta"].get("sup_increment")
+        assert sidecar["energy"] > 0.0
+    capsys.readouterr()
+
+
 def test_continue_writes_the_library_continuation(tmp_path, continuation,
                                                  ref_problem, capsys):
     # the reference config's solver section maps onto the solvers'
@@ -864,7 +946,9 @@ def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
     summary = _json(out / "continuation.json")
     assert summary["completed"] is False
     assert [step["stem"] for step in summary["steps"]] == ["continuation_00"]
-    assert summary["failure"].startswith("no sign change of theta(R) - 1 pi")
+    # the walk starts at the estimate clamped into the range, K = 3000
+    assert summary["failure"] == ("no sign change of theta(R) - 1 pi from "
+                                  "K = 3000 within the range")
     sidecar = _json(out / "continuation_00.json")
     assert "truncated_at" not in sidecar["meta"]
     assert "failure" not in sidecar["meta"]
@@ -878,8 +962,9 @@ def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
     capsys.readouterr()
     assert main(["continue", "--config", first,
                  "--out", str(tmp_path / "first")]) == 3
-    assert capsys.readouterr().err.startswith(
-        "solver failure: no sign change of theta(R) - 1 pi from K = ")
+    assert capsys.readouterr().err == ("solver failure: no sign change of "
+                                       "theta(R) - 1 pi from K = 3000 within "
+                                       "the range\n")
     assert not (tmp_path / "first").exists()
     # a non-coercive form fails the first step as it fails solve
     coercive = _write_cfg(tmp_path / "coercive.json", {
