@@ -193,8 +193,9 @@ def rate_check(family_over_p, params: ProblemParams) -> dict:
 
 
 def compactness_verdict(steps: list, params: ProblemParams) -> dict:
-    """Classify a continuation run, from its steps in order (each a dict of
-    p_defect and sup_increment, as in continuation.json), as COMPACT,
+    """Classify a continuation run, from its steps in order (at least one,
+    each a dict of p_defect, strictly decreasing, and sup_increment, a
+    number after the first step, as cli reads continuation.json), as COMPACT,
     BLOWUP, or INCONCLUSIVE, by the increments per unit decrease of p
     (sup_increment over the step's drop in p_defect), which do not depend
     on how the schedule spaces p.
@@ -208,16 +209,8 @@ def compactness_verdict(steps: list, params: ProblemParams) -> dict:
     theory_compact = (flags["multiplicity_regime"]
                       and flags["lambda_threshold_met"])
     report = {"theory_compact": theory_compact, "flags": flags}
-    if not steps:
-        report.update({"verdict": INCONCLUSIVE,
-                       "reason": "empty continuation"})
-        return report
-    incs = [step.get("sup_increment") for step in steps[1:]]
-    ps = [step.get("p_defect") for step in steps]
-    if None in incs + ps:
-        report.update({"verdict": INCONCLUSIVE,
-                       "reason": "missing step data"})
-        return report
+    incs = [step["sup_increment"] for step in steps[1:]]
+    ps = [step["p_defect"] for step in steps]
     rates = [i / (a - b) for i, a, b in zip(incs, ps, ps[1:])]
     report.update(sup_increments=incs, increments_per_unit_p=rates)
     if len(rates) >= 2 and max(rates) <= 10.0 * min(rates):

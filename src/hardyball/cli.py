@@ -144,33 +144,12 @@ def update_manifest(outdir: str, files: dict, config_text: str,
 # ---------------------------------------------------------------------------
 # configuration
 
-_PARAM_KEYS = {field.name for field in dataclasses.fields(ProblemParams)}
-_PARAM_REQUIRED = {"n", "s", "gamma"}
-_SOLVER_DEFAULTS = {
-    "domain_radius": 0.5,
-    "method": "shooting",        # shooting | variational
-    "grid_num": 1600,
-    "r0": None,
-    "node_target": 0,
-    "K_range": [1e-4, 1e6],
-    "boundary_tol": 1e-8,
-    "rtol": 1e-11,
-    "schedule": [0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0],
-    "annulus": None,             # pohozaev annulus for verify
-    "fit_window": None,          # exponent-fit window for verify
-    "bubble_decades": 8.0,
-    "coercivity": False,
-}
-_OUTPUT_DEFAULTS = {"directory": "out"}
-_SWEEP_KEYS = ("gamma", "s", "lam", "p_defect", "node_target")  # axis order
-
-
-def _check_keys(block, allowed: set, name: str, required=()) -> None:
-    """A ConfigError unless block is an object whose keys lie in allowed
-    and include required."""
+def _check_keys(block, allowed, name: str, required=()) -> None:
+    """A ConfigError unless block is an object whose keys include required
+    and lie in the set allowed (any keys, for allowed None)."""
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object")
-    for kind, keys in (("unknown", set(block) - allowed),
+    for kind, keys in (("unknown", set(block) - set(allowed or block)),
                        ("missing required", set(required) - set(block))):
         if keys:
             raise ConfigError(f"{kind} key(s) in {name}: "
@@ -180,9 +159,10 @@ def _check_keys(block, allowed: set, name: str, required=()) -> None:
 def _number(key: str, value, low: float = 0.0, high: float = math.inf,
             integer: bool = False):
     """A finite JSON number in (low, high) as a float, or an integral one
-    >= low as an int; anything else is a ConfigError."""
+    >= low as an int; anything else, an integer beyond float range
+    included, is a ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)
+            or not abs(value) <= sys.float_info.max
             or not (low <= value == int(value) if integer
                     else low < value < high)):
         kind = (("an integer" if integer else "a finite number")
@@ -192,41 +172,103 @@ def _number(key: str, value, low: float = 0.0, high: float = math.inf,
     return int(value) if integer else float(value)
 
 
-def _interval(key: str, value) -> tuple:
+def _num(**bounds):
+    """The rule of a number that _number types within bounds."""
+    return lambda key, value, section: _number(key, value, **bounds)
+
+
+def _optional(rule, null=None):
+    """rule, or null for a null value."""
+    return lambda key, value, section: (
+        null if value is None else rule(key, value, section))
+
+
+def _kind(test, kind: str):
+    """The rule of a value that test accepts, which kind describes."""
+    def rule(key, value, section):
+        if not test(value):
+            raise ConfigError(f"{key} must be {kind}, not {value!r}")
+        return value
+    return rule
+
+
+def _list(item, decreasing: bool = False):
+    """The rule of a non-empty list of values, each typed by the rule item,
+    as a tuple, and strictly decreasing if decreasing."""
+    def rule(key, value, section):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a non-empty list")
+        out = tuple(item(key, x, section) for x in value)
+        if decreasing and any(b >= a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"{key} must be strictly decreasing")
+        return out
+    return rule
+
+
+def _interval(key: str, value, section) -> tuple:
     """[lo, hi] with 0 < lo < hi, as a tuple of floats."""
-    pair = (tuple(_number(key, x) for x in value)
-            if isinstance(value, list) else ())
+    pair = _list(_num())(key, value, section)
     if len(pair) != 2 or not pair[0] < pair[1]:
         raise ConfigError(f"{key} must be [lo, hi] with 0 < lo < hi")
     return pair
 
 
-def _type_solver(sol: dict) -> None:
-    """Convert every value of the solver section to its type, in place,
-    and check it against its range, so that the commands read it as it
-    is."""
-    if sol["method"] not in ("shooting", "variational"):
-        raise ConfigError("solver.method must be shooting or variational")
-    if not isinstance(sol["coercivity"], bool):
-        raise ConfigError("solver.coercivity must be true or false")
-    for key, bounds in (("domain_radius", {"high": 1.0}),
-                        ("grid_num", {"low": 4, "integer": True}),
-                        ("node_target", {"integer": True}),
-                        ("boundary_tol", {}), ("rtol", {}),
-                        ("bubble_decades", {})):
-        sol[key] = _number("solver." + key, sol[key], **bounds)
-    if sol["r0"] is not None:
-        sol["r0"] = _number("solver.r0", sol["r0"], high=sol["domain_radius"])
-    for key in ("K_range", "annulus", "fit_window"):
-        if key == "K_range" or sol[key] is not None:
-            sol[key] = _interval("solver." + key, sol[key])
-    if not isinstance(sol["schedule"], list) or not sol["schedule"]:
-        raise ConfigError("solver.schedule must be a non-empty list")
-    ps = tuple(_number("solver.schedule", p, low=-math.inf)
-               for p in sol["schedule"])
-    if any(b >= a for a, b in zip(ps, ps[1:])):
-        raise ConfigError("solver.schedule must be strictly decreasing")
-    sol["schedule"] = ps
+def _node_target(key: str, value, solver: dict) -> int:
+    """A node count, 0 for the variational method (ground states only)."""
+    target = _number(key, value, integer=True)
+    if target and solver["method"] == "variational":
+        raise ConfigError("solver.node_target must be 0 for the "
+                          "variational method (ground states only)")
+    return target
+
+
+_FINITE = _num(low=-math.inf)
+# every key of a config's params and solver sections, as (its default, its
+# rule); a params key without a default in ProblemParams is required.  A
+# rule types the value of one key, rule(key, value, section), or raises a
+# ConfigError naming key; section holds the keys typed before it.
+_CONFIG = {
+    "params": {field.name: (field.default, _num(
+        low=-math.inf, integer=field.name == "n"))
+        for field in dataclasses.fields(ProblemParams)},
+    "solver": {
+        "domain_radius": (0.5, _num(high=1.0)),
+        "method": ("shooting", _kind(
+            lambda v: v in ("shooting", "variational"),
+            "shooting or variational")),
+        "grid_num": (1600, _num(low=4, integer=True)),
+        "r0": (None, _optional(lambda key, value, solver: _number(
+            key, value, high=solver["domain_radius"]))),
+        "node_target": (0, _node_target),
+        "K_range": ([1e-4, 1e6], _interval),
+        "boundary_tol": (1e-8, _num()),
+        "rtol": (1e-11, _num()),
+        "schedule": ([0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0],
+                     _list(_FINITE, decreasing=True)),
+        "annulus": (None, _optional(_interval)),     # pohozaev annulus
+        "fit_window": (None, _optional(_interval)),  # exponent-fit window
+        # the bubble's 4001 radii, 10^(+-decades/2), stay finite and apart
+        "bubble_decades": (8.0, _num(
+            low=1e-6, high=2.0 * math.log10(sys.float_info.max))),
+        "coercivity": (False, _kind(lambda v: isinstance(v, bool),
+                                    "true or false")),
+    },
+}
+# each sweep axis, in axis order, and the section of the key it overrides
+_SWEEP_AXES = {"gamma": "params", "s": "params", "lam": "params",
+               "p_defect": "params", "node_target": "solver"}
+
+
+def _typed(section: str, block, name: str) -> dict:
+    """block, an object of _CONFIG[section]'s keys, with the defaults of
+    those it lacks, each typed by its rule; name labels the keys."""
+    table = _CONFIG[section]
+    _check_keys(block, set(table), name, [
+        key for key in table if table[key][0] is dataclasses.MISSING])
+    typed = {}
+    for key, (default, rule) in table.items():
+        typed[key] = rule(f"{name}.{key}", block.get(key, default), typed)
+    return typed
 
 
 def load_config(path: str) -> dict:
@@ -235,39 +277,17 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # not JSON, not UTF-8, or a huge integer
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(cfg, {"params", "solver", "output", "sweep"}, "config")
-    params = cfg.get("params")
-    if not isinstance(params, dict):
-        raise ConfigError("missing required section: params")
-    _check_keys(params, _PARAM_KEYS, "params", _PARAM_REQUIRED)
-    # the ranges are ProblemParams' own checks (exit code 2)
-    params = {key: _number("params." + key, value, low=-math.inf,
-                           integer=key == "n")
-              for key, value in params.items()}
-    _check_keys(cfg.get("solver", {}), set(_SOLVER_DEFAULTS), "solver")
-    solver = {**_SOLVER_DEFAULTS, **cfg.get("solver", {})}
-    _type_solver(solver)
-    _check_keys(cfg.get("output", {}), set(_OUTPUT_DEFAULTS), "output")
-    output = {**_OUTPUT_DEFAULTS, **cfg.get("output", {})}
+    _check_keys(cfg, {"params", "solver", "sweep"}, "config", ["params"])
+    typed = {name: _typed(name, cfg.get(name, {}), name) for name in _CONFIG}
     sweep = cfg.get("sweep")
-    if sweep is not None:
-        _check_keys(sweep, set(_SWEEP_KEYS), "sweep")
-        for key, grid in sweep.items():
-            if not isinstance(grid, list) or not grid:
-                raise ConfigError(f"sweep.{key} must be a non-empty list")
-        sweep = {key: [_number("sweep." + key, value, integer=True)
-                       if key == "node_target" else
-                       _number("sweep." + key, value, low=-math.inf)
-                       for value in grid]
-                 for key, grid in sweep.items()}
-    targets = [solver["node_target"], *(sweep or {}).get("node_target", ())]
-    if solver["method"] == "variational" and any(targets):
-        raise ConfigError("solver.node_target must be 0 for the "
-                          "variational method (ground states only)")
-    return {"params": params, "solver": solver, "output": output,
-            "sweep": sweep}
+    _check_keys({} if sweep is None else sweep, set(_SWEEP_AXES), "sweep")
+    for key, grid in (sweep or {}).items():    # a list of the key's values
+        section = _SWEEP_AXES[key]
+        sweep[key] = _list(_CONFIG[section][key][1])(f"sweep.{key}", grid,
+                                                     typed[section])
+    return {**typed, "sweep": sweep}
 
 
 def make_params(cfg: dict) -> ProblemParams:
@@ -278,8 +298,8 @@ def make_problem(cfg: dict, params: ProblemParams) -> EuclideanProblem:
     return EuclideanProblem(params, cfg["solver"]["domain_radius"])
 
 
-def _outdir(cfg: dict, args) -> str:
-    out = args.out if args.out else cfg["output"]["directory"]
+def _outdir(args) -> str:
+    out = args.out or "out"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -287,7 +307,7 @@ def _outdir(cfg: dict, args) -> str:
 def emit(cfg: dict, args, files: dict, summary) -> int:
     """Write each output file, name -> text or a JSON document (written by
     dumps17), record them all in the manifest, and print the summary."""
-    out = _outdir(cfg, args)
+    out = _outdir(args)
     texts = {name: body if isinstance(body, str) else dumps17(body) + "\n"
              for name, body in files.items()}
     for name, text in texts.items():
@@ -329,31 +349,50 @@ def _stored(outdir: str, name: str, read):
                           f"{exc}") from exc
 
 
-def _stored_run(outdir: str, name: str, keys: tuple) -> tuple:
-    """(document, ProblemParams of its params) of the JSON file name that an
-    earlier command wrote to outdir, which must hold params and keys."""
+def _stored_run(outdir: str, name: str, rules: dict) -> tuple:
+    """(its values of the keys of rules, key -> rule, each typed by its
+    rule, and the ProblemParams of its params) of the JSON file name that
+    an earlier command wrote to outdir, which must hold params and keys."""
     doc = _stored(outdir, name, json.load)
-    missing = {"params", *keys} - set(doc if isinstance(doc, dict) else ())
+    missing = {"params", *rules} - set(doc if isinstance(doc, dict) else ())
     if missing:
         raise ConfigError(f"stored {name} in {outdir} lacks key(s): "
                           + ", ".join(sorted(missing)))
-    _check_keys(doc["params"], _PARAM_KEYS, f"{name} params", _PARAM_REQUIRED)
-    return doc, ProblemParams(**doc["params"])
+    params = _typed("params", doc["params"], f"{name} params")
+    return ({key: rule(f"{name} {key}", doc[key], None)
+             for key, rule in rules.items()}, ProblemParams(**params))
+
+
+def _steps(key: str, steps, section) -> list:
+    """A stored continuation's steps: objects of a string stem, a p_defect,
+    the schedule that ran, and a sup_increment, a finite number or, on the
+    first step only, null; other keys, as older runs wrote, are ignored."""
+    _kind(lambda v: isinstance(v, list), "a list")(key, steps, None)
+    for i, step in enumerate(steps):
+        _check_keys(step, None, f"{key}[{i}]",
+                    ("stem", "p_defect", "sup_increment"))
+        _kind(lambda v: isinstance(v, str), "a string")(
+            f"{key}[{i}].stem", step["stem"], None)
+        (_FINITE if i else _optional(_FINITE))(
+            f"{key}[{i}].sup_increment", step["sup_increment"], None)
+    ps = [step["p_defect"] for step in steps]
+    if ps:
+        _list(_FINITE, decreasing=True)(key + "' p_defect", ps, None)
+    return steps
 
 
 def read_profile(outdir: str, stem: str) -> tuple:
     """Rebuild (SolutionProfile, domain radius) from a CSV + sidecar
     written by an earlier command in the same directory: the samples give
     the node count, the sidecar's params the defect."""
-    doc, params = _stored_run(outdir, stem + ".json", (
-        "K0", "energy", "residual_norm", "meta", "domain_radius"))
-    prof = SolutionProfile(
-        data=_stored(outdir, stem + ".csv", read_profile_csv),
-        params=params, K0=doc["K0"], energy=doc["energy"],
-        residual_norm=(doc["residual_norm"]
-                       if doc["residual_norm"] is not None else math.nan),
-        meta=doc["meta"])
-    return prof, doc["domain_radius"]
+    doc, params = _stored_run(outdir, stem + ".json", {
+        "K0": _FINITE, "energy": _optional(_FINITE, math.nan),
+        "residual_norm": _optional(_FINITE, math.nan),
+        "meta": _kind(lambda v: isinstance(v, dict), "an object"),
+        "domain_radius": _CONFIG["solver"]["domain_radius"][1]})
+    data = _stored(outdir, stem + ".csv", read_profile_csv)
+    radius = doc.pop("domain_radius")
+    return SolutionProfile(data=data, params=params, **doc), radius
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +518,8 @@ def cmd_continue(cfg: dict, args) -> int:
 def cmd_blowup(cfg: dict, args) -> int:
     from . import blowup as blowup_mod
     make_params(cfg)            # the config is checked like any other
-    out = _outdir(cfg, args)
-    run, params = _stored_run(out, "continuation.json", ("steps",))
+    out = _outdir(args)
+    run, params = _stored_run(out, "continuation.json", {"steps": _steps})
     steps = run["steps"]
     if not steps:
         raise ConfigError(f"no steps in the stored continuation in {out}")
@@ -506,7 +545,7 @@ def cmd_verify(cfg: dict, args) -> int:
     from .verify import (VerificationError, audit_profile, hardy_check,
                          hardy_sharpness_error)
     make_params(cfg)            # the config is checked like any other
-    out = _outdir(cfg, args)
+    out = _outdir(args)
     prof, radius = read_profile(out, "profile")
     problem = EuclideanProblem(prof.params, domain_radius=radius)
     provenance = {"stem": "profile", "directory": out, "seed": int(args.seed)}
@@ -563,13 +602,9 @@ def _sweep_row(task: tuple) -> dict:
     from .verify import VerificationError, audit_profile
     index, base_cfg, overrides = task
     params, solver = dict(base_cfg["params"]), dict(base_cfg["solver"])
-    for key, val in overrides.items():
-        (solver if key == "node_target" else params)[key] = val
-    cfg = dict(base_cfg, params=params, solver=solver)
-    row = {"index": index, "gamma": params["gamma"], "s": params["s"],
-           "lam": params.get("lam", 0.0),
-           "p_defect": params.get("p_defect", 0.0),
-           "node_target": solver["node_target"]}
+    cfg, row = dict(base_cfg, params=params, solver=solver), {"index": index}
+    for key, section in _SWEEP_AXES.items():
+        cfg[section][key] = row[key] = overrides.get(key, cfg[section][key])
     try:
         problem_params = make_params(cfg)
         problem = make_problem(cfg, problem_params)
@@ -594,10 +629,9 @@ def _sweep_row(task: tuple) -> dict:
     return row
 
 
-_SWEEP_COLUMNS = ["index", "gamma", "s", "lam", "p_defect", "node_target",
-                  "status", "energy", "K0", "node_count", "slope",
-                  "slope_target", "slope_stderr", "pohozaev_relative",
-                  "message", "error_class", "shoots"]
+_SWEEP_COLUMNS = ["index", *_SWEEP_AXES, "status", "energy", "K0",
+                  "node_count", "slope", "slope_target", "slope_stderr",
+                  "pohozaev_relative", "message", "error_class", "shoots"]
 
 
 def _fork_map(fn, tasks: list, workers: int) -> list:
@@ -667,7 +701,7 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
 def cmd_sweep(cfg: dict, args) -> int:
     if not cfg["sweep"]:
         raise ConfigError("missing required section: sweep")
-    keys = [key for key in _SWEEP_KEYS if key in cfg["sweep"]]
+    keys = [key for key in _SWEEP_AXES if key in cfg["sweep"]]
     grid = itertools.product(*(cfg["sweep"][key] for key in keys))
     tasks = [(index, cfg, dict(zip(keys, combo)))
              for index, combo in enumerate(grid)]

@@ -369,8 +369,8 @@ def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
 def continuation_to_critical(problem: EuclideanProblem, schedule: tuple,
                              solve) -> tuple:
     """Warm-started solves along schedule, a decreasing tuple of defects
-    (cli._type_solver checks the order); records the Cauchy increments
-    that the blow-up lab reads.
+    (the rule of the config's solver.schedule checks the order); records
+    the Cauchy increments that the blow-up lab reads.
     solve(p, K_start) is a step's shooting solve (from the scaling
     estimate for K_start None, the first step's), whose meta gives K_shoot
     and r0.  A later step starts at the scaling estimate E(p) at the last

@@ -230,11 +230,6 @@ def test_verdict_rejects_increments_that_do_not_shrink_with_dp(params):
     assert compactness_verdict(steps[:2], params)["verdict"] == INCONCLUSIVE
 
 
-def test_verdict_empty_is_inconclusive(params):
-    rep = compactness_verdict([], params)
-    assert rep["verdict"] == INCONCLUSIVE
-
-
 def test_verdict_blowup_on_diverging_increments(params):
     # synthetic run whose increments per unit p grow without bound
     steps = [{"p_defect": 0.4 / (i + 1.0), "sup_increment": inc}

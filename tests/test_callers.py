@@ -48,13 +48,13 @@ def test_every_public_name_has_a_src_caller():
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def _calls() -> dict:
+def _calls(paths: list) -> dict:
     """Called name -> (the most positional arguments of any call, the
-    keywords passed), over src/ and tests/.  A Name or Attribute call
+    keywords passed), over the files paths.  A Name or Attribute call
     counts under its last name; a call that unpacks *args or **kwargs
     counts as passing everything."""
     calls = {}
-    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
@@ -70,19 +70,52 @@ def _calls() -> dict:
     return calls
 
 
-def _knobs() -> list:
+def _dataclass_fields(cls: ast.ClassDef) -> list:
+    """(name, has a default) of each init field of a @dataclass class, in
+    order; [] for any other class.  A field(...) value gives a default
+    when it takes default or default_factory, and none with init=False is
+    an init field."""
+    if not any(ast.unparse(dec).split("(")[0] == "dataclass"
+               for dec in cls.decorator_list):
+        return []
+    fields = []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        default = value is not None
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+            options = {kw.arg: ast.unparse(kw.value) for kw in value.keywords}
+            if options.get("init") == "False":
+                continue
+            default = bool({"default", "default_factory"} & set(options))
+        fields.append((stmt.target.id, default))
+    return fields
+
+
+def _knobs(defining: list, calling: list) -> list:
     """'module.function(parameter)' for every defaulted parameter of a
-    function or method in src/ that no call passes, by position or by
-    keyword.  A method's calls are offset by its self; a class's calls
-    are those of its __init__; other dunder methods are called by syntax,
-    not by name, and are left out."""
-    calls = _calls()
+    function or method in the files defining that no call in the files
+    calling passes, by position or by keyword; a dataclass's defaulted
+    init fields count as the parameters of its constructor.  A method's
+    calls are offset by its self; a class's calls are those of its
+    __init__; other dunder methods are called by syntax, not by name, and
+    are left out."""
+    calls = _calls(calling)
     knobs = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in defining:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         methods = {id(fn): cls.name for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for fn in cls.body
                    if isinstance(fn, ast.FunctionDef)}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            count, keywords = calls.get(cls.name, (0, set()))
+            for index, (name, default) in enumerate(_dataclass_fields(cls)):
+                if default and index >= count and name not in keywords:
+                    knobs.append(f"{path.stem}.{cls.name}({name})")
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -107,10 +140,35 @@ def _knobs() -> list:
     return knobs
 
 
+SOURCES = sorted(SRC.glob("*.py"))
+
+
 def test_every_default_is_passed_somewhere():
-    assert _knobs() == [], (
+    knobs = _knobs(SOURCES, SOURCES + sorted(TESTS.glob("*.py")))
+    assert knobs == [], (
         "defaulted parameters that no call in src/ or tests/ passes (make "
-        "them constants, or pass them): " + ", ".join(_knobs()))
+        "them constants, or pass them): " + ", ".join(knobs))
+
+
+def test_the_knob_gate_reads_dataclass_fields(tmp_path):
+    # a dataclass's constructor takes its init fields: one with a default
+    # that no call passes is a knob, as a defaulted parameter is
+    module = tmp_path / "box.py"
+    module.write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    colour: str = 'red'\n"
+        "    label: str = field(default='x')\n"
+        "    cache: dict = field(default=None, init=False)\n"
+        "    items: list = field(default_factory=list)\n"
+        "    weight: float = field(repr=False)\n"
+        "def use():\n"
+        "    return Box(1, label='y', weight=2.0)\n", encoding="utf-8")
+    assert _knobs([module], [module]) == ["box.Box(colour)", "box.Box(items)"]
+    # EuclideanProblem's b_scale is passed by tests alone
+    assert "bridge.EuclideanProblem(b_scale)" in _knobs(SOURCES, SOURCES)
 
 
 def _takes_params_and_problem() -> list:

@@ -125,7 +125,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(_write_cfg(tmp_path / "d.json",
                                {"params": dict(REF_PARAMS),
                                 "sweep": {"gamma": []}}))
-    # output.formats was never read and is no longer a key
+    # the output section is gone: --out sets the directory
     with pytest.raises(ConfigError):
         load_config(_write_cfg(tmp_path / "e.json",
                                {"params": dict(REF_PARAMS),
@@ -150,12 +150,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["constants", "--config", str(bad)]) == 1
+    # bytes that are not UTF-8, and an integer too long for int()
+    for raw in (b"\xff\xfe", b'{"params": {"lam": 1' + b"0" * 5000 + b"}}"):
+        bad.write_bytes(raw)
+        assert main(["constants", "--config", str(bad)]) == 1
     assert main(["constants", "--config", str(tmp_path / "missing.json")]) == 1
     cfg = _write_cfg(tmp_path / "k.json",
                      {"params": dict(REF_PARAMS), "unknown": 1})
     assert main(["constants", "--config", cfg]) == 1
     ok = _write_cfg(tmp_path / "ok.json", {"params": dict(REF_PARAMS)})
     assert main(["constants", "--config", ok, "--seed", "-1"]) == 1
+    capsys.readouterr()
     # malformed values and sections exit cleanly, not with a traceback,
     # before the command reads them
     def solver(**values):
@@ -194,11 +199,21 @@ def test_exit_code_config_errors(tmp_path, capsys):
             ("continue", solver(schedule=[0.1, 0.2])),
             ("verify", solver(annulus=[0.1])),
             ("sweep", {"params": dict(REF_PARAMS),
-                       "sweep": {"node_target": [-1]}}))):
+                       "sweep": {"node_target": [-1]}}),
+            # an integer beyond float range, and bubbles whose radii
+            # 10^(+-decades/2) overflow or coincide
+            ("constants", {"params": {**REF_PARAMS, "lam": 10 ** 400}}),
+            ("bubble", solver(bubble_decades=700)),
+            ("bubble", solver(bubble_decades=1e-20)),
+            # --out sets the output directory; there is no output section
+            ("weights", {"params": dict(REF_PARAMS),
+                         "output": {"directory": str(tmp_path / "o")}}))):
         cfg = _write_cfg(tmp_path / f"m{i}.json", doc)
-        out = str(tmp_path / f"out{i}")
-        assert main([command, "--config", cfg, "--out", out]) == 1, doc
-        assert capsys.readouterr().err.startswith("config error:")
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (out / "manifest.json").exists()
     capsys.readouterr()
 
 
@@ -1101,7 +1116,17 @@ def test_a_malformed_stored_file_is_a_config_error(solved_dir, tmp_path,
     cfg, out = solved_dir
     sidecar = _json(os.path.join(out, "profile.json"))
     samples = _bytes(os.path.join(out, "profile.csv"))
-    run = {"params": dict(REF_PARAMS), "steps": [{"stem": "profile"}]}
+    steps = [{"stem": "profile", "p_defect": 0.2, "sup_increment": None},
+             {"stem": "profile", "p_defect": 0.1, "sup_increment": 0.01}]
+    run = {"params": dict(REF_PARAMS), "steps": steps}
+
+    def stored(doc, **values):
+        return dumps17(dict(doc, **values))
+
+    def step(i, **values):
+        return stored(run, steps=[dict(s, **values) if j == i else s
+                                  for j, s in enumerate(steps)])
+
     cases = [
         ("verify", {"profile.json": dumps17(_without(sidecar, "K0"))},
          "stored profile.json in {} lacks key(s): K0"),
@@ -1116,6 +1141,49 @@ def test_a_malformed_stored_file_is_a_config_error(solved_dir, tmp_path,
          "stored continuation.json in {} is malformed: "),
         ("blowup", {"continuation.json": dumps17(_without(run, "params"))},
          "stored continuation.json in {} lacks key(s): params"),
+        # each value read back is typed as the config's is
+        ("verify", {"profile.json": stored(sidecar, energy="x")},
+         "profile.json energy must be a finite number, not 'x'\n"),
+        ("verify", {"profile.json": stored(sidecar, domain_radius="0.5")},
+         "profile.json domain_radius must be a number in (0, 1), "
+         "not '0.5'\n"),
+        ("verify", {"profile.json": stored(sidecar, domain_radius=2.0)},
+         "profile.json domain_radius must be a number in (0, 1), not 2\n"),
+        ("verify", {"profile.json": stored(sidecar, K0=None)},
+         "profile.json K0 must be a finite number, not None\n"),
+        ("verify", {"profile.json": stored(sidecar, meta=5)},
+         "profile.json meta must be an object, not 5\n"),
+        ("verify", {"profile.json": stored(sidecar, params=dict(
+            sidecar["params"], n="five"))},
+         "profile.json params.n must be an integer, not 'five'\n"),
+        ("blowup", {"continuation.json": stored(run, params=dict(
+            REF_PARAMS, n="five"))},
+         "continuation.json params.n must be an integer, not 'five'\n"),
+        ("blowup", {"continuation.json": stored(run, params=dict(
+            REF_PARAMS, n=5.5))},
+         "continuation.json params.n must be an integer, not 5.5\n"),
+        ("blowup", {"continuation.json": stored(run, steps=5)},
+         "continuation.json steps must be a list, not 5\n"),
+        ("blowup", {"continuation.json": stored(run, steps=[5])},
+         "continuation.json steps[0] must be an object\n"),
+        ("blowup", {"continuation.json": stored(run, steps=[
+            _without(steps[0], "stem"), steps[1]])},
+         "missing required key(s) in continuation.json steps[0]: stem\n"),
+        ("blowup", {"continuation.json": stored(run, steps=[
+            steps[0], _without(steps[1], "sup_increment")])},
+         "missing required key(s) in continuation.json steps[1]: "
+         "sup_increment\n"),
+        ("blowup", {"continuation.json": step(0, stem=5)},
+         "continuation.json steps[0].stem must be a string, not 5\n"),
+        ("blowup", {"continuation.json": step(1, sup_increment=None)},
+         "continuation.json steps[1].sup_increment must be a finite "
+         "number, not None\n"),
+        ("blowup", {"continuation.json": step(0, p_defect="0.2")},
+         "continuation.json steps' p_defect must be a finite number, "
+         "not '0.2'\n"),
+        ("blowup", {"continuation.json": step(1, p_defect=0.2)},
+         "continuation.json steps' p_defect must be strictly "
+         "decreasing\n"),
     ]
     for idx, (command, broken, message) in enumerate(cases):
         case = tmp_path / f"case{idx}"
@@ -1154,8 +1222,11 @@ def test_blowup_writes_the_envelope(tmp_path, bubble, ref_params, capsys):
                          np.geomspace(1e-7, 0.5, 3000))
     files = cli._sidecar("continuation_00", prof,
                          EuclideanProblem(ref_params, domain_radius=0.5))
-    files["continuation.json"] = {"params": dict(REF_PARAMS),
-                                  "steps": [{"stem": "continuation_00"}]}
+    # its one step also holds the energy that older runs wrote, which is
+    # ignored
+    files["continuation.json"] = {"params": dict(REF_PARAMS), "steps": [
+        {"stem": "continuation_00", "p_defect": 0.0, "sup_increment": None,
+         "energy": 1.0}]}
     for name, body in files.items():
         (out / name).write_text(
             body if isinstance(body, str) else dumps17(body) + "\n")
