@@ -13,6 +13,7 @@ from .constants import (AdmissibilityError, ProblemParams,
                         critical_exponent, h_origin)
 from .grids import CubicSpline, ProfileData, log_derivative_matrix_apply
 from .kernel import DomainError, weight_V_p
+from .profiles import SolverError
 
 # the log grid of the discretized quadratic form: inner cutoff and nodes
 _FORM_R0, _FORM_NUM = 1e-6, 2000
@@ -115,7 +116,7 @@ class EuclideanProblem:
         return float(out) if np.ndim(out) == 0 else out
 
 
-class CoercivityFailure(RuntimeError):
+class CoercivityFailure(SolverError):
     """The discretized form is not finite, or its lowest eigenvalue could
     not be bracketed."""
 

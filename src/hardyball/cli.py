@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bridge import (EuclideanProblem, b_origin, b_weight, coercivity_lambda0,
-                     euclidean_potential, h_conformal, CoercivityFailure)
+                     euclidean_potential, h_conformal)
 from .constants import (AdmissibilityError, ProblemParams, admissibility,
                         best_constant_estimate, beta_pm, check_defect,
                         critical_exponent)
@@ -123,9 +123,10 @@ def update_manifest(outdir: str, files: dict, config_text: str,
     """Record every output file, name -> the text written to it, with its
     checksum; entries from earlier commands in the same directory are
     preserved."""
-    try:
-        entries = _stored(outdir, "manifest.json", json.load).get("files", {})
-    except ConfigError:         # none yet, or unreadable: start afresh
+    try:        # none yet, unreadable, or without an object of files: afresh
+        entries = _stored(outdir, "manifest.json", json.load)["files"]
+        _check_keys(entries, None, "files")
+    except (ConfigError, TypeError, KeyError):
         entries = {}
     for name, text in files.items():
         blob = text.encode("utf-8")     # the bytes write_text wrote
@@ -174,18 +175,17 @@ def _number(key: str, value, low: float = 0.0, high: float = math.inf,
 
 def _num(**bounds):
     """The rule of a number that _number types within bounds."""
-    return lambda key, value, section: _number(key, value, **bounds)
+    return lambda key, value: _number(key, value, **bounds)
 
 
 def _optional(rule, null=None):
     """rule, or null for a null value."""
-    return lambda key, value, section: (
-        null if value is None else rule(key, value, section))
+    return lambda key, value: null if value is None else rule(key, value)
 
 
 def _kind(test, kind: str):
     """The rule of a value that test accepts, which kind describes."""
-    def rule(key, value, section):
+    def rule(key, value):
         if not test(value):
             raise ConfigError(f"{key} must be {kind}, not {value!r}")
         return value
@@ -195,51 +195,38 @@ def _kind(test, kind: str):
 def _list(item, decreasing: bool = False):
     """The rule of a non-empty list of values, each typed by the rule item,
     as a tuple, and strictly decreasing if decreasing."""
-    def rule(key, value, section):
+    def rule(key, value):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{key} must be a non-empty list")
-        out = tuple(item(key, x, section) for x in value)
+        out = tuple(item(key, x) for x in value)
         if decreasing and any(b >= a for a, b in zip(out, out[1:])):
             raise ConfigError(f"{key} must be strictly decreasing")
         return out
     return rule
 
 
-def _interval(key: str, value, section) -> tuple:
+def _interval(key: str, value) -> tuple:
     """[lo, hi] with 0 < lo < hi, as a tuple of floats."""
-    pair = _list(_num())(key, value, section)
+    pair = _list(_num())(key, value)
     if len(pair) != 2 or not pair[0] < pair[1]:
         raise ConfigError(f"{key} must be [lo, hi] with 0 < lo < hi")
     return pair
 
 
-def _node_target(key: str, value, solver: dict) -> int:
-    """A node count, 0 for the variational method (ground states only)."""
-    target = _number(key, value, integer=True)
-    if target and solver["method"] == "variational":
-        raise ConfigError("solver.node_target must be 0 for the "
-                          "variational method (ground states only)")
-    return target
-
-
 _FINITE = _num(low=-math.inf)
 # every key of a config's params and solver sections, as (its default, its
 # rule); a params key without a default in ProblemParams is required.  A
-# rule types the value of one key, rule(key, value, section), or raises a
-# ConfigError naming key; section holds the keys typed before it.
+# rule types the value of one key, rule(key, value), or raises a ConfigError
+# naming key.
 _CONFIG = {
     "params": {field.name: (field.default, _num(
         low=-math.inf, integer=field.name == "n"))
         for field in dataclasses.fields(ProblemParams)},
     "solver": {
         "domain_radius": (0.5, _num(high=1.0)),
-        "method": ("shooting", _kind(
-            lambda v: v in ("shooting", "variational"),
-            "shooting or variational")),
         "grid_num": (1600, _num(low=4, integer=True)),
-        "r0": (None, _optional(lambda key, value, solver: _number(
-            key, value, high=solver["domain_radius"]))),
-        "node_target": (0, _node_target),
+        "r0": (None, lambda key, value: value),     # typed by load_config
+        "node_target": (0, _num(integer=True)),
         "K_range": ([1e-4, 1e6], _interval),
         "boundary_tol": (1e-8, _num()),
         "rtol": (1e-11, _num()),
@@ -265,10 +252,8 @@ def _typed(section: str, block, name: str) -> dict:
     table = _CONFIG[section]
     _check_keys(block, set(table), name, [
         key for key in table if table[key][0] is dataclasses.MISSING])
-    typed = {}
-    for key, (default, rule) in table.items():
-        typed[key] = rule(f"{name}.{key}", block.get(key, default), typed)
-    return typed
+    return {key: rule(f"{name}.{key}", block.get(key, default))
+            for key, (default, rule) in table.items()}
 
 
 def load_config(path: str) -> dict:
@@ -281,12 +266,15 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(cfg, {"params", "solver", "sweep"}, "config", ["params"])
     typed = {name: _typed(name, cfg.get(name, {}), name) for name in _CONFIG}
+    solver = typed["solver"]    # the one bound that reads another key
+    if solver["r0"] is not None:
+        solver["r0"] = _number("solver.r0", solver["r0"],
+                               high=solver["domain_radius"])
     sweep = cfg.get("sweep")
     _check_keys({} if sweep is None else sweep, set(_SWEEP_AXES), "sweep")
     for key, grid in (sweep or {}).items():    # a list of the key's values
-        section = _SWEEP_AXES[key]
-        sweep[key] = _list(_CONFIG[section][key][1])(f"sweep.{key}", grid,
-                                                     typed[section])
+        rule = _CONFIG[_SWEEP_AXES[key]][key][1]
+        sweep[key] = _list(rule)(f"sweep.{key}", grid)
     return {**typed, "sweep": sweep}
 
 
@@ -359,25 +347,25 @@ def _stored_run(outdir: str, name: str, rules: dict) -> tuple:
         raise ConfigError(f"stored {name} in {outdir} lacks key(s): "
                           + ", ".join(sorted(missing)))
     params = _typed("params", doc["params"], f"{name} params")
-    return ({key: rule(f"{name} {key}", doc[key], None)
+    return ({key: rule(f"{name} {key}", doc[key])
              for key, rule in rules.items()}, ProblemParams(**params))
 
 
-def _steps(key: str, steps, section) -> list:
+def _steps(key: str, steps) -> list:
     """A stored continuation's steps: objects of a string stem, a p_defect,
     the schedule that ran, and a sup_increment, a finite number or, on the
     first step only, null; other keys, as older runs wrote, are ignored."""
-    _kind(lambda v: isinstance(v, list), "a list")(key, steps, None)
+    _kind(lambda v: isinstance(v, list), "a list")(key, steps)
     for i, step in enumerate(steps):
         _check_keys(step, None, f"{key}[{i}]",
                     ("stem", "p_defect", "sup_increment"))
         _kind(lambda v: isinstance(v, str), "a string")(
-            f"{key}[{i}].stem", step["stem"], None)
+            f"{key}[{i}].stem", step["stem"])
         (_FINITE if i else _optional(_FINITE))(
-            f"{key}[{i}].sup_increment", step["sup_increment"], None)
+            f"{key}[{i}].sup_increment", step["sup_increment"])
     ps = [step["p_defect"] for step in steps]
     if ps:
-        _list(_FINITE, decreasing=True)(key + "' p_defect", ps, None)
+        _list(_FINITE, decreasing=True)(key + "' p_defect", ps)
     return steps
 
 
@@ -455,13 +443,10 @@ def cmd_bridge(cfg: dict, args) -> int:
 
 def _solve_one(cfg: dict, problem: EuclideanProblem, p: float,
                K_start: float = None) -> SolutionProfile:
-    """The solve at p that the config's solver section sets, from K_start
-    if given: the one map of that section to the solvers."""
-    from .solver import solve_dirichlet_shooting, solve_variational
+    """The shooting solve at p that the config's solver section sets, from
+    K_start if given: the one map of that section to the solver."""
+    from .solver import solve_dirichlet_shooting
     sol = cfg["solver"]
-    if sol["method"] == "variational":
-        return solve_variational(problem, p, r0=sol["r0"],
-                                 num=sol["grid_num"])
     return solve_dirichlet_shooting(
         problem, p, node_target=sol["node_target"], K_range=sol["K_range"],
         boundary_tol=sol["boundary_tol"], r0=sol["r0"], rtol=sol["rtol"],
@@ -492,8 +477,6 @@ def cmd_bubble(cfg: dict, args) -> int:
 
 def cmd_continue(cfg: dict, args) -> int:
     from .solver import continuation_to_critical
-    if cfg["solver"]["method"] != "shooting":
-        raise ConfigError("solver.method must be shooting for continue")
     params = make_params(cfg)
     problem = make_problem(cfg, params)
     schedule = cfg["solver"]["schedule"]
@@ -786,7 +769,7 @@ def main(argv=None) -> int:
     except AdmissibilityError as exc:
         print(f"inadmissible parameters: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except (SolverError, CoercivityFailure) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -277,7 +277,7 @@ def solve_dirichlet_shooting(problem: EuclideanProblem, p: float,
     return best
 
 
-def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
+def solve_variational(problem: EuclideanProblem, p: float,
                       num: int = 1600) -> SolutionProfile:
     """Ground state as a critical point of the action discretized on the
     tridiagonal form A of bridge._quadratic_form_diagonals: _DESCENT_STEPS
@@ -291,7 +291,7 @@ def solve_variational(problem: EuclideanProblem, p: float, r0: float = None,
     check_defect(n, s, p)
     pf = critical_exponent(n, s) - p
     R = problem.domain_radius
-    r0 = _start_radius(problem, r0)
+    r0 = _start_radius(problem, None)
     form, _, off = _quadratic_form_diagonals(problem, r0, num)
     t = np.linspace(math.log(r0), math.log(R), num)
     r = np.exp(t)

@@ -11,7 +11,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hardyball"
 # independent oracles that only tests call, all of them in the acceptance
 # gate
 ORACLES = ("plant_bubbles", "rate_check", "hyperbolic_scaling",
-           "residual_equivalence_check", "hardy_sobolev_check")
+           "residual_equivalence_check", "hardy_sobolev_check",
+           "solve_variational")
 
 
 def _public_names_without_caller() -> dict:

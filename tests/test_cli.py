@@ -22,10 +22,11 @@ import pytest
 import hardyball
 from hardyball import cli, ode, solver
 from hardyball.blowup import plant_bubbles
-from hardyball.bridge import CoercivityFailure, EuclideanProblem
+from hardyball.bridge import EuclideanProblem
 from hardyball.cli import (csv_text, dumps17, format17, load_config, main,
                            read_profile_csv, ConfigError)
 from hardyball.constants import critical_exponent
+from hardyball.profiles import SolverError
 from hardyball.solver import ProfileData
 from hardyball.verify import hardy_check
 
@@ -191,7 +192,6 @@ def test_exit_code_config_errors(tmp_path, capsys):
             ("weights", solver(grid_num="x")),
             ("weights", solver(grid_num=200.5)),
             ("bubble", solver(bubble_decades=-3)),
-            ("solve", solver(method="newton")),
             ("solve", solver(K_range=[1e6, 1e-4])),
             ("solve", solver(r0=0.7)),
             ("solve", solver(rtol=0)),
@@ -214,7 +214,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert not (out / "manifest.json").exists()
-    capsys.readouterr()
+    # the solver has no method to choose, and r0 reads the bound of the
+    # domain radius whatever its value
+    for i, (doc, message) in enumerate((
+            (solver(method="shooting"), "unknown key(s) in solver: method"),
+            (solver(r0=1.5),
+             "solver.r0 must be a number in (0, 0.5), not 1.5"),
+            (solver(r0="x"),
+             "solver.r0 must be a number in (0, 0.5), not 'x'"))):
+        cfg = _write_cfg(tmp_path / f"pinned{i}.json", doc)
+        out = tmp_path / f"pinned{i}"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,34 +445,29 @@ sys.exit(code)
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # all nine commands, the shooting ones included, and a solve by the
-    # variational method run on numpy alone, and none imports
-    # numpy.polynomial (kernel holds its Gauss-Legendre rules as literals),
-    # numpy.random (verify draws its bumps with the standard library's
-    # random), or argparse and the gettext it loads (main reads argv itself)
+    # all nine commands, the shooting ones included, run on numpy alone,
+    # and none imports numpy.polynomial (kernel holds its Gauss-Legendre
+    # rules as literals), numpy.random (verify draws its bumps with the
+    # standard library's random), or argparse and the gettext it loads
+    # (main reads argv itself)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
         "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]},
         "sweep": {"p_defect": [0.05]}})
-    variational = _write_cfg(tmp_path / "variational.json", {
-        "params": dict(REF_PARAMS), "solver": {"method": "variational"}})
 
-    def launch(command, out, config=cfg):
-        return _launch(_SCIPY_AFTER_MAIN, [command, "--config", config,
+    def launch(command, out):
+        return _launch(_SCIPY_AFTER_MAIN, [command, "--config", cfg,
                                            "--out", str(tmp_path / out)])
 
     first = [(c, launch(c, c)) for c in ("solve", "continue", "bubble",
                                          "sweep", "weights", "bridge",
                                          "constants")]
-    first.append(("solve", launch("solve", "variational", variational)))
     finished = [(command, *_finish(proc)) for command, proc in first]
     # verify reads the solved profile, blowup the stored continuation
     later = [("verify", launch("verify", "solve")),
              ("blowup", launch("blowup", "continue"))]
     finished += [(command, *_finish(proc)) for command, proc in later]
     assert finished == [(command, 0, []) for command, _ in first + later]
-    with open(tmp_path / "variational" / "profile.json") as fh:
-        assert json.load(fh)["meta"]["converged"] is True
 
 
 _FORK_PROBE = """
@@ -766,13 +773,20 @@ def test_constants_without_out_prints_and_writes_nothing(
 
 
 def test_manifest_bytes_identical_across_reruns(tmp_path, capsys):
+    # two clean directories, and directories whose stored manifest is not
+    # an object or holds no object of files: each is started afresh
     cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
     blobs = []
-    for tag in ("a", "b"):
-        out = str(tmp_path / tag)
-        assert main(["weights", "--config", cfg, "--out", out]) == 0
-        blobs.append(_bytes(os.path.join(out, "manifest.json")))
-    assert blobs[0] == blobs[1]
+    for tag, stale in (("a", None), ("b", None), ("list", "[]"), ("int", "7"),
+                       ("files-int", '{"files": 5}'),
+                       ("files-list", '{"files": []}')):
+        out = tmp_path / tag
+        if stale is not None:
+            out.mkdir()
+            (out / "manifest.json").write_text(stale)
+        assert main(["weights", "--config", cfg, "--out", str(out)]) == 0
+        blobs.append(_bytes(out / "manifest.json"))
+    assert blobs == [blobs[0]] * len(blobs)
     capsys.readouterr()
 
 
@@ -908,46 +922,7 @@ def test_continue_reads_the_solver_settings(tmp_path, ref_problem, capsys):
         assert doc["meta"]["boundary_tol"] == 1e-9
         assert doc["K0"] == prof.K0
         assert doc["meta"]["K_shoot"] == prof.meta["K_shoot"]
-    # a continuation shoots: the variational method is a config error
-    variational = _write_cfg(tmp_path / "variational.json", {
-        "params": dict(REF_PARAMS), "solver": {"method": "variational"}})
     capsys.readouterr()
-    assert main(["continue", "--config", variational,
-                 "--out", str(tmp_path / "variational")]) == 1
-    assert capsys.readouterr().err == \
-        "config error: solver.method must be shooting for continue\n"
-    assert not (tmp_path / "variational").exists()
-
-
-def test_variational_solve_rejects_a_node_target(tmp_path, capsys):
-    # the variational method finds the ground state only
-    cfg = _write_cfg(tmp_path / "run.json", {
-        "params": dict(REF_PARAMS),
-        "solver": {"method": "variational", "node_target": 1}})
-    assert main(["solve", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == (
-        "config error: solver.node_target must be 0 for the variational "
-        "method (ground states only)\n")
-    assert not (tmp_path / "out").exists()
-
-
-def test_a_variational_sweep_checks_its_node_targets_first(
-        tmp_path, monkeypatch, capsys):
-    # the config is refused before any cell is solved
-    def fail(*args, **kwargs):
-        raise AssertionError("a variational solve ran")
-
-    monkeypatch.setattr(solver, "solve_variational", fail)
-    cfg = _write_cfg(tmp_path / "run.json", {
-        "params": dict(REF_PARAMS), "solver": {"method": "variational"},
-        "sweep": {"node_target": [0, 1]}})
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--workers", "1"]) == 1
-    assert capsys.readouterr().err == (
-        "config error: solver.node_target must be 0 for the variational "
-        "method (ground states only)\n")
-    assert not (tmp_path / "out").exists()
 
 
 def test_a_truncated_continuation_keeps_its_steps(tmp_path, capsys):
@@ -1423,10 +1398,10 @@ def test_a_worker_exception_exits_as_the_serial_sweep(tmp_path, monkeypatch,
                                                       capsys, deadline):
     # an exception that escapes _sweep_row in a child is raised in the
     # parent, the one of the lowest cell, as the serial loop raises it
-    def fail(cfg, problem, p):
-        raise CoercivityFailure(f"no form at p = {p}")
+    def fail(task):
+        raise SolverError(f"no form at p = {task[2]['p_defect']}")
 
-    monkeypatch.setattr(cli, "_solve_one", fail)
+    monkeypatch.setattr(cli, "_sweep_row", fail)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS), "sweep": {"p_defect": [0.1, 0.2]}})
     seen = []
