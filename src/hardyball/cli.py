@@ -224,7 +224,6 @@ _CONFIG = {
         for field in dataclasses.fields(ProblemParams)},
     "solver": {
         "domain_radius": (0.5, _num(high=1.0)),
-        "grid_num": (1600, _num(low=4, integer=True)),
         "r0": (None, lambda key, value: value),     # typed by load_config
         "node_target": (0, _num(integer=True)),
         "K_range": ([1e-4, 1e6], _interval),
@@ -232,11 +231,6 @@ _CONFIG = {
         "rtol": (1e-11, _num()),
         "schedule": ([0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.0],
                      _list(_FINITE, decreasing=True)),
-        "annulus": (None, _optional(_interval)),     # pohozaev annulus
-        "fit_window": (None, _optional(_interval)),  # exponent-fit window
-        # the bubble's 4001 radii, 10^(+-decades/2), stay finite and apart
-        "bubble_decades": (8.0, _num(
-            low=1e-6, high=2.0 * math.log10(sys.float_info.max))),
         "coercivity": (False, _kind(lambda v: isinstance(v, bool),
                                     "true or false")),
     },
@@ -410,7 +404,7 @@ def cmd_weights(cfg: dict, args) -> int:
     params = make_params(cfg)
     n, s = params.n, params.s
     q = critical_exponent(n, s)
-    r = np.geomspace(1e-6, 1.0 - 1e-6, cfg["solver"]["grid_num"])
+    r = np.geomspace(1e-6, 1.0 - 1e-6, 1600)
     V2 = weight_V_p(r, n, 2.0)
     table = csv_text(("r", "f", "G", "V2", "Vq"), np.column_stack((
         r, green_density(r, n), green_G(r, n), V2, weight_V_p(r, n, q))))
@@ -424,7 +418,7 @@ def cmd_bridge(cfg: dict, args) -> int:
     params = make_params(cfg)
     problem = make_problem(cfg, params)
     R = problem.domain_radius
-    r = np.geomspace(1e-6, R, cfg["solver"]["grid_num"])
+    r = np.geomspace(1e-6, R, 1600)
     table = csv_text(("r", "b", "W"), np.column_stack((
         r, problem.b(r),
         euclidean_potential(r, params.n, params.gamma, params.lam))))
@@ -466,8 +460,7 @@ def cmd_solve(cfg: dict, args) -> int:
 def cmd_bubble(cfg: dict, args) -> int:
     params = make_params(cfg)
     bub = EntireBubble(params.n, params.s, params.gamma,
-                       b_origin(params.n, params.s),
-                       cfg["solver"]["bubble_decades"])
+                       b_origin(params.n, params.s), 8.0)
     doc = {"n": bub.n, "s": bub.s, "gamma": bub.gamma, "b0": bub.b0,
            "K": bub.K, "psi_peak": bub.psi_peak}
     d = bub.data
@@ -525,8 +518,7 @@ def cmd_blowup(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    from .verify import (VerificationError, audit_profile, hardy_check,
-                         hardy_sharpness_error)
+    from .verify import audit_profile, hardy_check, hardy_sharpness_error
     make_params(cfg)            # the config is checked like any other
     out = _outdir(args)
     prof, radius = read_profile(out, "profile")
@@ -540,12 +532,7 @@ def cmd_verify(cfg: dict, args) -> int:
                        "passed": bool(abs(value) <= tolerance
                                       if passed is None else passed)})
 
-    try:
-        *_, audits = audit_profile(prof, problem, cfg["solver"]["annulus"],
-                                   cfg["solver"]["fit_window"])
-    except VerificationError as exc:        # the annulus misses the grid
-        raise ConfigError(f"solver.annulus: {exc}") from exc
-    for audit in audits:
+    for audit in audit_profile(prof, problem)[-1]:
         add(*audit)
     add("energy_positive", prof.energy, math.inf, passed=prof.energy > 0.0)
     # sampled hyperbolic Hardy margins, and the margins of near-extremal
@@ -593,12 +580,11 @@ def _sweep_row(task: tuple) -> dict:
         problem = make_problem(cfg, problem_params)
         prof = _solve_one(cfg, problem, problem_params.p_defect)
         row["shoots"] = prof.meta.get("shoots", 0)
-        po, slope, stderr, target, checks = audit_profile(
-            prof, problem, solver["annulus"], solver["fit_window"])
+        residual, slope, stderr, target, checks = audit_profile(prof, problem)
         row.update({"energy": prof.energy, "K0": prof.K0,
                     "node_count": prof.data.node_count(), "slope": slope,
                     "slope_target": target, "slope_stderr": stderr,
-                    "pohozaev_relative": po.relative})
+                    "pohozaev_relative": residual})
         failed = [name for name, value, tolerance in checks
                   if not abs(value) <= tolerance]
         if failed:

@@ -211,26 +211,26 @@ def asymptotic_exponent(v: SolutionProfile, window: tuple) -> tuple:
     return float(coef[0]), float(math.sqrt(max(cov, 0.0)))
 
 
-def audit_profile(v: SolutionProfile, problem: EuclideanProblem,
-                  annulus: tuple, window: tuple) -> tuple:
-    """(Pohozaev breakdown, slope, its standard error, target -beta_-,
-    checks) of a solved profile: the balance on the annulus, (1e-3 R, R)
-    if None, and the slope of log |v| on the window, (10 r0, 100 r0) if
-    None, r0 its first radius.  A window the fit cannot use (too few
-    nodes, a sign change) gives a NaN slope; an annulus off the grid
-    raises VerificationError.  checks holds the (name, value, tolerance)
-    of the two audits, each passed when |value| <= tolerance, so a NaN
-    slope fails."""
+def audit_profile(v: SolutionProfile, problem: EuclideanProblem) -> tuple:
+    """(Pohozaev relative residual, slope, its standard error, target
+    -beta_-, checks) of a solved profile, r0 its first radius: the balance
+    on the annulus (max(1e-3 R, r0), R) and the slope of log |v| on the
+    window (10 r0, 100 r0).  An annulus or a window the audit cannot use
+    (too few nodes, off the grid, a sign change) gives a NaN.  checks holds
+    the (name, value, tolerance) of the two audits, each passed when
+    |value| <= tolerance, so a NaN fails."""
     R, r0 = problem.domain_radius, v.data.r[0]
-    po = pohozaev_residual(v, problem, annulus or (1e-3 * R, R))
     try:
-        slope, stderr = asymptotic_exponent(v, window
-                                            or (r0 * 10.0, r0 * 100.0))
+        residual = pohozaev_residual(v, problem,
+                                     (max(1e-3 * R, r0), R)).relative
+    except VerificationError:
+        residual = math.nan
+    try:
+        slope, stderr = asymptotic_exponent(v, (r0 * 10.0, r0 * 100.0))
     except VerificationError:
         slope = stderr = math.nan
     target = -beta_pm(v.params.n, v.params.gamma)[0]
-    return po, slope, stderr, target, [
-        ("pohozaev_relative_residual", po.relative, 1e-4),
+    return residual, slope, stderr, target, [
+        ("pohozaev_relative_residual", residual, 1e-4),
         ("asymptotic_slope_error", slope - target,
          0.02 * abs(target) + 2.0 * stderr)]
-

@@ -188,23 +188,15 @@ def test_exit_code_config_errors(tmp_path, capsys):
             ("constants", {"params": dict(REF_PARAMS), "sweep": [1]}),
             ("bridge", solver(domain_radius="x")),
             ("bridge", solver(domain_radius=1.5)),
-            ("bridge", solver(grid_num="x")),
-            ("weights", solver(grid_num="x")),
-            ("weights", solver(grid_num=200.5)),
-            ("bubble", solver(bubble_decades=-3)),
             ("solve", solver(K_range=[1e6, 1e-4])),
             ("solve", solver(r0=0.7)),
             ("solve", solver(rtol=0)),
             ("bridge", solver(coercivity="yes")),
             ("continue", solver(schedule=[0.1, 0.2])),
-            ("verify", solver(annulus=[0.1])),
             ("sweep", {"params": dict(REF_PARAMS),
                        "sweep": {"node_target": [-1]}}),
-            # an integer beyond float range, and bubbles whose radii
-            # 10^(+-decades/2) overflow or coincide
+            # an integer beyond float range
             ("constants", {"params": {**REF_PARAMS, "lam": 10 ** 400}}),
-            ("bubble", solver(bubble_decades=700)),
-            ("bubble", solver(bubble_decades=1e-20)),
             # --out sets the output directory; there is no output section
             ("weights", {"params": dict(REF_PARAMS),
                          "output": {"directory": str(tmp_path / "o")}}))):
@@ -214,10 +206,17 @@ def test_exit_code_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert not (out / "manifest.json").exists()
-    # the solver has no method to choose, and r0 reads the bound of the
-    # domain radius whatever its value
+    # the solver has no method to choose, the audits' windows follow r0,
+    # the grids and the bubble's span are fixed, and r0 reads the bound of
+    # the domain radius whatever its value
     for i, (doc, message) in enumerate((
             (solver(method="shooting"), "unknown key(s) in solver: method"),
+            (solver(annulus=[1e-3, 0.5]), "unknown key(s) in solver: annulus"),
+            (solver(fit_window=[1e-4, 1e-3]),
+             "unknown key(s) in solver: fit_window"),
+            (solver(grid_num=200), "unknown key(s) in solver: grid_num"),
+            (solver(bubble_decades=8.0),
+             "unknown key(s) in solver: bubble_decades"),
             (solver(r0=1.5),
              "solver.r0 must be a number in (0, 0.5), not 1.5"),
             (solver(r0="x"),
@@ -346,8 +345,7 @@ def test_sweep_below_n_5_writes_inadmissible_rows(tmp_path, capsys):
 def test_commands_without_the_flat_problem_run_at_n_3(tmp_path, capsys,
                                                       command):
     cfg = _write_cfg(tmp_path / "n3.json", {
-        "params": {"n": 3, "s": 1.0, "gamma": -1.0, "lam": 10.0},
-        "solver": {"grid_num": 200}})
+        "params": {"n": 3, "s": 1.0, "gamma": -1.0, "lam": 10.0}})
     out = str(tmp_path / "out")
     assert main([command, "--config", cfg, "--out", out]) == 0
     capsys.readouterr()
@@ -452,7 +450,7 @@ def test_no_command_loads_scipy(tmp_path):
     # (main reads argv itself)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
-        "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]},
+        "solver": {"coercivity": True, "schedule": [0.05]},
         "sweep": {"p_defect": [0.05]}})
 
     def launch(command, out):
@@ -526,7 +524,7 @@ _AUDITS_AFTER_MAIN = _loaded_after_main("hardyball.verify", "hardyball.blowup")
 def test_only_the_audits_import_verify_and_blowup(tmp_path):
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
-        "solver": {"grid_num": 200, "coercivity": True, "schedule": [0.05]}})
+        "solver": {"coercivity": True, "schedule": [0.05]}})
     commands = ("solve", "continue", "bubble", "weights", "bridge",
                 "constants")
     procs = [(c, _launch(_AUDITS_AFTER_MAIN, [c, "--config", cfg, "--out",
@@ -538,16 +536,12 @@ def test_only_the_audits_import_verify_and_blowup(tmp_path):
 
 def test_only_the_solves_import_the_solver_and_ode(tmp_path):
     # solve, continue and sweep integrate; the closed-form bubble and the
-    # audits of stored profiles, verify on an annulus inside 10 r0 among
-    # them, load neither the solver nor its integrator
+    # audits of stored profiles load neither the solver nor its integrator
     script = _loaded_after_main("hardyball.solver", "hardyball.ode")
-    base = {"params": dict(REF_PARAMS),
-            "solver": {"grid_num": 200, "coercivity": True,
-                       "schedule": [0.05]},
-            "sweep": {"p_defect": [0.2]}}
-    cfg = _write_cfg(tmp_path / "run.json", base)
-    inner = _write_cfg(tmp_path / "inner.json", dict(
-        base, solver=dict(base["solver"], annulus=[1e-5, 0.25])))
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS),
+        "solver": {"coercivity": True, "schedule": [0.05]},
+        "sweep": {"p_defect": [0.2]}})
 
     def run(runs):
         procs = [(c, _launch(script, [c, "--config", config, "--out",
@@ -559,11 +553,9 @@ def test_only_the_solves_import_the_solver_and_ode(tmp_path):
               ("sweep", cfg, "sweep"))
     assert run(solves) == [(command, 0, ["hardyball.solver", "hardyball.ode"])
                            for command, *_ in solves]
-    # r0 = 1e-5 R = 5e-6, so the inner annulus starts at 2 r0
     others = (("bubble", cfg, "bubble"), ("weights", cfg, "weights"),
               ("bridge", cfg, "bridge"), ("constants", cfg, "constants"),
-              ("verify", cfg, "solve"), ("verify", inner, "solve"),
-              ("blowup", cfg, "continue"))
+              ("verify", cfg, "solve"), ("blowup", cfg, "continue"))
     assert run(others) == [(command, 0, []) for command, *_ in others]
 
 
@@ -596,8 +588,7 @@ sys.exit(code)
 def test_exit_freezes_the_heap_and_keeps_the_outputs(tmp_path):
     # the exit hook moves the import-time heap (~22,000 objects with numpy)
     # out of the final collections; the command's output is unchanged
-    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS),
-                                             "solver": {"grid_num": 200}})
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
     out = str(tmp_path / "out")
     code, (summary, frozen) = _finish(_launch(
         _FREEZE_AT_EXIT, ["weights", "--config", cfg, "--out", out]))
@@ -712,33 +703,35 @@ def test_verify_judges_the_stored_profile_by_its_own_params(
 
 def test_verify_reports_a_window_or_annulus_off_the_grid(solved_dir, tmp_path,
                                                         capsys):
-    # an annulus that does not fit the stored grid is a config error, and
-    # a window with too few nodes fails the slope check, without a traceback
+    # a stored profile too coarse for the annulus (max(1e-3 R, r0), R) and
+    # the window (10 r0, 100 r0) fails both audits with a NaN, without a
+    # traceback
+    cfg, solved = solved_dir
     out = tmp_path / "out"
     out.mkdir()
-    for name in ("profile.csv", "profile.json"):
-        (out / name).write_bytes(_bytes(os.path.join(solved_dir[1], name)))
-    annulus = _write_cfg(tmp_path / "a.json", {
-        "params": dict(REF_PARAMS), "solver": {"annulus": [1e-9, 0.5]}})
+    (out / "profile.json").write_bytes(
+        _bytes(os.path.join(solved, "profile.json")))
+    lines = _bytes(os.path.join(solved, "profile.csv")).decode().splitlines(
+        keepends=True)
+    # the header, every 500th of the 3000 samples from r0, and R
+    (out / "profile.csv").write_text("".join(lines[:1] + lines[1::500]
+                                             + lines[-1:]))
     capsys.readouterr()
-    assert main(["verify", "--config", annulus, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("config error:")
-    window = _write_cfg(tmp_path / "w.json", {
-        "params": dict(REF_PARAMS), "solver": {"fit_window": [0.4, 0.401]}})
-    assert main(["verify", "--config", window, "--out", str(out)]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     doc = _json(out / "verify.json")
-    slope = [c for c in doc["checks"]
-             if c["name"] == "asymptotic_slope_error"]
-    assert slope == [{"name": "asymptotic_slope_error", "value": None,
-                      "tolerance": None, "passed": False}]
+    audits = [c for c in doc["checks"] if c["name"] in (
+        "pohozaev_relative_residual", "asymptotic_slope_error")]
+    assert audits == [
+        {"name": "pohozaev_relative_residual", "value": None,
+         "tolerance": 1e-4, "passed": False},
+        {"name": "asymptotic_slope_error", "value": None,
+         "tolerance": None, "passed": False}]
     assert doc["passed"] is False
     capsys.readouterr()
 
 
 def test_constants_and_weights_and_bridge(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "run.json",
-                     {"params": dict(REF_PARAMS),
-                      "solver": {"grid_num": 200}})
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
     out = str(tmp_path / "out")
     assert main(["constants", "--config", cfg, "--out", out]) == 0
     assert main(["weights", "--config", cfg, "--out", out]) == 0
@@ -791,9 +784,7 @@ def test_manifest_bytes_identical_across_reruns(tmp_path, capsys):
 
 
 def test_bubble_command(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "run.json",
-                     {"params": dict(REF_PARAMS),
-                      "solver": {"bubble_decades": 6.0}})
+    cfg = _write_cfg(tmp_path / "run.json", {"params": dict(REF_PARAMS)})
     out = str(tmp_path / "out")
     assert main(["bubble", "--config", cfg, "--out", out]) == 0
     doc = _json(os.path.join(out, "bubble.json"))
@@ -1236,7 +1227,7 @@ def test_every_write_goes_through_write_text(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "write_text", record)
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
-        "solver": {"grid_num": 200, "schedule": [0.05]},
+        "solver": {"schedule": [0.05]},
         "sweep": {"p_defect": [0.9, 1.0]}})
     out = tmp_path / "out"
     for command, code in [("solve", 0), ("verify", 0), ("weights", 0),
@@ -1307,12 +1298,13 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
 
 
 def test_sweep_audits_on_the_config_window(tmp_path, capsys):
-    # the sweep's audit reads the config's fit window: one with too few
-    # nodes gives a NaN slope, which fails the slope audit as in verify,
-    # so the solved row is failed and the sweep exits as a solver failure
+    # the sweep's audit fits on (10 r0, 100 r0), the config's r0: at
+    # r0 = 0.06 that window lies beyond R = 0.5 and holds no node, and the
+    # NaN slope fails the slope audit as in verify, so the solved row is
+    # failed and the sweep exits as a solver failure
     cfg = _write_cfg(tmp_path / "run.json", {
         "params": dict(REF_PARAMS),
-        "solver": {"fit_window": [0.4, 0.401]},
+        "solver": {"r0": 0.06},
         "sweep": {"p_defect": [0.2]}})
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 3
@@ -1322,6 +1314,35 @@ def test_sweep_audits_on_the_config_window(tmp_path, capsys):
     assert row["error_class"] == "VerificationError"
     assert row["message"] == "audit failed: asymptotic_slope_error"
     assert row["slope"] == row["slope_stderr"] == "nan"
+    capsys.readouterr()
+
+
+def test_a_large_r0_is_audited_on_its_own_grid(tmp_path, capsys):
+    # at r0 = 0.001 = 2e-3 R the annulus starts at r0, on the stored grid,
+    # and the balance passes; the window (0.01, 0.1) lies far from the
+    # origin, where the slope reads 0.430 against -beta_- = 0.562, so the
+    # sweep row fails that audit alone and keeps its audit numbers
+    cfg = _write_cfg(tmp_path / "run.json", {
+        "params": dict(REF_PARAMS), "solver": {"r0": 0.001},
+        "sweep": {"p_defect": [0.2]}})
+    out = str(tmp_path / "solve")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    checks = {c["name"]: c for c in
+              _json(os.path.join(out, "verify.json"))["checks"]}
+    assert checks["pohozaev_relative_residual"]["value"] < 1e-8
+    assert checks["pohozaev_relative_residual"]["passed"]
+    assert not checks["asymptotic_slope_error"]["passed"]
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 3
+    with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["status"] == "failed"
+    assert row["message"] == "audit failed: asymptotic_slope_error"
+    assert float(row["pohozaev_relative"]) == \
+        checks["pohozaev_relative_residual"]["value"]
+    assert float(row["slope"]) == pytest.approx(0.430, abs=1e-3)
+    assert float(row["slope_target"]) == pytest.approx(0.562, abs=1e-3)
     capsys.readouterr()
 
 
